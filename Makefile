@@ -1,7 +1,7 @@
 # Tier-1 verification gate: `make check` must pass before merging.
 GO ?= go
 
-.PHONY: build test vet race lint lockgraph check bench bench-go bench-check fuzz scenarios
+.PHONY: build test vet race lint lockgraph check bench bench-go bench-check bench-pipeline fuzz scenarios
 
 build:
 	$(GO) build ./...
@@ -43,7 +43,8 @@ lockgraph: bin/firehose-lint
 check: vet lint race
 
 # bench runs the hot-path harness (cmd/benchhot) and writes
-# BENCH_hotpath.json: the SoA-vs-reference UniBin scan, the index-vs-scan
+# BENCH_hotpath.json: the fused fingerprint kernel against its spec
+# functions, the SoA-vs-reference UniBin scan, the index-vs-scan
 # coverage pairs (λc=6 and the strict wide-window λc=3 regime), the
 # multi-user steady-state alloc counts, and parallel one-by-one vs batch
 # throughput at 1/2/NumCPU workers. BENCHTIME accepts a duration or an
@@ -64,6 +65,14 @@ bench-check:
 	$(GO) run ./cmd/benchhot -benchtime $(BENCHTIME) -out $(BENCH_CANDIDATE)
 	$(GO) run ./cmd/benchcheck -baseline BENCH_hotpath.json -candidate $(BENCH_CANDIDATE)
 
+# bench-pipeline runs the end-to-end benchmark (cmd/loadgen, registered in
+# BENCHMARK.json): the real daemon in its four workload shapes, every output
+# checked against the in-process reference and the seed-1 goldens, six
+# end-to-end metrics per workload. Add `-trace 1` by hand for the per-layer
+# budget; BENCH_pipeline.json holds the committed before/after rows.
+bench-pipeline:
+	$(GO) run ./cmd/loadgen -seed 1
+
 # bench-go runs every in-package go test benchmark.
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
@@ -78,6 +87,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTokensWithOptions -fuzztime=$(FUZZTIME) ./internal/textnorm
 	$(GO) test -run='^$$' -fuzz=FuzzDistance -fuzztime=$(FUZZTIME) ./internal/simhash
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprintNormalizationStable -fuzztime=$(FUZZTIME) ./internal/simhash
+	$(GO) test -run='^$$' -fuzz=FuzzFingerprintFused -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeIngest -fuzztime=$(FUZZTIME) ./internal/httpapi
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorkload -fuzztime=$(FUZZTIME) ./internal/twittergen
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) .
 

@@ -1,8 +1,11 @@
 // Command benchhot measures the ingestion hot path and writes the results as
 // JSON — the committed BENCH_hotpath.json baseline comes from this tool.
 //
-// It benchmarks four layers:
+// It benchmarks five layers:
 //
+//   - the post fingerprint: the fused one-pass kernel (core.Fingerprint)
+//     against its executable spec, textnorm.NormalizedTokens + simhash.Hash,
+//     over generated tweet texts;
 //   - UniBin.Offer on the structure-of-arrays scan bin against the retained
 //     seed implementation (core.ReferenceUniBin), reporting the single-thread
 //     speedup of the SoA refactor;
@@ -36,6 +39,7 @@ import (
 	"firehose/internal/core"
 	"firehose/internal/simhash"
 	"firehose/internal/stream"
+	"firehose/internal/textnorm"
 	"firehose/internal/twittergen"
 )
 
@@ -64,6 +68,9 @@ type Report struct {
 	// (λc=3, 60k-post window) — the regime the index promotion targets, and
 	// the report's headline number.
 	SpeedupIndexStrict float64 `json:"speedup_index_vs_scan_strict"`
+	// SpeedupFingerprint is the spec pipeline's ns/op divided by the fused
+	// kernel's over the same texts.
+	SpeedupFingerprint float64 `json:"speedup_fingerprint_fused_vs_reference"`
 }
 
 func resultOf(name string, r testing.BenchmarkResult) Result {
@@ -196,14 +203,37 @@ func benchMulti(build func() core.MultiDiversifier) testing.BenchmarkResult {
 	})
 }
 
-// scenario builds a realistic sharded workload for the parallel benches.
-func scenario() (*authorsim.Graph, [][]int32) {
+// scenario builds a realistic sharded workload for the parallel benches, and
+// a day of generated tweet texts over it for the fingerprint benches.
+func scenario() (*authorsim.Graph, [][]int32, []string) {
 	rng := rand.New(rand.NewSource(5))
 	sg, err := twittergen.GenerateGraph(rng, twittergen.DefaultGraphConfig(400))
 	if err != nil {
 		panic(err)
 	}
-	return authorsim.BuildGraph(authorsim.NewVectors(sg.Followees), 0.7), sg.Subscriptions()
+	g := authorsim.BuildGraph(authorsim.NewVectors(sg.Followees), 0.7)
+	gs, err := twittergen.GenerateStream(rng, sg, g, twittergen.NewVocab(rng, 5000), twittergen.DefaultStreamConfig())
+	if err != nil {
+		panic(err)
+	}
+	texts := make([]string, len(gs.Posts))
+	for i, p := range gs.Posts {
+		texts[i] = p.Text
+	}
+	return g, sg.Subscriptions(), texts
+}
+
+// fpSink keeps the fingerprint loops' results alive.
+var fpSink simhash.Fingerprint
+
+// benchFingerprint measures one fingerprint function over the texts.
+func benchFingerprint(texts []string, fp func(string) simhash.Fingerprint) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fpSink ^= fp(texts[i%len(texts)])
+		}
+	})
 }
 
 // materialize pre-builds n time-ordered posts (the parallel engine consumes
@@ -280,6 +310,16 @@ func main() {
 		return res
 	}
 
+	pg, psubs, texts := scenario()
+	fpRef := add("Fingerprint/reference", benchFingerprint(texts, func(s string) simhash.Fingerprint {
+		return simhash.Hash(textnorm.NormalizedTokens(s))
+	}))
+	fpFused := add("Fingerprint/fused", benchFingerprint(texts, core.Fingerprint))
+	if fpFused.NsPerOp > 0 {
+		rep.SpeedupFingerprint = fpRef.NsPerOp / fpFused.NsPerOp
+	}
+	fmt.Printf("%-40s %12.2fx\n", "Fingerprint speedup (fused vs spec)", rep.SpeedupFingerprint)
+
 	g := benchGraph(benchAuthors)
 	// Scan-bound regime: uniform fingerprints nothing covers, so every Offer
 	// scans the full λt window. This is the regime the SoA layout targets and
@@ -347,7 +387,6 @@ func main() {
 		return s
 	}))
 
-	pg, psubs := scenario()
 	for _, workers := range workerCounts() {
 		add(fmt.Sprintf("ParallelEngine.Offer/workers=%d", workers), benchParallel(pg, psubs, workers))
 		add(fmt.Sprintf("ParallelEngine.OfferBatch/workers=%d", workers), benchParallelBatch(pg, psubs, workers, 256))

@@ -63,57 +63,72 @@ const MaxElems = 1 << 40
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64/arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// encoderBlock is the encoder's block size: fields are appended to one
+// in-memory block that is checksummed and written when it fills, so a
+// multi-megabyte snapshot costs a few dozen hash and write calls instead of
+// one of each per field. Snapshots are taken inside the ingest pause, which
+// is why the constant matters.
+const encoderBlock = 256 << 10
+
 // Encoder writes the checkpoint format to an io.Writer, maintaining the
 // running checksum. Errors are sticky: the first write failure is retained
 // and every later call is a no-op, so callers check once via Finish (or Err).
 type Encoder struct {
-	w   *bufio.Writer
-	crc hash.Hash32
+	w   io.Writer
+	crc uint32
 	err error
-	buf [binary.MaxVarintLen64]byte
+	// block holds the fields appended since the last flush; its bytes are
+	// neither hashed nor written yet.
+	block []byte
 }
 
 // NewEncoder starts a checkpoint stream on w: it writes the magic, the
 // format version and the engine kind, and returns an encoder for the body.
 func NewEncoder(w io.Writer, kind string) *Encoder {
-	e := &Encoder{w: bufio.NewWriter(w), crc: crc32.New(crcTable)}
-	e.write(magic[:])
+	e := &Encoder{w: w, block: make([]byte, 0, encoderBlock)}
+	e.block = append(e.block, magic[:]...)
 	e.Uvarint(Version)
 	e.String(kind)
 	return e
 }
 
-// write appends raw bytes to both the output and the running checksum.
-func (e *Encoder) write(p []byte) {
-	if e.err != nil {
-		return
+// room returns the block with space for one fixed-size field, flushing first
+// when it is full.
+func (e *Encoder) room() []byte {
+	if len(e.block) > encoderBlock-binary.MaxVarintLen64 {
+		e.flush()
 	}
-	if _, err := e.w.Write(p); err != nil {
-		e.err = fmt.Errorf("checkpoint: write: %w", err)
-		return
+	return e.block
+}
+
+// flush folds the block into the running checksum and writes it out.
+func (e *Encoder) flush() {
+	e.crc = crc32.Update(e.crc, crcTable, e.block)
+	e.writeBlock()
+}
+
+// writeBlock writes the block's bytes and empties it.
+func (e *Encoder) writeBlock() {
+	if e.err == nil {
+		n, err := e.w.Write(e.block)
+		if err == nil && n < len(e.block) {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			e.err = fmt.Errorf("checkpoint: write: %w", err)
+		}
 	}
-	// bufio.Writer never returns a short write without an error, and the
-	// CRC hash never errors.
-	_, _ = e.crc.Write(p)
+	e.block = e.block[:0]
 }
 
 // Uvarint writes an unsigned varint.
-func (e *Encoder) Uvarint(v uint64) {
-	n := binary.PutUvarint(e.buf[:], v)
-	e.write(e.buf[:n])
-}
+func (e *Encoder) Uvarint(v uint64) { e.block = binary.AppendUvarint(e.room(), v) }
 
 // Varint writes a zig-zag signed varint.
-func (e *Encoder) Varint(v int64) {
-	n := binary.PutVarint(e.buf[:], v)
-	e.write(e.buf[:n])
-}
+func (e *Encoder) Varint(v int64) { e.block = binary.AppendVarint(e.room(), v) }
 
 // U64 writes a fixed 8-byte little-endian word (fingerprints, hashes).
-func (e *Encoder) U64(v uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], v)
-	e.write(e.buf[:8])
-}
+func (e *Encoder) U64(v uint64) { e.block = binary.LittleEndian.AppendUint64(e.room(), v) }
 
 // F64 writes a float64 as its fixed 8-byte IEEE-754 bits.
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
@@ -127,30 +142,23 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// String writes a uvarint length followed by the raw bytes.
+// String writes a uvarint length followed by the raw bytes. A string longer
+// than the block grows it for one flush.
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
-	e.write([]byte(s))
+	e.block = append(e.block, s...)
 }
 
 // Err returns the first error encountered, if any.
 func (e *Encoder) Err() error { return e.err }
 
-// Finish appends the trailing checksum and flushes. The encoder must not be
-// used afterwards.
+// Finish appends the trailing checksum and writes out the last block. The
+// encoder must not be used afterwards.
 func (e *Encoder) Finish() error {
-	if e.err != nil {
-		return e.err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], e.crc.Sum32())
-	if _, err := e.w.Write(tail[:]); err != nil {
-		return fmt.Errorf("checkpoint: write checksum: %w", err)
-	}
-	if err := e.w.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: flush: %w", err)
-	}
-	return nil
+	e.crc = crc32.Update(e.crc, crcTable, e.block)
+	e.block = binary.LittleEndian.AppendUint32(e.block, e.crc)
+	e.writeBlock()
+	return e.err
 }
 
 // Decoder reads the checkpoint format, verifying the running checksum at

@@ -204,7 +204,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestEncoderPropagatesWriteErrors(t *testing.T) {
 	enc := NewEncoder(&failWriter{n: 2}, "kind")
 	for i := 0; i < 10_000; i++ {
-		enc.U64(uint64(i)) // overflow the bufio buffer so the failure surfaces
+		enc.U64(uint64(i))
 	}
 	if err := enc.Finish(); err == nil {
 		t.Fatal("write failure not propagated")

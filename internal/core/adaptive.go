@@ -7,7 +7,6 @@ import (
 	"firehose/internal/authorsim"
 	"firehose/internal/metrics"
 	"firehose/internal/simhash"
-	"firehose/internal/simindex"
 )
 
 // This file adds the adaptive per-user threshold controller: a regulation
@@ -91,7 +90,7 @@ type adaptiveUser struct {
 	// (bang-bang oscillation between 0 and the full flood rate).
 	winSuppressed int
 	suppressed    uint64
-	hist          *covBin
+	hist          covBin
 }
 
 // roll advances the user's budget window to contain stream time t, applying
@@ -199,11 +198,7 @@ func (a *AdaptiveMultiUser) Counters() *metrics.Counters { return a.inner.Counte
 func (a *AdaptiveMultiUser) user(u int32) *adaptiveUser {
 	st := a.users[u]
 	if st == nil {
-		st = &adaptiveUser{
-			lc:   a.base.LambdaC,
-			lt:   a.base.LambdaT,
-			hist: newCovBin(simindex.Params{}, false),
-		}
+		st = &adaptiveUser{lc: a.base.LambdaC, lt: a.base.LambdaT}
 		a.users[u] = st
 	}
 	return st

@@ -117,3 +117,13 @@ func TestSharedMultiUserOfferSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("SharedMultiUser.Offer allocates %.2f objects per call in steady state, want 0", avg)
 	}
 }
+
+// TestFingerprintAllocs pins the fused fingerprint kernel: no intermediate
+// string, no token slice — nothing on the heap, ASCII or not.
+func TestFingerprintAllocs(t *testing.T) {
+	for _, text := range []string{benchTweet, "émoji ☕ 中文 Köln \u0130stanbul", ""} {
+		if avg := testing.AllocsPerRun(100, func() { fingerprintSink = Fingerprint(text) }); avg != 0 {
+			t.Fatalf("Fingerprint(%q) allocates %.2f objects per call, want 0", text, avg)
+		}
+	}
+}

@@ -55,7 +55,8 @@ func (cb *CliqueBin) Counters() *metrics.Counters { return &cb.c }
 func (cb *CliqueBin) bin(clique int) *covBin {
 	b := cb.bins[clique]
 	if b == nil {
-		b = newCovBin(cb.idxParams, cb.indexed)
+		fresh := newCovBin(cb.idxParams, cb.indexed)
+		b = &fresh
 		cb.bins[clique] = b
 	}
 	return b

@@ -29,8 +29,13 @@ import (
 // index's table copies are an acceleration structure, not part of the
 // paper's RAM model — so every counter identity holds unchanged under any
 // policy.
+//
+// A covBin is held by value where its owner has exactly one (UniBin, the
+// adaptive controller's per-user history) and the ring is embedded by value
+// in turn, so a component instance is one object, not three. The zero value
+// is an empty exact-scan bin.
 type covBin struct {
-	soa *postbin.SoA
+	soa postbin.SoA
 	idx *simindex.Index // nil on the exact-scan path
 	// base is the sequence number of the ring's oldest entry; next is the
 	// sequence the next push takes.
@@ -39,8 +44,8 @@ type covBin struct {
 
 // newCovBin builds a bin; indexed selects the index layout resolved by the
 // caller's policy (Thresholds.indexParams).
-func newCovBin(params simindex.Params, indexed bool) *covBin {
-	b := &covBin{soa: postbin.NewSoA()}
+func newCovBin(params simindex.Params, indexed bool) covBin {
+	var b covBin
 	if indexed {
 		idx, err := simindex.New(params)
 		if err != nil {
@@ -56,8 +61,8 @@ func newCovBin(params simindex.Params, indexed bool) *covBin {
 // newCovBinFromSoA wraps a restored ring, rebuilding the index (when the
 // policy asks for one) by re-inserting every live entry — the snapshot
 // format stays index-free and policy-independent.
-func newCovBinFromSoA(soa *postbin.SoA, params simindex.Params, indexed bool) *covBin {
-	b := &covBin{soa: soa}
+func newCovBinFromSoA(soa postbin.SoA, params simindex.Params, indexed bool) covBin {
+	b := covBin{soa: soa}
 	if !indexed {
 		return b
 	}

@@ -45,7 +45,8 @@ func (nb *NeighborBin) Counters() *metrics.Counters { return &nb.c }
 func (nb *NeighborBin) bin(author int32) *covBin {
 	b := nb.bins[author]
 	if b == nil {
-		b = newCovBin(nb.idxParams, nb.indexed)
+		fresh := newCovBin(nb.idxParams, nb.indexed)
+		b = &fresh
 		nb.bins[author] = b
 	}
 	return b

@@ -46,13 +46,6 @@ func NewPost(id uint64, author int32, timeMillis int64, text string) *Post {
 	}
 }
 
-// Fingerprint computes the SimHash fingerprint of a post text using the
-// normalization the paper found best (Figure 4): lowercase, collapse
-// whitespace, strip non-alphanumerics, then hash the token bag.
-func Fingerprint(text string) simhash.Fingerprint {
-	return simhash.Hash(textnorm.NormalizedTokens(text))
-}
-
 // RawFingerprint computes the SimHash of the unnormalized token bag, the
 // Figure 3 baseline.
 func RawFingerprint(text string) simhash.Fingerprint {

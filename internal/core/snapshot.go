@@ -151,9 +151,9 @@ func encodeBin(enc *checkpoint.Encoder, b *postbin.SoA) {
 // (postbin panics on out-of-order pushes — a corrupted stream must error
 // instead) and author membership. Storage grows with the bytes actually
 // read, so a corrupted count cannot drive a large allocation.
-func decodeBin(dec *checkpoint.Decoder, validAuthor func(int32) bool) *postbin.SoA {
+func decodeBin(dec *checkpoint.Decoder, validAuthor func(int32) bool) postbin.SoA {
 	n := dec.Len("bin entries", checkpoint.MaxElems)
-	b := postbin.NewSoA()
+	var b postbin.SoA
 	last := int64(math.MinInt64)
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		t := dec.Varint()
@@ -183,7 +183,7 @@ func decodeBin(dec *checkpoint.Decoder, validAuthor func(int32) bool) *postbin.S
 // under another.
 func (u *UniBin) SnapshotState(enc *checkpoint.Encoder) error {
 	enc.String("unibin")
-	encodeBin(enc, u.bin.soa)
+	encodeBin(enc, &u.bin.soa)
 	encodeCounters(enc, &u.c)
 	return enc.Err()
 }
@@ -214,7 +214,7 @@ func (nb *NeighborBin) SnapshotState(enc *checkpoint.Encoder) error {
 	enc.Uvarint(uint64(len(authors)))
 	for _, a := range authors {
 		enc.Varint(int64(a))
-		encodeBin(enc, nb.bins[a].soa)
+		encodeBin(enc, &nb.bins[a].soa)
 	}
 	encodeCounters(enc, &nb.c)
 	return enc.Err()
@@ -238,7 +238,8 @@ func (nb *NeighborBin) RestoreState(dec *checkpoint.Decoder) error {
 			break
 		}
 		last = a
-		bins[int32(a)] = newCovBinFromSoA(decodeBin(dec, valid), nb.idxParams, nb.indexed)
+		b := newCovBinFromSoA(decodeBin(dec, valid), nb.idxParams, nb.indexed)
+		bins[int32(a)] = &b
 	}
 	c := decodeCounters(dec)
 	if err := dec.Err(); err != nil {
@@ -265,7 +266,7 @@ func (cb *CliqueBin) SnapshotState(enc *checkpoint.Encoder) error {
 	for ci, b := range cb.bins {
 		if b != nil {
 			enc.Uvarint(uint64(ci))
-			encodeBin(enc, b.soa)
+			encodeBin(enc, &b.soa)
 		}
 	}
 	encodeCounters(enc, &cb.c)
@@ -293,7 +294,8 @@ func (cb *CliqueBin) RestoreState(dec *checkpoint.Decoder) error {
 			break
 		}
 		lastCi = ci
-		bins[ci] = newCovBinFromSoA(decodeBin(dec, authorValidatorFromCover(cb)), cb.idxParams, cb.indexed)
+		b := newCovBinFromSoA(decodeBin(dec, authorValidatorFromCover(cb)), cb.idxParams, cb.indexed)
+		bins[ci] = &b
 	}
 	c := decodeCounters(dec)
 	if err := dec.Err(); err != nil {

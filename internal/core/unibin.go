@@ -25,7 +25,7 @@ import (
 type UniBin struct {
 	th  Thresholds
 	g   AuthorGraph
-	bin *covBin
+	bin covBin
 	c   metrics.Counters
 }
 

@@ -3,6 +3,8 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -148,5 +150,63 @@ func TestBatchIngestValidation(t *testing.T) {
 	}})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale batch accepted with status %d", resp.StatusCode)
+	}
+}
+
+// TestTimelinesSequentialEqualsParallel: both backends keep their timelines
+// in the same stream.Timelines store, fed from different places (under the
+// sequential engine's decision lock; after the ticket join in the parallel
+// adapter). The same stream — singles and batches interleaved — must leave
+// every user's timeline identical.
+func TestTimelinesSequentialEqualsParallel(t *testing.T) {
+	seq, _ := serverPair(t, false)
+	par, _ := serverPair(t, true)
+	defer seq.Close()
+	defer par.Close()
+	rng := rand.New(rand.NewSource(21))
+	now := int64(1000)
+	nextPost := func() IngestRequest {
+		now += int64(rng.Intn(5000))
+		return IngestRequest{
+			Author:     int32(rng.Intn(4)),
+			Text:       fmt.Sprintf("story %d about topic %d with some shared words", rng.Intn(300), rng.Intn(12)),
+			TimeMillis: now,
+		}
+	}
+	for i := 0; i < 200; i++ {
+		path, v := "/v1/ingest", any(nextPost())
+		if i%2 == 1 {
+			posts := make([]IngestRequest, 1+rng.Intn(40))
+			for j := range posts {
+				posts[j] = nextPost()
+			}
+			path, v = "/v1/ingest/batch", BatchIngestRequest{Posts: posts}
+		}
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := postJSON(t, seq, path, string(body)), postJSON(t, par, path, string(body))
+		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
+			t.Fatalf("request %d (%s): sequential %d %s, parallel %d %s", i, path, a.Code, a.Body, b.Code, b.Body)
+		}
+	}
+	delivered := 0
+	for u := 0; u < 3; u++ {
+		path := fmt.Sprintf("/v1/timeline?user=%d&n=1000000", u)
+		a, b := httptest.NewRecorder(), httptest.NewRecorder()
+		seq.ServeHTTP(a, httptest.NewRequest("GET", path, nil))
+		par.ServeHTTP(b, httptest.NewRequest("GET", path, nil))
+		if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
+			t.Fatalf("user %d: timelines differ between the sequential and the parallel backend", u)
+		}
+		var tl TimelineResponse
+		if err := json.Unmarshal(a.Body.Bytes(), &tl); err != nil {
+			t.Fatal(err)
+		}
+		delivered += len(tl.Posts)
+	}
+	if delivered < 600 {
+		t.Fatalf("only %d timeline entries; the stream should fill several chunks per user", delivered)
 	}
 }

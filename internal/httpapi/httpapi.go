@@ -229,8 +229,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, CodeIngestDisabled, "%v", ErrIngestDisabled)
 		return
 	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	cb := getCodecBuf()
+	defer putCodecBuf(cb)
+	req, err := cb.decodeIngestBody(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad JSON: %v", err)
 		return
 	}
@@ -248,7 +250,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, IngestResponse{ID: id, Delivered: users})
+	cb.b = append(appendIngestResponse(cb.b[:0], id, users), '\n')
+	writeJSONBytes(w, cb.b)
 }
 
 // BatchIngestRequest is the POST /ingest/batch body: a time-ordered slice of
@@ -268,24 +271,28 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, CodeIngestDisabled, "%v", ErrIngestDisabled)
 		return
 	}
-	var req BatchIngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	cb := getCodecBuf()
+	defer putCodecBuf(cb)
+	// slab holds the batch's posts in one allocation; the engine takes
+	// pointers into it.
+	slab, err := cb.decodeBatchBody(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad JSON: %v", err)
 		return
 	}
-	if len(req.Posts) == 0 {
+	if len(slab) == 0 {
 		writeError(w, http.StatusBadRequest, CodeEmptyBatch, "empty batch")
 		return
 	}
-	for i, p := range req.Posts {
-		if p.Text == "" {
+	for i := range slab {
+		if slab[i].Text == "" {
 			writeError(w, http.StatusBadRequest, CodeEmptyText, "post %d: empty text", i)
 			return
 		}
-		if i > 0 && p.TimeMillis < req.Posts[i-1].TimeMillis {
-			writeDisorder(w, req.Posts[i-1].TimeMillis,
+		if i > 0 && slab[i].Time < slab[i-1].Time {
+			writeDisorder(w, slab[i-1].Time,
 				"post %d at %d arrived after %d; the batch must be time-ordered",
-				i, p.TimeMillis, req.Posts[i-1].TimeMillis)
+				i, slab[i].Time, slab[i-1].Time)
 			return
 		}
 	}
@@ -296,44 +303,51 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.ingestMu.RUnlock()
 
 	s.mu.Lock()
-	if last := s.lastT; req.Posts[0].TimeMillis < last {
+	prevT := s.lastT
+	if slab[0].Time < prevT {
 		s.mu.Unlock()
-		writeDisorder(w, last,
+		writeDisorder(w, prevT,
 			"batch starts at %d, after %d; the stream must be time-ordered",
-			req.Posts[0].TimeMillis, last)
+			slab[0].Time, prevT)
 		return
 	}
-	s.lastT = req.Posts[len(req.Posts)-1].TimeMillis
+	s.lastT = slab[len(slab)-1].Time
 	firstID := s.nextID + 1
-	s.nextID += uint64(len(req.Posts))
+	s.nextID += uint64(len(slab))
 	s.mu.Unlock()
 
-	posts := make([]*core.Post, len(req.Posts))
-	for i, p := range req.Posts {
-		posts[i] = core.NewPost(firstID+uint64(i), p.Author, p.TimeMillis, p.Text)
+	posts := make([]*core.Post, len(slab))
+	for i := range slab {
+		p := &slab[i]
+		p.ID, p.FP = firstID+uint64(i), core.Fingerprint(p.Text)
+		posts[i] = p
 	}
 	deliveries, err := s.engine.OfferBatch(posts)
 	if err != nil {
+		// Like IngestPost: a refused batch rolls both watermarks back when no
+		// concurrent ingest has allocated past it, so the same batch can be
+		// retried.
 		s.mu.Lock()
 		if s.nextID == firstID+uint64(len(posts))-1 {
-			s.nextID = firstID - 1
+			s.nextID, s.lastT = firstID-1, prevT
 		}
 		s.mu.Unlock()
 		writeOfferError(w, err)
 		return
 	}
-	resp := BatchIngestResponse{Results: make([]IngestResponse, len(posts))}
+	out := append(cb.b[:0], `{"results":[`...)
 	for i, users := range deliveries {
+		p := posts[i]
 		if len(users) > 0 {
-			s.deliver(TimelinePost{
-				ID: posts[i].ID, Author: posts[i].Author, TimeMillis: posts[i].Time, Text: posts[i].Text,
-			}, users)
-		} else {
-			users = []int32{}
+			s.deliver(TimelinePost{ID: p.ID, Author: p.Author, TimeMillis: p.Time, Text: p.Text}, users)
 		}
-		resp.Results[i] = IngestResponse{ID: posts[i].ID, Delivered: users}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = appendIngestResponse(out, p.ID, users)
 	}
-	writeJSON(w, resp)
+	cb.b = append(out, "]}\n"...)
+	writeJSONBytes(w, cb.b)
 }
 
 // TimelinePost is one delivered post in a timeline response.
@@ -400,6 +414,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Rejected:    c.Rejected,
 		PeakCopies:  c.StoredPeak,
 	})
+}
+
+// writeJSONBytes writes an already-encoded 200 JSON body.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	// Headers already sent; nothing more to do on error.
+	_, _ = w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -45,7 +45,8 @@ func (e *DisorderError) Error() string {
 // captured nextID is an exact watermark. An offer the engine refuses rolls
 // the id allocation back when no concurrent ingest has allocated past it,
 // so single-writer pipelines (the connector runner) burn no ids on
-// transient backpressure and replays reproduce identical ids.
+// transient backpressure and replays reproduce identical ids. The time
+// watermark rolls back with it, so the refused post can be retried.
 func (s *Server) IngestPost(author int32, timeMillis int64, text string) (uint64, []int32, error) {
 	s.ingestMu.RLock()
 	defer s.ingestMu.RUnlock()
@@ -58,6 +59,7 @@ func (s *Server) IngestPost(author int32, timeMillis int64, text string) (uint64
 		s.mu.Unlock()
 		return 0, nil, &DisorderError{Watermark: last}
 	}
+	prevT := s.lastT
 	s.lastT = timeMillis
 	s.nextID++
 	id := s.nextID
@@ -68,7 +70,7 @@ func (s *Server) IngestPost(author int32, timeMillis int64, text string) (uint64
 	if err != nil {
 		s.mu.Lock()
 		if s.nextID == id {
-			s.nextID--
+			s.nextID, s.lastT = id-1, prevT
 		}
 		s.mu.Unlock()
 		return 0, nil, err

@@ -31,11 +31,11 @@ type parallelTimelines struct {
 
 	// mu guards: timelines
 	mu        sync.Mutex
-	timelines map[int32][]*core.Post
+	timelines stream.Timelines
 }
 
 func newParallelTimelines(pe *stream.ParallelMultiEngine) *parallelTimelines {
-	return &parallelTimelines{pe: pe, timelines: make(map[int32][]*core.Post)}
+	return &parallelTimelines{pe: pe}
 }
 
 // Offer enqueues the post and blocks on its ticket only — concurrent callers
@@ -48,9 +48,7 @@ func (a *parallelTimelines) Offer(p *core.Post) ([]int32, error) {
 	users := t.Users()
 	if len(users) > 0 {
 		a.mu.Lock()
-		for _, u := range users {
-			a.timelines[u] = append(a.timelines[u], p)
-		}
+		a.timelines.Deliver(p, users)
 		a.mu.Unlock()
 	}
 	return users, nil
@@ -67,9 +65,7 @@ func (a *parallelTimelines) OfferBatch(posts []*core.Post) ([][]int32, error) {
 	deliveries := t.Users()
 	a.mu.Lock()
 	for i, users := range deliveries {
-		for _, u := range users {
-			a.timelines[u] = append(a.timelines[u], posts[i])
-		}
+		a.timelines.Deliver(posts[i], users)
 	}
 	a.mu.Unlock()
 	return deliveries, nil
@@ -78,10 +74,7 @@ func (a *parallelTimelines) OfferBatch(posts []*core.Post) ([][]int32, error) {
 func (a *parallelTimelines) Timeline(user int32) []*core.Post {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	tl := a.timelines[user]
-	out := make([]*core.Post, len(tl))
-	copy(out, tl)
-	return out
+	return a.timelines.Timeline(user)
 }
 
 func (a *parallelTimelines) Counters() metrics.Counters { return a.pe.Counters() }
@@ -103,7 +96,7 @@ func (a *parallelTimelines) AdaptiveStates() []core.AdaptiveUserState {
 func (a *parallelTimelines) Suppressed() uint64 { return a.pe.Suppressed() }
 
 // SnapshotState delegates to the parallel engine (which quiesces). The
-// timelines map is derived view state and is not serialized — same policy as
+// timeline store is derived view state and is not serialized — same policy as
 // stream.MultiEngine.
 func (a *parallelTimelines) SnapshotState(enc *checkpoint.Encoder) error {
 	return a.pe.SnapshotState(enc)
@@ -116,7 +109,7 @@ func (a *parallelTimelines) RestoreState(dec *checkpoint.Decoder) error {
 		return err
 	}
 	a.mu.Lock()
-	a.timelines = make(map[int32][]*core.Post)
+	a.timelines.Reset()
 	a.mu.Unlock()
 	return nil
 }

@@ -22,14 +22,21 @@ import "fmt"
 // the old end. A burst that grows the buffer is released again by
 // PruneBefore, which halves the capacity whenever occupancy falls below a
 // quarter (never below MinShrinkCap).
+//
+// The zero value is an empty bin, so owners embed a SoA by value: a solver
+// that keeps tens of bins per arriving post then reaches each ring header
+// without a pointer hop. The header also caches the oldest and newest
+// timestamps, so PruneBefore on a bin with nothing to evict — the common case
+// per bin per post — reads no ring memory at all.
 type SoA struct {
-	fps     []uint64
-	authors []int32
-	times   []int64
 	head    int // index of oldest entry
 	count   int
 	mask    int   // len(fps) - 1; len is a power of two
+	oldest  int64 // times[head], valid when count > 0
 	last    int64 // time of most recent entry, valid when count > 0
+	fps     []uint64
+	authors []int32
+	times   []int64
 }
 
 // NewSoA returns an empty bin. The first Push allocates MinShrinkCap capacity.
@@ -57,6 +64,9 @@ func (b *SoA) Push(t int64, fp uint64, author int32) {
 	b.fps[idx] = fp
 	b.authors[idx] = author
 	b.times[idx] = t
+	if b.count == 0 {
+		b.oldest = t
+	}
 	b.count++
 	b.last = t
 }
@@ -84,10 +94,13 @@ func (b *SoA) resize(newCap int) {
 // of a traffic burst is not pinned for the rest of the stream.
 func (b *SoA) PruneBefore(cutoff int64) int {
 	removed := 0
-	for b.count > 0 && b.times[b.head] < cutoff {
+	for b.count > 0 && b.oldest < cutoff {
 		b.head = (b.head + 1) & b.mask
 		b.count--
 		removed++
+		if b.count > 0 {
+			b.oldest = b.times[b.head]
+		}
 	}
 	if b.count == 0 {
 		b.head = 0
@@ -104,7 +117,7 @@ func (b *SoA) OldestTime() (t int64, ok bool) {
 	if b.count == 0 {
 		return 0, false
 	}
-	return b.times[b.head], true
+	return b.oldest, true
 }
 
 // NewestTime returns the timestamp of the most recent entry, or ok=false

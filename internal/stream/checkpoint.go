@@ -65,7 +65,7 @@ func (m *MultiEngine) RestoreState(dec *checkpoint.Decoder) error {
 		return err
 	}
 	m.offered, m.delivered, m.offerLatency = offered, delivered, lat
-	m.timelines = make(map[int32][]*core.Post)
+	m.timelines.Reset()
 	return nil
 }
 

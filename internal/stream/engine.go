@@ -147,7 +147,7 @@ type MultiEngine struct {
 	// mu guards: md, timelines, done, offered, delivered, offerLatency
 	mu        sync.Mutex
 	md        core.MultiDiversifier
-	timelines map[int32][]*core.Post
+	timelines Timelines
 	done      bool
 	offered   uint64
 	delivered uint64
@@ -170,7 +170,7 @@ type MultiEngineSnapshot struct {
 
 // NewMultiEngine wraps a multi-user diversifier.
 func NewMultiEngine(md core.MultiDiversifier) *MultiEngine {
-	return &MultiEngine{md: md, timelines: make(map[int32][]*core.Post)}
+	return &MultiEngine{md: md}
 }
 
 // Offer routes a post and returns the users it was delivered to. The
@@ -187,9 +187,7 @@ func (m *MultiEngine) Offer(p *core.Post) ([]int32, error) {
 	m.offered++
 	users := slices.Clone(m.md.Offer(p))
 	m.delivered += uint64(len(users))
-	for _, u := range users {
-		m.timelines[u] = append(m.timelines[u], p)
-	}
+	m.timelines.Deliver(p, users)
 	return users, nil
 }
 
@@ -211,9 +209,7 @@ func (m *MultiEngine) OfferBatch(posts []*core.Post) ([][]int32, error) {
 		m.offered++
 		users := slices.Clone(m.md.Offer(p))
 		m.delivered += uint64(len(users))
-		for _, u := range users {
-			m.timelines[u] = append(m.timelines[u], p)
-		}
+		m.timelines.Deliver(p, users)
 		m.offerLatency.ObserveSince(start)
 		out[i] = users
 	}
@@ -243,10 +239,7 @@ func (m *MultiEngine) Snapshot() MultiEngineSnapshot {
 func (m *MultiEngine) Timeline(u int32) []*core.Post {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tl := m.timelines[u]
-	out := make([]*core.Post, len(tl))
-	copy(out, tl)
-	return out
+	return m.timelines.Timeline(u)
 }
 
 // Swap atomically replaces or mutates the solver between decisions — the
