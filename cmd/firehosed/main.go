@@ -301,6 +301,7 @@ func runDaemon(cfg *connector.Config) error {
 			srv := httpapi.NewFromEngine(r)
 			srv.SetTopology(-1, assign.NumShards(), assign.Digest())
 			srv.SetTopologyProvider(r.Topology)
+			r.MountMetrics(srv)
 			rtr = r
 			return srv, r.Name(), fmt.Sprintf("%d shards", assign.NumShards()), nil
 		}
@@ -610,8 +611,8 @@ func runDaemon(cfg *connector.Config) error {
 
 	// Release the SSE streams first — Shutdown waits for active handlers,
 	// and /stream handlers only return once their subscription closes. A
-	// shard worker also stops its forwarded-ingest loop, failing in-flight
-	// router forwards with 503 (the router resyncs if it restarts us).
+	// shard worker also severs the router's stream, which Shutdown cannot see
+	// (the router resyncs if it restarts us).
 	if wk != nil {
 		_ = wk.Close()
 	}

@@ -178,7 +178,7 @@ func newServer(e engine) *Server {
 }
 
 // Handle mounts an additional handler on the server's mux under the given
-// net/http pattern (e.g. "POST /v1/shard/ingest"). The shard worker and
+// net/http pattern (e.g. "POST /v1/shard/checkpoint"). The shard worker and
 // router use it to add their topology endpoints without the package
 // importing them.
 func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }

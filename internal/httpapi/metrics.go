@@ -364,6 +364,13 @@ func (s *Server) MountConnectorMetrics(src connector.StatsSource) {
 		metrics.KindCounter, each(func(st connector.Stat) float64 { return float64(st.Errors) }))
 }
 
+// RegisterMetric adds one family to the registry behind /v1/metrics, for a
+// layer mounted from outside the package (the shard router's firehose_shard_*
+// series). Call it before serving traffic; a duplicate name panics.
+func (s *Server) RegisterMetric(name, help string, kind metrics.Kind, collect metrics.Collector) {
+	s.registry.MustRegister(name, help, kind, collect)
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.registry.WritePrometheus(w)

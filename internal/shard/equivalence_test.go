@@ -1,8 +1,8 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -412,24 +412,19 @@ func TestCoordinateRollsBackPhantomState(t *testing.T) {
 	// Inject the phantom: ingest a post directly into one worker, exactly as a
 	// failed batch's surviving sub-batch would have. The forward is wellformed
 	// (correct topology, correct Prev), so the worker accepts it — but the
-	// router never records it.
+	// router never records it. (The phantom's stream also supersedes the
+	// router's, so the healing below starts from a dropped stream.)
 	const phantomAuthor = 0
 	shard := st.assign.ShardOf(phantomAuthor)
 	exp := st.router.expected(shard)
-	raw, _ := json.Marshal(IngestRequest{ID: 1000, Prev: exp, Author: phantomAuthor, TimeMillis: 10_000_000, Text: "phantom sub-batch"})
-	req, err := http.NewRequest("POST", st.servers[shard].URL+"/v1/shard/ingest", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	sc, status, body, err := dialStream(http.DefaultTransport, st.servers[shard].URL, formatTopology(st.assign.Digest(), shard, 2), 0)
+	if err != nil || sc == nil {
+		t.Fatalf("phantom stream: status %d %s, %v", status, body, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(TopologyHeader, formatTopology(st.assign.Digest(), shard, 2))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("phantom ingest: status %d", resp.StatusCode)
+	defer sc.close()
+	phantom := []IngestRequest{{ID: 1000, Prev: exp, Author: phantomAuthor, TimeMillis: 10_000_000, Text: "phantom sub-batch"}}
+	if n, status, body, _, err := sc.roundTrip(phantom, nil); err != nil || n != 1 {
+		t.Fatalf("phantom ingest: status %d %s, %v", status, body, err)
 	}
 
 	// The coordination round must succeed — healing the desynced worker first —
@@ -558,9 +553,10 @@ func TestRouterPendingFullHook(t *testing.T) {
 	mustFire("after the coordination round re-armed it")
 }
 
-// TestRouterRefusesForeignTopology pins the first-request refusal: a worker
-// answers a router planned over a different graph with 409 shard_mismatch and
-// never touches its engine.
+// TestRouterRefusesForeignTopology pins the refusal at the stream's Upgrade:
+// a worker answers a router planned over a different graph with 409
+// shard_mismatch, the router gives the post up at once (no resync loop), and
+// the engine is never touched.
 func TestRouterRefusesForeignTopology(t *testing.T) {
 	assign, err := Plan(testGraph(), 2)
 	if err != nil {
@@ -572,28 +568,33 @@ func TestRouterRefusesForeignTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 
 	otherGraph := authorsim.NewGraph(12, []authorsim.SimPair{{A: 2, B: 3}}, 0.7)
 	other, err := Plan(otherGraph, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(IngestRequest{ID: 1, Author: 0, TimeMillis: 1000, Text: "x"})
-	req := httptest.NewRequest("POST", "/v1/shard/ingest", bytes.NewReader(body))
-	req.Header.Set(TopologyHeader, formatTopology(other.Digest(), 0, 2))
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusConflict {
-		t.Fatalf("status = %d, want 409 (%s)", rec.Code, rec.Body)
-	}
-	var env httpapi.ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+	rt, err := NewRouter(RouterOptions{Peers: []string{ts.URL, ts.URL}, Assignment: other, ResyncTimeout: time.Minute})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Code != httpapi.CodeShardMismatch {
-		t.Fatalf("code = %q, want %q", env.Code, httpapi.CodeShardMismatch)
+	defer rt.Close()
+	author := int32(0)
+	for other.ShardOf(author) != 0 {
+		author++
+	}
+	start := time.Now()
+	_, err = rt.Offer(core.NewPost(1, author, 1000, "x"))
+	var ee *envelopeError
+	if !errors.As(err, &ee) || ee.status != http.StatusConflict || ee.code != httpapi.CodeShardMismatch {
+		t.Fatalf("Offer = %v, want a 409 %s refusal", err, httpapi.CodeShardMismatch)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("the refusal took %v: the router retried a terminal answer", took)
 	}
 	if got := srv.IDWatermark(); got != 0 {
-		t.Fatalf("engine ingested %d posts through a refused request", got)
+		t.Fatalf("engine ingested %d posts through a refused stream", got)
 	}
 }

@@ -18,11 +18,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// The inter-shard endpoints answer with the same JSON error envelope as the
-// rest of the API; these goldens pin the sharding-specific codes
-// (shard_mismatch, shard_desync) byte for byte, the same way the httpapi
-// suite pins the single-node codes. The test graph and its assignment digest
-// are deterministic, so the messages are stable.
+// The inter-shard surface answers with the same JSON error envelope as the
+// rest of the API — over HTTP for the Upgrade request and the control
+// endpoints, inside an error reply frame on the stream; these goldens pin the
+// sharding-specific codes (shard_mismatch, shard_desync) byte for byte, the
+// same way the httpapi suite pins the single-node codes. The test graph and
+// its assignment digest are deterministic, so the messages are stable.
 
 func TestShardErrorEnvelopesGolden(t *testing.T) {
 	assign, err := Plan(testGraph(), 2)
@@ -31,32 +32,40 @@ func TestShardErrorEnvelopesGolden(t *testing.T) {
 	}
 	goodTopo := formatTopology(assign.Digest(), 0, 2)
 	cases := []struct {
-		name       string
+		name string
+		// A case is one frame on a stream dialled with topo (empty omits the
+		// header; a refused Upgrade is the case's answer), or, with path set,
+		// one control request.
+		frame      IngestRequest
 		path, body string
-		topo       string // Firehose-Topology header; empty omits it
+		topo       string
 		wantStatus int
 		wantCode   string
 	}{
 		{
-			name: "shard_ingest_no_topology",
-			path: "/v1/shard/ingest", body: `{"id":1,"author":0,"timeMillis":1000,"text":"x"}`,
+			name:       "shard_ingest_no_topology",
 			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardMismatch,
 		},
 		{
-			name: "shard_ingest_wrong_digest",
-			path: "/v1/shard/ingest", body: `{"id":1,"author":0,"timeMillis":1000,"text":"x"}`,
+			name:       "shard_ingest_wrong_digest",
 			topo:       formatTopology(0xbadc0ffee, 0, 2),
 			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardMismatch,
 		},
 		{
-			name: "shard_ingest_foreign_author",
-			path: "/v1/shard/ingest", body: `{"id":1,"author":9,"timeMillis":1000,"text":"x"}`,
+			name:       "shard_ingest_missing_id",
+			frame:      IngestRequest{Author: 0, TimeMillis: 1000, Text: "x"},
+			topo:       goodTopo,
+			wantStatus: http.StatusBadRequest, wantCode: httpapi.CodeBadParam,
+		},
+		{
+			name:       "shard_ingest_foreign_author",
+			frame:      IngestRequest{ID: 1, Author: 9, TimeMillis: 1000, Text: "x"},
 			topo:       goodTopo,
 			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardMismatch,
 		},
 		{
-			name: "shard_ingest_desync",
-			path: "/v1/shard/ingest", body: `{"id":7,"prev":5,"author":0,"timeMillis":1000,"text":"x"}`,
+			name:       "shard_ingest_desync",
+			frame:      IngestRequest{ID: 7, Prev: 5, Author: 0, TimeMillis: 1000, Text: "x"},
 			topo:       goodTopo,
 			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardDesync,
 		},
@@ -76,22 +85,41 @@ func TestShardErrorEnvelopesGolden(t *testing.T) {
 			}
 			defer w.Close()
 
-			req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
-			if tc.topo != "" {
+			var status int
+			var envelope []byte
+			if tc.path != "" {
+				req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
 				req.Header.Set(TopologyHeader, tc.topo)
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				status, envelope = rec.Code, rec.Body.Bytes()
+			} else {
+				ts := httptest.NewServer(srv)
+				defer ts.Close()
+				sc, upgradeStatus, body, err := dialStream(http.DefaultTransport, ts.URL, tc.topo, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if status, envelope = upgradeStatus, body; sc != nil {
+					defer sc.close()
+					if _, status, envelope, _, err = sc.roundTrip([]IngestRequest{tc.frame}, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, req)
-			if rec.Code != tc.wantStatus {
-				t.Fatalf("status = %d, want %d (body %s)", rec.Code, tc.wantStatus, rec.Body)
+			if status != tc.wantStatus {
+				t.Fatalf("status = %d, want %d (body %s)", status, tc.wantStatus, envelope)
 			}
-			compareGolden(t, tc.name, rec.Body.Bytes())
+			compareGolden(t, tc.name, envelope)
 			var env httpapi.ErrorResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			if err := json.Unmarshal(envelope, &env); err != nil {
 				t.Fatalf("envelope does not parse: %v", err)
 			}
 			if env.Code != tc.wantCode {
 				t.Fatalf("code = %q, want %q", env.Code, tc.wantCode)
+			}
+			if got := srv.IDWatermark(); got != 0 {
+				t.Fatalf("a refused request moved the worker's watermark to %d", got)
 			}
 		})
 	}

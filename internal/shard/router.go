@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -29,7 +30,9 @@ type RouterOptions struct {
 	// workers were started with.
 	Assignment *Assignment
 	// Client is the HTTP client for all worker traffic; nil uses a client with
-	// a 30s request timeout.
+	// a 30s timeout. Control requests go through it as they are; a shard
+	// stream is dialled through its Transport, and its Timeout bounds the
+	// stream's handshake and every reply on it (0 leaves them unbounded).
 	Client *http.Client
 	// RetryInterval paces transient-failure retries and crash-recovery polls
 	// (default 200ms).
@@ -67,10 +70,11 @@ type RouterOptions struct {
 //
 // The router keeps, per shard, every post forwarded since the last
 // coordinated checkpoint (the pending replay buffer). When a forward fails
-// ambiguously — connection refused, timeout, a worker restart — the router
-// polls the worker back to health, verifies its topology digest, rolls it
-// back to the last coordinated round (POST /v1/shard/restore), replays the
-// pending suffix, and then retries the in-flight post. Decisions are
+// ambiguously — a broken or refused stream, an overrun reply bound, a worker
+// restart — the router drops the shard's stream, polls the worker back to
+// health, verifies its topology digest, rolls it back to the last coordinated
+// round (POST /v1/shard/restore), replays the pending suffix as one pipeline
+// on a fresh stream, and then retries the in-flight post. Decisions are
 // deterministic, so the replayed suffix rebuilds the identical worker state
 // and the retried post gets the identical answer a crash-free run would have
 // produced.
@@ -85,8 +89,10 @@ type Router struct {
 	// on its own goroutine when the replay buffers reach maxPending. Set once
 	// before serving traffic, read-only afterwards.
 	pendingFull func()
+	// streams[s] is shard s's persistent stream, dialled on the first forward.
+	streams []shardStream
 
-	// mu guards: lastDone, ckptW, closed, pending, base, forwarded, pendingFullFired
+	// mu guards: lastDone, ckptW, closed, pending, base, forwarded, pendingFullFired, live, stats
 	mu   sync.Mutex
 	cond *sync.Cond
 	// lastDone is the largest post id whose forward has completed (the
@@ -108,6 +114,33 @@ type Router struct {
 	// pendingFullFired records that the buffers-full callback already ran for
 	// the current coordination round; coordinate() re-arms it.
 	pendingFullFired bool
+	// live[s] is shard s's open stream (nil when none), kept here as well as
+	// in streams[s] so Close can sever it under an exchange in flight.
+	live []*streamConn
+	// stats[s] feeds shard s's firehose_shard_* series.
+	stats []shardStats
+}
+
+// shardStream owns the router's end of one shard's stream.
+type shardStream struct {
+	// mu guards: sc
+	// It is held for a whole exchange: the turnstile already sends single
+	// forwards one at a time, and this keeps a resync replay and a batch's
+	// per-shard goroutine from interleaving frames with them.
+	mu sync.Mutex
+	sc *streamConn
+}
+
+// shardStats are one shard's forward counters.
+type shardStats struct {
+	// forward observes each forward — one post or one pipelined sub-batch —
+	// from its first attempt to its outcome, recovery included.
+	forward metrics.Histogram
+	// bytes counts frame bytes written and read.
+	bytes uint64
+	// dials counts stream Upgrade attempts; resyncs counts rollback-and-replay
+	// recoveries.
+	dials, resyncs uint64
 }
 
 // NewRouter validates the options and builds the router. Call AwaitPeers
@@ -146,9 +179,12 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		retryIvl:   retry,
 		resyncTO:   resync,
 		maxPending: maxPending,
+		streams:    make([]shardStream, len(opts.Peers)),
 		pending:    make([][]IngestRequest, len(opts.Peers)),
 		base:       make([]uint64, len(opts.Peers)),
 		forwarded:  make([]uint64, len(opts.Peers)),
+		live:       make([]*streamConn, len(opts.Peers)),
+		stats:      make([]shardStats, len(opts.Peers)),
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	return rt, nil
@@ -166,10 +202,17 @@ func (rt *Router) Name() string {
 	return fmt.Sprintf("router(%d shards, digest %016x)", len(rt.peers), rt.assign.Digest())
 }
 
-// Close unblocks waiting turns; subsequent Offers fail with stream.ErrClosed.
+// Close unblocks waiting turns and severs every shard stream, failing any
+// exchange in flight; subsequent Offers fail with stream.ErrClosed.
 func (rt *Router) Close() {
 	rt.mu.Lock()
 	rt.closed = true
+	for s, sc := range rt.live {
+		if sc != nil {
+			sc.close()
+			rt.live[s] = nil
+		}
+	}
 	rt.cond.Broadcast()
 	rt.mu.Unlock()
 }
@@ -212,18 +255,18 @@ func (rt *Router) Offer(p *core.Post) ([]int32, error) {
 	// Prev pins the worker watermark this forward must land on; it stays valid
 	// across resyncs (recovery restores the worker to exactly this watermark)
 	// because pending[shard] only grows after this forward succeeds.
-	req := IngestRequest{ID: p.ID, Author: p.Author, TimeMillis: p.Time, Text: p.Text, Prev: rt.expected(shard)}
-	users, err := rt.forwardOne(shard, req)
-	if err != nil {
+	reqs := [1]IngestRequest{{ID: p.ID, Author: p.Author, TimeMillis: p.Time, Text: p.Text, Prev: rt.expected(shard)}}
+	var users [1][]int32
+	if err := rt.forward(shard, reqs[:], users[:]); err != nil {
 		return nil, err
 	}
-	rt.recordForwarded(shard, req)
-	return users, nil
+	rt.recordForwarded(shard, reqs[0])
+	return users[0], nil
 }
 
 // OfferBatch implements httpapi.Engine: one turn for the whole batch,
-// per-shard sub-batches forwarded concurrently, results reassembled in batch
-// order.
+// per-shard sub-batches pipelined on their streams concurrently, results
+// reassembled in batch order.
 func (rt *Router) OfferBatch(posts []*core.Post) ([][]int32, error) {
 	if len(posts) == 0 {
 		return nil, nil
@@ -255,8 +298,8 @@ func (rt *Router) OfferBatch(posts []*core.Post) ([][]int32, error) {
 		wg.Add(1)
 		go func(s int, reqs []IngestRequest) {
 			defer wg.Done()
-			users, err := rt.forwardBatch(s, reqs)
-			if err != nil {
+			users := make([][]int32, len(reqs))
+			if err := rt.forward(s, reqs, users); err != nil {
 				errMu.Lock()
 				errs[s] = err
 				errMu.Unlock()
@@ -341,58 +384,116 @@ const (
 	fwdTerminal          // deterministic refusal: give up
 )
 
-// forwardOne forwards a single post with bounded recovery.
-func (rt *Router) forwardOne(shard int, req IngestRequest) ([]int32, error) {
-	deadline := time.Now().Add(rt.resyncTO)
+// forward sends one post, or one sub-batch as a pipeline, to its shard with
+// bounded recovery; out receives the deliveries, one entry per request.
+func (rt *Router) forward(shard int, reqs []IngestRequest, out [][]int32) error {
+	start := time.Now()
+	defer func() {
+		rt.mu.Lock()
+		rt.stats[shard].forward.ObserveSince(start)
+		rt.mu.Unlock()
+	}()
+	deadline := start.Add(rt.resyncTO)
 	for {
-		var resp IngestResponse
-		class, err := rt.postShard(shard, "/v1/shard/ingest", req, &resp)
+		_, class, err := rt.exchange(shard, reqs, out)
 		switch class {
 		case fwdOK:
-			return resp.Users, nil
+			return nil
 		case fwdTerminal:
-			return nil, err
-		case fwdRetry:
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("shard: giving up on shard %d after %v: %w", shard, rt.resyncTO, err)
-			}
+			return err
+		}
+		rt.mu.Lock()
+		closed := rt.closed
+		rt.mu.Unlock()
+		if closed {
+			return stream.ErrClosed // Close severed the stream; there is nothing to recover for
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("shard: giving up on shard %d after %v: %w", shard, rt.resyncTO, err)
+		}
+		if class == fwdRetry && len(reqs) == 1 {
 			time.Sleep(rt.retryIvl)
-		case fwdResync:
-			if rerr := rt.resync(shard, deadline); rerr != nil {
-				return nil, fmt.Errorf("shard: forward to shard %d failed (%v) and recovery failed: %w", shard, err, rerr)
-			}
+			continue
+		}
+		// Ambiguous, or a pipeline refused part-way: the Prev chain stopped
+		// the worker at the refused frame, so a prefix is ingested. Both
+		// recover through the rollback path, and the clean retry starts from
+		// a consistent worker.
+		if rerr := rt.resync(shard, deadline); rerr != nil {
+			return fmt.Errorf("shard: forward to shard %d failed (%v) and recovery failed: %w", shard, err, rerr)
 		}
 	}
 }
 
-// forwardBatch forwards one per-shard sub-batch. Any non-terminal failure
-// goes through resync — a partially ingested batch is rolled back to the last
-// coordination round and replayed, so the clean retry path always starts from
-// a consistent worker.
-func (rt *Router) forwardBatch(shard int, reqs []IngestRequest) ([][]int32, error) {
-	deadline := time.Now().Add(rt.resyncTO)
-	for {
-		var resp IngestBatchResponse
-		class, err := rt.postShard(shard, "/v1/shard/ingest/batch", IngestBatchRequest{Posts: reqs, Prev: reqs[0].Prev}, &resp)
-		switch class {
-		case fwdOK:
-			if len(resp.Results) != len(reqs) {
-				return nil, fmt.Errorf("shard: shard %d answered %d results for a %d-post batch", shard, len(resp.Results), len(reqs))
-			}
-			users := make([][]int32, len(reqs))
-			for i, r := range resp.Results {
-				users[i] = r.Users
-			}
-			return users, nil
-		case fwdTerminal:
-			return nil, err
-		default: // fwdRetry, fwdResync: a mid-batch queue_full leaves a prefix
-			// ingested, so both classes recover through the rollback path.
-			if rerr := rt.resync(shard, deadline); rerr != nil {
-				return nil, fmt.Errorf("shard: batch forward to shard %d failed (%v) and recovery failed: %w", shard, err, rerr)
-			}
+// exchange runs reqs as one pipelined exchange on the shard's stream,
+// dialling it first if there is none, and classifies the outcome. The first
+// result is how many leading posts the worker ingested.
+func (rt *Router) exchange(shard int, reqs []IngestRequest, out [][]int32) (int, fwdClass, error) {
+	for i := range reqs {
+		if len(reqs[i].Text) > maxText {
+			return 0, fwdTerminal, fmt.Errorf("shard: post %d: %d bytes of text exceed the shard stream's %d-byte frame bound", reqs[i].ID, len(reqs[i].Text), maxFrame)
 		}
 	}
+	st := &rt.streams[shard]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.sc == nil {
+		sc, class, err := rt.dial(shard)
+		if class != fwdOK {
+			return 0, class, err
+		}
+		st.sc = sc
+	}
+	accepted, status, envelope, moved, err := st.sc.roundTrip(reqs, out)
+	rt.mu.Lock()
+	rt.stats[shard].bytes += uint64(moved)
+	if err != nil {
+		rt.live[shard] = nil
+	}
+	rt.mu.Unlock()
+	if err != nil {
+		st.sc.close()
+		st.sc = nil
+		return accepted, fwdResync, fmt.Errorf("shard %d stream: %w", shard, err)
+	}
+	if status == 0 {
+		return accepted, fwdOK, nil
+	}
+	class, err := classifyRefusal(shard, status, envelope)
+	return accepted, class, err
+}
+
+// dial opens the shard's stream and registers it for Close.
+func (rt *Router) dial(shard int) (*streamConn, fwdClass, error) {
+	rt.mu.Lock()
+	rt.stats[shard].dials++
+	rt.mu.Unlock()
+	tr := rt.client.Transport
+	if tr == nil {
+		tr = http.DefaultTransport
+	}
+	sc, status, body, err := dialStream(tr, rt.peers[shard], formatTopology(rt.assign.Digest(), shard, len(rt.peers)), rt.client.Timeout)
+	switch {
+	case err != nil:
+		return nil, fwdResync, fmt.Errorf("dialling shard %d's stream: %w", shard, err)
+	case sc == nil && (status == http.StatusNotFound || status == http.StatusMethodNotAllowed):
+		// Not a transient condition, and nothing a rollback heals.
+		return nil, fwdTerminal, fmt.Errorf(
+			"shard %d (%s) does not speak %s: POST %s answered %d; the router and its workers must run the same firehosed build",
+			shard, rt.peers[shard], StreamProtocol, streamPath, status)
+	case sc == nil:
+		class, err := classifyRefusal(shard, status, body)
+		return nil, class, err
+	}
+	rt.mu.Lock()
+	if rt.closed {
+		rt.mu.Unlock()
+		sc.close()
+		return nil, fwdTerminal, stream.ErrClosed
+	}
+	rt.live[shard] = sc
+	rt.mu.Unlock()
+	return sc, fwdOK, nil
 }
 
 // resync brings one shard back to the router's view of its state: poll it
@@ -427,6 +528,7 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 	rt.mu.Lock()
 	w := rt.ckptW
 	replay := append([]IngestRequest(nil), rt.pending[shard]...)
+	rt.stats[shard].resyncs++
 	rt.mu.Unlock()
 	var res RestoreResponse
 	class, err := rt.postShard(shard, "/v1/shard/restore", RestoreRequest{Watermark: w}, &res)
@@ -437,30 +539,27 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 		return fmt.Errorf("%s: shard %d restored tag %d, want %d", httpapi.CodeShardMismatch, shard, res.Watermark, w)
 	}
 
-	// 4. ...and replay the pending suffix. Decisions are deterministic, so the
-	// answers are the ones already returned to clients; only the worker state
-	// matters here.
+	// 4. ...and replay the pending suffix as one pipeline. Decisions are
+	// deterministic, so the answers are the ones already returned to clients;
+	// only the worker state matters here.
+	for len(replay) > 0 && replay[0].ID <= res.ShardSeq {
+		replay = replay[1:] // already inside the restored state
+	}
 	prev := res.ShardSeq
-	for _, req := range replay {
-		if req.ID <= res.ShardSeq {
-			continue // already inside the restored state
+	for i := range replay {
+		replay[i].Prev = prev // re-chain from the restored watermark
+		prev = replay[i].ID
+	}
+	for len(replay) > 0 {
+		done, class, err := rt.exchange(shard, replay, nil)
+		if class == fwdOK {
+			break
 		}
-		req.Prev = prev // re-chain from the restored watermark
-		prev = req.ID
-		for {
-			var ir IngestResponse
-			class, err := rt.postShard(shard, "/v1/shard/ingest", req, &ir)
-			if class == fwdOK {
-				break
-			}
-			if class == fwdTerminal {
-				return fmt.Errorf("replaying post %d to shard %d: %w", req.ID, shard, err)
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("replaying post %d to shard %d: %w", req.ID, shard, err)
-			}
-			time.Sleep(rt.retryIvl)
+		if class == fwdTerminal || time.Now().After(deadline) {
+			return fmt.Errorf("replaying post %d to shard %d: %w", replay[done].ID, shard, err)
 		}
+		replay = replay[done:] // the chain still holds from the refused frame on
+		time.Sleep(rt.retryIvl)
 	}
 	return nil
 }
@@ -602,26 +701,24 @@ func (rt *Router) coordinate() (uint64, []uint64, error) {
 	// shutdown-time round racing the workers' own exits would otherwise block
 	// the process for the whole ResyncTimeout.
 	deadline := time.Now().Add(2 * rt.retryIvl)
+	// The shards go concurrently: each tagged checkpoint is an fsync in
+	// another process, and the caller holds the exclusive ingest lock for as
+	// long as the slowest takes.
 	seqs := make([]uint64, len(rt.peers))
+	errs := make([]error, len(rt.peers))
+	var wg sync.WaitGroup
 	for s := range rt.peers {
-		if err := rt.resync(s, deadline); err != nil {
-			return 0, nil, fmt.Errorf("shard: coordinated checkpoint at watermark %d: resyncing shard %d: %w", w, s, err)
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			seqs[s], errs[s] = rt.coordinateShard(s, w, deadline)
+		}(s)
+	}
+	wg.Wait()
+	for _, err := range errs { // the lowest failing shard, deterministically
+		if err != nil {
+			return 0, nil, err
 		}
-		var resp CheckpointResponse
-		class, err := rt.postShard(s, "/v1/shard/checkpoint", CheckpointRequest{Watermark: w}, &resp)
-		if class != fwdOK {
-			return 0, nil, fmt.Errorf("shard: coordinated checkpoint at watermark %d: shard %d: %w", w, s, err)
-		}
-		// The caller holds the exclusive ingest lock and the shard was just
-		// resynced, so the checkpointed watermark must be exactly the one the
-		// replay buffer predicts; adopting anything else would desynchronize
-		// the rollback contract durably.
-		if exp := rt.expected(s); resp.ShardSeq != exp {
-			return 0, nil, fmt.Errorf(
-				"shard: coordinated checkpoint at watermark %d: shard %d checkpointed its watermark %d, the router expected %d; refusing to adopt the round",
-				w, s, resp.ShardSeq, exp)
-		}
-		seqs[s] = resp.ShardSeq
 	}
 	rt.mu.Lock()
 	rt.ckptW = w
@@ -632,6 +729,30 @@ func (rt *Router) coordinate() (uint64, []uint64, error) {
 	rt.pendingFullFired = false
 	rt.mu.Unlock()
 	return w, seqs, nil
+}
+
+// coordinateShard is one shard's part of a coordination round: verify (and
+// heal) it against the replay buffer, have it write its tagged checkpoint at
+// round watermark w, and return the shard watermark inside that checkpoint.
+func (rt *Router) coordinateShard(s int, w uint64, deadline time.Time) (uint64, error) {
+	if err := rt.resync(s, deadline); err != nil {
+		return 0, fmt.Errorf("shard: coordinated checkpoint at watermark %d: resyncing shard %d: %w", w, s, err)
+	}
+	var resp CheckpointResponse
+	class, err := rt.postShard(s, "/v1/shard/checkpoint", CheckpointRequest{Watermark: w}, &resp)
+	if class != fwdOK {
+		return 0, fmt.Errorf("shard: coordinated checkpoint at watermark %d: shard %d: %w", w, s, err)
+	}
+	// The caller holds the exclusive ingest lock and the shard was just
+	// resynced, so the checkpointed watermark must be exactly the one the
+	// replay buffer predicts; adopting anything else would desynchronize
+	// the rollback contract durably.
+	if exp := rt.expected(s); resp.ShardSeq != exp {
+		return 0, fmt.Errorf(
+			"shard: coordinated checkpoint at watermark %d: shard %d checkpointed its watermark %d, the router expected %d; refusing to adopt the round",
+			w, s, resp.ShardSeq, exp)
+	}
+	return resp.ShardSeq, nil
 }
 
 // RestoreState implements core.StateSnapshotter: verify the checkpoint's
@@ -765,6 +886,39 @@ func (rt *Router) Topology() httpapi.TopologyResponse {
 	return resp
 }
 
+// MountMetrics registers the firehose_shard_* families, one series per shard,
+// on the router's own /v1/metrics. Call it once, before serving traffic.
+func (rt *Router) MountMetrics(srv *httpapi.Server) {
+	perShard := func(pick func(st shardStats, pending int) metrics.Sample) metrics.Collector {
+		return func() []metrics.Sample {
+			rt.mu.Lock()
+			defer rt.mu.Unlock()
+			out := make([]metrics.Sample, len(rt.peers))
+			for s := range out {
+				out[s] = pick(rt.stats[s], len(rt.pending[s]))
+				out[s].Labels = []metrics.Label{{Name: "shard", Value: strconv.Itoa(s)}}
+			}
+			return out
+		}
+	}
+	value := func(v uint64) metrics.Sample { return metrics.Sample{Value: float64(v)} }
+	srv.RegisterMetric("firehose_shard_forward_seconds",
+		"Router-side latency of one forward (a post, or a pipelined sub-batch) to a shard, recovery included.",
+		metrics.KindHistogram, perShard(func(st shardStats, _ int) metrics.Sample { return metrics.Sample{Hist: st.forward} }))
+	srv.RegisterMetric("firehose_shard_forward_bytes_total",
+		"Frame bytes written to and read from each shard's stream.",
+		metrics.KindCounter, perShard(func(st shardStats, _ int) metrics.Sample { return value(st.bytes) }))
+	srv.RegisterMetric("firehose_shard_stream_dials_total",
+		"Upgrade attempts for each shard's stream; more than one means the stream was dropped and redialled.",
+		metrics.KindCounter, perShard(func(st shardStats, _ int) metrics.Sample { return value(st.dials) }))
+	srv.RegisterMetric("firehose_shard_resyncs_total",
+		"Rollback-and-replay recoveries of each shard.",
+		metrics.KindCounter, perShard(func(st shardStats, _ int) metrics.Sample { return value(st.resyncs) }))
+	srv.RegisterMetric("firehose_shard_pending_posts",
+		fmt.Sprintf("Posts in each shard's replay buffer; a coordination round is forced when their sum reaches %d.", rt.maxPending),
+		metrics.KindGauge, perShard(func(_ shardStats, pending int) metrics.Sample { return value(uint64(pending)) }))
+}
+
 // envelopeError is a worker's JSON error envelope as a Go error, keeping the
 // machine code available to the retry classifier and the caller.
 type envelopeError struct {
@@ -777,8 +931,8 @@ func (e *envelopeError) Error() string {
 	return fmt.Sprintf("worker answered %d %s: %s", e.status, e.code, e.msg)
 }
 
-// postShard POSTs one protocol message to a shard and classifies the outcome.
-// out is decoded only on 200.
+// postShard POSTs one control message (checkpoint, restore) to a shard and
+// classifies the outcome. out is decoded only on 200.
 func (rt *Router) postShard(shard int, path string, body, out any) (fwdClass, error) {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -799,20 +953,24 @@ func (rt *Router) postShard(shard int, path string, body, out any) (fwdClass, er
 	if err != nil {
 		return fwdResync, err
 	}
-	if resp.StatusCode == http.StatusOK {
-		if out == nil {
-			return fwdOK, nil
-		}
-		if err := json.Unmarshal(raw, out); err != nil {
-			return fwdResync, fmt.Errorf("decoding shard %d response: %w", shard, err)
-		}
-		return fwdOK, nil
+	if resp.StatusCode != http.StatusOK {
+		return classifyRefusal(shard, resp.StatusCode, raw)
 	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fwdResync, fmt.Errorf("decoding shard %d response: %w", shard, err)
+	}
+	return fwdOK, nil
+}
+
+// classifyRefusal turns a worker's refusal — an HTTP error answer or a
+// stream error reply, the envelope bytes are the same — into its retry class
+// and a Go error.
+func classifyRefusal(shard, status int, raw []byte) (fwdClass, error) {
 	var env httpapi.ErrorResponse
 	if err := json.Unmarshal(raw, &env); err != nil || env.Code == "" {
-		return fwdResync, fmt.Errorf("shard %d answered %d with no envelope", shard, resp.StatusCode)
+		return fwdResync, fmt.Errorf("shard %d answered %d with no envelope", shard, status)
 	}
-	ee := &envelopeError{status: resp.StatusCode, code: env.Code, msg: env.Error}
+	ee := &envelopeError{status: status, code: env.Code, msg: env.Error}
 	switch env.Code {
 	case httpapi.CodeQueueFull:
 		return fwdRetry, ee

@@ -6,28 +6,61 @@ import (
 	"strings"
 )
 
-// The router↔worker wire protocol is four JSON endpoints mounted on each
-// worker's existing HTTP server, so the inter-shard transport reuses the
-// daemon's listener, error envelope and golden-tested codes instead of
-// inventing a side channel:
+// The router↔worker wire protocol rides on each worker's existing HTTP
+// listener, so the inter-shard transport needs no second port and reuses the
+// daemon's error envelope and golden-tested codes:
 //
-//	POST /v1/shard/ingest        one forwarded post with its router-assigned id
-//	POST /v1/shard/ingest/batch  a per-shard sub-batch, ingested in order
-//	POST /v1/shard/checkpoint    write the coordinated tagged checkpoint
-//	POST /v1/shard/restore       roll back to a coordination round
+//	POST /v1/shard/stream      Upgrade: firehose-shard/1 — the data plane
+//	POST /v1/shard/checkpoint  write the coordinated tagged checkpoint
+//	POST /v1/shard/restore     roll back to a coordination round
 //
-// Every request carries the Firehose-Topology header; a worker refuses a
-// request from a router planned over a different graph, shard count or shard
-// index with 409 shard_mismatch before any state changes.
+// # The stream
+//
+// The router holds one persistent connection per shard, opened lazily by an
+// HTTP/1.1 Upgrade request and answered 101 Switching Protocols; from then on
+// the connection carries length-prefixed binary frames (stream.go), one
+// request frame per forwarded post and one reply frame per request, in order:
+//
+//	frame   = u32 big-endian payload length (≤ 16 MiB), payload
+//	request = uvarint id, uvarint prev, varint author, varint timeMillis, text
+//	reply   = 0x00, delivered users as varints
+//	        | 0x01, uvarint HTTP status, JSON error envelope
+//
+// An error reply carries the bytes httpapi.WriteError / WriteIngestError would
+// have sent over HTTP, so the router classifies refusals by the same machine
+// codes as ever. A sub-batch — and a resync replay — is the same frames
+// pipelined: written back to back, replies read in order. Each frame names in
+// prev the id watermark it must land on, so once frame i is refused frame
+// i+1's prev no longer matches and the worker refuses the rest of the
+// pipeline by itself (409 shard_desync): the ingested part of a pipeline is
+// always a prefix.
+//
+// The Upgrade request carries the Firehose-Topology header; a worker refuses a
+// router planned over a different graph, shard count or shard index with
+// 409 shard_mismatch before the stream exists. A worker's assignment cannot
+// change under a live connection, so frames are not re-checked against it;
+// everything else (id, owner shard, prev, time order, text) is checked per
+// frame. Any I/O error, short frame or expired per-forward bound drops the
+// stream; the router resyncs the worker over the control endpoints and the
+// next forward redials.
+//
+// # Control
+//
+// Checkpoint, restore and GET /v1/admin/topology stay JSON over plain HTTP:
+// they run once per coordination round or recovery, their envelopes are
+// golden-pinned, and each carries the Firehose-Topology header per request.
 
 // TopologyHeader carries the sender's view of the receiver's shard identity
-// on every inter-shard request: "<16-hex assignment digest>/<shard>/<shards>".
+// on the stream's Upgrade request and on every control request:
+// "<16-hex assignment digest>/<shard>/<shards>".
 const TopologyHeader = "Firehose-Topology"
 
-// IngestedHeader reports, on a failed batch forward, how many leading posts
-// of the batch were ingested before the failure, so the router resumes the
-// batch instead of double-ingesting its prefix.
-const IngestedHeader = "Firehose-Ingested"
+// StreamProtocol is the Upgrade token of the shard stream. A router and its
+// workers must run the same firehosed build: the token names the frame layout.
+const StreamProtocol = "firehose-shard/1"
+
+// streamPath is the worker endpoint the router upgrades.
+const streamPath = "/v1/shard/stream"
 
 // formatTopology renders the TopologyHeader value for a request addressed to
 // the given shard.
@@ -54,12 +87,12 @@ func parseTopology(v string) (digest uint64, shard, shards int, err error) {
 	return digest, shard, shards, nil
 }
 
-// IngestRequest is the POST /v1/shard/ingest body: one post with the global
-// id the router assigned it.
+// IngestRequest is one forwarded post — a request frame on the shard stream,
+// and an entry of the router's replay buffer.
 type IngestRequest struct {
 	// ID is the router-assigned global post id; a worker's ids are a strictly
 	// increasing (not dense) subsequence of the global space.
-	ID uint64 `json:"id"`
+	ID uint64
 	// Prev is the id watermark the worker must hold for this forward to land:
 	// the id of the last post the router successfully forwarded to this shard
 	// (its watermark at the last coordination round when nothing is pending).
@@ -67,38 +100,15 @@ type IngestRequest struct {
 	// check that catches a worker that crashed and restarted cold between two
 	// forwards, which is otherwise indistinguishable from a healthy one
 	// (IngestAssigned accepts any id that advances its watermark, and per-shard
-	// ids are sparse by design so a gap proves nothing).
-	Prev uint64 `json:"prev"`
+	// ids are sparse by design so a gap proves nothing). Chained per frame, it
+	// also makes a pipeline stop at its first refused frame.
+	Prev uint64
 	// Author is the posting author's dense id; it must route to this shard.
-	Author int32 `json:"author"`
+	Author int32
 	// TimeMillis is the post timestamp (Unix milliseconds).
-	TimeMillis int64 `json:"timeMillis"`
+	TimeMillis int64
 	// Text is the post content.
-	Text string `json:"text"`
-}
-
-// IngestResponse is the body of a successful forwarded ingest.
-type IngestResponse struct {
-	// ID echoes the post's global id.
-	ID uint64 `json:"id"`
-	// Users are the subscribers whose diversified timelines got the post
-	// (empty, not null, when the engine rejected it for everyone).
-	Users []int32 `json:"users"`
-}
-
-// IngestBatchRequest is the POST /v1/shard/ingest/batch body: the shard's
-// sub-batch of one client batch, in global id order.
-type IngestBatchRequest struct {
-	Posts []IngestRequest `json:"posts"`
-	// Prev is the watermark check for the whole sub-batch (see
-	// IngestRequest.Prev); the posts' own Prev fields are ignored — within one
-	// request the chain is implied by order.
-	Prev uint64 `json:"prev"`
-}
-
-// IngestBatchResponse mirrors a successful sub-batch, result per post.
-type IngestBatchResponse struct {
-	Results []IngestResponse `json:"results"`
+	Text string
 }
 
 // CheckpointRequest is the POST /v1/shard/checkpoint body: the router's

@@ -1,18 +1,19 @@
 package shard
 
 import (
-	"context"
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"firehose/internal/checkpoint"
-	"firehose/internal/connector"
 	"firehose/internal/httpapi"
 )
 
@@ -35,37 +36,40 @@ type WorkerOptions struct {
 	CheckpointDir string
 	// Retain bounds the tagged checkpoints kept on disk; <= 0 keeps all.
 	Retain int
-	// Buffer is the transport input's submit queue length (default 64).
-	Buffer int
 }
 
 // Worker turns an httpapi.Server into one shard of a sharded deployment: it
 // mounts the /v1/shard/* endpoints the router drives, disables direct HTTP
 // push (the router owns the stream), stamps the server's checkpoint
-// fingerprint with the shard topology, and runs the single ingest loop that
-// serializes forwarded posts into the engine through the connector-style
-// transport input.
+// fingerprint with the shard topology, and decides every forwarded post on
+// the goroutine that reads the router's stream.
 type Worker struct {
 	srv    *httpapi.Server
 	shard  int
 	assign *Assignment
 	dir    string
 	retain int
-	input  *IngestInput
 
 	// ckptMu serializes coordinated checkpoint/restore rounds so a slow
 	// snapshot and a crash-recovery rollback cannot interleave.
 	ckptMu sync.Mutex
 
-	// mu guards: coordinated
+	// mu guards: coordinated, stream, closed
+	// It is also held across each frame's {Prev check, ingest}, which makes
+	// the pair atomic and keeps a superseded stream's leftover frames out of
+	// the engine.
 	mu          sync.Mutex
 	coordinated uint64
+	// stream is the router's live stream; a newer one supersedes (closes) it.
+	stream net.Conn
+	closed bool
 
-	done chan struct{}
+	// streams counts serveStream goroutines; Close waits for them.
+	streams sync.WaitGroup
 }
 
-// NewWorker wires the shard surface onto opts.Server and starts the ingest
-// loop. The server must not be serving traffic yet.
+// NewWorker wires the shard surface onto opts.Server. The server must not be
+// serving traffic yet.
 func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.Server == nil {
 		return nil, fmt.Errorf("shard: WorkerOptions.Server is required")
@@ -76,60 +80,38 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.Shard < 0 || opts.Shard >= opts.Assignment.NumShards() {
 		return nil, fmt.Errorf("shard: worker shard index %d out of range [0,%d)", opts.Shard, opts.Assignment.NumShards())
 	}
-	buffer := opts.Buffer
-	if buffer == 0 {
-		buffer = 64
-	}
 	w := &Worker{
 		srv:    opts.Server,
 		shard:  opts.Shard,
 		assign: opts.Assignment,
 		dir:    opts.CheckpointDir,
 		retain: opts.Retain,
-		input:  NewIngestInput(buffer),
-		done:   make(chan struct{}),
-	}
-	if err := w.input.Connect(context.Background()); err != nil {
-		return nil, err
 	}
 
 	srv := opts.Server
 	srv.SetTopology(w.shard, w.assign.NumShards(), w.assign.Digest())
 	srv.DisableHTTPIngest()
 	srv.SetTopologyProvider(w.topologyResponse)
-	srv.Handle("POST /v1/shard/ingest", w.handleIngest)
-	srv.Handle("POST /v1/shard/ingest/batch", w.handleIngestBatch)
+	srv.Handle("POST "+streamPath, w.handleStream)
 	srv.Handle("POST /v1/shard/checkpoint", w.handleCheckpoint)
 	srv.Handle("POST /v1/shard/restore", w.handleRestore)
-
-	go w.ingestLoop()
 	return w, nil
 }
 
-// ingestLoop is the shard's single writer: it drains the transport input and
-// pushes each forwarded post through IngestAssigned, serializing the shard's
-// ingests exactly as the connector runner serializes a pipeline's.
-func (w *Worker) ingestLoop() {
-	defer close(w.done)
-	for {
-		msg, err := w.input.Read(context.Background())
-		if err != nil {
-			return // closed
-		}
-		users, err := w.srv.IngestAssigned(msg.Seq, msg.Author, msg.TimeMillis, msg.Text)
-		msg.Complete(msg.Seq, users, err)
-	}
-}
-
-// Close stops the ingest loop and fails pending forwards with ErrClosed.
+// Close severs the router's stream and waits for its goroutine: a hijacked
+// connection is invisible to http.Server.Shutdown, so nothing else would. The
+// router sees the cut as a failed forward and resyncs once the worker is back.
 func (w *Worker) Close() error {
-	err := w.input.Close()
-	<-w.done
-	return err
+	w.mu.Lock()
+	w.closed = true
+	if w.stream != nil {
+		_ = w.stream.Close()
+		w.stream = nil
+	}
+	w.mu.Unlock()
+	w.streams.Wait()
+	return nil
 }
-
-// Input exposes the transport input (for the conformance suite).
-func (w *Worker) Input() *IngestInput { return w.input }
 
 func (w *Worker) topologyResponse() httpapi.TopologyResponse {
 	w.mu.Lock()
@@ -165,118 +147,164 @@ func (w *Worker) checkTopology(r *http.Request) error {
 	return nil
 }
 
-// checkPrev verifies the forward lands on the watermark the router expects
-// this shard to hold. A disagreement means the worker lost state (crashed and
-// restarted cold between two forwards) or holds state the router never
-// recorded; either way the engine must not see the post — the router rolls
-// the worker back to the last coordinated round and replays. The check and
-// the subsequent submit are not atomic, but the router's turnstile serializes
-// forwards per shard, so nothing interleaves between them.
-func (w *Worker) checkPrev(prev uint64) error {
-	if got := w.srv.IDWatermark(); got != prev {
-		return fmt.Errorf(
+// checkFrame validates one forwarded post against this worker's identity and
+// state before the engine sees it, answering the refusal's HTTP status and
+// envelope code (0 when the post may be ingested). The Prev check catches a
+// worker that lost state (crashed and restarted cold between two forwards)
+// or holds state the router never recorded; the router rolls it back to the
+// last coordinated round and replays.
+func (w *Worker) checkFrame(req *IngestRequest) (int, string, error) {
+	if req.ID == 0 {
+		return http.StatusBadRequest, httpapi.CodeBadParam, fmt.Errorf("forwarded post is missing its assigned id")
+	}
+	if owner := w.assign.ShardOf(req.Author); owner != w.shard {
+		return http.StatusConflict, httpapi.CodeShardMismatch, fmt.Errorf(
+			"author %d belongs to shard %d, not this worker (shard %d); the router's routing table disagrees with this worker's",
+			req.Author, owner, w.shard)
+	}
+	if got := w.srv.IDWatermark(); got != req.Prev {
+		return http.StatusConflict, httpapi.CodeShardDesync, fmt.Errorf(
 			"this forward expects shard %d's id watermark to be %d but it is %d; the worker's state and the router's replay buffer are out of step (did the worker restart?)",
-			w.shard, prev, got)
+			w.shard, req.Prev, got)
 	}
-	return nil
+	return 0, "", nil
 }
 
-// submitOne routes one forwarded post through the transport input and maps
-// ownership violations before the engine ever sees the post.
-func (w *Worker) submitOne(ctx context.Context, req IngestRequest) (connector.SubmitResult, error) {
-	if req.ID == 0 {
-		return connector.SubmitResult{}, fmt.Errorf("forwarded post is missing its assigned id")
-	}
-	if owner := w.assign.ShardOf(req.Author); owner != w.shard {
-		return connector.SubmitResult{}, fmt.Errorf(
-			"author %d belongs to shard %d, not this worker (shard %d); the router's routing table disagrees with this worker's",
-			req.Author, owner, w.shard)
-	}
-	return w.input.Submit(ctx, req.ID, req.Author, req.TimeMillis, req.Text)
+// envelopeRecorder captures what httpapi's error choke point writes, so an
+// error reply carries the status and envelope bytes the same refusal has over
+// HTTP.
+type envelopeRecorder struct {
+	header http.Header
+	status int
+	body   []byte
 }
 
-func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
-	if err := w.checkTopology(r); err != nil {
-		httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardMismatch, "%v", err)
-		return
+func (r *envelopeRecorder) Header() http.Header {
+	if r.header == nil {
+		r.header = make(http.Header)
 	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpapi.WriteError(rw, http.StatusBadRequest, httpapi.CodeBadJSON, "invalid JSON body: %v", err)
-		return
+	return r.header
+}
+func (r *envelopeRecorder) WriteHeader(status int) { r.status = status }
+func (r *envelopeRecorder) Write(p []byte) (int, error) {
+	r.body = append(r.body, p...)
+	return len(p), nil
+}
+
+// appendRefusal renders a refusal through write and appends its reply frame.
+func appendRefusal(dst []byte, write func(http.ResponseWriter)) []byte {
+	var rec envelopeRecorder
+	write(&rec)
+	return appendErrReply(dst, rec.status, rec.body)
+}
+
+// decide checks and ingests one forwarded post and appends its reply frame to
+// dst. It reports false, having touched nothing, when conn is no longer the
+// worker's stream: a newer stream or Close took over while this frame was
+// already read.
+func (w *Worker) decide(conn net.Conn, req *IngestRequest, dst []byte) ([]byte, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.stream != conn {
+		return dst, false
 	}
-	if req.ID == 0 {
-		httpapi.WriteError(rw, http.StatusBadRequest, httpapi.CodeBadParam, "forwarded post is missing its assigned id")
-		return
-	}
-	if owner := w.assign.ShardOf(req.Author); owner != w.shard {
-		httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardMismatch,
-			"author %d belongs to shard %d, not this worker (shard %d); the router's routing table disagrees with this worker's",
-			req.Author, owner, w.shard)
-		return
-	}
-	if err := w.checkPrev(req.Prev); err != nil {
-		httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardDesync, "%v", err)
-		return
-	}
-	res, err := w.input.Submit(r.Context(), req.ID, req.Author, req.TimeMillis, req.Text)
+	status, code, err := w.checkFrame(req)
 	if err != nil {
-		httpapi.WriteError(rw, http.StatusServiceUnavailable, httpapi.CodeEngineClosed, "%v", err)
-		return
+		return appendRefusal(dst, func(rw http.ResponseWriter) { httpapi.WriteError(rw, status, code, "%v", err) }), true
 	}
-	if res.Err != nil {
-		httpapi.WriteIngestError(rw, res.Err)
-		return
+	users, err := w.srv.IngestAssigned(req.ID, req.Author, req.TimeMillis, req.Text)
+	if err != nil {
+		return appendRefusal(dst, func(rw http.ResponseWriter) { httpapi.WriteIngestError(rw, err) }), true
 	}
-	users := res.Users
-	if users == nil {
-		users = []int32{}
-	}
-	httpapi.WriteJSON(rw, IngestResponse{ID: res.Seq, Users: users})
+	return appendOKReply(dst, users), true
 }
 
-func (w *Worker) handleIngestBatch(rw http.ResponseWriter, r *http.Request) {
+// handleStream upgrades the router's connection to the shard stream. The
+// topology check runs here, once: a worker's assignment cannot change under a
+// live connection.
+func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 	if err := w.checkTopology(r); err != nil {
 		httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardMismatch, "%v", err)
 		return
 	}
-	var req IngestBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpapi.WriteError(rw, http.StatusBadRequest, httpapi.CodeBadJSON, "invalid JSON body: %v", err)
+	hj, ok := rw.(http.Hijacker)
+	if !ok || !strings.EqualFold(r.Header.Get("Upgrade"), StreamProtocol) {
+		httpapi.WriteError(rw, http.StatusUpgradeRequired, httpapi.CodeStreamingUnsupported,
+			"%s carries the %s protocol; send Connection: Upgrade and Upgrade: %s over HTTP/1.1", streamPath, StreamProtocol, StreamProtocol)
 		return
 	}
-	if len(req.Posts) == 0 {
-		httpapi.WriteError(rw, http.StatusBadRequest, httpapi.CodeEmptyBatch, "batch holds no posts")
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		httpapi.WriteError(rw, http.StatusServiceUnavailable, httpapi.CodeEngineClosed, "shard %d is shutting down", w.shard)
 		return
 	}
-	if err := w.checkPrev(req.Prev); err != nil {
-		httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardDesync, "%v", err)
+	conn, buf, err := hj.Hijack()
+	if err != nil {
+		w.mu.Unlock()
+		httpapi.WriteError(rw, http.StatusInternalServerError, httpapi.CodeStreamingUnsupported, "%v", err)
 		return
 	}
-	resp := IngestBatchResponse{Results: make([]IngestResponse, 0, len(req.Posts))}
-	for i, p := range req.Posts {
-		res, err := w.submitOne(r.Context(), p)
-		if err != nil || res.Err != nil {
-			// The leading i posts are already inside the engine and cannot be
-			// rolled back; tell the router so it resumes the batch there.
-			rw.Header().Set(IngestedHeader, strconv.Itoa(i))
-			switch {
-			case err == nil:
-				httpapi.WriteIngestError(rw, res.Err)
-			case strings.Contains(err.Error(), "shard"):
-				httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardMismatch, "post %d: %v", i, err)
-			default:
-				httpapi.WriteError(rw, http.StatusServiceUnavailable, httpapi.CodeEngineClosed, "post %d: %v", i, err)
-			}
+	// One router, one stream: a half-open leftover of the router's previous
+	// connection must not interleave its frames with the new one's.
+	if w.stream != nil {
+		_ = w.stream.Close()
+	}
+	w.stream = conn
+	w.streams.Add(1)
+	w.mu.Unlock()
+	// The handler returns and the stream keeps its own goroutine: the server
+	// treats a hijacked connection as finished either way.
+	go w.serveStream(conn, buf)
+}
+
+// serveStream is the worker's end of the stream: read a frame, decide it on
+// this goroutine, write the reply. Any I/O or framing error ends it; the
+// router notices on its next forward and resyncs.
+func (w *Worker) serveStream(conn net.Conn, buf *bufio.ReadWriter) {
+	defer w.streams.Done()
+	defer func() {
+		w.mu.Lock()
+		if w.stream == conn {
+			w.stream = nil
+		}
+		w.mu.Unlock()
+		_ = conn.Close()
+	}()
+	// The server armed its ReadTimeout for the Upgrade request; a stream
+	// idles between posts for as long as the router has nothing to forward.
+	_ = conn.SetDeadline(time.Time{})
+	if _, err := buf.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + StreamProtocol + "\r\n\r\n"); err != nil {
+		return
+	}
+	if err := buf.Flush(); err != nil {
+		return
+	}
+	var in, out []byte
+	for {
+		payload, err := readFrame(buf.Reader, &in)
+		if err != nil {
 			return
 		}
-		users := res.Users
-		if users == nil {
-			users = []int32{}
+		req, err := decodeRequest(payload)
+		if err != nil {
+			return
 		}
-		resp.Results = append(resp.Results, IngestResponse{ID: res.Seq, Users: users})
+		var live bool
+		if out, live = w.decide(conn, &req, out[:0]); !live {
+			return
+		}
+		if _, err := buf.Write(out); err != nil {
+			return
+		}
+		// Replies to a pipeline go out together: flush only once no further
+		// request is waiting to be read.
+		if buf.Reader.Buffered() == 0 {
+			if err := buf.Flush(); err != nil {
+				return
+			}
+		}
 	}
-	httpapi.WriteJSON(rw, resp)
 }
 
 func (w *Worker) handleCheckpoint(rw http.ResponseWriter, r *http.Request) {
