@@ -259,6 +259,102 @@ func TestInducedComponentsPartition(t *testing.T) {
 	}
 }
 
+// inducedComponentsModel is the map-based specification of
+// InducedComponents: the pooled, epoch-stamped implementation must return
+// exactly its output.
+func inducedComponentsModel(g *Graph, authors []int32) [][]int32 {
+	in := make(map[int32]bool, len(authors))
+	for _, a := range authors {
+		in[a] = true
+	}
+	visited := make(map[int32]bool, len(in))
+	var comps [][]int32
+	uniq := make([]int32, 0, len(in))
+	for a := range in {
+		uniq = append(uniq, a)
+	}
+	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
+	for _, start := range uniq {
+		if visited[start] {
+			continue
+		}
+		comp := []int32{}
+		queue := []int32{start}
+		visited[start] = true
+		for len(queue) > 0 {
+			a := queue[0]
+			queue = queue[1:]
+			comp = append(comp, a)
+			for _, b := range g.Neighbors(a) {
+				if in[b] && !visited[b] {
+					visited[b] = true
+					queue = append(queue, b)
+				}
+			}
+		}
+		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// TestInducedComponentsMatchesModel compares the dense implementation with
+// the map model on random graphs and subsets (with duplicates and on graphs
+// of different sizes, so the pooled scratch is reused across shapes), and
+// checks that each component is capped: appending to one must not write
+// into the next.
+func TestInducedComponentsMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(80)
+		g := randomGraph(rng, n, rng.Float64()*0.15)
+		subset := randomSubset(rng, n)
+		for k := rng.Intn(4); k > 0 && len(subset) > 0; k-- {
+			subset = append(subset, subset[rng.Intn(len(subset))])
+		}
+		rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
+		got := g.InducedComponents(subset)
+		want := inducedComponentsModel(g, subset)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
+		}
+		for i := 0; i+1 < len(got); i++ {
+			next := append([]int32(nil), got[i+1]...)
+			_ = append(got[i], -1)
+			if !reflect.DeepEqual(got[i+1], next) {
+				t.Fatalf("trial %d: appending to component %d overwrote component %d", trial, i, i+1)
+			}
+		}
+		if all := g.Components(); !reflect.DeepEqual(all, inducedComponentsModel(g, allAuthors(n))) {
+			t.Fatalf("trial %d: Components() = %v", trial, all)
+		}
+	}
+}
+
+func TestComponentsPartition(t *testing.T) {
+	g := buildTestGraph()
+	if got, want := g.Components(), [][]int32{{0, 1, 2}, {3, 4}, {5}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Components = %v, want %v", got, want)
+	}
+	for a, want := range []int{0, 0, 0, 1, 1, 2} {
+		if got := g.ComponentOf(int32(a)); got != want {
+			t.Fatalf("ComponentOf(%d) = %d, want %d", a, got, want)
+		}
+	}
+	// Refreshing an author yields a new graph with its own partition: the
+	// edge 2–3 merges the first two components.
+	g2, err := g.WithUpdatedAuthor(2, []int32{0, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(g2.Components()); got != 2 {
+		t.Fatalf("refreshed graph has %d components, want 2", got)
+	}
+	if got := len(g.Components()); got != 3 {
+		t.Fatalf("refresh changed the old graph's partition to %d components", got)
+	}
+}
+
 func TestComponentKey(t *testing.T) {
 	if ComponentKey([]int32{1, 2, 3}) != ComponentKey([]int32{3, 1, 2}) {
 		t.Fatal("key must be order independent")

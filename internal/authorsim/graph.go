@@ -2,7 +2,9 @@ package authorsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Graph is the author similarity graph G: nodes are authors, and an edge
@@ -14,6 +16,10 @@ type Graph struct {
 	adj     [][]int32 // sorted neighbor lists
 	lambdaA float64
 	edges   int
+
+	// partOnce computes part, the component partition, on first use.
+	partOnce sync.Once
+	part     *partition
 }
 
 // BuildGraph computes G(λa) from followee vectors: an edge joins a and b iff
@@ -101,50 +107,117 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.edges) / float64(len(g.adj))
 }
 
+// componentScratch is InducedComponents' working memory: two dense
+// epoch-stamped marks indexed by author id (in[a] == epoch: a is in the
+// input set; seen[a] == epoch: a was reached by the search), so a call
+// clears nothing and allocates no per-call maps.
+type componentScratch struct {
+	in, seen []uint32
+	epoch    uint32
+}
+
+var componentScratchPool = sync.Pool{New: func() any { return new(componentScratch) }}
+
+// begin sizes the marks for n authors and opens a fresh epoch.
+func (s *componentScratch) begin(n int) {
+	if len(s.in) < n {
+		s.in, s.seen = make([]uint32, n), make([]uint32, n)
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(s.in)
+		clear(s.seen)
+		s.epoch = 1
+	}
+}
+
 // InducedComponents returns the connected components of the subgraph of g
 // induced by the given author set (a user's Gi in the paper). Every input
 // author appears in exactly one component, including authors isolated in the
 // induced subgraph. Each component is sorted ascending, and components are
 // ordered by their smallest member, so the result is canonical: two users
 // subscribing to the same author set get identical output. Duplicate input
-// authors are ignored.
+// authors are ignored; every author must be a node of g.
+//
+// All components share one backing array, each capped at its own length, so
+// appending to one reallocates instead of overwriting the next.
 func (g *Graph) InducedComponents(authors []int32) [][]int32 {
-	in := make(map[int32]bool, len(authors))
-	for _, a := range authors {
-		in[a] = true
+	if len(authors) == 0 {
+		return nil
 	}
-	visited := make(map[int32]bool, len(in))
-	var comps [][]int32
+	s := componentScratchPool.Get().(*componentScratch)
+	defer componentScratchPool.Put(s)
+	s.begin(len(g.adj))
+	ep := s.epoch
 
 	// Iterate over sorted unique authors so output order is canonical.
-	uniq := make([]int32, 0, len(in))
-	for a := range in {
-		uniq = append(uniq, a)
+	uniq := make([]int32, 0, len(authors))
+	for _, a := range authors {
+		if s.in[a] != ep {
+			s.in[a] = ep
+			uniq = append(uniq, a)
+		}
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
+	slices.Sort(uniq)
 
+	// Breadth-first search with the output itself as the queue: a component
+	// is the run of out appended since its start author. out never grows
+	// past its capacity, so earlier components stay valid views.
+	out := make([]int32, 0, len(uniq))
+	var comps [][]int32
 	for _, start := range uniq {
-		if visited[start] {
+		if s.seen[start] == ep {
 			continue
 		}
-		comp := []int32{}
-		queue := []int32{start}
-		visited[start] = true
-		for len(queue) > 0 {
-			a := queue[0]
-			queue = queue[1:]
-			comp = append(comp, a)
-			for _, b := range g.adj[a] {
-				if in[b] && !visited[b] {
-					visited[b] = true
-					queue = append(queue, b)
+		s.seen[start] = ep
+		first := len(out)
+		out = append(out, start)
+		for i := first; i < len(out); i++ {
+			for _, b := range g.adj[out[i]] {
+				if s.in[b] == ep && s.seen[b] != ep {
+					s.seen[b] = ep
+					out = append(out, b)
 				}
 			}
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+		comp := out[first:len(out):len(out)]
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
+}
+
+// partition is the connected-component partition of a whole graph.
+type partition struct {
+	comps  [][]int32
+	compOf []int32 // author → index into comps
+}
+
+// Components returns the connected components of g in InducedComponents'
+// canonical order (sorted members, ordered by smallest member). The
+// partition is computed once per graph, on first use, and shared by every
+// caller; it is safe for concurrent use and must not be mutated.
+func (g *Graph) Components() [][]int32 { return g.partition().comps }
+
+// ComponentOf returns the index into Components of a's component.
+func (g *Graph) ComponentOf(a int32) int { return int(g.partition().compOf[a]) }
+
+func (g *Graph) partition() *partition {
+	g.partOnce.Do(func() {
+		all := make([]int32, len(g.adj))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		p := &partition{comps: g.InducedComponents(all), compOf: make([]int32, len(g.adj))}
+		for ci, comp := range p.comps {
+			for _, a := range comp {
+				p.compOf[a] = int32(ci)
+			}
+		}
+		g.part = p
+	})
+	return g.part
 }
 
 // ComponentKey returns a canonical string key for a component (its sorted

@@ -8,7 +8,7 @@
 // A checkpoint is a single self-delimiting byte stream:
 //
 //	magic   "FHCK"                      4 bytes
-//	version uvarint                     format version (currently 1)
+//	version uvarint                     format version (currently 2)
 //	kind    string                      engine kind, e.g. "firehose.ParallelService"
 //	body    engine-specific sections    written by the engine's SnapshotState
 //	crc     uint32 little-endian        CRC-32C of every preceding byte
@@ -45,7 +45,10 @@ import (
 
 // Version is the current format version. Decoders reject versions they do
 // not know; the version is bumped whenever a section's layout changes.
-const Version = 1
+// Version 2 replaced S_UniBin's per-instance bins in the sharedmultiuser
+// section with one ring per author-graph component; a version-1 stream is
+// refused here, by name, before any section is read.
+const Version = 2
 
 // magic identifies a checkpoint stream.
 var magic = [4]byte{'F', 'H', 'C', 'K'}

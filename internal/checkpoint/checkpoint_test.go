@@ -173,6 +173,20 @@ func TestBadMagicAndVersion(t *testing.T) {
 	}
 }
 
+// TestVersionOneRefused: a stream written before the version-2 layout change
+// is refused at the header, naming its version, instead of failing somewhere
+// inside an engine section whose layout moved.
+func TestVersionOneRefused(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	buf.WriteByte(1)
+	buf.WriteString("\x0ehttpapi.Server")
+	_, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("version-1 stream: err = %v", err)
+	}
+}
+
 func TestStickyErrorReturnsZeros(t *testing.T) {
 	dec, err := NewDecoder(bytes.NewReader(encodeSample(t)))
 	if err != nil {

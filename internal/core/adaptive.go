@@ -217,7 +217,7 @@ func (a *AdaptiveMultiUser) Offer(p *Post) []int32 {
 		cutoff := p.Time - st.lt
 		st.hist.pruneBefore(cutoff)
 		if st.lc > a.base.LambdaC || st.lt > a.base.LambdaT {
-			if covered, _ := st.hist.coveredAuthor(uint64(p.FP), st.lc, cutoff, p.Author, a.g); covered {
+			if covered, _ := st.hist.scan(uint64(p.FP), st.lc, cutoff, func(_ int, b int32) bool { return a.g.Similar(p.Author, b) }); covered {
 				st.suppressed++
 				st.winSuppressed++
 				continue

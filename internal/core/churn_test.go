@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"firehose/internal/authorsim"
@@ -144,6 +145,13 @@ func TestSetGraphChangesDecisions(t *testing.T) {
 // S_UniBin solver, and the stream keeps flowing — including posts by the
 // churned author and by the boundary ids — with component dedup staying
 // coherent (no stale-index panics, every churned neighbor still in-graph).
+// The per-instance specification (one UniBin per construction-time shared
+// instance) takes the same swaps and must deliver exactly what S_UniBin's
+// rings deliver — M_UniBin is no reference here: its per-user bin spans
+// components, so an edge a refresh adds between two of a user's components
+// covers across them, which S_*'s construction-time partition by design does
+// not. At a random round S_UniBin is snapshotted and continued from a
+// restore into a fresh solver.
 func TestChurnMidStreamCoherence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const nAuthors = 24
@@ -162,10 +170,12 @@ func TestChurnMidStreamCoherence(t *testing.T) {
 
 	subs := randomSubscriptions(rng, 8, nAuthors)
 	th := Thresholds{LambdaC: 6, LambdaT: 5_000, LambdaA: lambdaA}
+	g0 := g
 	md, err := NewSharedMultiUser(AlgUniBin, g, subs, th)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newPerInstance(t, AlgUniBin, g, subs, th)
 
 	now := int64(0)
 	offerSome := func(tag int) {
@@ -175,11 +185,34 @@ func TestChurnMidStreamCoherence(t *testing.T) {
 		for i, a := range authors {
 			now += int64(rng.Intn(500))
 			fp := simhash.Fingerprint(0x1000 + uint64(tag%3)) // heavy content collisions
-			md.Offer(&Post{ID: uint64(tag*10 + i), Author: a, Time: now, FP: fp})
+			p := &Post{ID: uint64(tag*10 + i), Author: a, Time: now, FP: fp}
+			want := ref.Offer(p)
+			if got := md.Offer(p); !slices.Equal(got, want) {
+				t.Fatalf("tag %d post %d: S_UniBin delivered %v, per-instance spec %v", tag, i, got, want)
+			}
 		}
 	}
 
+	restoreAt := rng.Intn(30)
 	for round := 0; round < 30; round++ {
+		if round == restoreAt {
+			// The restore target is built like the original (construction
+			// graph) and brought to the current graph before the swap in.
+			fresh, err := NewSharedMultiUser(AlgUniBin, g0, subs, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.SetGraph(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := restoreState(fresh, snapState(t, md)); err != nil {
+				t.Fatalf("round %d: restore: %v", round, err)
+			}
+			if a, b := decisionCounters(md.Counters()), decisionCounters(fresh.Counters()); a != b {
+				t.Fatalf("round %d: restored counters %v, original %v", round, b, a)
+			}
+			md = fresh
+		}
 		offerSome(round)
 		a := int32(rng.Intn(nAuthors))
 		var next []int32
@@ -212,6 +245,7 @@ func TestChurnMidStreamCoherence(t *testing.T) {
 		if err := md.SetGraph(g2); err != nil {
 			t.Fatal(err)
 		}
+		ref.SetGraph(g2)
 		g = g2
 		offerSome(round + 1000)
 	}

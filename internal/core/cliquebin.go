@@ -82,7 +82,7 @@ func (cb *CliqueBin) Offer(p *Post) bool {
 			cb.c.RemoveStored(n)
 		}
 		// Clique co-membership implies author similarity; content decides.
-		cov, comparisons := b.coveredContent(pfp, cb.th.LambdaC, cutoff)
+		cov, comparisons := b.scan(pfp, cb.th.LambdaC, cutoff, anyHit)
 		cb.c.Comparisons += comparisons
 		if cov {
 			covered = true

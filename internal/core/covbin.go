@@ -132,55 +132,35 @@ func (b *covBin) removeExpired(cutoff int64) {
 	}
 }
 
-// coveredContent answers the content-only coverage probe (NeighborBin and
-// CliqueBin: the author dimension already holds by bin construction). The
-// second result is the comparison count: entries visited on the exact path,
-// bucket entries probed on the index path.
-func (b *covBin) coveredContent(fp uint64, lc int, cutoff int64) (bool, uint64) {
+// scan is the coverage lookup of every bin: newest-first over the window,
+// it finds the entries within Hamming distance lc of fp and hands each one's
+// ring index (0 = oldest) and author to hit, which applies whatever further
+// test the algorithm needs and returns true to stop the scan — NeighborBin
+// and CliqueBin stop at the first (their bin layout already implies the
+// author test), UniBin at the first author-similar entry, and S_UniBin's
+// rings once every instance deciding the post is covered. The results are
+// whether hit stopped the scan and the comparison count: entries visited on
+// the exact path, bucket entries probed on the index path. On the index path
+// one entry may reach hit more than once (it can sit in several probed
+// tables), so hit must tolerate repeats.
+func (b *covBin) scan(fp uint64, lc int, cutoff int64, hit func(i int, author int32) bool) (bool, uint64) {
 	if b.idx != nil {
-		cov, probes := b.idx.Covered(simhash.Fingerprint(fp), cutoff, nil)
-		return cov, uint64(probes)
-	}
-	comparisons := uint64(0)
-	fpOld, fpNew := b.soa.FPSegments()
-	// Newest-first: the newer segment (walked backward) precedes the older.
-	for s := 0; s < 2; s++ {
-		fps := fpNew
-		if s == 1 {
-			fps = fpOld
-		}
-		if len(fps) == 0 {
-			continue
-		}
-		if i := postbin.NextWithin(fps, fp, lc, len(fps)-1); i >= 0 {
-			return true, comparisons + uint64(len(fps)-i)
-		}
-		comparisons += uint64(len(fps))
-	}
-	return false, comparisons
-}
-
-// coveredAuthor answers the full coverage probe for UniBin, whose single bin
-// mixes authors: a candidate must pass both the content distance and the
-// author-graph similarity test.
-func (b *covBin) coveredAuthor(fp uint64, lc int, cutoff int64, author int32, g AuthorGraph) (bool, uint64) {
-	if b.idx != nil {
-		cov, probes := b.idx.Covered(simhash.Fingerprint(fp), cutoff, func(e simindex.Entry) bool {
-			return g.Similar(author, e.Aux)
+		stopped, probes := b.idx.Covered(simhash.Fingerprint(fp), cutoff, func(e simindex.Entry) bool {
+			return hit(int(e.ID-b.base), e.Aux)
 		})
-		return cov, uint64(probes)
+		return stopped, uint64(probes)
 	}
 	comparisons := uint64(0)
 	fpOld, fpNew := b.soa.FPSegments()
 	auOld, auNew := b.soa.AuthorSegments()
 	for s := 0; s < 2; s++ {
-		fps, authors := fpNew, auNew
+		fps, authors, base := fpNew, auNew, len(fpOld)
 		if s == 1 {
-			fps, authors = fpOld, auOld
+			fps, authors, base = fpOld, auOld, 0
 		}
-		// The kernel finds content-similar candidates batch-wise; the author
-		// check runs only on those, and a failing candidate resumes the scan
-		// just below it — visiting (and counting) exactly the entries the
+		// The kernel finds content-similar candidates batch-wise; hit runs
+		// only on those, and a candidate that does not stop the scan resumes
+		// it just below — visiting (and counting) exactly the entries the
 		// sequential newest-first scan would.
 		for from := len(fps) - 1; from >= 0; {
 			i := postbin.NextWithin(fps, fp, lc, from)
@@ -189,7 +169,7 @@ func (b *covBin) coveredAuthor(fp uint64, lc int, cutoff int64, author int32, g 
 				break
 			}
 			comparisons += uint64(from - i + 1)
-			if g.Similar(author, authors[i]) {
+			if hit(base+i, authors[i]) {
 				return true, comparisons
 			}
 			from = i - 1
@@ -197,3 +177,6 @@ func (b *covBin) coveredAuthor(fp uint64, lc int, cutoff int64, author int32, g 
 	}
 	return false, comparisons
 }
+
+// anyHit stops a scan at its first content match.
+func anyHit(int, int32) bool { return true }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"firehose/internal/authorsim"
@@ -138,6 +139,46 @@ func TestIndexDecisionEquivalence(t *testing.T) {
 					t.Fatalf("trial %d %s (λc=%d, %s): policy-invariant counters diverged: %v vs %v",
 						trial, b.name, lc, policies[j], gotC, wantC)
 				}
+			}
+		}
+
+		// S_UniBin's rings carry the same index policy: its marking predicate
+		// runs inside simindex.Covered, where one entry may be probed through
+		// several tables and a match may cover only some of the post's
+		// instances. At an index-feasible λc ≤ 6, IndexOn and IndexAuto must
+		// deliver exactly what the exact ring scan delivers, post by post.
+		// Many users over a small author set give each author many distinct
+		// instances.
+		subs := randomSubscriptions(rng, 4+rng.Intn(12), nAuthors)
+		sth := th
+		sth.LambdaC = 2 + rng.Intn(5)
+		sth.Index = IndexOff
+		exact, err := NewSharedMultiUser(AlgUniBin, g, subs, sth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharedPolicies := []IndexPolicy{IndexAuto, IndexOn}
+		shared := make([]*SharedMultiUser, len(sharedPolicies))
+		for j, pol := range sharedPolicies {
+			sth.Index = pol
+			if shared[j], err = NewSharedMultiUser(AlgUniBin, g, subs, sth); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, p := range posts {
+			want := append([]int32(nil), exact.Offer(p)...)
+			for j, s := range shared {
+				if got := s.Offer(p); !slices.Equal(got, want) {
+					t.Fatalf("trial %d S_UniBin post %d (λc=%d, %s): delivered %v, exact scan %v",
+						trial, i, sth.LambdaC, sharedPolicies[j], got, want)
+				}
+			}
+		}
+		wantC := policyInvariantsMulti(exact)
+		for j, s := range shared {
+			if gotC := policyInvariantsMulti(s); gotC != wantC {
+				t.Fatalf("trial %d S_UniBin (λc=%d, %s): policy-invariant counters diverged: %v vs %v",
+					trial, sth.LambdaC, sharedPolicies[j], gotC, wantC)
 			}
 		}
 	}

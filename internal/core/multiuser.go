@@ -52,14 +52,15 @@ func NewDiversifier(alg Algorithm, g *authorsim.Graph, authors []int32, th Thres
 	}
 }
 
-// newRoutedDiversifier builds the per-user / per-component instances of the
+// newRoutedDiversifier builds the per-user instances of the M_* and custom
 // multi-user solvers. Unlike NewDiversifier it may consult the global graph
 // for UniBin's author test: the multi-user routing layer only ever offers an
-// instance posts authored within its subscription/component set, and for two
-// authors inside that set global adjacency coincides with induced adjacency.
-// This keeps the hot author check a pure binary search. NeighborBin still
-// needs the induced view (its insertion fan-out must not leak outside the
-// set) and CliqueBin's cover is computed on the induced subgraph anyway.
+// instance posts authored within its subscription set, and for two authors
+// inside that set global adjacency coincides with induced adjacency. This
+// keeps the hot author check a pure binary search (S_UniBin's rings rely on
+// the same fact). NeighborBin still needs the induced view (its insertion
+// fan-out must not leak outside the set) and CliqueBin's cover is computed
+// on the induced subgraph anyway.
 func newRoutedDiversifier(alg Algorithm, g *authorsim.Graph, authors []int32, th Thresholds) (Diversifier, error) {
 	if alg == AlgUniBin {
 		if err := th.Validate(); err != nil {
@@ -220,6 +221,17 @@ func (m *MultiUser) UserCounters(user int32) *metrics.Counters {
 // condition for reuse. Posts from authors outside every similarity relation
 // still flow through their (singleton) components.
 //
+// S_NeighborBin and S_CliqueBin keep one bin-set per instance. S_UniBin
+// shares further, at post granularity: its instances keep no bins of their
+// own but one window ring per connected component of the global G, which
+// stores each emitted post once with the ids of the instances that emitted
+// it (see sharedring.go). Decisions are those of one UniBin per instance,
+// bit for bit. Its Accepted and Rejected count instance decisions, as for
+// the other two algorithms; Comparisons, Insertions, Evictions and the
+// stored-copy counts are physical ring counts — window entries visited,
+// posts stored, posts evicted and resident posts, once per ring rather than
+// once per instance — and StoredPeak sums the rings' individual peaks.
+//
 // The per-component decision independence this type exploits for sharing is
 // also what makes the engine partitionable: internal/stream spreads
 // components across goroutines and internal/shard spreads them across
@@ -228,14 +240,29 @@ func (m *MultiUser) UserCounters(user int32) *metrics.Counters {
 type SharedMultiUser struct {
 	alg           Algorithm
 	comps         []*sharedComponent
-	authorToComps [][]int32 // component indices, dense by author id
+	authorToComps [][]int32 // ascending instance indices, dense by author id
 	scratch       []int32   // Offer's reusable delivery buffer (aliasing contract)
+
+	// AlgUniBin only: the global graph (swapped by SetGraph), the rings,
+	// the author → ring table (-1 for authors no instance contains), the
+	// epoch stamps of the decision in progress (per instance and per
+	// author), and the counters (stored-copy counts kept apart: live posts
+	// and summed ring peaks).
+	th         Thresholds
+	g          *authorsim.Graph
+	rings      []sharedRing
+	authorRing []int32
+	stamp      []uint32
+	similar    []uint32
+	epoch      uint32
+	c          metrics.Counters
+	live, peak int64
 }
 
 type sharedComponent struct {
 	authors []int32
-	div     Diversifier
-	users   []int32 // subscribers of exactly this component, sorted
+	div     Diversifier // nil under AlgUniBin, whose instances live in rings
+	users   []int32     // subscribers of exactly this component, sorted
 }
 
 // NewSharedMultiUser builds the S_* solver from per-user subscriptions.
@@ -248,25 +275,38 @@ func NewSharedMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int
 		alg:           alg,
 		authorToComps: make([][]int32, g.NumAuthors()),
 	}
-	byKey := make(map[string]int)
+	if alg == AlgUniBin {
+		if err := th.Validate(); err != nil {
+			return nil, err
+		}
+		s.th, s.g = th, g
+	}
+	byKey := make(map[string]int32)
 	for u, subs := range subscriptions {
 		for _, comp := range g.InducedComponents(subs) {
 			key := authorsim.ComponentKey(comp)
 			idx, ok := byKey[key]
 			if !ok {
-				div, err := newRoutedDiversifier(alg, g, comp, th)
-				if err != nil {
-					return nil, err
+				var div Diversifier
+				if alg != AlgUniBin {
+					d, err := NewDiversifier(alg, g, comp, th)
+					if err != nil {
+						return nil, err
+					}
+					div = d
 				}
-				idx = len(s.comps)
+				idx = int32(len(s.comps))
 				byKey[key] = idx
 				s.comps = append(s.comps, &sharedComponent{authors: comp, div: div})
 				for _, a := range comp {
-					s.authorToComps[a] = append(s.authorToComps[a], int32(idx))
+					s.authorToComps[a] = append(s.authorToComps[a], idx)
 				}
 			}
 			s.comps[idx].users = append(s.comps[idx].users, int32(u))
 		}
+	}
+	if alg == AlgUniBin {
+		s.buildRings()
 	}
 	return s, nil
 }
@@ -275,7 +315,7 @@ func NewSharedMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int
 func (s *SharedMultiUser) Name() string { return "S_" + s.alg.String() }
 
 // NumComponents returns the number of distinct shared components — the
-// number of SPSD instances actually running.
+// number of SPSD instances deciding.
 func (s *SharedMultiUser) NumComponents() int { return len(s.comps) }
 
 // Offer implements MultiDiversifier. Each distinct component containing the
@@ -286,6 +326,9 @@ func (s *SharedMultiUser) NumComponents() int { return len(s.comps) }
 func (s *SharedMultiUser) Offer(p *Post) []int32 {
 	if p.Author < 0 || int(p.Author) >= len(s.authorToComps) {
 		return nil
+	}
+	if s.alg == AlgUniBin {
+		return s.offerRing(p)
 	}
 	delivered := s.scratch[:0]
 	contributing := 0
@@ -309,13 +352,13 @@ func (s *SharedMultiUser) Offer(p *Post) []int32 {
 	return delivered
 }
 
-// SetGraph swaps the author graph consulted by every shared component's
-// instance; see MultiUser.SetGraph for the AlgUniBin-only and same-size
-// contracts. The component partition itself deliberately stays as built:
-// components are identified by author set at construction, and the paper's
-// maintenance story recomputes them with the periodic graph rebuild, not per
-// edge flip — a refreshed graph only changes which stored posts count as
-// author-similar from the next Offer on.
+// SetGraph swaps the author graph consulted by S_UniBin's coverage test; see
+// MultiUser.SetGraph for the AlgUniBin-only and same-size contracts. The
+// component partition — instances and the rings holding them — deliberately
+// stays as built: instances are identified by author set at construction,
+// and the paper's maintenance story recomputes them with the periodic graph
+// rebuild, not per edge flip — a refreshed graph only changes which stored
+// posts count as author-similar from the next Offer on.
 func (s *SharedMultiUser) SetGraph(g *authorsim.Graph) error {
 	if s.alg != AlgUniBin {
 		return fmt.Errorf("core: %s cannot refresh the author graph in place: %s bin layouts bake the old graph; rebuild the solver",
@@ -325,15 +368,18 @@ func (s *SharedMultiUser) SetGraph(g *authorsim.Graph) error {
 		return fmt.Errorf("core: refreshed graph has %d authors but %s routes %d; author ids are dense indexes, so a resized graph requires a rebuilt solver",
 			n, s.Name(), len(s.authorToComps))
 	}
-	for _, comp := range s.comps {
-		comp.div.(*UniBin).SetGraph(g)
-	}
+	s.g = g
 	return nil
 }
 
 // Counters implements MultiDiversifier.
 func (s *SharedMultiUser) Counters() *metrics.Counters {
 	var total metrics.Counters
+	if s.alg == AlgUniBin {
+		total = s.c
+		total.SetStored(s.live, s.peak)
+		return &total
+	}
 	for _, comp := range s.comps {
 		total.Merge(*comp.div.Counters())
 	}

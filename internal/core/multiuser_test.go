@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"firehose/internal/authorsim"
+	"firehose/internal/simhash"
 )
 
 // randomSubscriptions gives each of nUsers a random non-empty author subset.
@@ -37,15 +39,178 @@ func timelinesOf(md MultiDiversifier, posts []*Post, nUsers int) [][]uint64 {
 	return tl
 }
 
+// clusteredScenario builds what the bench graph has and a single dense
+// random graph lacks: several global components (dense clusters plus
+// isolated authors), many distinct instances per author (users follow random
+// subsets of a cluster, so one author sits in differently shaped induced
+// components), and users who follow a single author of a large cluster. The
+// stream's fingerprints cluster around a few bases so coverage fires.
+func clusteredScenario(rng *rand.Rand, nPosts int) (*authorsim.Graph, []*Post, [][]int32) {
+	var pairs []authorsim.SimPair
+	var clusters [][]int32
+	n := int32(0)
+	for c := 2 + rng.Intn(3); c > 0; c-- {
+		size := int32(3 + rng.Intn(8))
+		var members []int32
+		for a := n; a < n+size; a++ {
+			members = append(members, a)
+			for b := a + 1; b < n+size; b++ {
+				if rng.Float64() < 0.45 {
+					pairs = append(pairs, authorsim.SimPair{A: a, B: b})
+				}
+			}
+		}
+		clusters = append(clusters, members)
+		n += size
+	}
+	n += int32(rng.Intn(4)) // isolated authors
+	g := authorsim.NewGraph(int(n), pairs, 0.7)
+
+	subs := make([][]int32, 4+rng.Intn(12))
+	for u := range subs {
+		switch rng.Intn(3) {
+		case 0: // one author of the largest cluster
+			big := clusters[0]
+			for _, c := range clusters {
+				if len(c) > len(big) {
+					big = c
+				}
+			}
+			subs[u] = []int32{big[rng.Intn(len(big))]}
+		case 1: // a random subset of one cluster
+			c := clusters[rng.Intn(len(clusters))]
+			for _, a := range c {
+				if rng.Float64() < 0.6 {
+					subs[u] = append(subs[u], a)
+				}
+			}
+		default: // a random subset of everything
+			for a := int32(0); a < n; a++ {
+				if rng.Float64() < 0.35 {
+					subs[u] = append(subs[u], a)
+				}
+			}
+		}
+		if len(subs[u]) == 0 {
+			subs[u] = []int32{int32(rng.Intn(int(n)))}
+		}
+	}
+
+	bases := make([]simhash.Fingerprint, 5)
+	for i := range bases {
+		bases[i] = simhash.Fingerprint(rng.Uint64())
+	}
+	posts := make([]*Post, nPosts)
+	now := int64(0)
+	for i := range posts {
+		now += int64(rng.Intn(40))
+		fp := bases[rng.Intn(len(bases))]
+		for k := rng.Intn(7); k > 0; k-- {
+			fp ^= 1 << uint(rng.Intn(64))
+		}
+		posts[i] = &Post{ID: uint64(i + 1), Author: int32(rng.Intn(int(n))), Time: now, FP: fp}
+	}
+	return g, posts, subs
+}
+
+// perInstance is the executable specification of an S_* solver: one
+// single-user diversifier per distinct shared instance (a user's induced
+// component, deduplicated by author set), built independently of
+// SharedMultiUser. Its deliveries are the sorted union of the subscribers of
+// the instances that accept.
+type perInstance struct {
+	insts []*specInstance
+}
+
+type specInstance struct {
+	d     Diversifier
+	in    map[int32]bool
+	users []int32
+}
+
+func newPerInstance(t *testing.T, alg Algorithm, g *authorsim.Graph, subs [][]int32, th Thresholds) *perInstance {
+	t.Helper()
+	r := &perInstance{}
+	byKey := map[string]*specInstance{}
+	for u, s := range subs {
+		for _, comp := range g.InducedComponents(s) {
+			key := authorsim.ComponentKey(comp)
+			in, ok := byKey[key]
+			if !ok {
+				d, err := newRoutedDiversifier(alg, g, comp, th)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in = &specInstance{d: d, in: map[int32]bool{}}
+				for _, a := range comp {
+					in.in[a] = true
+				}
+				byKey[key] = in
+				r.insts = append(r.insts, in)
+			}
+			in.users = append(in.users, int32(u))
+		}
+	}
+	return r
+}
+
+func (r *perInstance) Offer(p *Post) []int32 {
+	var out []int32
+	for _, in := range r.insts {
+		if in.in[p.Author] && in.d.Offer(p) {
+			out = append(out, in.users...)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// SetGraph swaps every (UniBin) instance's graph, keeping the instances.
+func (r *perInstance) SetGraph(g *authorsim.Graph) {
+	for _, in := range r.insts {
+		in.d.(*UniBin).SetGraph(g)
+	}
+}
+
+// totals returns the decision totals two ways: summed per instance (what an
+// S_* solver's Accepted/Rejected must equal) and weighted by each instance's
+// subscriber count (what M_*'s per-user Accepted/Rejected must equal).
+func (r *perInstance) totals() (acc, rej, userAcc, userRej uint64) {
+	for _, in := range r.insts {
+		c, n := in.d.Counters(), uint64(len(in.users))
+		acc, rej = acc+c.Accepted, rej+c.Rejected
+		userAcc, userRej = userAcc+n*c.Accepted, userRej+n*c.Rejected
+	}
+	return acc, rej, userAcc, userRej
+}
+
+// instanceDecisions replays the stream through the per-instance
+// specification and returns its decision totals (see perInstance.totals).
+func instanceDecisions(t *testing.T, alg Algorithm, g *authorsim.Graph, subs [][]int32, th Thresholds, posts []*Post) (acc, rej, userAcc, userRej uint64) {
+	t.Helper()
+	r := newPerInstance(t, alg, g, subs, th)
+	for _, p := range posts {
+		r.Offer(p)
+	}
+	return r.totals()
+}
+
 func TestSharedMatchesIndependentPerUser(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, alg := range []Algorithm{AlgUniBin, AlgNeighborBin, AlgCliqueBin} {
 		t.Run(alg.String(), func(t *testing.T) {
-			for trial := 0; trial < 10; trial++ {
-				nAuthors := 4 + rng.Intn(15)
-				nUsers := 2 + rng.Intn(8)
-				g, posts := randomScenario(rng, nAuthors, 200, 0.25)
-				subs := randomSubscriptions(rng, nUsers, nAuthors)
+			for trial := 0; trial < 20; trial++ {
+				var g *authorsim.Graph
+				var posts []*Post
+				var subs [][]int32
+				if trial%2 == 0 {
+					nAuthors := 4 + rng.Intn(15)
+					g, posts = randomScenario(rng, nAuthors, 200, 0.25)
+					subs = randomSubscriptions(rng, 2+rng.Intn(8), nAuthors)
+				} else {
+					g, posts, subs = clusteredScenario(rng, 300)
+				}
+				nUsers := len(subs)
 				th := Thresholds{LambdaC: 6, LambdaT: 800, LambdaA: 0.7}
 
 				m, err := NewMultiUser(alg, g, subs, th)
@@ -64,6 +229,15 @@ func TestSharedMatchesIndependentPerUser(t *testing.T) {
 							trial, u, mt[u], st[u])
 					}
 				}
+				acc, rej, userAcc, userRej := instanceDecisions(t, alg, g, subs, th, posts)
+				if sc := s.Counters(); sc.Accepted != acc || sc.Rejected != rej {
+					t.Fatalf("trial %d: S decided %d/%d (accepted/rejected), its instances %d/%d",
+						trial, sc.Accepted, sc.Rejected, acc, rej)
+				}
+				if mc := m.Counters(); mc.Accepted != userAcc || mc.Rejected != userRej {
+					t.Fatalf("trial %d: M decided %d/%d, S's instances weighted by subscribers %d/%d",
+						trial, mc.Accepted, mc.Rejected, userAcc, userRej)
+				}
 			}
 		})
 	}
@@ -73,31 +247,51 @@ func TestSharedMatchesIndependentPerUser(t *testing.T) {
 // running single-user SPSD on the user's own sub-stream.
 func TestSharedMatchesSingleUserOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	nAuthors, nUsers := 12, 5
-	g, posts := randomScenario(rng, nAuthors, 300, 0.3)
-	subs := randomSubscriptions(rng, nUsers, nAuthors)
-	th := Thresholds{LambdaC: 7, LambdaT: 600, LambdaA: 0.7}
-
-	s, err := NewSharedMultiUser(AlgUniBin, g, subs, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := timelinesOf(s, posts, nUsers)
-
-	for u := 0; u < nUsers; u++ {
-		subscribed := make(map[int32]bool)
-		for _, a := range subs[u] {
-			subscribed[a] = true
+	for trial := 0; trial < 8; trial++ {
+		var g *authorsim.Graph
+		var posts []*Post
+		var subs [][]int32
+		if trial == 0 {
+			nAuthors := 12
+			g, posts = randomScenario(rng, nAuthors, 300, 0.3)
+			subs = randomSubscriptions(rng, 5, nAuthors)
+		} else {
+			g, posts, subs = clusteredScenario(rng, 300)
 		}
-		var userStream []*Post
-		for _, p := range posts {
-			if subscribed[p.Author] {
-				userStream = append(userStream, p)
+		th := Thresholds{LambdaC: 7, LambdaT: 600, LambdaA: 0.7}
+
+		s, err := NewSharedMultiUser(AlgUniBin, g, subs, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := timelinesOf(s, posts, len(subs))
+
+		var deliveries uint64
+		for u := range subs {
+			subscribed := make(map[int32]bool)
+			for _, a := range subs[u] {
+				subscribed[a] = true
 			}
+			var userStream []*Post
+			for _, p := range posts {
+				if subscribed[p.Author] {
+					userStream = append(userStream, p)
+				}
+			}
+			want := idsOf(bruteForce(userStream, th, g.Induced(subs[u])))
+			if !reflect.DeepEqual(got[u], want) {
+				t.Fatalf("trial %d user %d: shared timeline %v != oracle %v", trial, u, got[u], want)
+			}
+			deliveries += uint64(len(want))
 		}
-		want := idsOf(bruteForce(userStream, th, g.Induced(subs[u])))
-		if !reflect.DeepEqual(got[u], want) {
-			t.Fatalf("user %d: shared timeline %v != oracle %v", u, got[u], want)
+		acc, rej, userAcc, _ := instanceDecisions(t, AlgUniBin, g, subs, th, posts)
+		if sc := s.Counters(); sc.Accepted != acc || sc.Rejected != rej {
+			t.Fatalf("trial %d: S decided %d/%d (accepted/rejected), its instances %d/%d",
+				trial, sc.Accepted, sc.Rejected, acc, rej)
+		}
+		if userAcc != deliveries {
+			t.Fatalf("trial %d: instance acceptances weighted by subscribers %d != oracle deliveries %d",
+				trial, userAcc, deliveries)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func (nb *NeighborBin) Offer(p *Post) bool {
 
 	pfp := uint64(p.FP)
 	// Author similarity holds by bin construction; content decides.
-	covered, comparisons := own.coveredContent(pfp, nb.th.LambdaC, cutoff)
+	covered, comparisons := own.scan(pfp, nb.th.LambdaC, cutoff, anyHit)
 	nb.c.Comparisons += comparisons
 	if covered {
 		nb.c.Rejected++

@@ -425,17 +425,27 @@ func (m *MultiUser) RestoreState(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// SnapshotState implements StateSnapshotter: every shared component's
-// instance in component order (construction order, which is deterministic in
-// the subscription list).
+// SnapshotState implements StateSnapshotter: the structural guard (every
+// instance's author and subscriber counts, in construction order, which is
+// deterministic in the subscription list), then the state. S_NeighborBin and
+// S_CliqueBin write each instance's section in instance order; S_UniBin
+// writes its rings in ring order, then one counters block.
 func (s *SharedMultiUser) SnapshotState(enc *checkpoint.Encoder) error {
 	enc.String("sharedmultiuser")
 	enc.Uvarint(uint64(len(s.comps)))
 	for _, comp := range s.comps {
-		// Structural guard: the restoring engine must have built the same
-		// component in the same position.
 		enc.Uvarint(uint64(len(comp.authors)))
 		enc.Uvarint(uint64(len(comp.users)))
+	}
+	if s.alg == AlgUniBin {
+		enc.Uvarint(uint64(len(s.rings)))
+		for i := range s.rings {
+			encodeRing(enc, &s.rings[i])
+		}
+		encodeCounters(enc, s.Counters())
+		return enc.Err()
+	}
+	for _, comp := range s.comps {
 		if err := snapshotInstance(enc, comp.div); err != nil {
 			return err
 		}
@@ -443,31 +453,122 @@ func (s *SharedMultiUser) SnapshotState(enc *checkpoint.Encoder) error {
 	return enc.Err()
 }
 
-// RestoreState implements StateSnapshotter. Components restore in order; on
-// error the solver is a mix of restored and old state and must be discarded.
+// RestoreState implements StateSnapshotter. S_UniBin decodes and validates
+// the whole section before replacing anything, so on error it is untouched;
+// the per-instance algorithms restore instance by instance and must be
+// discarded on error.
 func (s *SharedMultiUser) RestoreState(dec *checkpoint.Decoder) error {
 	dec.Expect("sharedmultiuser")
 	if n := dec.Len("components", checkpoint.MaxElems); dec.Err() == nil && n != len(s.comps) {
 		dec.Failf("snapshot has %d shared components, engine has %d (different subscriptions)", n, len(s.comps))
 	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for ci, comp := range s.comps {
+	for ci := 0; ci < len(s.comps) && dec.Err() == nil; ci++ {
+		comp := s.comps[ci]
 		na := dec.Len("component authors", checkpoint.MaxElems)
 		nu := dec.Len("component users", checkpoint.MaxElems)
 		if dec.Err() == nil && (na != len(comp.authors) || nu != len(comp.users)) {
 			dec.Failf("component %d shape mismatch: snapshot %d authors/%d users, engine %d/%d",
 				ci, na, nu, len(comp.authors), len(comp.users))
 		}
+	}
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if s.alg == AlgUniBin {
+		if n := dec.Len("rings", checkpoint.MaxElems); dec.Err() == nil && n != len(s.rings) {
+			dec.Failf("snapshot has %d rings, engine has %d (different graph or subscriptions)", n, len(s.rings))
+		}
+		params, indexed := s.th.indexParams(true)
+		rings := make([]sharedRing, 0, len(s.rings))
+		var live, peak int64
+		for ri := 0; ri < len(s.rings) && dec.Err() == nil; ri++ {
+			r := decodeRing(dec, s, int32(ri), params, indexed)
+			live, peak = live+int64(r.len()), peak+r.peak
+			rings = append(rings, r)
+		}
+		c := decodeCounters(dec)
+		if dec.Err() == nil && (c.StoredLive() != live || c.StoredPeak != peak) {
+			dec.Failf("stored-copy counters (live %d, peak %d) disagree with the rings (live %d, peak %d)",
+				c.StoredLive(), c.StoredPeak, live, peak)
+		}
 		if err := dec.Err(); err != nil {
 			return err
 		}
+		c.SetStored(0, 0) // kept in s.live and s.peak
+		s.rings, s.c, s.live, s.peak = rings, c, live, peak
+		return nil
+	}
+	for _, comp := range s.comps {
 		if err := restoreInstance(dec, comp.div); err != nil {
 			return err
 		}
 	}
 	return dec.Err()
+}
+
+// encodeRing writes one S_UniBin ring: its bin, then per entry (oldest
+// first) the emitting instances as a count plus ascending delta varints
+// (each id minus the previous, starting from -1), then the ring's peak.
+func encodeRing(enc *checkpoint.Encoder, r *sharedRing) {
+	encodeBin(enc, &r.bin.soa)
+	for i := 0; i < r.len(); i++ {
+		emitters := r.emittersOf(i)
+		enc.Uvarint(uint64(len(emitters)))
+		prev := int64(-1)
+		for _, k := range emitters {
+			enc.Uvarint(uint64(int64(k) - prev))
+			prev = int64(k)
+		}
+	}
+	enc.Varint(r.peak)
+}
+
+// decodeRing reads ring ri, validating that every entry's author belongs to
+// the ring and that its emitter list is non-empty, strictly ascending, in
+// range and made of instances containing the author — the invariants the
+// scan relies on. Storage grows with the bytes actually read.
+func decodeRing(dec *checkpoint.Decoder, s *SharedMultiUser, ri int32, params simindex.Params, indexed bool) sharedRing {
+	soa := decodeBin(dec, func(a int32) bool {
+		return a >= 0 && int(a) < len(s.authorRing) && s.authorRing[a] == ri
+	})
+	aOld, aNew := soa.AuthorSegments()
+	var r sharedRing
+	for i := 0; i < soa.Len() && dec.Err() == nil; i++ {
+		var author int32
+		if i < len(aOld) {
+			author = aOld[i]
+		} else {
+			author = aNew[i-len(aOld)]
+		}
+		r.starts.push(r.emitEnd())
+		n := dec.Len("entry emitters", len(s.comps))
+		if dec.Err() == nil && n == 0 {
+			dec.Failf("ring %d entry %d has no emitting instance", ri, i)
+		}
+		prev := int64(-1)
+		for j := 0; j < n && dec.Err() == nil; j++ {
+			k := prev + int64(dec.Uvarint())
+			if dec.Err() != nil {
+				break
+			}
+			if k <= prev || k >= int64(len(s.comps)) {
+				dec.Failf("ring %d entry %d: emitter %d after %d is out of order or outside [0,%d)", ri, i, k, prev, len(s.comps))
+				break
+			}
+			if _, found := slices.BinarySearch(s.comps[k].authors, author); !found {
+				dec.Failf("ring %d entry %d: emitter %d does not contain author %d", ri, i, k, author)
+				break
+			}
+			r.emitters.push(int32(k))
+			prev = k
+		}
+	}
+	r.peak = dec.Varint()
+	if dec.Err() == nil && (r.peak < int64(soa.Len()) || r.peak > checkpoint.MaxElems) {
+		dec.Failf("ring %d peak %d is below its %d live entries or implausible", ri, r.peak, soa.Len())
+	}
+	r.bin = newCovBinFromSoA(soa, params, indexed)
+	return r
 }
 
 // SnapshotState implements StateSnapshotter: every user's instance in user

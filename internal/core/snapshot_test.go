@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -279,20 +280,22 @@ func TestRestoreCorruptionNeverPanics(t *testing.T) {
 	g, posts := randomScenario(rng, 10, 250, 0.3)
 	subs := multiScenario(rng, 10, 4)
 	th := Thresholds{LambdaC: 6, LambdaT: 400, LambdaA: 0.7}
-	s, err := NewSharedMultiUser(AlgCliqueBin, g, subs, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range posts {
-		s.Offer(p)
-	}
-	sweepBitFlips(t, snapState(t, s), func() StateSnapshotter {
-		fresh, err := NewSharedMultiUser(AlgCliqueBin, g, subs, th)
+	for _, alg := range []Algorithm{AlgCliqueBin, AlgUniBin} {
+		s, err := NewSharedMultiUser(alg, g, subs, th)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fresh
-	})
+		for _, p := range posts {
+			s.Offer(p)
+		}
+		sweepBitFlips(t, snapState(t, s), func() StateSnapshotter {
+			fresh, err := NewSharedMultiUser(alg, g, subs, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fresh
+		})
+	}
 }
 
 // sweepBitFlips flips every bit of raw (strided on large snapshots to bound
@@ -357,14 +360,186 @@ func TestRestoreTruncationAlwaysErrors(t *testing.T) {
 	for _, p := range posts {
 		nb.Offer(p)
 	}
-	raw := snapState(t, nb)
+	sweepTruncations(t, snapState(t, nb), func() StateSnapshotter { return NewNeighborBin(g, th) })
+
+	subs := multiScenario(rng, 8, 5)
+	s, err := NewSharedMultiUser(AlgUniBin, g, subs, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range posts {
+		s.Offer(p)
+	}
+	sweepTruncations(t, snapState(t, s), func() StateSnapshotter {
+		fresh, err := NewSharedMultiUser(AlgUniBin, g, subs, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh
+	})
+}
+
+// sweepTruncations requires every proper prefix of raw (strided on large
+// snapshots) to fail restore into a fresh engine.
+func sweepTruncations(t *testing.T, raw []byte, mkFresh func() StateSnapshotter) {
+	t.Helper()
 	stride := 1
 	if len(raw) > 4096 {
 		stride = len(raw) / 4096
 	}
 	for n := 0; n < len(raw); n += stride {
-		if err := restoreState(NewNeighborBin(g, th), raw[:n]); err == nil {
+		if err := restoreState(mkFresh(), raw[:n]); err == nil {
 			t.Fatalf("restore of %d-byte prefix (of %d) succeeded", n, len(raw))
 		}
+	}
+}
+
+// encodeSharedRings writes an S_UniBin section the way SnapshotState does,
+// letting edit rewrite each entry's author and emitter list on the way out —
+// the corruptions a checksum cannot catch because the writer made them.
+func encodeSharedRings(enc *checkpoint.Encoder, s *SharedMultiUser, edit func(ri, i int, author int32, emitters []int32) (int32, []int32)) {
+	enc.String("sharedmultiuser")
+	enc.Uvarint(uint64(len(s.comps)))
+	for _, comp := range s.comps {
+		enc.Uvarint(uint64(len(comp.authors)))
+		enc.Uvarint(uint64(len(comp.users)))
+	}
+	enc.Uvarint(uint64(len(s.rings)))
+	for ri := range s.rings {
+		r := &s.rings[ri]
+		tOld, tNew := r.bin.soa.TimeSegments()
+		fOld, fNew := r.bin.soa.FPSegments()
+		aOld, aNew := r.bin.soa.AuthorSegments()
+		ts, fps, as := append(slices.Clone(tOld), tNew...), append(slices.Clone(fOld), fNew...), append(slices.Clone(aOld), aNew...)
+		lists := make([][]int32, len(ts))
+		for i := range ts {
+			as[i], lists[i] = edit(ri, i, as[i], slices.Clone(r.emittersOf(i)))
+		}
+		enc.Uvarint(uint64(len(ts)))
+		for i := range ts {
+			enc.Varint(ts[i])
+			enc.U64(fps[i])
+			enc.Varint(int64(as[i]))
+		}
+		for _, list := range lists {
+			enc.Uvarint(uint64(len(list)))
+			prev := int64(-1)
+			for _, k := range list {
+				enc.Uvarint(uint64(int64(k) - prev))
+				prev = int64(k)
+			}
+		}
+		enc.Varint(r.peak)
+	}
+	encodeCounters(enc, s.Counters())
+}
+
+// TestSharedRingRestoreValidation: the ring invariants the scan relies on
+// must be checked on restore, each failing with a descriptive error and
+// leaving the target untouched — a corrupted emitter id would otherwise
+// index out of range on a later Offer, and a wrong one would silently
+// change decisions.
+func TestSharedRingRestoreValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	g, posts, subs := clusteredScenario(rng, 400)
+	th := Thresholds{LambdaC: 6, LambdaT: 400, LambdaA: 0.7}
+	s, err := NewSharedMultiUser(AlgUniBin, g, subs, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range posts {
+		s.Offer(p)
+	}
+	// Target a ring's newest entry whose author sits in two instances (so
+	// two valid emitters can be written out of order).
+	target, last, author := -1, -1, int32(-1)
+	for ri := range s.rings {
+		if cur := s.rings[ri].bin.soa.Scan(); cur.Next() && len(s.authorToComps[cur.Author()]) >= 2 {
+			target, last, author = ri, s.rings[ri].len()-1, cur.Author()
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("degenerate scenario: no ring's newest author is in two instances")
+	}
+	insts := s.authorToComps[author]
+	// An instance that lacks the author, and an author outside the ring.
+	lacking, outsider := int32(-1), int32(-1)
+	for k, comp := range s.comps {
+		if _, ok := slices.BinarySearch(comp.authors, author); !ok && lacking < 0 {
+			lacking = int32(k)
+		}
+	}
+	for a, ri := range s.authorRing {
+		if ri >= 0 && ri != int32(target) && outsider < 0 {
+			outsider = int32(a)
+		}
+	}
+	if lacking < 0 || outsider < 0 {
+		t.Fatalf("degenerate scenario: lacking instance %d, outside author %d", lacking, outsider)
+	}
+
+	cases := []struct {
+		name string
+		edit func(em []int32) (int32, []int32)
+		want string
+	}{
+		{"emitter out of range", func(em []int32) (int32, []int32) {
+			return author, append(em, int32(len(s.comps)))
+		}, "outside"},
+		{"emitter lacks author", func(em []int32) (int32, []int32) {
+			return author, []int32{lacking}
+		}, "does not contain author"},
+		{"unsorted emitters", func(em []int32) (int32, []int32) {
+			return author, []int32{insts[1], insts[0]}
+		}, "out of order"},
+		{"duplicate emitters", func(em []int32) (int32, []int32) {
+			return author, []int32{em[0], em[0]}
+		}, "out of order"},
+		{"empty emitter list", func(em []int32) (int32, []int32) {
+			return author, nil
+		}, "no emitting instance"},
+		{"author outside its ring", func(em []int32) (int32, []int32) {
+			return outsider, em
+		}, "invalid author"},
+	}
+	clean := snapState(t, s)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			enc := checkpoint.NewEncoder(&buf, "core.test")
+			encodeSharedRings(enc, s, func(ri, i int, a int32, em []int32) (int32, []int32) {
+				if ri == target && i == last {
+					return tc.edit(em)
+				}
+				return a, em
+			})
+			if err := enc.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewSharedMultiUser(AlgUniBin, g, subs, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := snapState(t, fresh)
+			err = restoreState(fresh, buf.Bytes())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
+			}
+			if after := snapState(t, fresh); !bytes.Equal(before, after) {
+				t.Fatal("failed restore changed the engine")
+			}
+		})
+	}
+	// The unedited writer reproduces SnapshotState byte for byte, so the
+	// cases above differ from a valid stream only by their edit.
+	var buf bytes.Buffer
+	enc := checkpoint.NewEncoder(&buf, "core.test")
+	encodeSharedRings(enc, s, func(_, _ int, a int32, em []int32) (int32, []int32) { return a, em })
+	if err := enc.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), clean) {
+		t.Fatal("test encoder drifted from SnapshotState's layout")
 	}
 }

@@ -62,7 +62,9 @@ func (u *UniBin) Offer(p *Post) bool {
 		u.c.Evictions += uint64(n)
 		u.c.RemoveStored(n)
 	}
-	covered, comparisons := u.bin.coveredAuthor(uint64(p.FP), u.th.LambdaC, cutoff, p.Author, u.g)
+	covered, comparisons := u.bin.scan(uint64(p.FP), u.th.LambdaC, cutoff, func(_ int, b int32) bool {
+		return u.g.Similar(p.Author, b)
+	})
 	u.c.Comparisons += comparisons
 	if covered {
 		u.c.Rejected++

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"time"
 
 	"firehose/internal/checkpoint"
 	"firehose/internal/core"
@@ -44,16 +45,39 @@ func (s *Server) topology() (shard, shards int, digest uint64) {
 // SnapshotWatermark, the connector layer's ack boundary). Before ingestMu,
 // a racing ingest could burn an id the restored server would skip; the
 // exclusive section removes that gap entirely.
+//
+// Every call — admin, periodic, shutdown or a shard worker's tagged
+// checkpoint — records how long it held ingestMu (the ingest pause, exported
+// as firehose_checkpoint_pause_seconds) and, when it succeeds, the bytes it
+// wrote (firehose_checkpoint_bytes).
 func (s *Server) Snapshot(w io.Writer) error {
 	se, ok := s.engine.(stateEngine)
 	if !ok {
 		return fmt.Errorf("httpapi: engine %s does not support checkpointing", s.engine.Name())
 	}
+	cw := &countingWriter{w: w}
+	enc := checkpoint.NewEncoder(cw, serverKind) // buffers; writes nothing yet
+	pause, err := s.captureExclusive(se, enc)
+	s.mu.Lock()
+	s.ckptPause.Observe(pause)
+	if err == nil {
+		s.ckptBytes = cw.n
+	}
+	s.mu.Unlock()
+	return err
+}
+
+// captureExclusive is Snapshot's body: it holds ingestMu exclusively while
+// it captures and writes the state, and reports for how long.
+func (s *Server) captureExclusive(se stateEngine, enc *checkpoint.Encoder) (pause time.Duration, err error) {
 	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	enc := checkpoint.NewEncoder(w, serverKind)
+	held := time.Now()
+	defer func() {
+		pause = time.Since(held)
+		s.ingestMu.Unlock()
+	}()
 	if err := se.SnapshotState(enc); err != nil {
-		return err
+		return 0, err
 	}
 	s.mu.Lock()
 	nextID, lastT := s.nextID, s.lastT
@@ -66,12 +90,24 @@ func (s *Server) Snapshot(w io.Writer) error {
 	enc.Uvarint(uint64(shards))
 	enc.U64(digest)
 	if err := enc.Finish(); err != nil {
-		return err
+		return 0, err
 	}
 	s.mu.Lock()
 	s.snapSeq = nextID
 	s.mu.Unlock()
-	return nil
+	return 0, nil
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Restore replaces the server's state with a snapshot previously written by

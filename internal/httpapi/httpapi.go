@@ -100,13 +100,15 @@ type Server struct {
 	// no allocated-but-unoffered ids in flight.
 	ingestMu sync.RWMutex
 
-	// mu guards: nextID, lastT, snapSeq, deliveryHook, httpOnlyErr
+	// mu guards: nextID, lastT, snapSeq, deliveryHook, httpOnlyErr, ckptPause, ckptBytes
 	mu           sync.Mutex
 	nextID       uint64
 	lastT        int64
 	snapSeq      uint64 // nextID captured by the most recent Snapshot/Restore
 	deliveryHook func(p TimelinePost, users []int32)
-	httpOnlyErr  error // non-nil once DisableHTTPIngest ran
+	httpOnlyErr  error             // non-nil once DisableHTTPIngest ran
+	ckptPause    metrics.Histogram // time each Snapshot held ingestMu
+	ckptBytes    int64             // size of the last successful Snapshot
 }
 
 // New builds a Server around a multi-user diversifier, running decisions on

@@ -152,13 +152,13 @@ func (s *Server) buildRegistry() *metrics.Registry {
 			return []metrics.Sample{{Labels: algLabel(), Value: float64(c.Evictions)}}
 		})
 	r.MustRegister("firehose_stored_copies",
-		"Live post copies currently resident across all bins.",
+		"Live post copies currently resident across all bins (S_UniBin: physical ring entries, each post once per author-graph component).",
 		metrics.KindGauge, func() []metrics.Sample {
 			c := s.engine.Counters()
 			return []metrics.Sample{{Labels: algLabel(), Value: float64(c.StoredLive())}}
 		})
 	r.MustRegister("firehose_stored_copies_peak",
-		"Peak simultaneous post copies (the paper's RAM metric).",
+		"Peak simultaneous post copies (the paper's RAM metric; S_UniBin: physical ring entries, summed per-ring peaks).",
 		metrics.KindGauge, func() []metrics.Sample {
 			c := s.engine.Counters()
 			return []metrics.Sample{{Labels: algLabel(), Value: float64(c.StoredPeak)}}
@@ -168,6 +168,21 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		metrics.KindHistogram, func() []metrics.Sample {
 			c := s.engine.Counters()
 			return []metrics.Sample{{Labels: algLabel(), Hist: c.Decisions}}
+		})
+
+	r.MustRegister("firehose_checkpoint_pause_seconds",
+		"Time each checkpoint held the ingest lock (ingest paused while the state was captured and written).",
+		metrics.KindHistogram, func() []metrics.Sample {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return []metrics.Sample{{Hist: s.ckptPause}}
+		})
+	r.MustRegister("firehose_checkpoint_bytes",
+		"Size in bytes of the last successful checkpoint.",
+		metrics.KindGauge, func() []metrics.Sample {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return []metrics.Sample{{Value: float64(s.ckptBytes)}}
 		})
 
 	if s.workers != nil {

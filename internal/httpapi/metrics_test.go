@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -131,6 +132,65 @@ func TestMetricsEndpointSequential(t *testing.T) {
 		t.Fatal("sequential server exposes worker series")
 	}
 }
+
+// TestCheckpointMetrics: every Snapshot observes its ingest pause, and the
+// bytes gauge reports the size of the last successful one.
+func TestCheckpointMetrics(t *testing.T) {
+	g := authorsim.NewGraph(3, []authorsim.SimPair{{A: 0, B: 1}}, 0.7)
+	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
+	md, err := core.NewSharedMultiUser(core.AlgUniBin, g, [][]int32{{0, 1}, {2}}, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(md)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	body, _ := scrape(t, ts)
+	if v := metricValue(t, body, "firehose_checkpoint_pause_seconds_count"); v != 0 {
+		t.Fatalf("pause count before any checkpoint = %v", v)
+	}
+	if v := metricValue(t, body, "firehose_checkpoint_bytes"); v != 0 {
+		t.Fatalf("bytes before any checkpoint = %v", v)
+	}
+
+	ingest(t, ts, IngestRequest{Author: 0, Text: "ferry sinks, 300 missing http://t.co/a", TimeMillis: 1000})
+	var small, large bytes.Buffer
+	if err := srv.Snapshot(&small); err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, ts, IngestRequest{Author: 2, Text: "alibaba files for landmark market listing", TimeMillis: 2000})
+	if err := srv.Snapshot(&large); err != nil {
+		t.Fatal(err)
+	}
+	if large.Len() <= small.Len() {
+		t.Fatalf("second snapshot (%d B) should outgrow the first (%d B)", large.Len(), small.Len())
+	}
+	// A failing writer still pauses ingest, so it is observed, but the
+	// gauge keeps the last successful size.
+	if err := srv.Snapshot(failingWriter{}); err == nil {
+		t.Fatal("snapshot into a failing writer succeeded")
+	}
+
+	body, _ = scrape(t, ts)
+	checkExpositionFormat(t, body)
+	if v := metricValue(t, body, "firehose_checkpoint_pause_seconds_count"); v != 3 {
+		t.Fatalf("pause count = %v, want 3", v)
+	}
+	if v := metricValue(t, body, `firehose_checkpoint_pause_seconds_bucket{le="+Inf"}`); v != 3 {
+		t.Fatalf("pause +Inf bucket = %v, want 3", v)
+	}
+	if v := metricValue(t, body, "firehose_checkpoint_pause_seconds_sum"); v <= 0 {
+		t.Fatalf("pause sum = %v, want > 0", v)
+	}
+	if v := metricValue(t, body, "firehose_checkpoint_bytes"); v != float64(large.Len()) {
+		t.Fatalf("bytes gauge = %v, want %d", v, large.Len())
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 func newParallelTestServer(t *testing.T, workers int) *httptest.Server {
 	t.Helper()

@@ -4,9 +4,10 @@
 // deterministically; a stray time.Now() deep in a bin or index silently
 // couples decisions to the wall clock and breaks replay equivalence.
 //
-// The single allowed form is the latency idiom
+// The only allowed forms are the latency idioms
 //
 //	defer <histogram>.ObserveSince(time.Now())
+//	defer <histogram>.ObserveNSince(time.Now(), n)
 //
 // whose time.Now() feeds only the instrumentation histogram, never a
 // decision. Everything else must thread a timestamp or a clock through its
@@ -23,7 +24,7 @@ import (
 // Analyzer is the nowcheck analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "nowcheck",
-	Doc:  "forbids time.Now/time.Since in decision-path packages outside the `defer h.ObserveSince(time.Now())` idiom",
+	Doc:  "forbids time.Now/time.Since in decision-path packages outside the `defer h.ObserveSince(time.Now())` and `defer h.ObserveNSince(time.Now(), n)` idioms",
 	Run:  run,
 }
 
@@ -55,7 +56,7 @@ func run(pass *analysis.Pass) error {
 			switch obj.Name() {
 			case "Now", "Since":
 				if !allowed[sel] {
-					pass.Reportf(sel.Pos(), "time.%s in a decision-path package breaks replay determinism; thread the post timestamp or an injected clock instead (the only allowed form is `defer h.ObserveSince(time.Now())`)", obj.Name())
+					pass.Reportf(sel.Pos(), "time.%s in a decision-path package breaks replay determinism; thread the post timestamp or an injected clock instead (the only allowed forms are `defer h.ObserveSince(time.Now())` and `defer h.ObserveNSince(time.Now(), n)`)", obj.Name())
 				}
 			}
 			return true
@@ -73,8 +74,9 @@ func isDecisionPath(pkgPath string) bool {
 	return false
 }
 
-// allowedNowCalls collects the time.Now selector inside each
-// `defer <expr>.ObserveSince(time.Now())` statement of the file.
+// allowedNowCalls collects the time.Now selector that is the first argument
+// of each `defer <expr>.ObserveSince(time.Now())` or
+// `defer <expr>.ObserveNSince(time.Now(), n)` statement of the file.
 func allowedNowCalls(file *ast.File) map[*ast.SelectorExpr]bool {
 	allowed := make(map[*ast.SelectorExpr]bool)
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -83,7 +85,10 @@ func allowedNowCalls(file *ast.File) map[*ast.SelectorExpr]bool {
 			return true
 		}
 		fun, ok := def.Call.Fun.(*ast.SelectorExpr)
-		if !ok || fun.Sel.Name != "ObserveSince" || len(def.Call.Args) != 1 {
+		if !ok {
+			return true
+		}
+		if want := map[string]int{"ObserveSince": 1, "ObserveNSince": 2}[fun.Sel.Name]; want == 0 || len(def.Call.Args) != want {
 			return true
 		}
 		arg, ok := ast.Unparen(def.Call.Args[0]).(*ast.CallExpr)

@@ -9,6 +9,8 @@ type Histogram struct{ count uint64 }
 
 func (h *Histogram) ObserveSince(t0 time.Time) { h.count++ }
 
+func (h *Histogram) ObserveNSince(t0 time.Time, n int) { h.count += uint64(n) }
+
 func sink(t time.Time) {}
 
 type bin struct {
@@ -21,6 +23,17 @@ type bin struct {
 func (b *bin) Offer(t int64) bool {
 	defer b.h.ObserveSince(time.Now())
 	return t > b.last
+}
+
+// OfferMany uses the batched form: one clock read observed as n decisions.
+func (b *bin) OfferMany(t int64, n int) bool {
+	defer b.h.ObserveNSince(time.Now(), n)
+	return t > b.last
+}
+
+// LateStart passes the clock as the batched form's count — not the idiom.
+func (b *bin) LateStart(t0 time.Time) {
+	defer b.h.ObserveNSince(t0, int(time.Now().Unix())) // want `time.Now in a decision-path package breaks replay determinism`
 }
 
 // Stamp couples a decision input to the wall clock — replay would diverge.

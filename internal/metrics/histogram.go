@@ -72,6 +72,37 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start))
 }
 
+// ObserveN records one measurement d that covered n decisions as n
+// observations of d/n each: Count grows by n, SumNanos by d, and the bucket
+// of d/n by n. A solver that decides for many instances in one pass keeps
+// Count equal to its decision count this way. n <= 0 records nothing.
+func (h *Histogram) ObserveN(d time.Duration, n int) {
+	if n <= 0 {
+		return
+	}
+	total := d.Nanoseconds()
+	if total < 0 {
+		total = 0
+	}
+	h.Count += uint64(n)
+	h.SumNanos += total
+	each := total / int64(n)
+	for i, bound := range BucketBoundsNanos {
+		if each <= bound {
+			h.Buckets[i] += uint64(n)
+			return
+		}
+	}
+}
+
+// ObserveNSince is ObserveN of the time elapsed since start, for the
+// deferred latency idiom
+//
+//	defer c.Decisions.ObserveNSince(time.Now(), n)
+func (h *Histogram) ObserveNSince(start time.Time, n int) {
+	h.ObserveN(time.Since(start), n)
+}
+
 // Merge adds other's observations into h. Because all Histograms share one
 // bucket layout, the merge of per-worker histograms equals the histogram of
 // the concatenated observation streams (property-tested).

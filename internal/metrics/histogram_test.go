@@ -133,6 +133,53 @@ func TestHistogramMergeEqualsConcatenation(t *testing.T) {
 	}
 }
 
+// TestObserveN pins the batched observation: n decisions of d/n each, so
+// Count keeps meaning "decisions" while SumNanos keeps the wall time.
+func TestObserveN(t *testing.T) {
+	var h Histogram
+	h.ObserveN(3*time.Microsecond, 4) // 750ns each → the (500ns, 1µs] bucket
+	if h.Count != 4 || h.SumNanos != 3_000 {
+		t.Fatalf("count=%d sum=%d, want 4 and 3000", h.Count, h.SumNanos)
+	}
+	want := [NumBuckets]uint64{}
+	want[3] = 4
+	if h.Buckets != want {
+		t.Fatalf("Buckets = %v, want %v", h.Buckets, want)
+	}
+	before := h
+	h.ObserveN(time.Millisecond, 0)
+	h.ObserveN(time.Millisecond, -2)
+	if h != before {
+		t.Fatalf("n <= 0 changed the histogram: %+v", h)
+	}
+	// n = 1 is Observe; an overflowing share counts in Count only.
+	var one, obs Histogram
+	one.ObserveN(42*time.Microsecond, 1)
+	obs.Observe(42 * time.Microsecond)
+	if one != obs {
+		t.Fatalf("ObserveN(d, 1) = %+v, Observe(d) = %+v", one, obs)
+	}
+	var over Histogram
+	over.ObserveN(10*time.Second, 2)
+	if over.Count != 2 || over.Buckets != ([NumBuckets]uint64{}) {
+		t.Fatalf("overflow share: %+v", over)
+	}
+	// Merge property: batched observations split across shards merge into
+	// the histogram of observing them all in one.
+	rng := rand.New(rand.NewSource(7))
+	shards := make([]Histogram, 3)
+	var whole Histogram
+	for i := 0; i < 500; i++ {
+		d := time.Duration(rng.Int63n(int64(10) << uint(rng.Intn(28))))
+		n := rng.Intn(20)
+		whole.ObserveN(d, n)
+		shards[rng.Intn(len(shards))].ObserveN(d, n)
+	}
+	if merged := MergeHistograms(shards...); merged != whole {
+		t.Fatalf("merge of ObserveN shards != whole\nmerged: %+v\nwhole:  %+v", merged, whole)
+	}
+}
+
 // Counters.Merge must carry the embedded histogram along.
 func TestCountersMergeCarriesDecisions(t *testing.T) {
 	var a, b Counters

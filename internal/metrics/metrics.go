@@ -12,6 +12,14 @@ import (
 )
 
 // Counters accumulates the cost metrics of a diversification run.
+//
+// Accepted and Rejected always count decisions — one per (post, deciding
+// instance) — and Decisions.Count equals their sum. The storage counters
+// describe the solver's physical bins: for a solver that shares one stored
+// copy among several deciding instances (S_UniBin's per-component rings) a
+// comparison is one window entry visited, an insertion one post stored, an
+// eviction one post expired and StoredPeak the sum of each ring's own peak —
+// not the per-instance counts the unshared solvers report.
 type Counters struct {
 	// Comparisons counts pairwise post coverage checks (one per candidate
 	// post examined on an arrival).

@@ -54,14 +54,14 @@ type Topology struct {
 type Assignment struct {
 	shards    int
 	owner     []int32   // author → owning shard
-	comps     [][]int32 // canonical components (authorsim.InducedComponents order)
+	comps     [][]int32 // canonical components (authorsim.Graph.Components, shared)
 	compShard []int32   // component index → owning shard
 	digest    uint64
 }
 
 // Plan computes the assignment of g's components onto shards. Components are
 // placed largest-first onto the least-loaded shard (by author count, ties to
-// the lowest shard index), which is deterministic because InducedComponents
+// the lowest shard index), which is deterministic because Graph.Components
 // returns a canonical ordering. Reusing that canonical component machinery —
 // the same dedup backbone the S_* algorithms use — means the routing unit is
 // exactly the decision-independence unit.
@@ -73,11 +73,7 @@ func Plan(g *authorsim.Graph, shards int) (*Assignment, error) {
 		return nil, fmt.Errorf("shard: shard count must be at least 1, got %d", shards)
 	}
 	n := g.NumAuthors()
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	comps := g.InducedComponents(all)
+	comps := g.Components()
 
 	// Largest components first; SliceStable keeps the canonical
 	// smallest-member order among equal sizes.

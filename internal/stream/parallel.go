@@ -254,35 +254,24 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 	// components are always subsets of global ones, so any two authors that
 	// can ever share a decision land in the same global component — and
 	// therefore on the same worker.
-	all := make([]int32, g.NumAuthors())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	comps := g.InducedComponents(all)
-
 	e := &ParallelMultiEngine{
 		workers:      make([]*parallelWorker, workers),
 		authorWorker: make([]int32, g.NumAuthors()),
 		failFast:     opts.FailFast,
 	}
 	// Assign components round-robin; record author → worker.
-	shardAuthors := make([]map[int32]bool, workers)
-	for i := range shardAuthors {
-		shardAuthors[i] = make(map[int32]bool)
-	}
-	for ci, comp := range comps {
-		w := ci % workers
+	for ci, comp := range g.Components() {
 		for _, a := range comp {
-			e.authorWorker[a] = int32(w)
-			shardAuthors[w][a] = true
+			e.authorWorker[a] = int32(ci % workers)
 		}
 	}
-	// Restrict each user's subscriptions to each shard.
+	// Restrict each user's subscriptions to each shard (authors outside the
+	// graph belong to no shard).
 	for w := 0; w < workers; w++ {
 		shardSubs := make([][]int32, len(subscriptions))
 		for u, subs := range subscriptions {
 			for _, a := range subs {
-				if shardAuthors[w][a] {
+				if g.Contains(a) && e.authorWorker[a] == int32(w) {
 					shardSubs[u] = append(shardSubs[u], a)
 				}
 			}
