@@ -14,7 +14,7 @@ func TestParallelServiceBatchMatchesSequential(t *testing.T) {
 	graph, posts, subs := generateScenario(t, 150, 55)
 	cfg := DefaultConfig()
 
-	seq, err := NewMultiUserService(graph, subs, cfg, MultiUserOptions{Algorithm: UniBin})
+	seq, err := NewService(graph, subs, ServiceOptions{Algorithm: UniBin, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestParallelServiceBatchMatchesSequential(t *testing.T) {
 		want[i] = seq.Offer(p)
 	}
 
-	par, err := NewParallelService(UniBin, graph, subs, cfg, 4)
+	par, err := NewParallel(graph, subs, ParallelServiceOptions{Algorithm: UniBin, Config: cfg, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestParallelServiceBatchMatchesSequential(t *testing.T) {
 
 func TestParallelServiceBatchAfterClose(t *testing.T) {
 	graph, posts, subs := generateScenario(t, 40, 56)
-	par, err := NewParallelService(UniBin, graph, subs, DefaultConfig(), 2)
+	par, err := NewParallel(graph, subs, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

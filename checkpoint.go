@@ -40,11 +40,12 @@ type snapMeta struct {
 }
 
 // Topology identifies a service's place in a horizontally sharded deployment
-// (see internal/shard and firehosed's -shard flag): a post stream partitioned
-// by author component, one service per shard. It participates in the snapshot
-// fingerprint so a checkpoint names the exact shard that wrote it — Restore
-// refuses a snapshot from a different shard index, shard count or assignment
-// digest with a descriptive shard_mismatch error.
+// (see internal/shard and the shard section of firehosed's config): a post
+// stream partitioned by author component, one service per shard. It
+// participates in the snapshot fingerprint so a checkpoint names the exact
+// shard that wrote it — Restore refuses a snapshot from a different shard
+// index, shard count or assignment digest with a descriptive shard_mismatch
+// error.
 type Topology struct {
 	// Shard is this service's shard index in [0, Shards).
 	Shard int
@@ -181,9 +182,8 @@ const (
 // Snapshot writes the diversifier's complete decision state to w. The
 // snapshot is deterministic (identical state yields identical bytes) and
 // self-validating: a version/kind preamble, a fingerprint of the
-// construction inputs, and a trailing checksum. Every shipped algorithm,
-// including NewIndexedDiversifier's index-backed one, supports
-// checkpointing.
+// construction inputs, and a trailing checksum. Every shipped algorithm, under
+// every index policy, supports checkpointing.
 func (d *Diversifier) Snapshot(w io.Writer) error {
 	s, ok := d.inner.(core.StateSnapshotter)
 	if !ok {

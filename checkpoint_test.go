@@ -58,17 +58,17 @@ func TestDiversifierSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestIndexedDiversifierSnapshotEquivalence extends the single-user bar to
-// NewIndexedDiversifier, whose decision state lives in SimHash index tables
-// rather than a window ring.
+// TestIndexedDiversifierSnapshotEquivalence extends the single-user bar to a
+// UniBin diversifier under IndexOn at a strict λc, whose restore must rebuild
+// the SimHash index over the restored window ring.
 func TestIndexedDiversifierSnapshotEquivalence(t *testing.T) {
 	graph, posts, _ := checkpointScenario(t)
-	cfg := Config{LambdaC: 3, LambdaT: 30 * time.Minute, LambdaA: 0.7}
-	cont, err := NewIndexedDiversifier(graph, nil, cfg, 6)
+	cfg := Config{LambdaC: 3, LambdaT: 30 * time.Minute, LambdaA: 0.7, Index: IndexOn}
+	cont, err := NewDiversifier(UniBin, graph, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewIndexedDiversifier(graph, nil, cfg, 6)
+	restored, err := NewDiversifier(UniBin, graph, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +354,12 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 		}
 	})
 	t.Run("indexed diversifier cross-algorithm", func(t *testing.T) {
-		// IndexedUniBin checkpoints like every other algorithm now; a scan
-		// UniBin snapshot must still be rejected by the algorithm check, not
-		// restored into index tables.
-		cfgIdx := Config{LambdaC: 2, LambdaT: 30 * time.Minute, LambdaA: 0.7}
-		di, err := NewIndexedDiversifier(graph, nil, cfgIdx, 5)
+		// Snapshots restore across index policies of one algorithm, but a
+		// scan UniBin snapshot must still be rejected by an indexed
+		// diversifier of another algorithm — by the algorithm check, not
+		// restored into its index-backed bins.
+		cfgIdx := Config{LambdaC: 2, LambdaT: 30 * time.Minute, LambdaA: 0.7, Index: IndexOn}
+		di, err := NewDiversifier(NeighborBin, graph, nil, cfgIdx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,57 +491,6 @@ func TestTopologyFingerprint(t *testing.T) {
 			t.Fatalf("err = %v, want a shard_mismatch refusal", err)
 		}
 	})
-}
-
-// TestDeprecatedConstructorsDelegate: the legacy constructors must keep
-// working and build services indistinguishable from the canonical ones.
-func TestDeprecatedConstructorsDelegate(t *testing.T) {
-	graph, posts, subs := checkpointScenario(t)
-	cfg := DefaultConfig()
-
-	legacy, err := NewMultiUserService(graph, subs, cfg, MultiUserOptions{Algorithm: CliqueBin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	canonical, err := NewService(graph, subs, ServiceOptions{Algorithm: CliqueBin, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Algorithm() != canonical.Algorithm() {
-		t.Fatalf("algorithms differ: %s vs %s", legacy.Algorithm(), canonical.Algorithm())
-	}
-	for _, p := range posts[:100] {
-		if a, b := legacy.Offer(p), canonical.Offer(p); !slices.Equal(a, b) {
-			t.Fatalf("legacy and canonical services diverge on post %d", p.ID)
-		}
-	}
-	// A legacy service's snapshot restores into a canonical one: same
-	// fingerprint, same state.
-	var snap bytes.Buffer
-	if err := legacy.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := canonical.Restore(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatalf("canonical service rejected legacy snapshot: %v", err)
-	}
-
-	ucfgs := make([]Config, len(subs))
-	for i := range ucfgs {
-		ucfgs[i] = cfg
-	}
-	if _, err := NewCustomMultiUserService(UniBin, graph, subs, ucfgs); err != nil {
-		t.Fatalf("NewCustomMultiUserService: %v", err)
-	}
-	lp, err := NewParallelService(UniBin, graph, subs, cfg, 2)
-	if err != nil {
-		t.Fatalf("NewParallelService: %v", err)
-	}
-	lp.Close()
-	lpo, err := NewParallelServiceOpts(UniBin, graph, subs, cfg, ParallelOptions{Workers: 2, FailFast: true})
-	if err != nil {
-		t.Fatalf("NewParallelServiceOpts: %v", err)
-	}
-	lpo.Close()
 }
 
 // TestServiceOptionsValidation: the canonical constructor rejects ambiguous

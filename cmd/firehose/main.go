@@ -151,7 +151,7 @@ func main() {
 
 func runMulti(graph *firehose.AuthorGraph, social *twittergen.SocialGraph, posts []*core.Post, cfg firehose.Config, alg firehose.Algorithm) {
 	subs := social.Subscriptions()
-	svc, err := firehose.NewMultiUserService(graph, subs, cfg, firehose.MultiUserOptions{Algorithm: alg})
+	svc, err := firehose.NewService(graph, subs, firehose.ServiceOptions{Algorithm: alg, Config: cfg})
 	check(err)
 
 	start := time.Now()

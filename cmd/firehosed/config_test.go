@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,10 +10,33 @@ import (
 	"firehose/internal/connector"
 )
 
-// loadConfig is the daemon's whole command-line contract: the deprecated
-// flags fold into the same connector.Config the -config file decodes into,
-// and both funnel through Validate. These tests pin that contract per flag —
-// a bad value must fail at startup with a message naming the config knob.
+// loadConfig is the daemon's whole command-line contract: one -config flag
+// naming a strict-JSON connector.Config, or nothing for the defaults. These
+// tests pin that a bad document fails at startup with the message
+// connector.Config.Validate gives it, naming the config knob.
+
+// configArgs writes a pipeline config under t.TempDir() — the defaults with
+// edit applied — and returns the command line that boots the daemon from it.
+// The integration tests start every process through it.
+func configArgs(t *testing.T, edit func(*connector.Config)) []string {
+	t.Helper()
+	cfg := connector.DefaultConfig()
+	edit(cfg)
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []string{"-config", writeConfigFile(t, string(data))}
+}
+
+func writeConfigFile(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "firehosed.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 func TestLoadConfigDefaults(t *testing.T) {
 	cfg, err := loadConfig(nil)
@@ -29,173 +53,83 @@ func TestLoadConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestLoadConfigFoldsFlags: every deprecated flag lands on its config field,
-// durations in milliseconds.
-func TestLoadConfigFoldsFlags(t *testing.T) {
-	cfg, err := loadConfig([]string{
-		"-addr", ":9090",
-		"-authors", "40", "-seed", "7",
-		"-alg", "neighborbin", "-workers", "2", "-lambda-c", "20", "-index", "off",
-		"-drain", "3s", "-pprof",
-		"-checkpoint-dir", "/tmp/ckpt", "-checkpoint-interval", "5s", "-checkpoint-retain", "2",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.HTTP.Addr != ":9090" || !cfg.HTTP.PProf || cfg.HTTP.DrainMillis != 3000 {
-		t.Fatalf("http flags not folded: %+v", cfg.HTTP)
-	}
-	e := cfg.Engine
-	if e.Authors != 40 || e.Seed != 7 || e.Algorithm != "neighborbin" ||
-		e.Workers != 2 || e.LambdaC != 20 || e.Index != "off" {
-		t.Fatalf("engine flags not folded: %+v", e)
-	}
-	if e.Checkpoint.Dir != "/tmp/ckpt" || e.Checkpoint.IntervalMillis != 5000 || e.Checkpoint.Retain != 2 {
-		t.Fatalf("checkpoint flags not folded: %+v", e.Checkpoint)
-	}
-}
-
-func TestLoadConfigFoldsAdaptiveFlags(t *testing.T) {
-	cfg, err := loadConfig([]string{
-		"-adaptive-budget", "10", "-adaptive-window", "30s",
-		"-adaptive-max-lambda-c", "26", "-adaptive-max-lambda-t", "1h",
-		"-adaptive-step-lambda-c", "3", "-adaptive-step-lambda-t", "10m",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := cfg.Engine.Adaptive
-	if a.BudgetPosts != 10 || a.WindowMillis != 30_000 ||
-		a.MaxLambdaC != 26 || a.MaxLambdaTMillis != 3_600_000 ||
-		a.StepLambdaC != 3 || a.StepLambdaTMillis != 600_000 {
-		t.Fatalf("adaptive flags not folded: %+v", a)
-	}
-}
-
-// TestLoadConfigRejects: one case per misusable flag; each error must name
-// the offending knob so the operator can find it.
+// TestLoadConfigRejects: one case per misusable knob, each loaded through
+// -config; the error must name the offending knob so the operator can find
+// it. connector's TestParseRejects pins the same messages on Parse itself.
 func TestLoadConfigRejects(t *testing.T) {
+	const peers = `"router": {"peers": ["http://127.0.0.1:9001", "http://127.0.0.1:9002"]}`
 	cases := []struct {
 		name    string
-		args    []string
+		doc     string
 		wantErr string
 	}{
-		{"positional argument", []string{"whoops"}, `unexpected argument "whoops"`},
-		{"empty addr", []string{"-addr", ""}, "http.addr must not be empty"},
-		{"zero drain", []string{"-drain", "0s"}, "http.drain_millis must be positive"},
-		{"negative drain", []string{"-drain", "-5ms"}, "http.drain_millis must be positive"},
-		{"bad algorithm", []string{"-alg", "quantum"}, "engine.algorithm must be unibin, neighborbin or cliquebin"},
-		{"bad index policy", []string{"-index", "sideways"}, "engine.index must be auto, on or off"},
-		{"negative workers", []string{"-workers", "-1"}, "engine.workers must be non-negative"},
-		{"zero authors", []string{"-authors", "0"}, "engine.authors must be positive"},
-		{"negative retain", []string{"-checkpoint-retain", "-1"}, "engine.checkpoint.retain must be non-negative"},
-		{"negative interval", []string{"-checkpoint-interval", "-1s"}, "engine.checkpoint.interval_millis must be non-negative"},
-		{"adaptive steps both zero", []string{
-			"-adaptive-budget", "5", "-adaptive-step-lambda-c", "0", "-adaptive-step-lambda-t", "0s",
-		}, "step_lambda_c or step_lambda_t_millis"},
-		{"adaptive plus checkpoint", []string{
-			"-adaptive-budget", "5", "-checkpoint-dir", "/tmp/x",
-		}, "mutually exclusive"},
-		{"malformed shard", []string{"-shard", "2"}, `-shard must look like "0/2"`},
-		{"non-numeric shard", []string{"-shard", "a/b"}, `-shard must look like "0/2"`},
-		{"shard index out of range", []string{"-shard", "2/2"}, "shard.index must be in [0,2)"},
-		{"shard zero count", []string{"-shard", "0/0"}, "shard.count must be at least 1"},
-		{"shard plus router", []string{
-			"-shard", "0/2", "-router-peers", "http://127.0.0.1:9001,http://127.0.0.1:9002",
-		}, "shard and router are mutually exclusive"},
-		{"shard plus adaptive", []string{
-			"-shard", "0/2", "-adaptive-budget", "5",
-		}, "shard and engine.adaptive are mutually exclusive"},
-		{"shard plus periodic checkpoint", []string{
-			"-shard", "0/2", "-checkpoint-dir", "/tmp/x", "-checkpoint-interval", "5s",
-		}, "must not checkpoint periodically"},
-		{"shard without checkpoint dir", []string{"-shard", "0/2"}, "a shard worker needs engine.checkpoint.dir"},
-		{"router bad peer", []string{"-router-peers", "not a url"}, "router.peers[0] must be an http(s) base URL"},
-		{"router without checkpoint dir", []string{
-			"-router-peers", "http://127.0.0.1:9001,http://127.0.0.1:9002",
-		}, "a router needs engine.checkpoint.dir"},
+		{"empty addr", `{"http": {"addr": "", "drain_millis": 1000}}`, "http.addr must not be empty"},
+		{"zero drain", `{"http": {"addr": ":0", "drain_millis": 0}}`, "http.drain_millis must be positive"},
+		{"negative drain", `{"http": {"addr": ":0", "drain_millis": -5}}`, "http.drain_millis must be positive"},
+		{"bad algorithm", `{"engine": {"algorithm": "quantum"}}`, "engine.algorithm must be unibin, neighborbin or cliquebin"},
+		{"bad index policy", `{"engine": {"index": "sideways"}}`, "engine.index must be auto, on or off"},
+		{"negative workers", `{"engine": {"workers": -1}}`, "engine.workers must be non-negative"},
+		{"zero authors", `{"engine": {"authors": 0}}`, "engine.authors must be positive"},
+		{"negative retain", `{"engine": {"checkpoint": {"retain": -1}}}`, "engine.checkpoint.retain must be non-negative"},
+		{"negative interval", `{"engine": {"checkpoint": {"interval_millis": -1000}}}`, "engine.checkpoint.interval_millis must be non-negative"},
+		{"adaptive steps both zero", `{"engine": {"adaptive": {"budget_posts": 5, "step_lambda_c": 0, "step_lambda_t_millis": 0}}}`, "step_lambda_c or step_lambda_t_millis"},
+		{"adaptive plus checkpoint", `{"engine": {"adaptive": {"budget_posts": 5}, "checkpoint": {"dir": "/tmp/x"}}}`, "mutually exclusive"},
+		{"malformed shard", `{"shard": "0/2"}`, "cannot unmarshal string"},
+		{"non-numeric shard", `{"shard": {"index": "a", "count": "b"}}`, "shard.index of type int"},
+		{"shard index out of range", `{"shard": {"index": 2, "count": 2}}`, "shard.index must be in [0,2)"},
+		{"shard zero count", `{"shard": {"index": 0, "count": 0}}`, "shard.count must be at least 1"},
+		{"shard plus router", `{"shard": {"index": 0, "count": 2}, ` + peers + `}`, "shard and router are mutually exclusive"},
+		{"shard plus adaptive", `{"shard": {"index": 0, "count": 2}, "engine": {"adaptive": {"budget_posts": 5}}}`, "shard and engine.adaptive are mutually exclusive"},
+		{"shard plus periodic checkpoint", `{"shard": {"index": 0, "count": 2}, "engine": {"checkpoint": {"dir": "/tmp/x", "interval_millis": 5000}}}`, "must not checkpoint periodically"},
+		{"shard without checkpoint dir", `{"shard": {"index": 0, "count": 2}}`, "a shard worker needs engine.checkpoint.dir"},
+		{"router bad peer", `{"router": {"peers": ["not a url"]}}`, "router.peers[0] must be an http(s) base URL"},
+		{"router without checkpoint dir", `{` + peers + `}`, "a router needs engine.checkpoint.dir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := loadConfig(tc.args)
+			_, err := loadConfig([]string{"-config", writeConfigFile(t, tc.doc)})
 			if err == nil {
-				t.Fatalf("loadConfig(%v) succeeded", tc.args)
+				t.Fatalf("loadConfig accepted %s", tc.doc)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
 	}
-}
-
-// TestLoadConfigFoldsShardFlags: the deprecated -shard and -router-peers
-// aliases land on the strict-JSON shard/router config sections.
-func TestLoadConfigFoldsShardFlags(t *testing.T) {
-	cfg, err := loadConfig([]string{"-shard", "1/3", "-checkpoint-dir", "/tmp/ckpt"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Shard == nil || cfg.Shard.Index != 1 || cfg.Shard.Count != 3 {
-		t.Fatalf("-shard not folded: %+v", cfg.Shard)
-	}
-	if cfg.Router != nil {
-		t.Fatalf("-shard must not set router: %+v", cfg.Router)
-	}
-
-	cfg, err = loadConfig([]string{
-		"-router-peers", "http://127.0.0.1:9001,http://127.0.0.1:9002",
-		"-checkpoint-dir", "/tmp/ckpt",
+	t.Run("positional argument", func(t *testing.T) {
+		_, err := loadConfig([]string{"whoops"})
+		if err == nil || !strings.Contains(err.Error(), `unexpected argument "whoops"`) {
+			t.Fatalf("positional argument: error %v", err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Router == nil || len(cfg.Router.Peers) != 2 ||
-		cfg.Router.Peers[0] != "http://127.0.0.1:9001" || cfg.Router.Peers[1] != "http://127.0.0.1:9002" {
-		t.Fatalf("-router-peers not folded: %+v", cfg.Router)
-	}
-
-	// The same sections decode from a strict-JSON config file through the same
-	// Validate path.
-	cfg2, err := connector.Parse([]byte(`{"shard": {"index": 1, "count": 3}, "engine": {"checkpoint": {"dir": "/tmp/ckpt"}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg2.Shard == nil || cfg2.Shard.Index != 1 || cfg2.Shard.Count != 3 {
-		t.Fatalf("config-file shard section = %+v", cfg2.Shard)
-	}
-	if _, err := connector.Parse([]byte(`{"shard": {"index": 1, "count": 3, "bogus": true}}`)); err == nil {
-		t.Fatal("strict JSON accepted an unknown shard key")
-	}
 }
 
-// TestLoadConfigExclusiveWithFlags: -config refuses to merge with the
-// deprecated flags and names the first offender.
+// TestLoadConfigExclusiveWithFlags: -config is the only flag. A flag from
+// the retired command line (-addr, -shard, …) is refused by name rather than
+// silently ignored, alone or next to -config.
 func TestLoadConfigExclusiveWithFlags(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pipeline.json")
-	if err := os.WriteFile(path, []byte(`{"name": "x"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := loadConfig([]string{"-config", path, "-addr", ":1"})
-	if err == nil {
-		t.Fatal("-config plus -addr accepted")
-	}
-	if !strings.Contains(err.Error(), "mutually exclusive") || !strings.Contains(err.Error(), "-addr") {
-		t.Fatalf("error %q should name the conflicting flag", err)
+	path := writeConfigFile(t, `{"name": "x"}`)
+	for _, args := range [][]string{
+		{"-config", path, "-addr", ":1"},
+		{"-shard", "0/2"},
+	} {
+		_, err := loadConfig(args)
+		if err == nil {
+			t.Fatalf("loadConfig(%q) accepted a removed flag", args)
+		}
+		if !strings.Contains(err.Error(), "flag provided but not defined: "+args[len(args)-2]) {
+			t.Fatalf("error %q should name the undefined flag %s", err, args[len(args)-2])
+		}
 	}
 }
 
 // TestLoadConfigFile: the -config path returns the loaded document, and its
 // validation errors carry the file name.
 func TestLoadConfigFile(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
-	doc := `{
+	good := writeConfigFile(t, `{
 		"input": {"type": "tcp", "addr": "127.0.0.1:0"},
 		"outputs": [{"type": "sse"}]
-	}`
-	if err := os.WriteFile(good, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}`)
 	cfg, err := loadConfig([]string{"-config", good})
 	if err != nil {
 		t.Fatal(err)
@@ -204,28 +138,26 @@ func TestLoadConfigFile(t *testing.T) {
 		t.Fatalf("config file not applied: %+v", cfg.Input)
 	}
 
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"engine": {"algorithm": "bogus"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	bad := writeConfigFile(t, `{"engine": {"algorithm": "bogus"}}`)
 	if _, err := loadConfig([]string{"-config", bad}); err == nil || !strings.Contains(err.Error(), bad) {
 		t.Fatalf("bad config error %v does not name the file", err)
 	}
 }
 
-// TestLoadConfigFlagsMatchConfigMessages: the same mistake made through a
-// flag and through a config file produces the same validation message — both
-// paths share Validate.
+// TestLoadConfigFlagsMatchConfigMessages: a mistake loaded through the
+// -config flag produces connector.Parse's validation message verbatim (plus
+// the file name) — the daemon adds no validation of its own.
 func TestLoadConfigFlagsMatchConfigMessages(t *testing.T) {
-	_, flagErr := loadConfig([]string{"-checkpoint-retain", "-1"})
+	doc := `{"engine": {"checkpoint": {"retain": -1}}}`
+	_, flagErr := loadConfig([]string{"-config", writeConfigFile(t, doc)})
 	if flagErr == nil {
 		t.Fatal("flag path accepted a negative retain")
 	}
-	_, cfgErr := connector.Parse([]byte(`{"engine": {"checkpoint": {"retain": -1}}}`))
+	_, cfgErr := connector.Parse([]byte(doc))
 	if cfgErr == nil {
 		t.Fatal("config path accepted a negative retain")
 	}
-	if flagErr.Error() != cfgErr.Error() {
+	if !strings.HasPrefix(flagErr.Error(), cfgErr.Error()+" (in ") {
 		t.Fatalf("paths diverge:\n flag: %v\n json: %v", flagErr, cfgErr)
 	}
 }

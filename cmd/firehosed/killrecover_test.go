@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"firehose/internal/connector"
 )
 
 // TestKillAndRecover is the crash-recovery integration test: it runs the real
@@ -27,23 +29,19 @@ func TestKillAndRecover(t *testing.T) {
 		t.Skip("integration test builds and execs the daemon; skipped in -short")
 	}
 
-	bin := filepath.Join(t.TempDir(), "firehosed")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building firehosed: %v\n%s", err, out)
-	}
-
+	bin := buildFirehosed(t)
 	ckptDir := filepath.Join(t.TempDir(), "checkpoints")
 	addr := freeAddr(t)
 	base := "http://" + addr
 
+	args := configArgs(t, func(c *connector.Config) {
+		c.HTTP.Addr = addr
+		c.Engine.Authors, c.Engine.Seed = 40, 7
+		c.Engine.Algorithm, c.Engine.Workers = "neighborbin", 2
+		c.Engine.Checkpoint.Dir, c.Engine.Checkpoint.Retain = ckptDir, 0
+	})
 	daemon := func() *exec.Cmd {
-		cmd := exec.Command(bin,
-			"-addr", addr,
-			"-authors", "40", "-seed", "7",
-			"-alg", "neighborbin", "-workers", "2",
-			"-checkpoint-dir", ckptDir, "-checkpoint-retain", "0",
-		)
+		cmd := exec.Command(bin, args...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

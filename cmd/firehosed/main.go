@@ -3,9 +3,9 @@
 // engine diversifies the timeline of every user so clients need no
 // post-processing.
 //
-// The daemon runs one connector pipeline: input → engine → outputs.
-// Declaratively, via -config pipeline.json (see internal/connector.Config for
-// the schema):
+// The daemon runs one connector pipeline: input → engine → outputs, declared
+// in the JSON file named by its only flag, -config (see
+// internal/connector.Config for the schema):
 //
 //	{
 //	  "input":   {"type": "file", "path": "posts.ndjson", "tail": true},
@@ -13,14 +13,12 @@
 //	  "outputs": [{"type": "sse"}, {"type": "webhook", "url": "https://sink.example/posts"}]
 //	}
 //
-// Or through the historical flags, which remain as deprecated aliases for the
-// default http-push → sse pipeline; -config and the other flags are mutually
-// exclusive. Either way the config is strictly validated: unknown fields,
-// fields foreign to a plugin type, and out-of-range values are all startup
-// errors.
+// Without -config it runs connector.DefaultConfig(): HTTP push ingest on
+// :8080 → a 500-author synthetic graph → SSE. The config is strictly
+// validated: unknown fields, fields foreign to a plugin type, and
+// out-of-range values are all startup errors.
 //
-// Endpoints (canonical paths are versioned under /v1; the unversioned
-// aliases are deprecated but still served):
+// Endpoints, all under /v1:
 //
 //	POST /v1/ingest {"author":12,"text":"...","timeMillis":1458000000000}
 //	                → {"delivered":[0,7,19]} (users whose timeline got the post)
@@ -62,8 +60,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -92,96 +88,21 @@ func main() {
 	}
 }
 
-// loadConfig turns a command line into a validated pipeline config: either
-// -config <file> (the declarative path) or the deprecated flag aliases, which
-// overlay the same defaults. The two are mutually exclusive, and both funnel
-// through connector.Config.Validate, so they reject the same mistakes with
-// the same messages.
+// loadConfig turns a command line into a validated pipeline config. The only
+// flag is -config <file>; without it the daemon runs connector.DefaultConfig().
 func loadConfig(args []string) (*connector.Config, error) {
-	def := connector.DefaultConfig()
 	fs := flag.NewFlagSet("firehosed", flag.ContinueOnError)
-	var (
-		configPath = fs.String("config", "", "pipeline config file (JSON: input → engine → outputs); mutually exclusive with every other flag")
-
-		addr      = fs.String("addr", def.HTTP.Addr, "deprecated alias of http.addr: listen address")
-		authors   = fs.Int("authors", def.Engine.Authors, "deprecated alias of engine.authors: number of authors (= users)")
-		seed      = fs.Int64("seed", def.Engine.Seed, "deprecated alias of engine.seed: generation seed")
-		algName   = fs.String("alg", def.Engine.Algorithm, "deprecated alias of engine.algorithm: unibin | neighborbin | cliquebin")
-		lambdaC   = fs.Int("lambda-c", def.Engine.LambdaC, "deprecated alias of engine.lambda_c: content threshold λc in bits")
-		indexPol  = fs.String("index", def.Engine.Index, "deprecated alias of engine.index: content-index policy auto | on | off")
-		followees = fs.String("followees", "", "deprecated alias of engine.followees_path: load followee vectors from this JSONL file")
-		drain     = fs.Duration("drain", time.Duration(def.HTTP.DrainMillis)*time.Millisecond, "deprecated alias of http.drain_millis: graceful shutdown timeout")
-		workers   = fs.Int("workers", def.Engine.Workers, "deprecated alias of engine.workers: parallel decision workers (0 = NumCPU, 1 = sequential)")
-		pprofOn   = fs.Bool("pprof", def.HTTP.PProf, "deprecated alias of http.pprof: expose net/http/pprof under /debug/pprof/")
-		ckptDir   = fs.String("checkpoint-dir", def.Engine.Checkpoint.Dir, "deprecated alias of engine.checkpoint.dir: durable checkpoint directory")
-		ckptEvery = fs.Duration("checkpoint-interval", time.Duration(def.Engine.Checkpoint.IntervalMillis)*time.Millisecond, "deprecated alias of engine.checkpoint.interval_millis: periodic checkpoint interval (0 = on demand only)")
-		ckptKeep  = fs.Int("checkpoint-retain", def.Engine.Checkpoint.Retain, "deprecated alias of engine.checkpoint.retain: checkpoints kept after each write (0 = keep all)")
-
-		adBudget = fs.Int("adaptive-budget", def.Engine.Adaptive.BudgetPosts, "deprecated alias of engine.adaptive.budget_posts: per-user delivery budget per window (0 = off)")
-		adWindow = fs.Duration("adaptive-window", time.Duration(def.Engine.Adaptive.WindowMillis)*time.Millisecond, "deprecated alias of engine.adaptive.window_millis: budget accounting window (stream time)")
-		adMaxC   = fs.Int("adaptive-max-lambda-c", def.Engine.Adaptive.MaxLambdaC, "deprecated alias of engine.adaptive.max_lambda_c: cap on the effective λc, in bits")
-		adMaxT   = fs.Duration("adaptive-max-lambda-t", time.Duration(def.Engine.Adaptive.MaxLambdaTMillis)*time.Millisecond, "deprecated alias of engine.adaptive.max_lambda_t_millis: cap on the effective λt")
-		adStepC  = fs.Int("adaptive-step-lambda-c", def.Engine.Adaptive.StepLambdaC, "deprecated alias of engine.adaptive.step_lambda_c: per-adjustment λc increment, in bits")
-		adStepT  = fs.Duration("adaptive-step-lambda-t", time.Duration(def.Engine.Adaptive.StepLambdaTMillis)*time.Millisecond, "deprecated alias of engine.adaptive.step_lambda_t_millis: per-adjustment λt increment")
-
-		shardID     = fs.String("shard", "", "deprecated alias of shard.index/shard.count: run as shard worker \"i/N\" of an author-partitioned deployment")
-		routerPeers = fs.String("router-peers", "", "deprecated alias of router.peers: comma-separated worker base URLs; run as the shard router")
-	)
+	configPath := fs.String("config", "", "pipeline config file (JSON: input → engine → outputs; see internal/connector.Config); default: HTTP push → SSE on :8080")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	var setFlags []string
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name != "config" {
-			setFlags = append(setFlags, f.Name)
-		}
-	})
-	if *configPath != "" {
-		if len(setFlags) > 0 {
-			return nil, fmt.Errorf("-config is mutually exclusive with the deprecated flags (got -%s); move the setting into the config file", setFlags[0])
-		}
-		return connector.Load(*configPath)
+	if *configPath == "" {
+		return connector.DefaultConfig(), nil
 	}
-
-	cfg := def
-	cfg.HTTP.Addr = *addr
-	cfg.HTTP.PProf = *pprofOn
-	cfg.HTTP.DrainMillis = drain.Milliseconds()
-	cfg.Engine.Algorithm = *algName
-	cfg.Engine.Workers = *workers
-	cfg.Engine.LambdaC = *lambdaC
-	cfg.Engine.Index = *indexPol
-	cfg.Engine.Authors = *authors
-	cfg.Engine.Seed = *seed
-	cfg.Engine.FolloweesPath = *followees
-	cfg.Engine.Checkpoint.Dir = *ckptDir
-	cfg.Engine.Checkpoint.IntervalMillis = ckptEvery.Milliseconds()
-	cfg.Engine.Checkpoint.Retain = *ckptKeep
-	cfg.Engine.Adaptive.BudgetPosts = *adBudget
-	cfg.Engine.Adaptive.WindowMillis = adWindow.Milliseconds()
-	cfg.Engine.Adaptive.MaxLambdaC = *adMaxC
-	cfg.Engine.Adaptive.MaxLambdaTMillis = adMaxT.Milliseconds()
-	cfg.Engine.Adaptive.StepLambdaC = *adStepC
-	cfg.Engine.Adaptive.StepLambdaTMillis = adStepT.Milliseconds()
-	if *shardID != "" {
-		idxRaw, cntRaw, found := strings.Cut(*shardID, "/")
-		idx, err1 := strconv.Atoi(idxRaw)
-		cnt, err2 := strconv.Atoi(cntRaw)
-		if !found || err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("-shard must look like \"0/2\" (index/count), got %q", *shardID)
-		}
-		cfg.Shard = &connector.ShardConfig{Index: idx, Count: cnt}
-	}
-	if *routerPeers != "" {
-		cfg.Router = &connector.RouterConfig{Peers: strings.Split(*routerPeers, ",")}
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return cfg, nil
+	return connector.Load(*configPath)
 }
 
 // buildGraph loads or generates the follower graph: followee vectors plus the
@@ -249,7 +170,7 @@ func runDaemon(cfg *connector.Config) error {
 		Index:   pol,
 	}
 	if err := th.Validate(); err != nil {
-		// -index on at an infeasible λc (e.g. the paper default 18) fails
+		// engine.index "on" at an infeasible λc (e.g. the paper default 18) fails
 		// here with the Section 3 explanation instead of deep in a constructor.
 		return err
 	}
@@ -528,7 +449,7 @@ func runDaemon(cfg *connector.Config) error {
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		IdleTimeout:       2 * time.Minute,
-		// WriteTimeout stays 0: GET /stream holds SSE connections open
+		// WriteTimeout stays 0: GET /v1/stream holds SSE connections open
 		// indefinitely; a server-wide write deadline would sever them.
 	}
 
@@ -610,7 +531,7 @@ func runDaemon(cfg *connector.Config) error {
 	}
 
 	// Release the SSE streams first — Shutdown waits for active handlers,
-	// and /stream handlers only return once their subscription closes. A
+	// and /v1/stream handlers only return once their subscription closes. A
 	// shard worker also severs the router's stream, which Shutdown cannot see
 	// (the router resyncs if it restarts us).
 	if wk != nil {

@@ -6,10 +6,11 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"firehose/internal/connector"
 )
 
 // TestShardedEquivalence is the sharding integration test: a real 2-shard
@@ -24,13 +25,7 @@ func TestShardedEquivalence(t *testing.T) {
 		t.Skip("integration test builds and execs the daemon; skipped in -short")
 	}
 
-	bin := filepath.Join(t.TempDir(), "firehosed")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building firehosed: %v\n%s", err, out)
-	}
-
-	engineFlags := []string{"-authors", "40", "-seed", "7", "-alg", "neighborbin"}
+	bin := buildFirehosed(t)
 	singleAddr := freeAddr(t)
 	workerAddrs := []string{freeAddr(t), freeAddr(t)}
 	routerAddr := freeAddr(t)
@@ -39,9 +34,18 @@ func TestShardedEquivalence(t *testing.T) {
 	workerDirs := []string{t.TempDir(), t.TempDir()}
 	routerDir := t.TempDir()
 
-	start := func(args ...string) *exec.Cmd {
+	// Every process shares the engine section — it determines the assignment
+	// digest — and adds its own address and role.
+	fleetArgs := func(addr string, role func(*connector.Config)) []string {
+		return configArgs(t, func(c *connector.Config) {
+			c.HTTP.Addr = addr
+			c.Engine.Authors, c.Engine.Seed, c.Engine.Algorithm = 40, 7, "neighborbin"
+			role(c)
+		})
+	}
+	start := func(args []string) *exec.Cmd {
 		t.Helper()
-		cmd := exec.Command(bin, append(append([]string{}, engineFlags...), args...)...)
+		cmd := exec.Command(bin, args...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -49,20 +53,29 @@ func TestShardedEquivalence(t *testing.T) {
 		}
 		return cmd
 	}
+	workerArgs := make([][]string, len(workerAddrs))
+	for s := range workerArgs {
+		workerArgs[s] = fleetArgs(workerAddrs[s], func(c *connector.Config) {
+			c.Shard = &connector.ShardConfig{Index: s, Count: 2}
+			c.Engine.Checkpoint.Dir = workerDirs[s]
+		})
+	}
+	routerArgs := fleetArgs(routerAddr, func(c *connector.Config) {
+		c.Router = &connector.RouterConfig{Peers: []string{"http://" + workerAddrs[0], "http://" + workerAddrs[1]}}
+		c.Engine.Checkpoint.Dir = routerDir
+	})
 	startWorker := func(s int) *exec.Cmd {
-		cmd := start("-addr", workerAddrs[s], "-shard", fmt.Sprintf("%d/2", s), "-checkpoint-dir", workerDirs[s])
+		cmd := start(workerArgs[s])
 		waitHealthy(t, "http://"+workerAddrs[s])
 		return cmd
 	}
 	startRouter := func() *exec.Cmd {
-		cmd := start("-addr", routerAddr,
-			"-router-peers", "http://"+workerAddrs[0]+",http://"+workerAddrs[1],
-			"-checkpoint-dir", routerDir)
+		cmd := start(routerArgs)
 		waitHealthy(t, routerBase)
 		return cmd
 	}
 
-	single := start("-addr", singleAddr)
+	single := start(fleetArgs(singleAddr, func(*connector.Config) {}))
 	defer func() { _ = single.Process.Kill() }()
 	waitHealthy(t, singleBase)
 	workers := []*exec.Cmd{startWorker(0), startWorker(1)}
@@ -231,11 +244,12 @@ func TestShardedEquivalence(t *testing.T) {
 	// --- A router planned over a different topology (three peers) is refused
 	// before it can touch any worker state: the boot barrier reports
 	// shard_mismatch and the process exits non-zero.
-	bad := exec.Command(bin, append(append([]string{}, engineFlags...),
-		"-addr", freeAddr(t),
-		"-router-peers", "http://"+workerAddrs[0]+",http://"+workerAddrs[1]+",http://"+workerAddrs[0],
-		"-checkpoint-dir", t.TempDir(),
-	)...)
+	bad := exec.Command(bin, fleetArgs(freeAddr(t), func(c *connector.Config) {
+		c.Router = &connector.RouterConfig{Peers: []string{
+			"http://" + workerAddrs[0], "http://" + workerAddrs[1], "http://" + workerAddrs[0],
+		}}
+		c.Engine.Checkpoint.Dir = t.TempDir()
+	})...)
 	out, err := bad.CombinedOutput()
 	if err == nil {
 		t.Fatal("a 3-peer router over 2-shard workers started successfully")

@@ -36,8 +36,8 @@ func main() {
 	// Every author is also a user; subscriptions come from the follower
 	// graph (followees that are authors).
 	subs := social.Subscriptions()
-	svc, err := firehose.NewMultiUserService(graph, subs, firehose.DefaultConfig(),
-		firehose.MultiUserOptions{Algorithm: firehose.UniBin})
+	svc, err := firehose.NewService(graph, subs,
+		firehose.ServiceOptions{Algorithm: firehose.UniBin, Config: firehose.DefaultConfig()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func main() {
 		st.Comparisons, st.PeakCopies)
 
 	// Contrast with the independent M_* baseline on the same workload.
-	base, err := firehose.NewMultiUserService(graph, subs, firehose.DefaultConfig(),
-		firehose.MultiUserOptions{Algorithm: firehose.UniBin, Independent: true})
+	base, err := firehose.NewService(graph, subs,
+		firehose.ServiceOptions{Algorithm: firehose.UniBin, Config: firehose.DefaultConfig(), Independent: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -444,38 +444,6 @@ func (d *Diversifier) toCore(p Post) *core.Post {
 	return core.NewPost(id, p.Author, p.Time.UnixMilli(), p.Text)
 }
 
-// NewIndexedDiversifier builds a single-user diversifier whose content
-// lookup uses a Manku-style block-permutation SimHash index instead of a
-// linear scan. It requires a strict content threshold: the index stores one
-// copy per table and the table count is exponential in LambdaC (which is
-// why the paper's default λc=18 uses the scan-based algorithms — the
-// constructor fails for such thresholds). blocks is the bit-block count;
-// LambdaC+3 is a reasonable default, giving C(blocks, LambdaC) tables.
-//
-// The emitted stream is identical to NewDiversifier's at equal thresholds.
-// Most callers no longer need this constructor: NewDiversifier with the
-// UniBin algorithm indexes its global bin automatically under the default
-// IndexAuto policy whenever LambdaC permits, with an automatically chosen
-// block layout. NewIndexedDiversifier remains for explicit control of the
-// block count and for the index-resident variant whose Stats count only
-// index probes.
-func NewIndexedDiversifier(g *AuthorGraph, subscribed []AuthorID, cfg Config, blocks int) (*Diversifier, error) {
-	if err := checkConfig(cfg, g); err != nil {
-		return nil, err
-	}
-	if subscribed == nil {
-		subscribed = allAuthors(g.NumAuthors())
-	}
-	if err := checkAuthors(subscribed, g.NumAuthors()); err != nil {
-		return nil, err
-	}
-	inner, err := core.NewIndexedUniBin(g.g.Induced(subscribed), cfg.thresholds(), blocks)
-	if err != nil {
-		return nil, err
-	}
-	return &Diversifier{inner: inner, meta: metaFor(inner.Name(), g, [][]AuthorID{subscribed}, []Config{cfg})}, nil
-}
-
 // Filter drains in-order posts from a slice and returns the diversified
 // sub-stream.
 func (d *Diversifier) Filter(posts []Post) []Post {
@@ -497,8 +465,8 @@ func (d *Diversifier) Stats() Stats { return statsOf(d.inner.Counters()) }
 // MultiUserService solves the multi-user problem (M-SPSD): one central
 // engine diversifies the timeline of every user. Users subscribing to the
 // same connected component of similar authors share state and computation
-// (the paper's S_* algorithms); pass Shared: false to run one independent
-// diversifier per user (M_*), which is only useful as a baseline.
+// (the paper's S_* algorithms); ServiceOptions.Independent runs one
+// independent diversifier per user (M_*), which is only useful as a baseline.
 //
 // A MultiUserService is not safe for concurrent use; serialize Offer calls.
 type MultiUserService struct {
@@ -506,9 +474,8 @@ type MultiUserService struct {
 	meta  snapMeta
 }
 
-// ServiceOptions configures NewService, the canonical multi-user
-// constructor. Exactly one threshold source must be set: Config for a
-// uniform service, UserConfigs for per-user thresholds.
+// ServiceOptions configures NewService. Exactly one threshold source must be
+// set: Config for a uniform service, UserConfigs for per-user thresholds.
 type ServiceOptions struct {
 	// Algorithm is the per-component SPSD algorithm. The zero value is
 	// UniBin — the paper found S_UniBin superior in the multi-user setting.
@@ -539,8 +506,7 @@ type ServiceOptions struct {
 }
 
 // NewService builds a multi-user diversification service. subscriptions[u]
-// lists the authors user u follows. This is the canonical constructor; the
-// NewMultiUserService and NewCustomMultiUserService wrappers delegate here.
+// lists the authors user u follows.
 func NewService(g *AuthorGraph, subscriptions [][]AuthorID, opts ServiceOptions) (*MultiUserService, error) {
 	if g == nil {
 		return nil, fmt.Errorf("firehose: nil author graph")
@@ -610,48 +576,7 @@ func NewService(g *AuthorGraph, subscriptions [][]AuthorID, opts ServiceOptions)
 	return &MultiUserService{inner: inner, meta: meta}, nil
 }
 
-// MultiUserOptions configures NewMultiUserService.
-//
-// Deprecated: use ServiceOptions with NewService.
-type MultiUserOptions struct {
-	// Algorithm is the per-component SPSD algorithm. Default UniBin — the
-	// paper found S_UniBin superior in the multi-user setting.
-	Algorithm Algorithm
-	// Independent disables cross-user sharing (the M_* baselines).
-	Independent bool
-}
-
-// NewMultiUserService builds the service. subscriptions[u] lists the authors
-// user u follows.
-//
-// Deprecated: use NewService. The call
-// NewMultiUserService(g, subs, cfg, MultiUserOptions{Algorithm: a, Independent: i})
-// becomes NewService(g, subs, ServiceOptions{Algorithm: a, Config: cfg, Independent: i}).
-func NewMultiUserService(g *AuthorGraph, subscriptions [][]AuthorID, cfg Config, opts MultiUserOptions) (*MultiUserService, error) {
-	return NewService(g, subscriptions, ServiceOptions{
-		Algorithm:   opts.Algorithm,
-		Config:      cfg,
-		Independent: opts.Independent,
-	})
-}
-
 func int32Slices(s [][]AuthorID) [][]int32 { return s }
-
-// NewCustomMultiUserService builds an M-SPSD service where every user has
-// individual LambdaC and LambdaT thresholds (configs[u] applies to
-// subscriptions[u]).
-//
-// Deprecated: use NewService. The call
-// NewCustomMultiUserService(alg, g, subs, configs) becomes
-// NewService(g, subs, ServiceOptions{Algorithm: alg, UserConfigs: configs}).
-func NewCustomMultiUserService(alg Algorithm, g *AuthorGraph, subscriptions [][]AuthorID, configs []Config) (*MultiUserService, error) {
-	if configs == nil {
-		// Preserve the historical nil/nil edge case (an empty service):
-		// a nil UserConfigs would select the uniform path in NewService.
-		configs = []Config{}
-	}
-	return NewService(g, subscriptions, ServiceOptions{Algorithm: alg, UserConfigs: configs})
-}
 
 // Offer routes one post through every affected user's diversification state
 // and returns the ids of the users whose timelines receive it (sorted).

@@ -219,7 +219,7 @@ func TestMultiUserService(t *testing.T) {
 		{0, 1}, // user 1 (identical — shares state)
 		{2},    // user 2
 	}
-	svc, err := NewMultiUserService(g, subs, cfg, MultiUserOptions{Algorithm: UniBin})
+	svc, err := NewService(g, subs, ServiceOptions{Algorithm: UniBin, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestMultiUserService(t *testing.T) {
 	if got := svc.SharedComponents(); got != 2 {
 		t.Fatalf("SharedComponents = %d, want 2", got)
 	}
-	indep, err := NewMultiUserService(g, subs, cfg, MultiUserOptions{Independent: true})
+	indep, err := NewService(g, subs, ServiceOptions{Config: cfg, Independent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +257,7 @@ func TestMultiUserService(t *testing.T) {
 
 func TestMultiUserServiceIndependent(t *testing.T) {
 	g := mustGraph(t, 0.7)
-	svc, err := NewMultiUserService(g, [][]AuthorID{{0, 1}, {0, 1}}, DefaultConfig(),
-		MultiUserOptions{Algorithm: NeighborBin, Independent: true})
+	svc, err := NewService(g, [][]AuthorID{{0, 1}, {0, 1}}, ServiceOptions{Algorithm: NeighborBin, Config: DefaultConfig(), Independent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,57 +272,11 @@ func TestMultiUserServiceIndependent(t *testing.T) {
 
 func TestMultiUserServiceValidation(t *testing.T) {
 	g := mustGraph(t, 0.7)
-	if _, err := NewMultiUserService(g, [][]AuthorID{{9}}, DefaultConfig(), MultiUserOptions{}); err == nil {
+	if _, err := NewService(g, [][]AuthorID{{9}}, ServiceOptions{Config: DefaultConfig()}); err == nil {
 		t.Fatal("out-of-range subscription accepted")
 	}
-	if _, err := NewMultiUserService(nil, nil, DefaultConfig(), MultiUserOptions{}); err == nil {
+	if _, err := NewService(nil, nil, ServiceOptions{Config: DefaultConfig()}); err == nil {
 		t.Fatal("nil graph accepted")
-	}
-}
-
-func TestNewIndexedDiversifier(t *testing.T) {
-	g := mustGraph(t, 0.7)
-
-	// The paper's default λc=18 must be rejected — the Section 3 argument.
-	if _, err := NewIndexedDiversifier(g, nil, DefaultConfig(), 21); err == nil {
-		t.Fatal("λc=18 accepted by the indexed diversifier")
-	}
-
-	// A strict threshold works and agrees with the scan-based diversifier.
-	cfg := Config{LambdaC: 3, LambdaT: 30 * time.Minute, LambdaA: 0.7}
-	indexed, err := NewIndexedDiversifier(g, nil, cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := NewDiversifier(UniBin, g, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Unix(50_000, 0)
-	posts := []Post{
-		{Author: 0, Time: base, Text: "breaking: ferry sinks off coast http://t.co/a"},
-		{Author: 1, Time: base.Add(time.Minute), Text: "breaking: ferry sinks off coast http://t.co/a"},     // exact dup, similar author
-		{Author: 2, Time: base.Add(2 * time.Minute), Text: "breaking: ferry sinks off coast http://t.co/a"}, // dissimilar author
-		{Author: 1, Time: base.Add(3 * time.Minute), Text: "alibaba files landmark listing tonight"},
-	}
-	got := indexed.Filter(append([]Post(nil), posts...))
-	want := scan.Filter(append([]Post(nil), posts...))
-	if len(got) != len(want) {
-		t.Fatalf("indexed kept %d, scan kept %d", len(got), len(want))
-	}
-	if indexed.Algorithm() != "IndexedUniBin" {
-		t.Fatalf("Algorithm = %q", indexed.Algorithm())
-	}
-	if st := indexed.Stats(); st.Accepted != uint64(len(got)) {
-		t.Fatalf("stats %+v", st)
-	}
-
-	// Validation paths.
-	if _, err := NewIndexedDiversifier(nil, nil, cfg, 6); err == nil {
-		t.Fatal("nil graph accepted")
-	}
-	if _, err := NewIndexedDiversifier(g, []AuthorID{99}, cfg, 6); err == nil {
-		t.Fatal("bad subscription accepted")
 	}
 }
 
@@ -334,7 +287,7 @@ func TestCustomMultiUserService(t *testing.T) {
 		{LambdaC: 18, LambdaT: time.Minute, LambdaA: 0.7}, // impatient user
 		{LambdaC: 18, LambdaT: time.Hour, LambdaA: 0.7},   // patient user
 	}
-	svc, err := NewCustomMultiUserService(UniBin, g, subs, cfgs)
+	svc, err := NewService(g, subs, ServiceOptions{Algorithm: UniBin, UserConfigs: cfgs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,14 +307,14 @@ func TestCustomMultiUserService(t *testing.T) {
 	}
 
 	// Validation paths.
-	if _, err := NewCustomMultiUserService(UniBin, nil, subs, cfgs); err == nil {
+	if _, err := NewService(nil, subs, ServiceOptions{Algorithm: UniBin, UserConfigs: cfgs}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := NewCustomMultiUserService(UniBin, g, subs, cfgs[:1]); err == nil {
+	if _, err := NewService(g, subs, ServiceOptions{Algorithm: UniBin, UserConfigs: cfgs[:1]}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 	bad := []Config{cfgs[0], {LambdaC: 18, LambdaT: time.Hour, LambdaA: 0.3}}
-	if _, err := NewCustomMultiUserService(UniBin, g, subs, bad); err == nil {
+	if _, err := NewService(g, subs, ServiceOptions{Algorithm: UniBin, UserConfigs: bad}); err == nil {
 		t.Fatal("mismatched LambdaA accepted")
 	}
 }

@@ -122,7 +122,7 @@ func TestPublicAPIMultiUserConsistency(t *testing.T) {
 	nUsers := 40
 	subs = subs[:nUsers]
 
-	svc, err := NewMultiUserService(graph, subs, cfg, MultiUserOptions{Algorithm: UniBin})
+	svc, err := NewService(graph, subs, ServiceOptions{Algorithm: UniBin, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,11 @@ import (
 )
 
 // This file is the declarative pipeline config: one strictly-validated JSON
-// document (input → engine → outputs) replacing firehosed's flag sprawl.
-// Decoding follows the adversarial-workload DSL's rules — unknown fields,
-// trailing data and fields foreign to a plugin type are all errors, so a
-// config cannot silently carry knobs its plugin ignores. Flags still work as
-// deprecated aliases: the daemon folds them into a Config and runs it through
-// the same Validate, so both paths reject the same mistakes with the same
-// messages.
+// document (input → engine → outputs), the whole of firehosed's
+// configuration (its only flag, -config, names the file). Decoding follows
+// the adversarial-workload DSL's rules — unknown fields, trailing data and
+// fields foreign to a plugin type are all errors, so a config cannot
+// silently carry knobs its plugin ignores.
 
 // InputType names an input plugin.
 type InputType string
@@ -202,9 +200,10 @@ type Config struct {
 	Router *RouterConfig `json:"router,omitempty"`
 }
 
-// DefaultConfig mirrors the historical flag defaults: HTTP push input, SSE
-// output, sequential-or-NumCPU parallel engine over a 500-author synthetic
-// graph, paper-default thresholds.
+// DefaultConfig is what firehosed runs without -config, and the base every
+// config document overlays: HTTP push input, SSE output, sequential-or-NumCPU
+// parallel engine over a 500-author synthetic graph, paper-default
+// thresholds.
 func DefaultConfig() *Config {
 	return &Config{
 		HTTP: HTTPConfig{Addr: ":8080", DrainMillis: 10_000},
@@ -231,9 +230,9 @@ func DefaultConfig() *Config {
 	}
 }
 
-// Validate reports the first schema violation, or nil. Both the -config path
-// and the deprecated flag path run through it, so they reject the same
-// mistakes with the same messages.
+// Validate reports the first schema violation, or nil. Parse and Load run it
+// on every document, so firehosed refuses a bad config at startup with a
+// message naming the offending knob.
 func (c *Config) Validate() error {
 	if c.HTTP.Addr == "" {
 		return fmt.Errorf("connector: config: http.addr must not be empty")

@@ -43,6 +43,7 @@ func TestParseOverlaysDefaults(t *testing.T) {
 // TestParseRejects is the strict-decoding table: every entry must fail with a
 // message naming the offense.
 func TestParseRejects(t *testing.T) {
+	const peers = `"router": {"peers": ["http://127.0.0.1:9001", "http://127.0.0.1:9002"]}`
 	cases := []struct {
 		name, doc, wantErr string
 	}{
@@ -66,6 +67,20 @@ func TestParseRejects(t *testing.T) {
 		{"adaptive plus checkpoint", `{"engine": {"checkpoint": {"dir": "/tmp/x"}, "adaptive": {"budget_posts": 10}}}`, "mutually exclusive"},
 		{"negative speedup", `{"input": {"type": "file", "path": "x", "speedup": -1}}`, "speedup must be non-negative"},
 		{"lambda_a out of range", `{"engine": {"lambda_a": 1.5}}`, "lambda_a must be in [0,1]"},
+		{"empty addr", `{"http": {"addr": ""}}`, "http.addr must not be empty"},
+		{"bad index policy", `{"engine": {"index": "sideways"}}`, "engine.index must be auto, on or off"},
+		{"negative workers", `{"engine": {"workers": -1}}`, "engine.workers must be non-negative"},
+		{"zero authors", `{"engine": {"authors": 0}}`, "engine.authors must be positive"},
+		{"negative interval", `{"engine": {"checkpoint": {"interval_millis": -1000}}}`, "engine.checkpoint.interval_millis must be non-negative"},
+		{"unknown shard field", `{"shard": {"index": 1, "count": 3, "bogus": true}}`, "unknown field"},
+		{"shard index out of range", `{"shard": {"index": 2, "count": 2}}`, "shard.index must be in [0,2)"},
+		{"shard zero count", `{"shard": {"index": 0, "count": 0}}`, "shard.count must be at least 1"},
+		{"shard plus router", `{"shard": {"index": 0, "count": 2}, ` + peers + `}`, "shard and router are mutually exclusive"},
+		{"shard plus adaptive", `{"shard": {"index": 0, "count": 2}, "engine": {"adaptive": {"budget_posts": 5}}}`, "shard and engine.adaptive are mutually exclusive"},
+		{"shard plus periodic checkpoint", `{"shard": {"index": 0, "count": 2}, "engine": {"checkpoint": {"dir": "/tmp/x", "interval_millis": 5000}}}`, "must not checkpoint periodically"},
+		{"shard without checkpoint dir", `{"shard": {"index": 0, "count": 2}}`, "a shard worker needs engine.checkpoint.dir"},
+		{"router without checkpoint dir", `{` + peers + `}`, "a router needs engine.checkpoint.dir"},
+		{"router bad peer", `{"router": {"peers": ["not a url"]}}`, "router.peers[0] must be an http(s) base URL"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package connector_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -83,25 +82,6 @@ func (tcpWorld) Feed(t *testing.T, in connector.Input, msgs []connector.Message)
 	}
 }
 
-// httpWorld feeds the push adapter through Submit, sequentially in one
-// goroutine: each Submit blocks until the suite completes the read message,
-// which is exactly the synchronous HTTP handler contract.
-type httpWorld struct{}
-
-func (httpWorld) New(t *testing.T) connector.Input {
-	return connector.NewHTTPIngestInput(0)
-}
-
-func (httpWorld) Feed(t *testing.T, in connector.Input, msgs []connector.Message) {
-	hin := in.(*connector.HTTPIngestInput)
-	go func() {
-		for _, m := range msgs {
-			// ErrClosed here just means the test tore the input down early.
-			_, _ = hin.Submit(context.Background(), m.Author, m.TimeMillis, m.Text)
-		}
-	}()
-}
-
 func TestInputConformance(t *testing.T) {
 	for _, h := range []connectortest.InputHarness{
 		{
@@ -119,10 +99,6 @@ func TestInputConformance(t *testing.T) {
 		{
 			Name:  "tcp",
 			Setup: func(t *testing.T) connectortest.InputWorld { return tcpWorld{} },
-		},
-		{
-			Name:  "http",
-			Setup: func(t *testing.T) connectortest.InputWorld { return httpWorld{} },
 		},
 	} {
 		t.Run(h.Name, func(t *testing.T) { connectortest.RunInput(t, h) })

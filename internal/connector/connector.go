@@ -22,9 +22,10 @@
 //     idempotency key for downstream dedup).
 //
 // Durable inputs (the file input) persist the acked cursor crash-safely next
-// to their source. Non-replayable inputs (TCP sockets, HTTP push) accept
-// every Ack trivially: their at-least-once window is the sender's own
-// retry, which is exactly the HTTP ingest contract the daemon always had.
+// to their source. Non-replayable inputs (TCP sockets) accept every Ack
+// trivially: their at-least-once window is the sender's own retry. HTTP push
+// ingest is not an Input at all — the daemon's /v1/ingest handlers feed the
+// engine directly and answer each sender synchronously.
 package connector
 
 import (
@@ -33,7 +34,7 @@ import (
 	"io"
 )
 
-// ErrClosed is returned by Read, Write, Ack and Submit after Close.
+// ErrClosed is returned by Read, Write and Ack after Close.
 var ErrClosed = errors.New("connector: closed")
 
 // Message is one post read from an Input, before it has an engine identity.
@@ -53,28 +54,6 @@ type Message struct {
 	// file input, the byte offset just past the message's line). Consumers
 	// must treat it as opaque and must not modify it.
 	Pos int64
-
-	// done, when non-nil, unblocks a synchronous submitter (the HTTP ingest
-	// adapter) with the ingest outcome. The runner invokes it via Complete.
-	done func(seq uint64, users []int32, err error)
-}
-
-// Complete reports the ingest outcome of the message to a synchronous
-// submitter, if one is waiting. The pipeline runner calls it exactly once
-// per message it read; inputs without synchronous submitters ignore it.
-func (m *Message) Complete(seq uint64, users []int32, err error) {
-	if m.done != nil {
-		m.done(seq, users, err)
-	}
-}
-
-// NewSubmitMessage builds a message wired to a synchronous submitter:
-// Complete invokes onComplete with the ingest outcome. This is the
-// construction seam for push-style inputs outside this package (the shard
-// transport input, out-of-tree plugins) — the completion callback is
-// otherwise private so readers cannot forge a second completion path.
-func NewSubmitMessage(author int32, timeMillis int64, text string, onComplete func(seq uint64, users []int32, err error)) *Message {
-	return &Message{Author: author, TimeMillis: timeMillis, Text: text, done: onComplete}
 }
 
 // Delivery is one delivered post fanned out to every Output.

@@ -25,8 +25,7 @@ type InputWorld interface {
 	New(t *testing.T) connector.Input
 	// Feed makes msgs readable on the connected instance in, in order. It may
 	// deliver asynchronously but must preserve order; the suite calls it
-	// after Connect and completes every read message, so a feed that blocks
-	// per message (synchronous submitters) must run in its own goroutine.
+	// after Connect.
 	Feed(t *testing.T, in connector.Input, msgs []connector.Message)
 }
 
@@ -82,8 +81,8 @@ func newConnected(t *testing.T, w InputWorld) connector.Input {
 }
 
 // readN reads n messages, asserting content and order against want and
-// completing each with the pipeline seq i+1 (unblocking synchronous
-// submitters, and stamping the seq durable inputs record on Ack).
+// stamping each with the pipeline seq i+1 (the seq durable inputs record on
+// Ack).
 func readN(t *testing.T, in connector.Input, want []connector.Message) []*connector.Message {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -99,7 +98,6 @@ func readN(t *testing.T, in connector.Input, want []connector.Message) []*connec
 				i, msg.Author, msg.TimeMillis, msg.Text, w.Author, w.TimeMillis, w.Text)
 		}
 		msg.Seq = uint64(i + 1)
-		msg.Complete(msg.Seq, nil, nil)
 		out = append(out, msg)
 	}
 	return out

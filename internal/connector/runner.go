@@ -119,7 +119,7 @@ func (r *Runner) Run(ctx context.Context) error {
 // backpressure; it reports whether the run should stop (engine closed).
 func (r *Runner) ingestOne(msg *Message) (stop bool) {
 	for {
-		seq, users, err := r.ingest(msg.Author, msg.TimeMillis, msg.Text)
+		seq, _, err := r.ingest(msg.Author, msg.TimeMillis, msg.Text)
 		switch {
 		case err == nil:
 			msg.Seq = seq
@@ -128,17 +128,14 @@ func (r *Runner) ingestOne(msg *Message) (stop bool) {
 			r.lastSeq = seq
 			r.pending = append(r.pending, pendingMsg{seq: seq, msg: msg})
 			r.mu.Unlock()
-			msg.Complete(seq, users, nil)
 			return false
 		case errors.Is(err, stream.ErrClosed):
-			msg.Complete(0, nil, err)
 			return true
 		case errors.Is(err, stream.ErrQueueFull):
 			select {
 			case <-time.After(r.backoff):
 				continue
 			case <-r.stopCh:
-				msg.Complete(0, nil, ErrClosed)
 				return true
 			}
 		default:
@@ -148,7 +145,6 @@ func (r *Runner) ingestOne(msg *Message) (stop bool) {
 			r.mu.Lock()
 			r.pending = append(r.pending, pendingMsg{seq: r.lastSeq, msg: msg})
 			r.mu.Unlock()
-			msg.Complete(0, nil, err)
 			return false
 		}
 	}

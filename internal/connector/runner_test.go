@@ -221,29 +221,3 @@ func TestRunnerStopsOnEngineClose(t *testing.T) {
 		t.Fatal("Run did not stop on engine close")
 	}
 }
-
-// TestRunnerCompletesSubmitters: the synchronous HTTP adapter's Submit gets
-// the ingest outcome back through the runner.
-func TestRunnerCompletesSubmitters(t *testing.T) {
-	hin := connector.NewHTTPIngestInput(0)
-	if err := hin.Connect(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ingest := func(author int32, tm int64, text string) (uint64, []int32, error) {
-		return 42, []int32{3, 9}, nil
-	}
-	r, err := connector.NewRunner("input:http", hin, ingest, connector.RunnerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = r.Run(context.Background()) }()
-	defer r.Stop()
-
-	res, err := hin.Submit(context.Background(), 5, 1000, "hello")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Err != nil || res.Seq != 42 || len(res.Users) != 2 {
-		t.Fatalf("Submit result %+v, want seq 42 delivered to 2 users", res)
-	}
-}

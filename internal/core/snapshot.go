@@ -23,7 +23,6 @@ import (
 	"firehose/internal/checkpoint"
 	"firehose/internal/metrics"
 	"firehose/internal/postbin"
-	"firehose/internal/simhash"
 	"firehose/internal/simindex"
 )
 
@@ -312,70 +311,9 @@ func authorValidatorFromCover(cb *CliqueBin) func(int32) bool {
 	return func(a int32) bool { return len(cb.cover.CliquesOf(a)) > 0 }
 }
 
-// SnapshotState implements StateSnapshotter for the index-backed variant:
-// every indexed entry exactly once in canonical (time, id) order — the
-// lazily-swept index may still hold out-of-window entries, and those are
-// state (they determine future probe counts and sweep evictions), so they
-// serialize too — plus the sweep clock and the counters.
-func (ib *IndexedUniBin) SnapshotState(enc *checkpoint.Encoder) error {
-	enc.String("indexedunibin")
-	enc.Varint(ib.lastSweep)
-	entries := ib.idx.EntriesByTime()
-	enc.Uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		enc.Varint(e.Time)
-		enc.U64(uint64(e.FP))
-		enc.Varint(int64(e.Aux))
-		enc.Uvarint(e.ID)
-	}
-	encodeCounters(enc, &ib.c)
-	return enc.Err()
-}
-
-// RestoreState implements StateSnapshotter: decoded entries are re-inserted
-// through a fresh index with the engine's own layout, so restore works (and
-// is validated) even across builds whose block geometry code changed. On
-// error the engine is untouched.
-func (ib *IndexedUniBin) RestoreState(dec *checkpoint.Decoder) error {
-	dec.Expect("indexedunibin")
-	lastSweep := dec.Varint()
-	valid := authorValidator(ib.g)
-	n := dec.Len("indexed entries", checkpoint.MaxElems)
-	idx, err := simindex.New(ib.idx.Params())
-	if err != nil {
-		return fmt.Errorf("core: rebuilding index: %w", err)
-	}
-	last := int64(math.MinInt64)
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		t := dec.Varint()
-		fp := dec.U64()
-		a := dec.Varint()
-		id := dec.Uvarint()
-		if dec.Err() != nil {
-			break
-		}
-		if t < last {
-			dec.Failf("indexed entry %d out of time order (%d after %d)", i, t, last)
-			break
-		}
-		if a < math.MinInt32 || a > math.MaxInt32 || !valid(int32(a)) {
-			dec.Failf("indexed entry %d has invalid author %d", i, a)
-			break
-		}
-		last = t
-		idx.Add(simindex.Entry{FP: simhash.Fingerprint(fp), ID: id, Aux: int32(a), Time: t})
-	}
-	c := decodeCounters(dec)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	ib.idx, ib.lastSweep, ib.c = idx, lastSweep, c
-	return nil
-}
-
 // snapshotInstance snapshots one per-user/per-component instance, failing
 // with a descriptive error should an algorithm without checkpoint support
-// appear (every shipped algorithm, including IndexedUniBin, supports it).
+// appear (every shipped algorithm supports it).
 func snapshotInstance(enc *checkpoint.Encoder, d Diversifier) error {
 	s, ok := d.(StateSnapshotter)
 	if !ok {

@@ -13,7 +13,7 @@ import (
 func ingestBatch(t *testing.T, ts *httptest.Server, req BatchIngestRequest) (*http.Response, BatchIngestResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/ingest/batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/ingest/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBatchIngest(t *testing.T) {
 	}
 
 	// Timeline of user 0 holds exactly the batch's first post.
-	r, err := http.Get(ts.URL + "/timeline?user=0")
+	r, err := http.Get(ts.URL + "/v1/timeline?user=0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func (s *Server) Restore(r io.Reader) error {
 	}
 	if shard, shards, digest := s.topology(); snapShard != shard || snapShards != shards || snapDigest != digest {
 		return fmt.Errorf(
-			"httpapi: %s: snapshot was taken by shard %d/%d (topology %016x), this server is shard %d/%d (topology %016x); restore it on a node with the matching -shard and graph configuration",
+			"httpapi: %s: snapshot was taken by shard %d/%d (topology %016x), this server is shard %d/%d (topology %016x); restore it on a node with the matching shard.index/shard.count and engine configuration",
 			CodeShardMismatch, snapShard, snapShards, snapDigest, shard, shards, digest)
 	}
 	if err := dec.Finish(); err != nil {

@@ -165,9 +165,11 @@ func TestAdminCheckpointEndpoints(t *testing.T) {
 }
 
 // TestRestoreRejectsForeignKind: a raw engine snapshot is not a server
-// snapshot and must be refused before any state is touched.
+// snapshot, and a shard worker's snapshot is not this node's; both must be
+// refused before any state is touched, the topology refusal naming the
+// config knobs an operator has to match.
 func TestRestoreRejectsForeignKind(t *testing.T) {
-	s, _ := serverPair(t, false)
+	s, worker := serverPair(t, false)
 	var buf bytes.Buffer
 	enc := checkpoint.NewEncoder(&buf, "something.Else")
 	enc.String("section")
@@ -177,6 +179,17 @@ func TestRestoreRejectsForeignKind(t *testing.T) {
 	err := s.Restore(bytes.NewReader(buf.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "httpapi.Server") {
 		t.Fatalf("err = %v, want kind mismatch naming httpapi.Server", err)
+	}
+
+	worker.SetTopology(1, 2, 0xfeed)
+	buf.Reset()
+	if err := worker.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Restore(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), CodeShardMismatch) ||
+		!strings.Contains(err.Error(), "matching shard.index/shard.count") {
+		t.Fatalf("err = %v, want a shard_mismatch naming shard.index/shard.count", err)
 	}
 	// The server still ingests normally.
 	ingestAt(t, s, 0, 1000, "still alive after bad restore")

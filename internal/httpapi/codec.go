@@ -75,7 +75,7 @@ type failingReader struct{ err error }
 
 func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 
-// decodeIngestBody reads and decodes a POST /ingest body.
+// decodeIngestBody reads and decodes a POST /v1/ingest body.
 func (cb *codecBuf) decodeIngestBody(body io.Reader) (IngestRequest, error) {
 	rerr := cb.readBody(body)
 	if rerr == nil {
@@ -87,7 +87,7 @@ func (cb *codecBuf) decodeIngestBody(body io.Reader) (IngestRequest, error) {
 	return req, cb.decodeFallback(rerr, &req)
 }
 
-// decodeBatchBody reads and decodes a POST /ingest/batch body into one slab
+// decodeBatchBody reads and decodes a POST /v1/ingest/batch body into one slab
 // of posts with Author, Time and Text set.
 func (cb *codecBuf) decodeBatchBody(body io.Reader) ([]core.Post, error) {
 	rerr := cb.readBody(body)

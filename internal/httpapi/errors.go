@@ -19,7 +19,7 @@ const (
 	CodeBadJSON = "bad_json"
 	// CodeEmptyText: a post (single or in a batch) had empty text.
 	CodeEmptyText = "empty_text"
-	// CodeEmptyBatch: POST /ingest/batch with zero posts.
+	// CodeEmptyBatch: POST /v1/ingest/batch with zero posts.
 	CodeEmptyBatch = "empty_batch"
 	// CodeBadParam: a query or path parameter was missing or malformed.
 	CodeBadParam = "bad_param"

@@ -230,17 +230,26 @@ func TestErrorEnvelopeQueueFull(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasSameEnvelope asserts the deprecated unversioned paths emit
-// byte-identical envelopes to their /v1 counterparts.
+// TestLegacyAliasSameEnvelope: the bad-user timeline read on /v1 still emits
+// the byte-identical golden envelope, and the former unversioned alias no
+// longer emits any API envelope — it is an unknown path (404).
 func TestLegacyAliasSameEnvelope(t *testing.T) {
 	s := newAPIServer(t)
-	for _, path := range []string{"/v1/timeline?user=abc", "/timeline?user=abc"} {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d", path, rec.Code)
-		}
-		compareGolden(t, "timeline_bad_user", rec.Body.Bytes())
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/timeline?user=abc", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("/v1/timeline: status %d", rec.Code)
+	}
+	compareGolden(t, "timeline_bad_user", rec.Body.Bytes())
+
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/timeline?user=abc", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("/timeline: status %d, want 404", rec.Code)
+	}
+	var e ErrorResponse
+	if json.Unmarshal(rec.Body.Bytes(), &e) == nil && e.Code != "" {
+		t.Fatalf("/timeline: unexpected API envelope %s", rec.Body.Bytes())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"strconv"
 	"sync"
@@ -36,9 +35,6 @@ type Engine interface {
 	Name() string
 	Close()
 }
-
-// engine is the historical internal name of the seam.
-type engine = Engine
 
 // workerSource is the optional per-worker instrumentation surface; only the
 // parallel engine provides it, and /metrics exposes per-worker series when
@@ -77,7 +73,7 @@ type adaptiveSource interface {
 // Server is an http.Handler serving one multi-user diversification engine.
 type Server struct {
 	mux      *http.ServeMux
-	engine   engine
+	engine   Engine
 	workers  workerSource   // nil for sequential engines
 	adaptive adaptiveSource // nil unless the solver is adaptive-wrapped
 	broker   *broker
@@ -131,7 +127,7 @@ func NewParallel(pe *stream.ParallelMultiEngine) *Server {
 // single node.
 func NewFromEngine(e Engine) *Server { return newServer(e) }
 
-func newServer(e engine) *Server {
+func newServer(e Engine) *Server {
 	s := &Server{
 		mux:    http.NewServeMux(),
 		engine: e,
@@ -144,35 +140,17 @@ func newServer(e engine) *Server {
 		s.adaptive = as
 	}
 	s.registry = s.buildRegistry()
-	// Every endpoint is served under the versioned /v1 prefix — the canonical
-	// paths — and under its historical unversioned alias. The aliases are
-	// deprecated: responses carry RFC 9745 Deprecation and RFC 8594 Sunset
-	// headers, the first hit on each alias is logged, and the sunset release
-	// may drop them. The alias body stays byte-identical to /v1's.
-	route := func(method, path string, h http.HandlerFunc) {
-		s.mux.HandleFunc(method+" /v1"+path, h)
-		var once sync.Once
-		s.mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-			once.Do(func() {
-				log.Printf("httpapi: deprecated unversioned route %s %s was called; use %s /v1%s (alias sunset: %s)",
-					method, path, method, path, aliasSunset)
-			})
-			w.Header().Set("Deprecation", aliasDeprecation)
-			w.Header().Set("Sunset", aliasSunset)
-			h(w, r)
-		})
-	}
-	route("POST", "/ingest", s.handleIngest)
-	route("POST", "/ingest/batch", s.handleIngestBatch)
-	route("GET", "/timeline", s.handleTimeline)
-	route("GET", "/stream", s.handleStream)
-	route("GET", "/users/{id}/stats", s.handleUserStats)
-	route("GET", "/stats", s.handleStats)
-	route("GET", "/metrics", s.handleMetrics)
-	route("GET", "/healthz", func(w http.ResponseWriter, _ *http.Request) {
+	// Every endpoint is served under the versioned /v1 prefix only.
+	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
+	s.mux.HandleFunc("POST /v1/ingest/batch", s.handleIngestBatch)
+	s.mux.HandleFunc("GET /v1/timeline", s.handleTimeline)
+	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
+	s.mux.HandleFunc("GET /v1/users/{id}/stats", s.handleUserStats)
+	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	// Admin endpoints exist only under /v1 — they were born versioned.
 	s.mux.HandleFunc("POST /v1/admin/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("GET /v1/admin/checkpoints", s.handleCheckpoints)
 	s.mux.HandleFunc("GET /v1/admin/topology", s.handleTopology)
@@ -185,20 +163,11 @@ func newServer(e engine) *Server {
 // importing them.
 func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
 
-// Alias deprecation metadata (RFC 9745 Deprecation, RFC 8594 Sunset): the
-// unversioned routes were superseded by /v1 when the surface was versioned
-// (PR 5); the sunset names the earliest date a major release may remove
-// them. Both values are fixed constants so responses stay byte-stable.
-const (
-	aliasDeprecation = "@1735689600" // 2025-01-01T00:00:00Z, when /v1 became canonical
-	aliasSunset      = "Thu, 01 Jan 2026 00:00:00 GMT"
-)
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close releases the server's streaming resources: every open SSE
-// subscription is closed so /stream handlers return, and the engine is
+// subscription is closed so /v1/stream handlers return, and the engine is
 // closed (draining in-flight parallel decisions). Call it before
 // http.Server.Shutdown, which waits for active handlers — without it the
 // (otherwise endless) SSE connections would hold shutdown until its context
@@ -208,7 +177,7 @@ func (s *Server) Close() {
 	s.engine.Close()
 }
 
-// IngestRequest is the POST /ingest body.
+// IngestRequest is the POST /v1/ingest body.
 type IngestRequest struct {
 	// Author is the posting author's id.
 	Author int32 `json:"author"`
@@ -256,7 +225,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSONBytes(w, cb.b)
 }
 
-// BatchIngestRequest is the POST /ingest/batch body: a time-ordered slice of
+// BatchIngestRequest is the POST /v1/ingest/batch body: a time-ordered slice of
 // posts ingested as one unit. The whole batch is accepted or rejected —
 // validation failures leave the stream untouched.
 type BatchIngestRequest struct {
@@ -360,7 +329,7 @@ type TimelinePost struct {
 	Text       string `json:"text"`
 }
 
-// TimelineResponse is the GET /timeline body.
+// TimelineResponse is the GET /v1/timeline body.
 type TimelineResponse struct {
 	User  int32          `json:"user"`
 	Posts []TimelinePost `json:"posts"`
@@ -396,7 +365,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// StatsResponse is the GET /stats body.
+// StatsResponse is the GET /v1/stats body.
 type StatsResponse struct {
 	Comparisons uint64 `json:"comparisons"`
 	Insertions  uint64 `json:"insertions"`

@@ -28,7 +28,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 func ingest(t *testing.T, ts *httptest.Server, req IngestRequest) (*http.Response, IngestResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestIngestAndTimeline(t *testing.T) {
 	}
 
 	// Timeline of user 0 holds exactly the first post.
-	r, err := http.Get(ts.URL + "/timeline?user=0")
+	r, err := http.Get(ts.URL + "/v1/timeline?user=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestIngestValidation(t *testing.T) {
 		t.Fatalf("empty text: status %d", resp.StatusCode)
 	}
 
-	resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestIngestValidation(t *testing.T) {
 
 func TestTimelineValidation(t *testing.T) {
 	ts := newTestServer(t)
-	for _, url := range []string{"/timeline", "/timeline?user=abc", "/timeline?user=0&n=0", "/timeline?user=0&n=x"} {
+	for _, url := range []string{"/v1/timeline", "/v1/timeline?user=abc", "/v1/timeline?user=0&n=0", "/v1/timeline?user=0&n=x"} {
 		r, err := http.Get(ts.URL + url)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestTimelineLimit(t *testing.T) {
 			t.Fatalf("post %d delivered to %v", i, out.Delivered)
 		}
 	}
-	r, err := http.Get(ts.URL + "/timeline?user=1&n=3")
+	r, err := http.Get(ts.URL + "/v1/timeline?user=1&n=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestStatsAndHealth(t *testing.T) {
 	ts := newTestServer(t)
 	ingest(t, ts, IngestRequest{Author: 0, Text: "some words here", TimeMillis: 1})
 
-	r, err := http.Get(ts.URL + "/stats")
+	r, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestStatsAndHealth(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	h, err := http.Get(ts.URL + "/healthz")
+	h, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,13 @@ func TestStatsAndHealth(t *testing.T) {
 
 func TestMethodRouting(t *testing.T) {
 	ts := newTestServer(t)
-	// GET on /ingest must not match the POST route.
-	r, err := http.Get(ts.URL + "/ingest")
+	// GET on /v1/ingest must not match the POST route.
+	r, err := http.Get(ts.URL + "/v1/ingest")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
 	if r.StatusCode == http.StatusOK {
-		t.Fatal("GET /ingest should not be routed")
+		t.Fatal("GET /v1/ingest should not be routed")
 	}
 }

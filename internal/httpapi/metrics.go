@@ -14,7 +14,7 @@ import (
 	"firehose/internal/stream"
 )
 
-// This file is the service's observability surface: GET /metrics renders the
+// This file is the service's observability surface: GET /v1/metrics renders the
 // engine's cost counters, the per-post decision latency histogram, the
 // parallel engine's per-worker queue gauges and the SSE broker's delivery
 // counters in Prometheus text exposition format (hand-rolled in

@@ -17,13 +17,13 @@ import (
 
 func scrape(t *testing.T, ts *httptest.Server) (body string, contentType string) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics: status %d", resp.StatusCode)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -267,7 +267,7 @@ func TestMetricsEndpointParallel(t *testing.T) {
 
 	// The parallel adapter serves timelines: user 0 received the accepted
 	// posts from component {0,1}.
-	r, err := http.Get(ts.URL + "/timeline?user=0")
+	r, err := http.Get(ts.URL + "/v1/timeline?user=0")
 	if err != nil {
 		t.Fatal(err)
 	}

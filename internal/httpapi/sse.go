@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// This file adds live delivery to the service: GET /stream?user=N holds the
+// This file adds live delivery to the service: GET /v1/stream?user=N holds the
 // connection open and pushes every future delivery for that user as a
 // server-sent event (SSE) — the push half of the paper's Figure 1b
 // deployment, where clients receive their diversified timeline without
@@ -189,7 +189,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// UserStatsResponse is the GET /users/{id}/stats body.
+// UserStatsResponse is the GET /v1/users/{id}/stats body.
 type UserStatsResponse struct {
 	User          int32 `json:"user"`
 	TimelineSize  int   `json:"timelineSize"`

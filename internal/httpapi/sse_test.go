@@ -17,7 +17,7 @@ func TestSSEStreamDelivery(t *testing.T) {
 	ts := newTestServer(t)
 
 	// Open the SSE stream for user 0 (subscribed to authors 0,1).
-	req, _ := http.NewRequest("GET", ts.URL+"/stream?user=0", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/stream?user=0", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestSSEStreamDelivery(t *testing.T) {
 
 func TestSSEValidation(t *testing.T) {
 	ts := newTestServer(t)
-	r, err := http.Get(ts.URL + "/stream")
+	r, err := http.Get(ts.URL + "/v1/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestUserStats(t *testing.T) {
 	ts := newTestServer(t)
 	ingest(t, ts, IngestRequest{Author: 0, Text: "some words here now", TimeMillis: 5000})
 
-	r, err := http.Get(ts.URL + "/users/0/stats")
+	r, err := http.Get(ts.URL + "/v1/users/0/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestUserStats(t *testing.T) {
 	}
 
 	// Empty timeline.
-	r2, err := http.Get(ts.URL + "/users/1/stats")
+	r2, err := http.Get(ts.URL + "/v1/users/1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestUserStats(t *testing.T) {
 	}
 
 	// Bad id.
-	r3, err := http.Get(ts.URL + "/users/abc/stats")
+	r3, err := http.Get(ts.URL + "/v1/users/abc/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestServerCloseEndsSSEStream(t *testing.T) {
 	srv := New(md)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	req, _ := http.NewRequest("GET", ts.URL+"/stream?user=0", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/stream?user=0", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,10 @@ import "net/http"
 
 // This file is the topology surface of a sharded deployment: every server
 // mounts GET /v1/admin/topology, but only nodes participating in a shard
-// topology (a router or a -shard worker) install a provider — a plain
-// single-node daemon answers 503 not_router. The shard package installs the
-// providers; keeping the response types here pins them next to the rest of
-// the public JSON contract.
+// topology (a router or a shard worker, per the config's router or shard
+// section) install a provider — a plain single-node daemon answers 503
+// not_router. The shard package installs the providers; keeping the response
+// types here pins them next to the rest of the public JSON contract.
 
 // ShardStatus is one shard's view inside a router's topology response.
 type ShardStatus struct {

@@ -6,7 +6,6 @@
 package simindex
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -20,20 +19,43 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
+// fpOf derives entry id's fingerprint (splitmix64), so expiry can rebuild
+// the (fingerprint, id) pair Remove needs without the test holding the
+// window in memory it would then measure.
+func fpOf(id uint64) simhash.Fingerprint {
+	z := id * 0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return simhash.Fingerprint(z ^ z>>31)
+}
+
 // TestPruneReleasesBucketMemory is the regression test for the bucket-memory
 // leak: a burst of distinct fingerprints followed by a quiet steady state
-// must not pin the burst's footprint. Before the freelist + in-place prune +
-// map compaction, the tables' emptied buckets and grown map bucket arrays
-// survived every PruneBefore, so a long-running stream with rotating content
-// held memory proportional to its peak, not its window.
+// must not pin the burst's footprint. Before the freelist and map
+// compaction, the tables' emptied buckets and grown map bucket arrays
+// survived every expiry, so a long-running stream with rotating content held
+// memory proportional to its peak, not its window. Expiry runs the way the
+// covBin drives it: Remove of the oldest entries, in arrival order. Entry i
+// has id i+1 and time i.
 func TestPruneReleasesBucketMemory(t *testing.T) {
 	idx := mustIndex(t, Params{K: 2, Blocks: 3})
-	rng := rand.New(rand.NewSource(7))
 	base := liveHeap()
 
+	var added, expired uint64
+	add := func() {
+		added++
+		idx.Add(Entry{FP: fpOf(added), ID: added, Time: int64(added - 1)})
+	}
+	expireBefore := func(cutoff int64) {
+		for expired < added && int64(expired) < cutoff {
+			expired++
+			idx.Remove(fpOf(expired), expired)
+		}
+	}
+
 	// Burst: 60k distinct fingerprints in one window.
-	for i := 0; i < 60_000; i++ {
-		idx.Add(Entry{FP: simhash.Fingerprint(rng.Uint64()), ID: uint64(i + 1), Time: int64(i)})
+	for added < 60_000 {
+		add()
 	}
 	peak := liveHeap() - base
 	if peak < 1<<20 {
@@ -41,11 +63,10 @@ func TestPruneReleasesBucketMemory(t *testing.T) {
 	}
 
 	// The window passes, then a quiet steady state: ~100 live entries.
-	idx.PruneBefore(60_000)
-	for i := 0; i < 2_000; i++ {
-		now := int64(60_000 + i)
-		idx.Add(Entry{FP: simhash.Fingerprint(rng.Uint64()), ID: uint64(100_000 + i), Time: now})
-		idx.PruneBefore(now - 100)
+	expireBefore(60_000)
+	for added < 62_000 {
+		add()
+		expireBefore(int64(added) - 100)
 	}
 	after := liveHeap() - base
 	runtime.KeepAlive(idx)
@@ -57,23 +78,23 @@ func TestPruneReleasesBucketMemory(t *testing.T) {
 
 // TestSteadyStateAllocs pins the windowed steady state — one Add and one
 // expiry per operation — as (amortized) allocation-free: recycled buckets
-// absorb the Add side and in-place shifts the prune side. A small tolerance
+// absorb the Add side and in-place shifts the Remove side. A small tolerance
 // covers the Go runtime's occasional map housekeeping under churn.
 func TestSteadyStateAllocs(t *testing.T) {
 	idx := mustIndex(t, Params{K: 3, Blocks: 4})
-	rng := rand.New(rand.NewSource(8))
-	var now int64
-	var nextID uint64
+	const window = 200
+	var id uint64
 	push := func() {
-		now += 10
-		nextID++
-		idx.Add(Entry{FP: simhash.Fingerprint(rng.Uint64()), ID: nextID, Time: now})
-		idx.PruneBefore(now - 2_000)
+		id++
+		idx.Add(Entry{FP: fpOf(id), ID: id, Time: int64(id) * 10})
+		if id > window {
+			idx.Remove(fpOf(id-window), id-window)
+		}
 	}
 	for i := 0; i < 2_000; i++ {
 		push()
 	}
 	if avg := testing.AllocsPerRun(2_000, push); avg > 0.05 {
-		t.Fatalf("steady-state Add+PruneBefore allocates %.3f objects per op, want ~0", avg)
+		t.Fatalf("steady-state Add+Remove allocates %.3f objects per op, want ~0", avg)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"firehose/internal/simhash"
 )
@@ -137,9 +136,9 @@ type Index struct {
 	blockStart, blockWidth []int
 	tables                 []map[uint64][]Entry
 	size                   int
-	// freeBuckets recycles emptied bucket slices between Remove/PruneBefore
-	// and Add, so a steady windowed stream (one entry in, one entry out)
-	// allocates nothing per operation. Bounded: see maxFreeBuckets.
+	// freeBuckets recycles emptied bucket slices between Remove and Add, so
+	// a steady windowed stream (one entry in, one entry out) allocates
+	// nothing per operation. Bounded: see maxFreeBuckets.
 	freeBuckets [][]Entry
 	// peakKeys[i] tracks the high-water key count of table i since its last
 	// rebuild. Go maps never shrink their bucket arrays, so after a traffic
@@ -332,13 +331,15 @@ func (idx *Index) Add(e Entry) {
 	idx.size++
 }
 
-// Covered is the hot-path probe: it reports whether any indexed entry lies
+// Covered is the index's probe: it reports whether any indexed entry lies
 // within Hamming distance K of fp, has Time >= minTime and satisfies pred
-// (nil means no extra predicate). Unlike Query it allocates nothing, stops at
-// the first hit, and does not deduplicate — an entry failing pred may be
-// probed again through another table, which only affects the probe count
-// (pred must be pure). probes counts bucket entries touched, the index
-// analogue of the scan algorithms' pairwise comparisons.
+// (nil means no extra predicate). By the pigeonhole construction recall is
+// exact; the distance check filters the false positives each table's
+// partial-key match admits. It allocates nothing, stops at the first hit,
+// and does not deduplicate — an entry failing pred may be probed again
+// through another table, which only affects the probe count (pred must be
+// pure). probes counts bucket entries touched, the index analogue of the
+// scan algorithms' pairwise comparisons.
 func (idx *Index) Covered(fp simhash.Fingerprint, minTime int64, pred func(Entry) bool) (covered bool, probes int) {
 	maxDist := idx.params.K
 	for i, combo := range idx.combos {
@@ -389,91 +390,5 @@ func (idx *Index) Remove(fp simhash.Fingerprint, id uint64) bool {
 	if removed {
 		idx.size--
 	}
-	return removed
-}
-
-// EntriesByTime returns every indexed entry exactly once, sorted by (Time,
-// ID) — a canonical order for checkpoint writers. It allocates; not for the
-// hot path.
-func (idx *Index) EntriesByTime() []Entry {
-	out := make([]Entry, 0, idx.size)
-	for _, bucket := range idx.tables[0] {
-		out = append(out, bucket...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// Query returns all indexed entries within Hamming distance K of fp and
-// with Time >= minTime, deduplicated and sorted by id. By the pigeonhole
-// construction recall is exact; candidate verification filters the false
-// positives each table's partial-key match admits. The number of candidate
-// probes (bucket entries touched) is returned alongside, so callers can
-// account comparisons the way the paper does.
-func (idx *Index) Query(fp simhash.Fingerprint, minTime int64) (matches []Entry, probes int) {
-	seen := make(map[uint64]bool)
-	for i, combo := range idx.combos {
-		k := idx.key(fp, combo)
-		for _, e := range idx.tables[i][k] {
-			probes++
-			if e.Time < minTime || seen[e.ID] {
-				continue
-			}
-			if bits.OnesCount64(uint64(e.FP^fp)) <= idx.params.K {
-				seen[e.ID] = true
-				matches = append(matches, e)
-			}
-		}
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].ID < matches[j].ID })
-	return matches, probes
-}
-
-// PruneBefore drops entries older than cutoff from every bucket and returns
-// the number of distinct entries removed. Emptied buckets are deleted and
-// their storage recycled, surviving buckets are shifted in place (and
-// reallocated smaller once occupancy falls below a quarter of a
-// non-trivial capacity), and tables whose key count collapsed are rebuilt
-// compactly — so a long-running stream with rotating content holds memory
-// proportional to its live window, not to its history.
-func (idx *Index) PruneBefore(cutoff int64) int {
-	removed := 0
-	for i := range idx.tables {
-		t := idx.tables[i]
-		for k, bucket := range t {
-			// Entries are appended in time order; find the first survivor.
-			j := 0
-			for j < len(bucket) && bucket[j].Time < cutoff {
-				j++
-			}
-			if j == 0 {
-				continue
-			}
-			if i == 0 {
-				// Count each entry once (every entry appears in table 0).
-				removed += j
-			}
-			if j == len(bucket) {
-				delete(t, k)
-				idx.recycleBucket(bucket)
-				continue
-			}
-			n := copy(bucket, bucket[j:])
-			bucket = bucket[:n]
-			if c := cap(bucket); c >= 16 && n < c/4 {
-				shrunk := make([]Entry, n, max(n, c/2))
-				copy(shrunk, bucket)
-				bucket = shrunk
-			}
-			t[k] = bucket
-		}
-		idx.maybeCompact(i)
-	}
-	idx.size -= removed
 	return removed
 }

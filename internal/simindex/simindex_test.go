@@ -106,8 +106,10 @@ func mustIndex(t *testing.T, p Params) *Index {
 	return idx
 }
 
+// TestQueryExactRecall: the pigeonhole guarantee, entry by entry — Covered,
+// restricted by its predicate to one stored entry, finds that entry exactly
+// when it lies within K bits of the query and inside the time bound.
 func TestQueryExactRecall(t *testing.T) {
-	// Pigeonhole guarantee: Query finds exactly the brute-force matches.
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []Params{{K: 3, Blocks: 6}, {K: 2, Blocks: 8}, {K: 5, Blocks: 8}, {K: 0, Blocks: 1}} {
 		idx := mustIndex(t, p)
@@ -133,67 +135,32 @@ func TestQueryExactRecall(t *testing.T) {
 				q ^= 1 << uint(rng.Intn(64))
 			}
 			minTime := int64(rng.Intn(300))
-			got, _ := idx.Query(q, minTime)
-			var want []uint64
 			for _, e := range all {
-				if e.Time >= minTime && simhash.Distance(e.FP, q) <= p.K {
-					want = append(want, e.ID)
-				}
-			}
-			gotIDs := make([]uint64, len(got))
-			for i, e := range got {
-				gotIDs[i] = e.ID
-			}
-			if len(gotIDs) != len(want) {
-				t.Fatalf("params %+v: got %d matches, want %d", p, len(gotIDs), len(want))
-			}
-			for i := range want {
-				if gotIDs[i] != want[i] {
-					t.Fatalf("params %+v: query mismatch: got %v want %v", p, gotIDs, want)
+				want := e.Time >= minTime && simhash.Distance(e.FP, q) <= p.K
+				got, _ := idx.Covered(q, minTime, func(m Entry) bool { return m.ID == e.ID })
+				if got != want {
+					t.Fatalf("params %+v: entry %d (distance %d, time %d ≥ %d) found = %v, want %v",
+						p, e.ID, simhash.Distance(e.FP, q), e.Time, minTime, got, want)
 				}
 			}
 		}
 	}
 }
 
+// TestQueryReturnsAux: the predicate sees the stored entry, caller-defined
+// Aux included — the covBin's author check depends on it.
 func TestQueryReturnsAux(t *testing.T) {
 	idx := mustIndex(t, Params{K: 1, Blocks: 4})
 	idx.Add(Entry{FP: 0xABC, ID: 7, Aux: 42, Time: 1})
-	got, _ := idx.Query(0xABC, 0)
-	if len(got) != 1 || got[0].Aux != 42 {
-		t.Fatalf("Query = %+v", got)
+	var seen Entry
+	if got, _ := idx.Covered(0xABC, 0, func(e Entry) bool { seen = e; return e.Aux == 42 }); !got {
+		t.Fatal("Covered missed the entry carrying Aux 42")
 	}
-}
-
-func TestPruneBefore(t *testing.T) {
-	idx := mustIndex(t, Params{K: 2, Blocks: 6})
-	for i := 0; i < 100; i++ {
-		idx.Add(Entry{FP: simhash.Fingerprint(i) * 0x9E3779B97F4A7C15, ID: uint64(i + 1), Time: int64(i)})
+	if seen != (Entry{FP: 0xABC, ID: 7, Aux: 42, Time: 1}) {
+		t.Fatalf("predicate saw %+v", seen)
 	}
-	if idx.Len() != 100 {
-		t.Fatalf("Len = %d", idx.Len())
-	}
-	if got := idx.PruneBefore(50); got != 50 {
-		t.Fatalf("pruned %d, want 50", got)
-	}
-	if idx.Len() != 50 {
-		t.Fatalf("Len after prune = %d", idx.Len())
-	}
-	// No pruned entry is ever returned.
-	for i := 0; i < 50; i++ {
-		got, _ := idx.Query(simhash.Fingerprint(i)*0x9E3779B97F4A7C15, 0)
-		if len(got) != 0 {
-			t.Fatalf("pruned entry %d still queryable", i)
-		}
-	}
-	if got := idx.PruneBefore(50); got != 0 {
-		t.Fatalf("double prune removed %d", got)
-	}
-	if got := idx.PruneBefore(1000); got != 50 {
-		t.Fatalf("full prune removed %d", got)
-	}
-	if idx.Len() != 0 {
-		t.Fatalf("Len after full prune = %d", idx.Len())
+	if got, _ := idx.Covered(0xABC, 0, func(e Entry) bool { return e.Aux == 41 }); got {
+		t.Fatal("Covered matched an entry whose Aux fails the predicate")
 	}
 }
 
@@ -206,7 +173,7 @@ func TestCopies(t *testing.T) {
 	}
 }
 
-func BenchmarkQuery(b *testing.B) {
+func BenchmarkCovered(b *testing.B) {
 	idx, err := New(Params{K: 3, Blocks: 6})
 	if err != nil {
 		b.Fatal(err)
@@ -218,7 +185,7 @@ func BenchmarkQuery(b *testing.B) {
 	q := simhash.Fingerprint(rng.Uint64())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.Query(q, 0)
+		idx.Covered(q, 0, nil)
 	}
 }
 
@@ -329,9 +296,9 @@ func TestRemove(t *testing.T) {
 }
 
 // TestChurnConsistency drives the index through the streaming lifecycle —
-// interleaved Add, Remove-oldest and PruneBefore — and cross-checks Query
-// against brute force throughout, exercising the bucket freelist, in-place
-// prune shifts and map compaction.
+// interleaved Add, Remove-oldest and expiry of a whole window edge — and
+// cross-checks Covered against brute force throughout, exercising the bucket
+// freelist and map compaction.
 func TestChurnConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	idx := mustIndex(t, Params{K: 3, Blocks: 6})
@@ -357,16 +324,14 @@ func TestChurnConsistency(t *testing.T) {
 				}
 				live = live[1:]
 			}
-		default: // prune a window edge
+		default: // expire a window edge, oldest first
 			cutoff := now - int64(rng.Intn(50))
-			want := 0
-			for len(live) > want && live[want].Time < cutoff {
-				want++
+			for len(live) > 0 && live[0].Time < cutoff {
+				if !idx.Remove(live[0].FP, live[0].ID) {
+					t.Fatalf("step %d: expiring entry missing", step)
+				}
+				live = live[1:]
 			}
-			if got := idx.PruneBefore(cutoff); got != want {
-				t.Fatalf("step %d: pruned %d, want %d", step, got, want)
-			}
-			live = live[want:]
 		}
 		if idx.Len() != len(live) {
 			t.Fatalf("step %d: Len = %d, want %d", step, idx.Len(), len(live))
@@ -376,15 +341,17 @@ func TestChurnConsistency(t *testing.T) {
 			for f := rng.Intn(8); f > 0; f-- {
 				q ^= 1 << uint(rng.Intn(64))
 			}
-			got, _ := idx.Query(q, 0)
-			want := 0
-			for _, e := range live {
-				if simhash.Distance(e.FP, q) <= 3 {
-					want++
+			for _, minTime := range []int64{0, now - 20} {
+				want := false
+				for _, e := range live {
+					if e.Time >= minTime && simhash.Distance(e.FP, q) <= 3 {
+						want = true
+						break
+					}
 				}
-			}
-			if len(got) != want {
-				t.Fatalf("step %d: query found %d, brute force %d", step, len(got), want)
+				if got, _ := idx.Covered(q, minTime, nil); got != want {
+					t.Fatalf("step %d: Covered(minTime %d) = %v, brute force %v", step, minTime, got, want)
+				}
 			}
 		}
 	}

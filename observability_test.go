@@ -6,7 +6,7 @@ import "testing"
 // public latency summary and that its percentiles are ordered.
 func TestStatsDecisionLatency(t *testing.T) {
 	graph, posts, subs := generateScenario(t, 120, 7)
-	svc, err := NewMultiUserService(graph, subs, DefaultConfig(), MultiUserOptions{Algorithm: UniBin})
+	svc, err := NewService(graph, subs, ServiceOptions{Algorithm: UniBin, Config: DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestStatsDecisionLatency(t *testing.T) {
 // account every decided post.
 func TestParallelWorkerStats(t *testing.T) {
 	graph, posts, subs := generateScenario(t, 150, 23)
-	par, err := NewParallelService(UniBin, graph, subs, DefaultConfig(), 3)
+	par, err := NewParallel(graph, subs, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig(), Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,7 @@ var (
 	ErrQueueFull = stream.ErrQueueFull
 )
 
-// ParallelServiceOptions configures NewParallel, the canonical parallel
-// constructor.
+// ParallelServiceOptions configures NewParallel.
 type ParallelServiceOptions struct {
 	// Algorithm is the per-component SPSD algorithm. The zero value is
 	// UniBin.
@@ -53,22 +52,6 @@ type ParallelServiceOptions struct {
 	Topology *Topology
 }
 
-// ParallelOptions configures NewParallelServiceOpts.
-//
-// Deprecated: use ParallelServiceOptions with NewParallel.
-type ParallelOptions struct {
-	// Workers is the shard count; 0 selects runtime.NumCPU().
-	Workers int
-	// QueueDepth bounds each worker's pending-post queue; 0 selects the
-	// engine default (256). A full queue blocks Offer — backpressure — or
-	// fails it fast, per FailFast.
-	QueueDepth int
-	// FailFast makes Offer return ErrQueueFull instead of blocking when the
-	// target worker's queue is full, for ingestion tiers that prefer
-	// shedding or retrying over stalling.
-	FailFast bool
-}
-
 // ParallelService is a multi-goroutine M-SPSD engine. It exploits the
 // independence the paper's Section 5 establishes: posts from different
 // connected components of the author similarity graph can never cover each
@@ -100,8 +83,7 @@ func (d Delivery) Users() []UserID { return d.t.Users() }
 func (d Delivery) Seq() uint64 { return d.t.Seq() }
 
 // NewParallel builds the sharded service. subscriptions[u] lists the authors
-// user u follows. This is the canonical constructor; the NewParallelService
-// and NewParallelServiceOpts wrappers delegate here.
+// user u follows.
 func NewParallel(g *AuthorGraph, subscriptions [][]AuthorID, opts ParallelServiceOptions) (*ParallelService, error) {
 	if err := checkConfig(opts.Config, g); err != nil {
 		return nil, err
@@ -134,34 +116,6 @@ func NewParallel(g *AuthorGraph, subscriptions [][]AuthorID, opts ParallelServic
 		return nil, err
 	}
 	return &ParallelService{inner: inner, meta: meta}, nil
-}
-
-// NewParallelService builds the sharded service with the given worker count
-// and default backpressure (bounded queues, blocking Offer).
-//
-// Deprecated: use NewParallel. The call
-// NewParallelService(alg, g, subs, cfg, workers) becomes
-// NewParallel(g, subs, ParallelServiceOptions{Algorithm: alg, Config: cfg, Workers: workers}).
-func NewParallelService(alg Algorithm, g *AuthorGraph, subscriptions [][]AuthorID, cfg Config, workers int) (*ParallelService, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("firehose: workers must be positive, got %d", workers)
-	}
-	return NewParallel(g, subscriptions, ParallelServiceOptions{
-		Algorithm: alg, Config: cfg, Workers: workers,
-	})
-}
-
-// NewParallelServiceOpts builds the sharded service with explicit
-// backpressure options. opts.Workers = 0 selects runtime.NumCPU().
-//
-// Deprecated: use NewParallel. The call
-// NewParallelServiceOpts(alg, g, subs, cfg, ParallelOptions{Workers: w, QueueDepth: d, FailFast: f})
-// becomes NewParallel(g, subs, ParallelServiceOptions{Algorithm: alg, Config: cfg, Workers: w, QueueDepth: d, FailFast: f}).
-func NewParallelServiceOpts(alg Algorithm, g *AuthorGraph, subscriptions [][]AuthorID, cfg Config, opts ParallelOptions) (*ParallelService, error) {
-	return NewParallel(g, subscriptions, ParallelServiceOptions{
-		Algorithm: alg, Config: cfg,
-		Workers: opts.Workers, QueueDepth: opts.QueueDepth, FailFast: opts.FailFast,
-	})
 }
 
 // Offer enqueues a post for its component's worker and returns immediately.

@@ -28,7 +28,7 @@ func TestParallelServiceEquivalenceAcrossWorkerCounts(t *testing.T) {
 		return tl
 	}
 
-	seq, err := NewMultiUserService(graph, subs, cfg, MultiUserOptions{Algorithm: UniBin})
+	seq, err := NewService(graph, subs, ServiceOptions{Algorithm: UniBin, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestParallelServiceEquivalenceAcrossWorkerCounts(t *testing.T) {
 
 	counts := []int{1, 2, runtime.NumCPU()}
 	for _, workers := range counts {
-		par, err := NewParallelService(UniBin, graph, subs, cfg, workers)
+		par, err := NewParallel(graph, subs, ParallelServiceOptions{Algorithm: UniBin, Config: cfg, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,8 +90,7 @@ func TestParallelServiceEquivalenceAcrossWorkerCounts(t *testing.T) {
 func TestParallelServiceConcurrentStress(t *testing.T) {
 	g := mustGraph(t, 0.7)
 	subs := [][]AuthorID{{0, 1, 2}, {1, 2}, {0}}
-	svc, err := NewParallelServiceOpts(UniBin, g, subs, DefaultConfig(),
-		ParallelOptions{Workers: 2, QueueDepth: 64})
+	svc, err := NewParallel(g, subs, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig(), Workers: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestParallelServiceConcurrentStress(t *testing.T) {
 
 func TestParallelServiceOptsDefaults(t *testing.T) {
 	g := mustGraph(t, 0.7)
-	svc, err := NewParallelServiceOpts(UniBin, g, [][]AuthorID{{0}}, DefaultConfig(), ParallelOptions{})
+	svc, err := NewParallel(g, [][]AuthorID{{0}}, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +164,7 @@ func TestParallelServiceOptsDefaults(t *testing.T) {
 	if svc.Workers() != runtime.NumCPU() {
 		t.Fatalf("default workers = %d, want NumCPU (%d)", svc.Workers(), runtime.NumCPU())
 	}
-	if _, err := NewParallelServiceOpts(UniBin, g, [][]AuthorID{{0}}, DefaultConfig(),
-		ParallelOptions{Workers: 1, QueueDepth: -5}); err == nil {
+	if _, err := NewParallel(g, [][]AuthorID{{0}}, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig(), Workers: 1, QueueDepth: -5}); err == nil {
 		t.Fatal("negative queue depth accepted")
 	}
 }

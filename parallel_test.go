@@ -9,11 +9,11 @@ func TestParallelServiceMatchesSequential(t *testing.T) {
 	graph, posts, subs := generateScenario(t, 220, 91)
 	cfg := DefaultConfig()
 
-	seq, err := NewMultiUserService(graph, subs, cfg, MultiUserOptions{Algorithm: UniBin})
+	seq, err := NewService(graph, subs, ServiceOptions{Algorithm: UniBin, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewParallelService(UniBin, graph, subs, cfg, 4)
+	par, err := NewParallel(graph, subs, ParallelServiceOptions{Algorithm: UniBin, Config: cfg, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,20 +61,20 @@ func TestParallelServiceMatchesSequential(t *testing.T) {
 func TestParallelServiceValidation(t *testing.T) {
 	g := mustGraph(t, 0.7)
 	cfg := DefaultConfig()
-	if _, err := NewParallelService(UniBin, nil, nil, cfg, 2); err == nil {
+	if _, err := NewParallel(nil, nil, ParallelServiceOptions{Algorithm: UniBin, Config: cfg, Workers: 2}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := NewParallelService(UniBin, g, [][]AuthorID{{9}}, cfg, 2); err == nil {
+	if _, err := NewParallel(g, [][]AuthorID{{9}}, ParallelServiceOptions{Algorithm: UniBin, Config: cfg, Workers: 2}); err == nil {
 		t.Fatal("bad subscription accepted")
 	}
-	if _, err := NewParallelService(UniBin, g, [][]AuthorID{{0}}, cfg, 0); err == nil {
-		t.Fatal("zero workers accepted")
+	if _, err := NewParallel(g, [][]AuthorID{{0}}, ParallelServiceOptions{Algorithm: UniBin, Config: cfg, Workers: -1}); err == nil {
+		t.Fatal("negative workers accepted")
 	}
 }
 
 func TestParallelServiceSmallFlow(t *testing.T) {
 	g := mustGraph(t, 0.7)
-	svc, err := NewParallelService(UniBin, g, [][]AuthorID{{0, 1}, {2}}, DefaultConfig(), 2)
+	svc, err := NewParallel(g, [][]AuthorID{{0, 1}, {2}}, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

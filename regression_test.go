@@ -25,14 +25,14 @@ func TestSubMillisecondLambdaTRejected(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "millisecond") {
 			t.Fatalf("LambdaT=%v: unhelpful error %q", lt, err)
 		}
-		if _, err := NewMultiUserService(g, [][]AuthorID{{0}}, cfg, MultiUserOptions{}); err == nil {
-			t.Fatalf("LambdaT=%v accepted by NewMultiUserService", lt)
+		if _, err := NewService(g, [][]AuthorID{{0}}, ServiceOptions{Config: cfg}); err == nil {
+			t.Fatalf("LambdaT=%v accepted by NewService", lt)
 		}
-		if _, err := NewParallelService(UniBin, g, [][]AuthorID{{0}}, cfg, 2); err == nil {
-			t.Fatalf("LambdaT=%v accepted by NewParallelService", lt)
+		if _, err := NewParallel(g, [][]AuthorID{{0}}, ParallelServiceOptions{Algorithm: UniBin, Config: cfg, Workers: 2}); err == nil {
+			t.Fatalf("LambdaT=%v accepted by NewParallel", lt)
 		}
-		if _, err := NewCustomMultiUserService(UniBin, g, [][]AuthorID{{0}}, []Config{cfg}); err == nil {
-			t.Fatalf("LambdaT=%v accepted by NewCustomMultiUserService", lt)
+		if _, err := NewService(g, [][]AuthorID{{0}}, ServiceOptions{Algorithm: UniBin, UserConfigs: []Config{cfg}}); err == nil {
+			t.Fatalf("LambdaT=%v accepted by NewService with UserConfigs", lt)
 		}
 	}
 	// Whole-millisecond (and zero) thresholds still pass.
