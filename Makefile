@@ -1,7 +1,7 @@
 # Tier-1 verification gate: `make check` must pass before merging.
 GO ?= go
 
-.PHONY: build test vet race lint lockgraph check bench bench-go bench-check bench-pipeline fuzz scenarios
+.PHONY: build test vet race lint lockgraph check loc bench bench-go bench-check bench-pipeline fuzz scenarios
 
 build:
 	$(GO) build ./...
@@ -19,10 +19,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# lint runs the firehose-lint analyzer suite (guardcheck, observecheck,
-# nowcheck, snapshotcheck, errdrop, aliascheck, lockorder, codecsym) over the
-# whole module. See DESIGN.md ("Static analysis") for the invariants each
-# analyzer enforces and README.md for the guard-comment grammar. The
+# lint runs the firehose-lint analyzer suite (guardcheck, nowcheck,
+# snapshotcheck, errdrop, lockorder) over the whole module. See DESIGN.md
+# ("Static analysis") for the invariants each analyzer enforces, the runtime
+# tests that pin the invariants no analyzer checks, and README.md for the
+# guard-comment grammar. The
 # multichecker binary is cached under bin/ and rebuilt only when its sources
 # change (testdata modules are not inputs: they are fixtures, not sources).
 LINT_SRC := $(shell find internal/lint cmd/firehose-lint -name '*.go' -not -path '*/testdata/*') go.mod
@@ -41,6 +42,11 @@ lockgraph: bin/firehose-lint
 
 # check is the tier-1 gate: vet + firehose-lint + full race-detector test run.
 check: vet lint race
+
+# loc prints the number of non-test Go lines tracked by git (testdata modules
+# excluded) — the figure CHANGES.md quotes before and after a subtraction.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v /testdata/ | xargs cat | wc -l
 
 # bench runs the hot-path harness (cmd/benchhot) and writes
 # BENCH_hotpath.json: the fused fingerprint kernel against its spec

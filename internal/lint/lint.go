@@ -15,13 +15,10 @@ import (
 	"strings"
 
 	"firehose/internal/lint/analysis"
-	"firehose/internal/lint/analyzers/aliascheck"
-	"firehose/internal/lint/analyzers/codecsym"
 	"firehose/internal/lint/analyzers/errdrop"
 	"firehose/internal/lint/analyzers/guardcheck"
 	"firehose/internal/lint/analyzers/lockorder"
 	"firehose/internal/lint/analyzers/nowcheck"
-	"firehose/internal/lint/analyzers/observecheck"
 	"firehose/internal/lint/analyzers/snapshotcheck"
 	"firehose/internal/lint/loader"
 )
@@ -30,13 +27,10 @@ import (
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		guardcheck.Analyzer,
-		observecheck.Analyzer,
 		nowcheck.Analyzer,
 		snapshotcheck.Analyzer,
 		errdrop.Analyzer,
-		aliascheck.Analyzer,
 		lockorder.Analyzer,
-		codecsym.Analyzer,
 	}
 }
 

@@ -29,10 +29,10 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 }
 
 // TestIgnoreDirective checks both halves of the suppression contract: a
-// reasoned //lint:ignore silences the named analyzer — exercised once per
-// dataflow analyzer (aliascheck, lockorder, codecsym) plus guardcheck in the
-// testdata module — and a reason-less one suppresses nothing while being
-// reported itself. Exactly the two unsuppressed findings must survive.
+// reasoned //lint:ignore silences the named analyzer — exercised for the
+// dataflow analyzer (lockorder) and for guardcheck in the testdata module —
+// and a reason-less one suppresses nothing while being reported itself.
+// Exactly the two unsuppressed findings must survive.
 func TestIgnoreDirective(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := loader.Load(fset, "testdata", "./...")

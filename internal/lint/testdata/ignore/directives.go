@@ -1,24 +1,8 @@
-// The dataflow analyzers honor the same suppression contract as the
-// syntactic ones: each case below seeds a real finding and silences it with
-// a reasoned directive, so TestIgnoreDirective pins the per-analyzer ignore
-// path for aliascheck, lockorder and codecsym.
+// The dataflow analyzer honors the same suppression contract as the
+// syntactic ones: the case below seeds a real lockorder finding and silences
+// it with a reasoned directive, so TestIgnoreDirective pins the ignore path
+// of the interprocedural analysis too.
 package ignore
-
-import (
-	"ignoretest/internal/checkpoint"
-	"ignoretest/internal/core"
-)
-
-type holder struct {
-	last []int32
-}
-
-// retain stores Offer scratch, which aliascheck reports; the reasoned
-// directive documents why this instance is safe.
-func retain(m *core.MultiUser, h *holder, p *core.Post) {
-	//lint:ignore aliascheck the holder is consumed synchronously before the next Offer
-	h.last = m.Offer(p)
-}
 
 // handoff returns holding b.mu (the quiesce transfer-of-ownership shape);
 // lockorder's held-at-return discipline is silenced with the documented
@@ -27,15 +11,4 @@ func handoff(b *box) func() {
 	b.mu.Lock()
 	//lint:ignore lockorder ownership of b.mu transfers to the caller via the returned release func
 	return b.mu.Unlock
-}
-
-type oneWay struct{ v uint64 }
-
-// SnapshotState has no decode counterpart, which codecsym reports as a
-// one-sided addition; the directive records that this state is export-only.
-//
-//lint:ignore codecsym export-only diagnostic state, never restored
-func (o *oneWay) SnapshotState(enc *checkpoint.Encoder) error {
-	enc.U64(o.v)
-	return enc.Err()
 }

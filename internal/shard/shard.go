@@ -14,15 +14,14 @@
 //
 // The package provides three pieces:
 //
-//   - Plan/Coordinator: the deterministic component → shard assignment,
-//     computed identically by every process from the shared engine config,
-//     plus the clique cover and per-shard slices (the coordinator owns the
-//     social graph, like the coordinator/worker split in Gao et al.).
+//   - Plan: the deterministic component → shard assignment, computed
+//     identically by every process from the shared engine config and
+//     fingerprinted by its digest.
 //   - Worker (NewWorker): wraps an httpapi.Server with the shard-local
 //     ingest/checkpoint/restore endpoints a router drives.
 //   - Router (NewRouter): an httpapi.Engine that fans ingest out to the
-//     workers over the connector-style transport and merges deliveries back
-//     in global id order.
+//     workers over one persistent framed stream per shard and merges
+//     deliveries back in global id order.
 package shard
 
 import (
@@ -33,30 +32,15 @@ import (
 	"firehose/internal/authorsim"
 )
 
-// Topology identifies one node's place in a sharded deployment: which shard
-// it is, how many shards exist, and the digest of the assignment every
-// participant must agree on. A router uses Shard = -1.
-type Topology struct {
-	// Shard is this node's shard index in [0, Shards), or -1 for the router.
-	Shard int
-	// Shards is the total shard count.
-	Shards int
-	// Digest fingerprints the component → shard assignment (and the graph it
-	// was derived from); see Assignment.Digest.
-	Digest uint64
-}
-
 // Assignment is the author-partitioned routing table: every connected
 // component of the author-similarity graph is owned by exactly one shard,
 // and a post routes to the shard owning its author's component. Assignments
 // are deterministic — every process that computes one over the same graph
 // and shard count gets byte-identical routing and the same digest.
 type Assignment struct {
-	shards    int
-	owner     []int32   // author → owning shard
-	comps     [][]int32 // canonical components (authorsim.Graph.Components, shared)
-	compShard []int32   // component index → owning shard
-	digest    uint64
+	shards int
+	owner  []int32 // author → owning shard
+	digest uint64
 }
 
 // Plan computes the assignment of g's components onto shards. Components are
@@ -86,10 +70,8 @@ func Plan(g *authorsim.Graph, shards int) (*Assignment, error) {
 	})
 
 	a := &Assignment{
-		shards:    shards,
-		owner:     make([]int32, n),
-		comps:     comps,
-		compShard: make([]int32, len(comps)),
+		shards: shards,
+		owner:  make([]int32, n),
 	}
 	load := make([]int, shards)
 	for _, ci := range order {
@@ -99,7 +81,6 @@ func Plan(g *authorsim.Graph, shards int) (*Assignment, error) {
 				best = s
 			}
 		}
-		a.compShard[ci] = int32(best)
 		load[best] += len(comps[ci])
 		for _, author := range comps[ci] {
 			a.owner[author] = int32(best)
@@ -148,79 +129,3 @@ func (a *Assignment) ShardOf(author int32) int {
 // every cross-process message carries it so the disagreement is refused at
 // the first request, not discovered as silently divergent decisions.
 func (a *Assignment) Digest() uint64 { return a.digest }
-
-// Components returns the canonical components of the planned graph. The
-// slice is shared; callers must not mutate it.
-func (a *Assignment) Components() [][]int32 { return a.comps }
-
-// ShardOfComponent returns the shard owning component ci.
-func (a *Assignment) ShardOfComponent(ci int) int { return int(a.compShard[ci]) }
-
-// Slice is the per-shard view of an assignment: the authors and components
-// one shard owns, with the clique cover restricted to them when the
-// coordinator carries one.
-type Slice struct {
-	// Shard is the slice's shard index.
-	Shard int
-	// Authors are the authors whose posts route to this shard, ascending.
-	Authors []int32
-	// Components are the owned components, in canonical order.
-	Components [][]int32
-	// Cliques is the clique cover restricted to the owned authors; nil when
-	// the coordinator was built without a cover.
-	Cliques [][]int32
-}
-
-// Coordinator owns the shared state a sharded deployment distributes: the
-// author-similarity graph, its greedy clique cover, and the assignment. It
-// serves per-shard slices; routers additionally use the assignment directly
-// for per-post routing.
-type Coordinator struct {
-	graph  *authorsim.Graph
-	cover  *authorsim.CliqueCover
-	assign *Assignment
-}
-
-// NewCoordinator plans an assignment over g and computes the clique cover
-// (the CliqueBin metadata workers would otherwise each recompute).
-func NewCoordinator(g *authorsim.Graph, shards int) (*Coordinator, error) {
-	a, err := Plan(g, shards)
-	if err != nil {
-		return nil, err
-	}
-	all := make([]int32, g.NumAuthors())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return &Coordinator{graph: g, cover: authorsim.GreedyCliqueCover(g, all), assign: a}, nil
-}
-
-// Assignment returns the coordinator's routing table.
-func (c *Coordinator) Assignment() *Assignment { return c.assign }
-
-// Cover returns the full clique cover.
-func (c *Coordinator) Cover() *authorsim.CliqueCover { return c.cover }
-
-// Slice returns shard s's view: owned authors, owned components, and the
-// clique cover restricted to the owned authors. Cliques never straddle a
-// slice boundary — a clique is mutually similar, hence inside one component.
-func (c *Coordinator) Slice(s int) (Slice, error) {
-	if s < 0 || s >= c.assign.shards {
-		return Slice{}, fmt.Errorf("shard: slice index %d out of range [0,%d)", s, c.assign.shards)
-	}
-	sl := Slice{Shard: s}
-	for ci, comp := range c.assign.comps {
-		if int(c.assign.compShard[ci]) != s {
-			continue
-		}
-		sl.Components = append(sl.Components, comp)
-		sl.Authors = append(sl.Authors, comp...)
-	}
-	sort.Slice(sl.Authors, func(i, j int) bool { return sl.Authors[i] < sl.Authors[j] })
-	for _, q := range c.cover.Cliques {
-		if len(q) > 0 && c.assign.ShardOf(q[0]) == s {
-			sl.Cliques = append(sl.Cliques, q)
-		}
-	}
-	return sl, nil
-}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -34,8 +35,8 @@ func TestPlanPartitionInvariants(t *testing.T) {
 		}
 		// Every component lives wholly on one shard — the decision-independence
 		// unit is the routing unit.
-		for ci, comp := range a.Components() {
-			owner := a.ShardOfComponent(ci)
+		for ci, comp := range g.Components() {
+			owner := a.ShardOf(comp[0])
 			if owner < 0 || owner >= shards {
 				t.Fatalf("Plan(%d): component %d on shard %d", shards, ci, owner)
 			}
@@ -93,49 +94,6 @@ func TestPlanRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := Plan(testGraph(), 0); err == nil {
 		t.Fatal("Plan(shards=0) succeeded")
-	}
-}
-
-func TestCoordinatorSlices(t *testing.T) {
-	g := testGraph()
-	c, err := NewCoordinator(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := c.Assignment()
-	seen := make(map[int32]int)
-	for s := 0; s < a.NumShards(); s++ {
-		sl, err := c.Slice(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sl.Shard != s {
-			t.Fatalf("Slice(%d).Shard = %d", s, sl.Shard)
-		}
-		for _, author := range sl.Authors {
-			if prev, dup := seen[author]; dup {
-				t.Fatalf("author %d owned by shards %d and %d", author, prev, s)
-			}
-			seen[author] = s
-			if a.ShardOf(author) != s {
-				t.Fatalf("slice %d holds author %d, assignment routes it to %d", s, author, a.ShardOf(author))
-			}
-		}
-		// A clique is mutually similar, hence inside one component: it must
-		// never straddle a slice boundary.
-		for _, q := range sl.Cliques {
-			for _, author := range q {
-				if a.ShardOf(author) != s {
-					t.Fatalf("slice %d clique %v includes author %d owned by shard %d", s, q, author, a.ShardOf(author))
-				}
-			}
-		}
-	}
-	if len(seen) != 12 {
-		t.Fatalf("slices cover %d of 12 authors", len(seen))
-	}
-	if _, err := c.Slice(3); err == nil {
-		t.Fatal("Slice(3) on a 3-shard plan succeeded")
 	}
 }
 
@@ -207,5 +165,74 @@ func TestRouterRestoreRefusesForeignCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(restoreErr.Error(), "2 shards") || !strings.Contains(restoreErr.Error(), "4 shards") {
 		t.Fatalf("refusal %q should name both shard counts", restoreErr)
+	}
+}
+
+// TestRouterCheckpointRoundTrip pins the router's own checkpoint section:
+// SnapshotState at a coordinated round, more traffic, then RestoreState on a
+// fresh router over the same workers must bring back exactly the round's
+// watermark and per-shard sequences, consume every byte the encoder wrote,
+// and roll each worker back to its recorded sequence.
+func TestRouterCheckpointRoundTrip(t *testing.T) {
+	st := newShardedStack(t, 2)
+	ingest := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			author, tm, text := equivPost(i)
+			if code, body := do(t, st.api, "POST", "/v1/ingest", ingestBody(author, tm, text), nil); code != http.StatusOK {
+				t.Fatalf("post %d: %d %s", i, code, body)
+			}
+		}
+	}
+	ingest(0, 30)
+
+	var buf bytes.Buffer
+	enc := checkpoint.NewEncoder(&buf, "test.Router")
+	if err := st.router.SnapshotState(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	want := st.router.Topology()
+	if want.Watermark != 30 || want.CoordinatedWatermark != 30 {
+		t.Fatalf("snapshot round at watermark %d/%d, want 30/30", want.Watermark, want.CoordinatedWatermark)
+	}
+	ingest(30, 50)
+
+	rt, err := NewRouter(RouterOptions{
+		Peers:         []string{st.servers[0].URL, st.servers[1].URL},
+		Assignment:    st.assign,
+		RetryInterval: 5 * time.Millisecond,
+		ResyncTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	dec, err := checkpoint.NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RestoreState(dec); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Finish(); err != nil {
+		t.Fatalf("router section not consumed exactly: %v", err)
+	}
+
+	got := rt.Topology()
+	if got.Watermark != want.Watermark || got.CoordinatedWatermark != want.CoordinatedWatermark {
+		t.Fatalf("restored watermark %d/%d, snapshotted %d/%d",
+			got.Watermark, got.CoordinatedWatermark, want.Watermark, want.CoordinatedWatermark)
+	}
+	for s := range want.PerShard {
+		if got.PerShard[s].Watermark != want.PerShard[s].Watermark || got.PerShard[s].Pending != 0 {
+			t.Fatalf("shard %d restored at sequence %d (pending %d), snapshotted %d",
+				s, got.PerShard[s].Watermark, got.PerShard[s].Pending, want.PerShard[s].Watermark)
+		}
+		if w := st.workers[s].topologyResponse().Watermark; w != want.PerShard[s].Watermark {
+			t.Fatalf("worker %d rolled back to %d, the checkpoint recorded %d", s, w, want.PerShard[s].Watermark)
+		}
 	}
 }

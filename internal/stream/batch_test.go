@@ -123,6 +123,39 @@ func TestParallelBatchInterleavesWithOffer(t *testing.T) {
 	}
 }
 
+// TestParallelUnknownAuthorKeepsSeq checks that a single Offer of a post
+// whose author is outside the graph (or negative) consumes its sequence
+// number, as the same post does inside a batch: the sequence space stays
+// dense and shared with OfferBatch.
+func TestParallelUnknownAuthorKeepsSeq(t *testing.T) {
+	g := authorsim.NewGraph(4, []authorsim.SimPair{{A: 0, B: 1}, {A: 2, B: 3}}, 0.7)
+	th := core.Thresholds{LambdaC: 3, LambdaT: 1000, LambdaA: 0.7}
+	e, err := NewParallelMultiEngine(core.AlgUniBin, g, [][]int32{{0, 1, 2, 3}}, th, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i, author := range []int32{0, 9999, -1, 1} {
+		tk, err := e.Offer(&core.Post{ID: uint64(i + 1), Author: author, Time: int64(i + 1), FP: 0xFF << (8 * i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tk.Seq(), uint64(i+1); got != want {
+			t.Fatalf("author %d: seq %d, want %d", author, got, want)
+		}
+		if users := tk.Users(); (author == 0 || author == 1) != (len(users) == 1) {
+			t.Fatalf("author %d delivered to %v", author, users)
+		}
+	}
+	bt, err := e.OfferBatch([]*core.Post{{ID: 5, Author: 2, Time: 5, FP: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bt.SeqBase() != 5 {
+		t.Fatalf("batch after four single offers at SeqBase %d, want 5", bt.SeqBase())
+	}
+}
+
 // TestParallelBatchAfterClose checks the ErrClosed path.
 func TestParallelBatchAfterClose(t *testing.T) {
 	g := authorsim.NewGraph(1, nil, 0.7)

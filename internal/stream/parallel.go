@@ -119,8 +119,8 @@ type parallelWorker struct {
 	// optionally wrapped by the adaptive controller. Interface-typed so the
 	// wrapping is invisible to the decision loop; checkpointing asserts
 	// core.StateSnapshotter and refuses solvers that lack it.
-	md core.MultiDiversifier
-	ch chan parallelJob
+	md      core.MultiDiversifier
+	ch      chan parallelJob
 	lastSeq uint64
 	// offs is the worker's reusable batch-offset scratch: offs[i] is the
 	// arena position where batch post i's deliveries start. Only subslices
@@ -361,7 +361,9 @@ func (w *parallelWorker) runBatch(job parallelJob) {
 // safe for concurrent use; the ingest boundary serializes routing, assigns
 // the post a monotone sequence number (Ticket.Seq) and preserves that order
 // within every worker queue. The semantic stream order is the sequence order,
-// so posts must carry non-decreasing timestamps in it.
+// so posts must carry non-decreasing timestamps in it. A post whose author is
+// unknown or negative is delivered to no one but still consumes its sequence
+// number, as in OfferBatch.
 //
 // When the target worker's queue is full, Offer blocks — backpressure — or,
 // in fail-fast mode, returns ErrQueueFull without enqueueing. After Close has
@@ -373,9 +375,11 @@ func (e *ParallelMultiEngine) Offer(p *core.Post) (*Ticket, error) {
 		return nil, ErrClosed
 	}
 	if int(p.Author) >= len(e.authorWorker) || p.Author < 0 {
+		// Unknown author: no component, no deliveries — but the post keeps
+		// its place in the stream order, exactly as in OfferBatch.
+		e.seq++
+		t := &Ticket{seq: e.seq, done: make(chan struct{})}
 		e.mu.Unlock()
-		// Unknown author: no component, no deliveries.
-		t := &Ticket{done: make(chan struct{})}
 		close(t.done)
 		return t, nil
 	}
