@@ -155,9 +155,9 @@ func TestBatchIngestValidation(t *testing.T) {
 
 // TestTimelinesSequentialEqualsParallel: both backends keep their timelines
 // in the same stream.Timelines store, fed from different places (under the
-// sequential engine's decision lock; after the ticket join in the parallel
-// adapter). The same stream — singles and batches interleaved — must leave
-// every user's timeline identical.
+// sequential engine's decision lock; in each parallel worker's decision loop,
+// merged by sequence number on read). The same stream — singles and batches
+// interleaved — must leave every user's timeline identical.
 func TestTimelinesSequentialEqualsParallel(t *testing.T) {
 	seq, _ := serverPair(t, false)
 	par, _ := serverPair(t, true)

@@ -43,6 +43,13 @@ type workerSource interface {
 	WorkerSnapshots() []stream.WorkerSnapshot
 }
 
+// timelineSizer is the optional retained-state surface of the engines that
+// own a timeline store (the sequential and the parallel engine, not the shard
+// router); /metrics exposes the firehose_timeline_* gauges when it is there.
+type timelineSizer interface {
+	TimelineSize() (posts, entries uint64)
+}
+
 // timelineErrSource is the optional failure-aware read surface: the shard
 // router implements it so a merged read over an unreachable worker becomes a
 // 503 shard_unavailable instead of a silently partial 200. Engines without it
@@ -118,7 +125,7 @@ func New(md core.MultiDiversifier) *Server {
 // requests touching different author-graph components decide in parallel.
 // /metrics additionally exposes per-worker queue and decision series.
 func NewParallel(pe *stream.ParallelMultiEngine) *Server {
-	return newServer(newParallelTimelines(pe))
+	return newServer(parallelEngine{pe})
 }
 
 // NewFromEngine builds a Server over any Engine implementation — the seam

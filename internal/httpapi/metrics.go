@@ -5,9 +5,7 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
-	"sync"
 
-	"firehose/internal/checkpoint"
 	"firehose/internal/connector"
 	"firehose/internal/core"
 	"firehose/internal/metrics"
@@ -22,96 +20,32 @@ import (
 // pull-only: nothing on the ingest hot path touches the registry; every
 // series is computed from engine snapshots at scrape time.
 
-// parallelTimelines adapts a stream.ParallelMultiEngine to the engine seam:
-// it joins each decision ticket and maintains the per-user timelines the
-// /timeline and /users endpoints serve (the parallel engine itself resolves
-// decisions asynchronously and stores none).
-type parallelTimelines struct {
-	pe *stream.ParallelMultiEngine
-
-	// mu guards: timelines
-	mu        sync.Mutex
-	timelines stream.Timelines
-}
-
-func newParallelTimelines(pe *stream.ParallelMultiEngine) *parallelTimelines {
-	return &parallelTimelines{pe: pe}
+// parallelEngine adapts a stream.ParallelMultiEngine to the engine seam by
+// joining each decision ticket. Everything else — the merged timelines the
+// workers keep, counters, per-worker snapshots, adaptive state, checkpoints —
+// is the engine's own, promoted through the embedding.
+type parallelEngine struct {
+	*stream.ParallelMultiEngine
 }
 
 // Offer enqueues the post and blocks on its ticket only — concurrent callers
 // whose posts land on different workers proceed in parallel.
-func (a *parallelTimelines) Offer(p *core.Post) ([]int32, error) {
-	t, err := a.pe.Offer(p)
+func (a parallelEngine) Offer(p *core.Post) ([]int32, error) {
+	t, err := a.ParallelMultiEngine.Offer(p)
 	if err != nil {
 		return nil, err
 	}
-	users := t.Users()
-	if len(users) > 0 {
-		a.mu.Lock()
-		a.timelines.Deliver(p, users)
-		a.mu.Unlock()
-	}
-	return users, nil
+	return t.Users(), nil
 }
 
 // OfferBatch hands the whole batch to the parallel engine in one routing pass
-// (one channel send per touched worker), joins the batch ticket, and appends
-// the deliveries to the timelines in batch order.
-func (a *parallelTimelines) OfferBatch(posts []*core.Post) ([][]int32, error) {
-	t, err := a.pe.OfferBatch(posts)
+// (one channel send per touched worker) and joins the batch ticket.
+func (a parallelEngine) OfferBatch(posts []*core.Post) ([][]int32, error) {
+	t, err := a.ParallelMultiEngine.OfferBatch(posts)
 	if err != nil {
 		return nil, err
 	}
-	deliveries := t.Users()
-	a.mu.Lock()
-	for i, users := range deliveries {
-		a.timelines.Deliver(posts[i], users)
-	}
-	a.mu.Unlock()
-	return deliveries, nil
-}
-
-func (a *parallelTimelines) Timeline(user int32) []*core.Post {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.timelines.Timeline(user)
-}
-
-func (a *parallelTimelines) Counters() metrics.Counters { return a.pe.Counters() }
-
-func (a *parallelTimelines) Name() string { return a.pe.Name() }
-
-func (a *parallelTimelines) Close() { a.pe.Close() }
-
-func (a *parallelTimelines) WorkerSnapshots() []stream.WorkerSnapshot {
-	return a.pe.WorkerSnapshots()
-}
-
-// AdaptiveStates merges the per-shard controller states (nil when the shards
-// are not adaptive-wrapped); Suppressed sums the shards' withheld counts.
-func (a *parallelTimelines) AdaptiveStates() []core.AdaptiveUserState {
-	return a.pe.AdaptiveStates()
-}
-
-func (a *parallelTimelines) Suppressed() uint64 { return a.pe.Suppressed() }
-
-// SnapshotState delegates to the parallel engine (which quiesces). The
-// timeline store is derived view state and is not serialized — same policy as
-// stream.MultiEngine.
-func (a *parallelTimelines) SnapshotState(enc *checkpoint.Encoder) error {
-	return a.pe.SnapshotState(enc)
-}
-
-// RestoreState delegates to the parallel engine and resets the derived
-// timelines: they replay forward from the restore point.
-func (a *parallelTimelines) RestoreState(dec *checkpoint.Decoder) error {
-	if err := a.pe.RestoreState(dec); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	a.timelines.Reset()
-	a.mu.Unlock()
-	return nil
+	return t.Users(), nil
 }
 
 // buildRegistry wires every metric family. Families that read the engine's
@@ -184,6 +118,21 @@ func (s *Server) buildRegistry() *metrics.Registry {
 			defer s.mu.Unlock()
 			return []metrics.Sample{{Value: float64(s.ckptBytes)}}
 		})
+
+	if ts, ok := s.engine.(timelineSizer); ok {
+		r.MustRegister("firehose_timeline_posts",
+			"Delivered posts held in the timeline store, each once however many users received it.",
+			metrics.KindGauge, func() []metrics.Sample {
+				posts, _ := ts.TimelineSize()
+				return []metrics.Sample{{Value: float64(posts)}}
+			})
+		r.MustRegister("firehose_timeline_entries",
+			"Per-user timeline positions (one post delivered to k users counts k).",
+			metrics.KindGauge, func() []metrics.Sample {
+				_, entries := ts.TimelineSize()
+				return []metrics.Sample{{Value: float64(entries)}}
+			})
+	}
 
 	if s.workers != nil {
 		workerLabel := func(w int) []metrics.Label {

@@ -2,6 +2,8 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -275,6 +277,81 @@ func TestMetricsEndpointParallel(t *testing.T) {
 	r.Body.Close()
 	if !strings.Contains(string(raw), "ferry sinks") {
 		t.Fatalf("parallel timeline missing delivered post: %s", raw)
+	}
+}
+
+// TestTimelineGauges: both engines that own a timeline store expose its size
+// — each delivered post once, and one entry per (post, user) delivery — and
+// both gauges drop to zero when a restore empties the store. An engine
+// without a store (the shard router's shape) exposes neither.
+func TestTimelineGauges(t *testing.T) {
+	scrapeServer := func(s *Server) string {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics", nil))
+		return rec.Body.String()
+	}
+	for _, parallel := range []bool{false, true} {
+		srv, _ := serverPair(t, parallel)
+		var ckpt bytes.Buffer
+		if err := srv.Snapshot(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		var posts, entries float64
+		count := func(users []int32) {
+			if len(users) > 0 {
+				posts++
+				entries += float64(len(users))
+			}
+		}
+		texts := []string{"ferry sinks off the coast", "alibaba files for listing", "wildfire spreads north"}
+		for i := 0; i < 6; i++ {
+			rec := postJSON(t, srv, "/v1/ingest",
+				fmt.Sprintf(`{"author":%d,"text":%q,"timeMillis":%d}`, i%4, texts[i%3], 1000*(i+1)))
+			var out IngestResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatal(err)
+			}
+			count(out.Delivered)
+		}
+		rec := postJSON(t, srv, "/v1/ingest/batch", `{"posts":[`+
+			`{"author":3,"text":"senate passes the budget","timeMillis":9000},`+
+			`{"author":0,"text":"markets rally on rate cut","timeMillis":9001}]}`)
+		var br BatchIngestResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range br.Results {
+			count(r.Delivered)
+		}
+		if entries <= posts {
+			t.Fatalf("parallel=%v: %v deliveries of %v posts; the test wants posts reaching several users", parallel, entries, posts)
+		}
+
+		body := scrapeServer(srv)
+		checkExpositionFormat(t, body)
+		if v := metricValue(t, body, "firehose_timeline_posts"); v != posts {
+			t.Fatalf("parallel=%v: firehose_timeline_posts = %v, want %v", parallel, v, posts)
+		}
+		if v := metricValue(t, body, "firehose_timeline_entries"); v != entries {
+			t.Fatalf("parallel=%v: firehose_timeline_entries = %v, want %v", parallel, v, entries)
+		}
+
+		if err := srv.Restore(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		body = scrapeServer(srv)
+		for _, series := range []string{"firehose_timeline_posts", "firehose_timeline_entries"} {
+			if v := metricValue(t, body, series); v != 0 {
+				t.Fatalf("parallel=%v: %s = %v after restore, want 0", parallel, series, v)
+			}
+		}
+		srv.Close()
+	}
+
+	seq, _ := serverPair(t, false)
+	storeless := NewFromEngine(&failOnceEngine{Engine: seq.engine, failed: true})
+	if body := scrapeServer(storeless); strings.Contains(body, "firehose_timeline_") {
+		t.Fatal("an engine without a timeline store exposes firehose_timeline_* gauges")
 	}
 }
 

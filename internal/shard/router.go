@@ -605,7 +605,9 @@ func (rt *Router) TimelineErr(user int32) ([]*core.Post, error) {
 			}
 			mu.Lock()
 			for _, p := range resp.Posts {
-				all = append(all, core.NewPost(p.ID, p.Author, p.TimeMillis, p.Text))
+				// No fingerprint: the read path serves id, author, time and
+				// text only.
+				all = append(all, &core.Post{ID: p.ID, Author: p.Author, Time: p.TimeMillis, Text: p.Text})
 			}
 			mu.Unlock()
 		}(s, peer)

@@ -159,7 +159,9 @@ func (e *ParallelMultiEngine) SnapshotState(enc *checkpoint.Encoder) error {
 // RestoreState replaces the engine's decision state from a snapshot. The
 // engine must be freshly constructed with the same shape (algorithm, graph,
 // subscriptions, worker count) — the shard count is validated here, shard
-// contents by the solvers underneath. On error the engine must be discarded.
+// contents by the solvers underneath. Each worker's timelines restart empty
+// under the quiesce, as MultiEngine's do. On error the engine must be
+// discarded.
 func (e *ParallelMultiEngine) RestoreState(dec *checkpoint.Decoder) error {
 	snaps, err := e.shardSnapshotters()
 	if err != nil {
@@ -191,6 +193,7 @@ func (e *ParallelMultiEngine) RestoreState(dec *checkpoint.Decoder) error {
 		err := snaps[wi].RestoreState(dec)
 		if err == nil {
 			w.queueWait = wait
+			w.timelines.Reset()
 		}
 		w.mu.Unlock()
 		if err != nil {

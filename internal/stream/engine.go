@@ -187,7 +187,7 @@ func (m *MultiEngine) Offer(p *core.Post) ([]int32, error) {
 	m.offered++
 	users := slices.Clone(m.md.Offer(p))
 	m.delivered += uint64(len(users))
-	m.timelines.Deliver(p, users)
+	m.timelines.Deliver(p, m.offered, users)
 	return users, nil
 }
 
@@ -209,7 +209,7 @@ func (m *MultiEngine) OfferBatch(posts []*core.Post) ([][]int32, error) {
 		m.offered++
 		users := slices.Clone(m.md.Offer(p))
 		m.delivered += uint64(len(users))
-		m.timelines.Deliver(p, users)
+		m.timelines.Deliver(p, m.offered, users)
 		m.offerLatency.ObserveSince(start)
 		out[i] = users
 	}
@@ -240,6 +240,14 @@ func (m *MultiEngine) Timeline(u int32) []*core.Post {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.timelines.Timeline(u)
+}
+
+// TimelineSize reports the timeline store's retained state: posts held once
+// each, and per-user positions into them.
+func (m *MultiEngine) TimelineSize() (posts, entries uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.timelines.Size()
 }
 
 // Swap atomically replaces or mutates the solver between decisions — the

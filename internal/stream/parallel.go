@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -62,6 +63,11 @@ const DefaultQueueDepth = 256
 // decision. For every user, the union of deliveries equals the sequential
 // SharedMultiUser's — property-tested against it.
 //
+// Each worker keeps the delivered history of the posts it decides, appended
+// in its decision loop before the ticket resolves; Timeline merges the
+// workers' histories by sequence number, so per-user timelines equal a
+// sequential MultiEngine's.
+//
 // The same component-independence argument is applied at process scale by
 // internal/shard: a router partitions components across worker *processes*
 // the way this engine partitions them across goroutines, and the
@@ -107,21 +113,27 @@ const (
 )
 
 type parallelWorker struct {
-	// mu guards: md, queueWait
+	// mu guards: md, queueWait, timelines, discard
 	//
 	// The worker goroutine holds it across Offer (which mutates the
-	// per-component counters deep inside the bins) and
-	// Counters/WorkerSnapshots hold it while merging, so snapshots never
-	// race decisions. ch is written by the ingest boundary and closed by
+	// per-component counters deep inside the bins) and the timeline append,
+	// and Counters/WorkerSnapshots/Timeline hold it while merging, so readers
+	// never race decisions. ch is written by the ingest boundary and closed by
 	// Close; lastSeq and offs are owned by the worker goroutine alone.
 	mu sync.Mutex
 	// md is the shard solver: a SharedMultiUser over the shard's components,
 	// optionally wrapped by the adaptive controller. Interface-typed so the
 	// wrapping is invisible to the decision loop; checkpointing asserts
 	// core.StateSnapshotter and refuses solvers that lack it.
-	md      core.MultiDiversifier
-	ch      chan parallelJob
-	lastSeq uint64
+	md core.MultiDiversifier
+	// timelines is the delivered history of the posts this worker decides,
+	// appended in the decision loop and tagged with each post's ingest
+	// sequence number; ParallelMultiEngine.Timeline merges the workers' stores
+	// by it. discard turns the appends off (see DiscardTimelines).
+	timelines Timelines
+	discard   bool
+	ch        chan parallelJob
+	lastSeq   uint64
 	// offs is the worker's reusable batch-offset scratch: offs[i] is the
 	// arena position where batch post i's deliveries start. Only subslices
 	// of the per-batch arena escape to tickets, never offs itself.
@@ -317,6 +329,9 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 				// Detach from the solver's scratch buffer: the ticket outlives
 				// the next decision on this worker.
 				users := slices.Clone(w.md.Offer(job.post))
+				if !w.discard {
+					w.timelines.Deliver(job.post, job.ticket.seq, users)
+				}
 				w.mu.Unlock()
 				job.ticket.users = users
 				close(job.ticket.done)
@@ -328,7 +343,8 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 
 // runBatch decides one shard of a batch. Deliveries are packed into a single
 // per-shard arena slice — one allocation per shard instead of one per
-// delivered post — and the ticket's per-post slots receive subslices of it.
+// delivered post — and the ticket's per-post slots receive subslices of it;
+// each post's region is also what the worker's timelines record.
 func (w *parallelWorker) runBatch(job parallelJob) {
 	b := job.batch
 	if b.firstSeq <= w.lastSeq {
@@ -339,9 +355,12 @@ func (w *parallelWorker) runBatch(job parallelJob) {
 	w.queueWait.ObserveSince(job.enqueuedAt)
 	offs := append(w.offs[:0], 0)
 	var arena []int32
-	for _, p := range b.posts {
+	for i, p := range b.posts {
 		arena = append(arena, w.md.Offer(p)...)
 		offs = append(offs, int32(len(arena)))
+		if !w.discard {
+			w.timelines.Deliver(p, b.ticket.seqBase+uint64(b.pos[i]), arena[offs[i]:])
+		}
 	}
 	w.offs = offs
 	w.mu.Unlock()
@@ -526,6 +545,53 @@ func (e *ParallelMultiEngine) WorkerSnapshots() []WorkerSnapshot {
 		w.mu.Unlock()
 	}
 	return snaps
+}
+
+// Timeline returns a copy of user u's delivered history, oldest first: the
+// workers' stores merged by ingest sequence number, which is the order a
+// sequential MultiEngine fed the same stream appends in. Like Counters it
+// reads one worker at a time under its decision lock, so a post decided
+// mid-read may be missing while a later one is present; every post whose
+// ticket has resolved is included.
+func (e *ParallelMultiEngine) Timeline(u int32) []*core.Post {
+	var merged []logEntry
+	for _, w := range e.workers {
+		w.mu.Lock()
+		merged = w.timelines.appendEntries(merged, u)
+		w.mu.Unlock()
+	}
+	slices.SortFunc(merged, func(a, b logEntry) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]*core.Post, len(merged))
+	for i, le := range merged {
+		out[i] = le.post
+	}
+	return out
+}
+
+// TimelineSize sums the workers' retained timeline state: posts held once
+// each, and per-user positions into them.
+func (e *ParallelMultiEngine) TimelineSize() (posts, entries uint64) {
+	for _, w := range e.workers {
+		w.mu.Lock()
+		p, n := w.timelines.Size()
+		w.mu.Unlock()
+		posts += p
+		entries += n
+	}
+	return posts, entries
+}
+
+// DiscardTimelines drops the delivered history and stops recording it, for
+// embedders that never read Timeline (the public firehose.ParallelService):
+// without it every delivered post would stay reachable for the engine's
+// lifetime. Timeline then answers empty. Decisions are unaffected.
+func (e *ParallelMultiEngine) DiscardTimelines() {
+	for _, w := range e.workers {
+		w.mu.Lock()
+		w.discard = true
+		w.timelines.Reset()
+		w.mu.Unlock()
+	}
 }
 
 // Name returns the backing solver's algorithm name (e.g. "S_UniBin"); every

@@ -110,6 +110,9 @@ func NewParallel(g *AuthorGraph, subscriptions [][]AuthorID, opts ParallelServic
 	if err != nil {
 		return nil, err
 	}
+	// The service hands deliveries to the caller and serves no timeline
+	// reads, so it keeps no history: its memory stays bounded by the window.
+	inner.DiscardTimelines()
 	meta := metaFor(inner.Name(), g, subscriptions, []Config{opts.Config})
 	meta.workers = workers
 	if err := meta.applyTopology(opts.Topology); err != nil {

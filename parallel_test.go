@@ -56,6 +56,11 @@ func TestParallelServiceMatchesSequential(t *testing.T) {
 	if sSt.Accepted != pSt.Accepted || sSt.Rejected != pSt.Rejected {
 		t.Fatalf("stats differ: %+v vs %+v", sSt, pSt)
 	}
+	// The service serves no timelines, so its workers keep no history: a
+	// long-running embedder's memory stays bounded by the decision window.
+	if posts, entries := par.inner.TimelineSize(); posts != 0 || entries != 0 {
+		t.Fatalf("ParallelService retains %d posts and %d timeline entries", posts, entries)
+	}
 }
 
 func TestParallelServiceValidation(t *testing.T) {
