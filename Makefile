@@ -12,10 +12,10 @@ test:
 vet:
 	$(GO) vet ./...
 
-# race runs the full suite under the race detector — the concurrent engines
-# (stream.Engine, MultiEngine, ParallelMultiEngine, the SSE broker) are
-# stress-tested from many goroutines, so this is where lifecycle and counter
-# races surface.
+# race runs the full suite under the race detector — the concurrent engine
+# (stream.ParallelMultiEngine, inline and worker-sharded) and the SSE broker
+# are stress-tested from many goroutines, so this is where lifecycle and
+# counter races surface.
 race:
 	$(GO) test -race ./...
 

@@ -1,9 +1,11 @@
-// Liveserver: concurrent ingestion through the stream engine with live
-// subscribers — the real-time deployment of the diversifier.
+// Liveserver: a live feed through the diversifier with a concurrent
+// subscriber — the real-time deployment of the diversifier.
 //
-// Producer goroutines (one per author cluster) generate posts into a merged
-// time-ordered feed; the engine serializes the real-time decisions; a
-// consumer goroutine prints the diversified timeline as it materializes.
+// A producer goroutine delivers the feed in time order; one goroutine owns
+// the Diversifier (each decision depends on every earlier one, so decisions
+// are serialized by ownership) and forwards every emitted post to the
+// timeline channel; a consumer goroutine prints the diversified timeline as
+// it materializes.
 //
 // Run with: go run ./examples/liveserver
 package main
@@ -15,8 +17,6 @@ import (
 	"time"
 
 	"firehose"
-	"firehose/internal/core"
-	"firehose/internal/stream"
 )
 
 func main() {
@@ -28,26 +28,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// The stream engine wraps a core diversifier with a concurrency-safe
-	// facade: many producers, many subscribers, one serialized decision path.
-	th := core.Thresholds{LambdaC: 18, LambdaT: (30 * time.Minute).Milliseconds(), LambdaA: 0.7}
-	engine := stream.NewEngine(core.NewUniBin(graph, th))
-
-	timeline := engine.Subscribe(64)
-	var consumer sync.WaitGroup
-	consumer.Add(1)
-	go func() {
-		defer consumer.Done()
-		for p := range timeline {
-			fmt.Printf("TIMELINE  [a%d t+%02ds] %s\n", p.Author, p.Time/1000, p.Text)
-		}
-	}()
+	div, err := firehose.NewDiversifier(firehose.UniBin, graph, nil, firehose.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// A scripted "live" feed: the story breaks, gets re-shared by the
 	// similar bot, and is independently reported by the commentator.
-	feed := []struct {
-		author int32
+	start := time.Unix(0, 0)
+	script := []struct {
+		author firehose.AuthorID
 		atSec  int64
 		text   string
 	}{
@@ -57,21 +47,36 @@ func main() {
 		{1, 45, "utility says service restored to most customers http://t.co/c3"},
 		{0, 58, "utility says service restored to most customers http://t.co/d4"},
 	}
-	for _, f := range feed {
-		post := core.NewPost(0, f.author, f.atSec*1000, f.text)
-		emitted, err := engine.Offer(post)
-		if err != nil {
-			log.Fatal(err)
+	feed := make(chan firehose.Post)
+	go func() {
+		defer close(feed)
+		for _, s := range script {
+			feed <- firehose.Post{Author: s.author, Time: start.Add(time.Duration(s.atSec) * time.Second), Text: s.text}
+			time.Sleep(30 * time.Millisecond) // pace the demo
 		}
-		if !emitted {
-			fmt.Printf("pruned    [a%d t+%02ds] %s\n", f.author, f.atSec, f.text)
+	}()
+
+	timeline := make(chan firehose.Post, 64)
+	var consumer sync.WaitGroup
+	consumer.Add(1)
+	go func() {
+		defer consumer.Done()
+		for p := range timeline {
+			fmt.Printf("TIMELINE  [a%d t+%02ds] %s\n", p.Author, int(p.Time.Sub(start).Seconds()), p.Text)
 		}
-		time.Sleep(30 * time.Millisecond) // pace the demo
+	}()
+
+	for p := range feed {
+		if div.Offer(p) {
+			timeline <- p
+		} else {
+			fmt.Printf("pruned    [a%d t+%02ds] %s\n", p.Author, int(p.Time.Sub(start).Seconds()), p.Text)
+		}
 	}
-	engine.Close()
+	close(timeline)
 	consumer.Wait()
 
-	c := engine.Counters()
+	s := div.Stats()
 	fmt.Printf("\n%d offered, %d emitted, %d pruned (%d comparisons)\n",
-		c.Processed(), c.Accepted, c.Rejected, c.Comparisons)
+		s.Accepted+s.Rejected, s.Accepted, s.Rejected, s.Comparisons)
 }

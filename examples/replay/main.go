@@ -1,5 +1,5 @@
 // Replay: persist a corpus to disk, then replay it as a live feed through
-// the streaming engine at high speedup — the offline/online split of a real
+// the diversifier at high speedup — the offline/online split of a real
 // deployment (generate or crawl offline; diversify online).
 //
 // Run with: go run ./examples/replay
@@ -14,10 +14,10 @@ import (
 	"path/filepath"
 	"time"
 
+	"firehose"
 	"firehose/internal/authorsim"
-	"firehose/internal/core"
+	"firehose/internal/connector"
 	"firehose/internal/corpusio"
-	"firehose/internal/stream"
 	"firehose/internal/twittergen"
 )
 
@@ -29,7 +29,7 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// Offline: generate one day of posts for 200 authors and persist the
-	// corpus and the precomputed author graph.
+	// corpus and the follow graph the author similarities derive from.
 	rng := rand.New(rand.NewSource(11))
 	social, err := twittergen.GenerateGraph(rng, twittergen.DefaultGraphConfig(200))
 	if err != nil {
@@ -44,20 +44,25 @@ func main() {
 	}
 
 	corpusPath := filepath.Join(dir, "corpus.jsonl")
-	graphPath := filepath.Join(dir, "graph.jsonl")
+	followeesPath := filepath.Join(dir, "followees.jsonl")
 	mustWrite(corpusPath, func(f *os.File) error { return corpusio.WritePosts(f, gen.Posts) })
-	mustWrite(graphPath, func(f *os.File) error { return corpusio.WriteGraph(f, g) })
-	fmt.Printf("offline: wrote %d posts and a %d-edge author graph to %s\n",
-		len(gen.Posts), g.NumEdges(), dir)
+	mustWrite(followeesPath, func(f *os.File) error { return corpusio.WriteFollowees(f, social.Followees) })
+	fmt.Printf("offline: wrote %d posts and the follow graph of %d authors to %s\n",
+		len(gen.Posts), len(social.Followees), dir)
 
 	// Online: reload both artifacts and replay the day at 500,000× (a whole
-	// day in ~0.2s), streaming through the engine with a live subscriber.
+	// day in ~0.2s), streaming through the diversifier with a live subscriber.
 	posts := mustRead(corpusPath, corpusio.ReadPosts)
-	loadedGraph := mustReadGraph(graphPath)
-
-	th := core.Thresholds{LambdaC: 18, LambdaT: (30 * time.Minute).Milliseconds(), LambdaA: 0.7}
-	engine := stream.NewEngine(core.NewUniBin(loadedGraph, th))
-	timeline := engine.Subscribe(1024)
+	followees := mustRead(followeesPath, corpusio.ReadFollowees)
+	graph, err := firehose.BuildAuthorGraph(followees, 0.7)
+	if err != nil {
+		log.Fatal(err)
+	}
+	div, err := firehose.NewDiversifier(firehose.UniBin, graph, nil, firehose.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	timeline := make(chan firehose.Post, 1024)
 	done := make(chan int)
 	go func() {
 		n := 0
@@ -67,26 +72,27 @@ func main() {
 		done <- n
 	}()
 
-	src, err := stream.NewSliceSource(posts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	replay, err := stream.NewReplay(src, 500_000)
+	pacer, err := connector.NewPacer(500_000)
 	if err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	emitted, err := engine.Consume(replay)
-	if err != nil {
-		log.Fatal(err)
+	emitted := 0
+	for _, p := range posts {
+		pacer.Wait(p.Time, nil)
+		post := firehose.Post{ID: p.ID, Author: p.Author, Time: time.UnixMilli(p.Time), Text: p.Text}
+		if div.Offer(post) {
+			emitted++
+			timeline <- post
+		}
 	}
-	engine.Close()
+	close(timeline)
 	delivered := <-done
 
-	c := engine.Counters()
+	s := div.Stats()
 	fmt.Printf("online: replayed the day in %s; %d of %d posts reached the timeline (%.1f%% pruned)\n",
-		time.Since(start).Round(time.Millisecond), len(emitted), c.Processed(),
-		100*c.PruneRatio())
+		time.Since(start).Round(time.Millisecond), emitted, s.Accepted+s.Rejected,
+		100*s.PruneRatio())
 	fmt.Printf("subscriber observed %d deliveries\n", delivered)
 }
 
@@ -103,7 +109,7 @@ func mustWrite(path string, write func(*os.File) error) {
 	}
 }
 
-func mustRead(path string, read func(r io.Reader) ([]*core.Post, error)) []*core.Post {
+func mustRead[T any](path string, read func(r io.Reader) (T, error)) T {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -114,17 +120,4 @@ func mustRead(path string, read func(r io.Reader) ([]*core.Post, error)) []*core
 		log.Fatal(err)
 	}
 	return v
-}
-
-func mustReadGraph(path string) *authorsim.Graph {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	g, err := corpusio.ReadGraph(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return g
 }

@@ -134,7 +134,7 @@ func (mv *MutableVectors) SimilaritiesOf(a int32, minSim float64) ([]SimPair, er
 //	g2 := g.WithUpdatedAuthor(a, neighborsOf(a, pairs))
 //
 // Graphs are immutable, so readers of g are unaffected; swap g2 in at a
-// safe point (see stream.Engine.Swap).
+// safe point (see stream.ParallelMultiEngine.Swap).
 func (g *Graph) WithUpdatedAuthor(a int32, neighbors []int32) (*Graph, error) {
 	if a < 0 || int(a) >= len(g.adj) {
 		return nil, fmt.Errorf("authorsim: author %d out of range", a)

@@ -3,8 +3,6 @@ package connector
 import (
 	"fmt"
 	"time"
-
-	"firehose/internal/stream"
 )
 
 // Pipeline is one assembled input → engine → outputs run: the runner driving
@@ -40,7 +38,7 @@ func (p *Pipeline) ConnectorStats() []Stat {
 // BuildInput constructs the configured input plugin and its optional replay
 // pacer. The native "http" input has no plugin instance (the HTTP handlers
 // are the input) and returns (nil, nil, nil).
-func BuildInput(ic InputConfig) (Input, *stream.Pacer, error) {
+func BuildInput(ic InputConfig) (Input, *Pacer, error) {
 	switch ic.Type {
 	case InputHTTP:
 		return nil, nil, nil
@@ -53,9 +51,9 @@ func BuildInput(ic InputConfig) (Input, *stream.Pacer, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var pacer *stream.Pacer
+		var pacer *Pacer
 		if ic.Speedup > 0 {
-			pacer, err = stream.NewPacer(ic.Speedup)
+			pacer, err = NewPacer(ic.Speedup)
 			if err != nil {
 				_ = in.Close()
 				return nil, nil, err

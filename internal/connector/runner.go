@@ -28,7 +28,7 @@ type Runner struct {
 	component string
 	input     Input
 	ingest    IngestFunc
-	pacer     *stream.Pacer
+	pacer     *Pacer
 	backoff   time.Duration
 
 	// mu guards: pending, lastSeq, ackSeq, stopped
@@ -62,7 +62,7 @@ type RunnerOptions struct {
 	// Pacer, when non-nil, paces Read-ed messages by their timestamps
 	// (recorded-speed or compressed replay). Nil ingests as fast as the
 	// engine accepts.
-	Pacer *stream.Pacer
+	Pacer *Pacer
 	// QueueFullBackoff is the wait before retrying a backpressured ingest
 	// (default 5ms).
 	QueueFullBackoff time.Duration
@@ -106,8 +106,8 @@ func (r *Runner) Run(ctx context.Context) error {
 			}
 		}
 		r.read.inc()
-		if r.pacer != nil {
-			r.pacer.Wait(msg.TimeMillis)
+		if r.pacer != nil && !r.pacer.Wait(msg.TimeMillis, r.stopCh) {
+			return nil // Stop closed stopCh mid-wait
 		}
 		if stop := r.ingestOne(msg); stop {
 			return nil

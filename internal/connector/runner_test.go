@@ -200,6 +200,40 @@ func TestRunnerRetriesQueueFull(t *testing.T) {
 	}
 }
 
+// TestRunnerStopDuringPacedGap: a real-time replay (speedup 1) waiting out
+// an hour-long gap between two messages must not hold Stop for that hour.
+func TestRunnerStopDuringPacedGap(t *testing.T) {
+	in := newStubInput(msg(0, 0, "a"), msg(0, time.Hour.Milliseconds(), "b"))
+	ingest := func(author int32, tm int64, text string) (uint64, []int32, error) {
+		return 1, nil, nil
+	}
+	pacer, err := connector.NewPacer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := connector.NewRunner("input:stub", in, ingest, connector.RunnerOptions{Pacer: pacer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = r.Run(context.Background()) }()
+	// The second message is read (and waiting on its due time) once the
+	// first is ingested.
+	waitFor(t, "both messages read", func() bool { return r.Stats().Read == 2 })
+	stopped := make(chan struct{})
+	go func() {
+		r.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop blocked on the paced wait for the next message")
+	}
+	if st := r.Stats(); st.Ingested != 1 {
+		t.Fatalf("ingested %d messages, want 1 (the second was still pending)", st.Ingested)
+	}
+}
+
 // TestRunnerStopsOnEngineClose: stream.ErrClosed ends the run cleanly.
 func TestRunnerStopsOnEngineClose(t *testing.T) {
 	in := newStubInput(msg(0, 1000, "a"))

@@ -184,9 +184,6 @@ func NewAdaptiveMultiUser(inner MultiDiversifier, g AuthorGraph, base Thresholds
 // Inner returns the wrapped solver.
 func (a *AdaptiveMultiUser) Inner() MultiDiversifier { return a.inner }
 
-// Policy returns the controller configuration.
-func (a *AdaptiveMultiUser) Policy() AdaptivePolicy { return a.pol }
-
 // Name implements MultiDiversifier.
 func (a *AdaptiveMultiUser) Name() string { return "Adaptive(" + a.inner.Name() + ")" }
 

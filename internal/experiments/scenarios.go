@@ -7,6 +7,7 @@ import (
 
 	"firehose/internal/authorsim"
 	"firehose/internal/core"
+	"firehose/internal/metrics"
 	"firehose/internal/stream"
 	"firehose/internal/twittergen"
 )
@@ -16,7 +17,7 @@ import (
 // social graph, drives the sequential multi-user engine through it twice —
 // once with the plain S_UniBin solver, once wrapped in the adaptive per-user
 // threshold controller — and reports before/after delivery-rate metrics.
-// Graph-churn events are applied mid-stream through MultiEngine.Swap +
+// Graph-churn events are applied mid-stream through the engine's Swap +
 // SetGraph, the maintenance loop the paper sketches in Section 3. The
 // delivery tables are pure functions of the seed and are golden-tested;
 // latency tables are timing and deliberately are not.
@@ -207,9 +208,9 @@ type ScenarioRun struct {
 	// Suppressed is the controller's withheld-delivery count (0 for the
 	// baseline run).
 	Suppressed uint64
-	// Snapshot is the engine instrumentation (offer latency is timing and is
-	// reported by LatencyTable only).
-	Snapshot stream.MultiEngineSnapshot
+	// Counters is the engine's cost-counter snapshot (its decision latency is
+	// timing and is reported by LatencyTable only).
+	Counters metrics.Counters
 }
 
 // ScenarioResult is one scenario's before/after comparison.
@@ -312,10 +313,12 @@ func runScenarioPass(social *twittergen.SocialGraph, ws *twittergen.WorkloadStre
 			return err
 		}
 		var swapErr error
-		eng.Swap(func(cur core.MultiDiversifier) core.MultiDiversifier {
+		if err := eng.Swap(func(cur core.MultiDiversifier) core.MultiDiversifier {
 			swapErr = cur.(graphRefresher).SetGraph(g2)
 			return cur
-		})
+		}); err != nil {
+			return err
+		}
 		if swapErr != nil {
 			return swapErr
 		}
@@ -368,7 +371,7 @@ func runScenarioPass(social *twittergen.SocialGraph, ws *twittergen.WorkloadStre
 	if a, ok := md.(*core.AdaptiveMultiUser); ok {
 		run.Suppressed = a.Suppressed()
 	}
-	run.Snapshot = eng.Snapshot()
+	run.Counters = eng.Counters()
 	return run, churned, nil
 }
 
@@ -419,7 +422,7 @@ func (r *ScenarioResult) Table() *Table {
 // deterministic, so this table is CLI output only — never golden-tested.
 func (r *ScenarioResult) LatencyTable() *Table {
 	row := func(name string, run ScenarioRun) []string {
-		d := run.Snapshot.Counters.Decisions
+		d := run.Counters.Decisions
 		return []string{
 			name,
 			fmtInt(d.Count),

@@ -19,8 +19,8 @@ import (
 // serverKind is the snapshot stream kind of a full HTTP server state.
 const serverKind = "httpapi.Server"
 
-// stateEngine is the optional snapshot surface of the engine seam; both the
-// sequential MultiEngine and the parallel adapter provide it.
+// stateEngine is the optional snapshot surface of the engine seam; the
+// stream engine provides it in every shape.
 type stateEngine interface {
 	core.StateSnapshotter
 }
@@ -35,7 +35,7 @@ func (s *Server) topology() (shard, shards int, digest uint64) {
 }
 
 // Snapshot writes the server's complete state to w: the engine's decision
-// state (the parallel backend quiesces — intake pauses, in-flight decisions
+// state (the stream engine quiesces — intake pauses, in-flight decisions
 // drain, shards serialize under their owner locks) followed by the HTTP
 // layer's id/time watermarks.
 //

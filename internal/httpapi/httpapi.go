@@ -19,11 +19,11 @@ import (
 )
 
 // Engine is the seam between the HTTP surface and a diversification engine:
-// the sequential stream.MultiEngine, the worker-sharded parallel adapter and
-// the shard router all satisfy it, so every endpoint (including /metrics)
-// works unchanged over any backend. Out-of-package backends plug in through
-// NewFromEngine; one that additionally implements core.StateSnapshotter gets
-// Snapshot/Restore support.
+// stream.MultiEngine (the synchronous view of the stream engine, inline or
+// worker-sharded) and the shard router both satisfy it, so every endpoint
+// (including /metrics) works unchanged over any backend. Out-of-package
+// backends plug in through NewFromEngine; one that additionally implements
+// core.StateSnapshotter gets Snapshot/Restore support.
 type Engine interface {
 	Offer(p *core.Post) ([]int32, error)
 	// OfferBatch ingests a time-ordered batch as one unit, returning per-post
@@ -36,16 +36,16 @@ type Engine interface {
 	Close()
 }
 
-// workerSource is the optional per-worker instrumentation surface; only the
-// parallel engine provides it, and /metrics exposes per-worker series when
-// it does.
+// workerSource is the optional per-worker instrumentation surface; a
+// worker-sharded stream engine provides it (an inline one reports no
+// workers), and /metrics exposes per-worker series when it does.
 type workerSource interface {
 	WorkerSnapshots() []stream.WorkerSnapshot
 }
 
-// timelineSizer is the optional retained-state surface of the engines that
-// own a timeline store (the sequential and the parallel engine, not the shard
-// router); /metrics exposes the firehose_timeline_* gauges when it is there.
+// timelineSizer is the optional retained-state surface of an engine that owns
+// a timeline store (the stream engine, not the shard router); /metrics
+// exposes the firehose_timeline_* gauges when it is there.
 type timelineSizer interface {
 	TimelineSize() (posts, entries uint64)
 }
@@ -68,7 +68,7 @@ func (s *Server) timeline(user int32) ([]*core.Post, error) {
 }
 
 // adaptiveSource is the optional adaptive-controller instrumentation surface.
-// Both engines implement the methods; an engine whose solver is not
+// The stream engine implements the methods; an engine whose solver is not
 // adaptive-wrapped returns nil states, and /metrics registers the adaptive
 // families only for a non-nil answer at construction (the controller is a
 // construction-time property, not something that appears mid-run).
@@ -81,7 +81,7 @@ type adaptiveSource interface {
 type Server struct {
 	mux      *http.ServeMux
 	engine   Engine
-	workers  workerSource   // nil for sequential engines
+	workers  workerSource   // nil unless the engine has worker queues
 	adaptive adaptiveSource // nil unless the solver is adaptive-wrapped
 	broker   *broker
 	registry *metrics.Registry
@@ -115,17 +115,17 @@ type Server struct {
 }
 
 // New builds a Server around a multi-user diversifier, running decisions on
-// the caller's goroutine through the sequential stream engine.
+// the caller's goroutine through the inline stream engine.
 func New(md core.MultiDiversifier) *Server {
 	return newServer(stream.NewMultiEngine(md))
 }
 
-// NewParallel builds a Server over a worker-sharded parallel engine. Ingest
+// NewParallel builds a Server over a worker-sharded stream engine. Ingest
 // handlers block on their own post's decision ticket only, so concurrent
 // requests touching different author-graph components decide in parallel.
 // /metrics additionally exposes per-worker queue and decision series.
 func NewParallel(pe *stream.ParallelMultiEngine) *Server {
-	return newServer(parallelEngine{pe})
+	return newServer(stream.MultiEngine{ParallelMultiEngine: pe})
 }
 
 // NewFromEngine builds a Server over any Engine implementation — the seam
@@ -140,7 +140,7 @@ func newServer(e Engine) *Server {
 		engine: e,
 		broker: newBroker(),
 	}
-	if ws, ok := e.(workerSource); ok {
+	if ws, ok := e.(workerSource); ok && ws.WorkerSnapshots() != nil {
 		s.workers = ws
 	}
 	if as, ok := e.(adaptiveSource); ok && as.AdaptiveStates() != nil {

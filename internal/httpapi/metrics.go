@@ -7,9 +7,7 @@ import (
 	"strconv"
 
 	"firehose/internal/connector"
-	"firehose/internal/core"
 	"firehose/internal/metrics"
-	"firehose/internal/stream"
 )
 
 // This file is the service's observability surface: GET /v1/metrics renders the
@@ -19,34 +17,6 @@ import (
 // internal/metrics — no client library dependency). Metric collection is
 // pull-only: nothing on the ingest hot path touches the registry; every
 // series is computed from engine snapshots at scrape time.
-
-// parallelEngine adapts a stream.ParallelMultiEngine to the engine seam by
-// joining each decision ticket. Everything else — the merged timelines the
-// workers keep, counters, per-worker snapshots, adaptive state, checkpoints —
-// is the engine's own, promoted through the embedding.
-type parallelEngine struct {
-	*stream.ParallelMultiEngine
-}
-
-// Offer enqueues the post and blocks on its ticket only — concurrent callers
-// whose posts land on different workers proceed in parallel.
-func (a parallelEngine) Offer(p *core.Post) ([]int32, error) {
-	t, err := a.ParallelMultiEngine.Offer(p)
-	if err != nil {
-		return nil, err
-	}
-	return t.Users(), nil
-}
-
-// OfferBatch hands the whole batch to the parallel engine in one routing pass
-// (one channel send per touched worker) and joins the batch ticket.
-func (a parallelEngine) OfferBatch(posts []*core.Post) ([][]int32, error) {
-	t, err := a.ParallelMultiEngine.OfferBatch(posts)
-	if err != nil {
-		return nil, err
-	}
-	return t.Users(), nil
-}
 
 // buildRegistry wires every metric family. Families that read the engine's
 // Counters snapshot per collect; the snapshot is taken under the engine's

@@ -114,7 +114,7 @@ func (e *engine) StartWorker() {
 }
 
 // Snapshot reads every guarded field under one critical section and returns
-// copies (the stream.Engine.Snapshot shape).
+// copies (the ParallelMultiEngine.WorkerSnapshots shape).
 func (e *engine) Snapshot() (int, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -1,8 +1,8 @@
 // Package nowcheck forbids raw wall-clock reads — time.Now and time.Since —
-// in decision-path packages. The replay harness (internal/stream/replay.go)
-// drives those packages with an injected clock so recorded corpora replay
-// deterministically; a stray time.Now() deep in a bin or index silently
-// couples decisions to the wall clock and breaks replay equivalence.
+// in decision-path packages. Decisions depend only on the posts' own
+// timestamps, so a recorded corpus replays deterministically at any pace; a
+// stray time.Now() deep in a bin or index silently couples decisions to the
+// wall clock and breaks replay equivalence.
 //
 // The only allowed forms are the latency idioms
 //
@@ -11,7 +11,7 @@
 //
 // whose time.Now() feeds only the instrumentation histogram, never a
 // decision. Everything else must thread a timestamp or a clock through its
-// inputs (posts carry their own Time; see stream.Replay.SetClock).
+// inputs (posts carry their own Time; see connector.Pacer.SetClock).
 package nowcheck
 
 import (

@@ -1,6 +1,6 @@
 // Package snap exercises snapshotcheck: Snapshot-style methods on
 // guard-annotated structs must return value copies of guarded state, never
-// references into it. The clean methods mirror stream.Engine.Snapshot and
+// references into it. The clean methods mirror
 // ParallelMultiEngine.WorkerSnapshots; the seeded ones return each aliasing
 // shape the checker knows.
 package snap
@@ -81,8 +81,8 @@ func (e *engine) CountersSnapshot() Counters {
 	return e.counters
 }
 
-// DerivedSnapshot dereferences a call result — the `*e.div.Counters()` copy
-// idiom from stream.Engine.Snapshot — and is clean.
+// DerivedSnapshot dereferences a call result — the `*w.md.Counters()` copy
+// idiom from ParallelMultiEngine.WorkerSnapshots — and is clean.
 func (e *engine) DerivedSnapshot() Counters {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -14,7 +14,8 @@ import (
 // TestParallelBatchMatchesSequential is the batch-path equivalence property:
 // feeding the stream through OfferBatch in random-size chunks produces
 // exactly the per-post deliveries (and counter totals) of the sequential
-// solver offering posts one by one.
+// solver offering posts one by one, at 1 and 4 workers and on the inline
+// engine.
 func TestParallelBatchMatchesSequential(t *testing.T) {
 	g, subs, posts := parallelScenario(t, 31, 250)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
@@ -28,11 +29,8 @@ func TestParallelBatchMatchesSequential(t *testing.T) {
 		want[i] = slices.Clone(seq.Offer(p))
 	}
 
-	for _, workers := range []int{1, 4} {
-		par, err := NewParallelMultiEngine(core.AlgUniBin, g, subs, th, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, workers := range []int{1, 4, inlineShape} {
+		par := newShape(t, core.AlgUniBin, g, subs, th, workers)
 		rng := rand.New(rand.NewSource(int64(workers)))
 		var tickets []*BatchTicket
 		wantSeq := uint64(1)
@@ -130,29 +128,28 @@ func TestParallelBatchInterleavesWithOffer(t *testing.T) {
 func TestParallelUnknownAuthorKeepsSeq(t *testing.T) {
 	g := authorsim.NewGraph(4, []authorsim.SimPair{{A: 0, B: 1}, {A: 2, B: 3}}, 0.7)
 	th := core.Thresholds{LambdaC: 3, LambdaT: 1000, LambdaA: 0.7}
-	e, err := NewParallelMultiEngine(core.AlgUniBin, g, [][]int32{{0, 1, 2, 3}}, th, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for i, author := range []int32{0, 9999, -1, 1} {
-		tk, err := e.Offer(&core.Post{ID: uint64(i + 1), Author: author, Time: int64(i + 1), FP: 0xFF << (8 * i)})
+	for _, workers := range []int{2, inlineShape} {
+		e := newShape(t, core.AlgUniBin, g, [][]int32{{0, 1, 2, 3}}, th, workers)
+		for i, author := range []int32{0, 9999, -1, 1} {
+			tk, err := e.Offer(&core.Post{ID: uint64(i + 1), Author: author, Time: int64(i + 1), FP: 0xFF << (8 * i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := tk.Seq(), uint64(i+1); got != want {
+				t.Fatalf("workers=%d author %d: seq %d, want %d", workers, author, got, want)
+			}
+			if users := tk.Users(); (author == 0 || author == 1) != (len(users) == 1) {
+				t.Fatalf("workers=%d: author %d delivered to %v", workers, author, users)
+			}
+		}
+		bt, err := e.OfferBatch([]*core.Post{{ID: 5, Author: 2, Time: 5, FP: 0}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tk.Seq(), uint64(i+1); got != want {
-			t.Fatalf("author %d: seq %d, want %d", author, got, want)
+		if bt.SeqBase() != 5 {
+			t.Fatalf("workers=%d: batch after four single offers at SeqBase %d, want 5", workers, bt.SeqBase())
 		}
-		if users := tk.Users(); (author == 0 || author == 1) != (len(users) == 1) {
-			t.Fatalf("author %d delivered to %v", author, users)
-		}
-	}
-	bt, err := e.OfferBatch([]*core.Post{{ID: 5, Author: 2, Time: 5, FP: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bt.SeqBase() != 5 {
-		t.Fatalf("batch after four single offers at SeqBase %d, want 5", bt.SeqBase())
+		e.Close()
 	}
 }
 
@@ -160,15 +157,17 @@ func TestParallelUnknownAuthorKeepsSeq(t *testing.T) {
 func TestParallelBatchAfterClose(t *testing.T) {
 	g := authorsim.NewGraph(1, nil, 0.7)
 	th := core.Thresholds{LambdaC: 3, LambdaT: 1000, LambdaA: 0.7}
-	e, _ := NewParallelMultiEngine(core.AlgUniBin, g, [][]int32{{0}}, th, 1)
-	e.Close()
-	if _, err := e.OfferBatch([]*core.Post{{ID: 1, Author: 0, Time: 1}}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("batch after close: got %v, want ErrClosed", err)
+	for _, workers := range []int{1, inlineShape} {
+		e := newShape(t, core.AlgUniBin, g, [][]int32{{0}}, th, workers)
+		e.Close()
+		if _, err := e.OfferBatch([]*core.Post{{ID: 1, Author: 0, Time: 1}}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("workers=%d: batch after close: got %v, want ErrClosed", workers, err)
+		}
 	}
 }
 
-// TestMultiEngineBatchMatchesOffer checks the sequential engine's batch path
-// against its one-by-one path on a fresh identical engine.
+// TestMultiEngineBatchMatchesOffer checks the synchronous view's batch path
+// against its one-by-one path on a fresh identical inline engine.
 func TestMultiEngineBatchMatchesOffer(t *testing.T) {
 	g, subs, posts := parallelScenario(t, 33, 120)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
@@ -202,13 +201,13 @@ func TestMultiEngineBatchMatchesOffer(t *testing.T) {
 		}
 	}
 
-	os, bs := one.Snapshot(), batched.Snapshot()
-	if os.Offered != bs.Offered || os.Delivered != bs.Delivered {
+	oc, bc := one.Counters(), batched.Counters()
+	if oc.Accepted != bc.Accepted || oc.Rejected != bc.Rejected {
 		t.Fatalf("bookkeeping differs: single %d/%d vs batch %d/%d",
-			os.Offered, os.Delivered, bs.Offered, bs.Delivered)
+			oc.Accepted, oc.Rejected, bc.Accepted, bc.Rejected)
 	}
-	if os.OfferLatency.Count != bs.OfferLatency.Count {
+	if oc.Decisions.Count != bc.Decisions.Count {
 		t.Fatalf("latency observations differ: %d vs %d",
-			os.OfferLatency.Count, bs.OfferLatency.Count)
+			oc.Decisions.Count, bc.Decisions.Count)
 	}
 }

@@ -1,17 +1,17 @@
 package stream
 
-// Checkpointing for the stream engines. The engines delegate algorithm state
-// to core's StateSnapshotter implementations and add their own layer: ingest
-// accounting (offer/delivery counts, sequence watermarks) and the
-// instrumentation histograms. Timelines are deliberately not checkpointed —
-// they are a rebuildable view of delivered posts, unbounded in size, and the
-// durable thing is the decision state that determines which future posts get
-// delivered.
+// Checkpointing for the stream engine. It delegates algorithm state to core's
+// StateSnapshotter implementations and adds its own layer: the sequence
+// watermarks and the queue-wait histograms. Every shape — inline, one worker,
+// many — writes the same "parallelengine" section. Timelines are deliberately
+// not checkpointed — they are a rebuildable view of delivered posts,
+// unbounded in size, and the durable thing is the decision state that
+// determines which future posts get delivered.
 //
-// The parallel engine cannot snapshot mid-flight: workers mutate their shard
-// solvers concurrently. quiesce establishes a consistent cut — intake stopped,
-// every accepted job decided — and holds it while the caller walks the
-// workers; see its comment for the protocol and the memory-ordering argument.
+// The engine cannot snapshot mid-flight: workers mutate their shard solvers
+// concurrently. quiesce establishes a consistent cut — intake stopped, every
+// accepted job decided — and holds it while the caller walks the workers; see
+// its comment for the protocol and the memory-ordering argument.
 
 import (
 	"fmt"
@@ -20,73 +20,6 @@ import (
 	"firehose/internal/core"
 )
 
-// SnapshotState writes the engine's decision state: ingest accounting, the
-// offer-latency histogram and the solver's full state. Taken under the
-// decision lock, so the cut never splits an Offer.
-func (m *MultiEngine) SnapshotState(enc *checkpoint.Encoder) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.md.(core.StateSnapshotter)
-	if !ok {
-		return fmt.Errorf("stream: solver %s does not support checkpointing", m.md.Name())
-	}
-	enc.String("multiengine")
-	enc.Uvarint(m.offered)
-	enc.Uvarint(m.delivered)
-	core.EncodeHistogram(enc, &m.offerLatency)
-	if err := s.SnapshotState(enc); err != nil {
-		return err
-	}
-	return enc.Err()
-}
-
-// RestoreState replaces the engine's decision state from a snapshot. The
-// engine must be freshly constructed over the same solver shape; timelines
-// restart empty (they are view state, not decision state). On error the
-// engine must be discarded — the solver may be partially restored.
-func (m *MultiEngine) RestoreState(dec *checkpoint.Decoder) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.done {
-		return ErrClosed
-	}
-	s, ok := m.md.(core.StateSnapshotter)
-	if !ok {
-		return fmt.Errorf("stream: solver %s does not support checkpointing", m.md.Name())
-	}
-	dec.Expect("multiengine")
-	offered := dec.Uvarint()
-	delivered := dec.Uvarint()
-	lat := core.DecodeHistogram(dec)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := s.RestoreState(dec); err != nil {
-		return err
-	}
-	m.offered, m.delivered, m.offerLatency = offered, delivered, lat
-	m.timelines.Reset()
-	return nil
-}
-
-// quiesce brings the parallel engine to a consistent cut and returns a
-// release function that resumes ingestion. The protocol:
-//
-//  1. Take e.mu. New Offers/OfferBatches block at the ingest boundary; no
-//     further jobs can be enqueued.
-//  2. Send each worker a barrier job. The sends can block if a queue is full
-//     but always terminate, for the same reason Offer's blocking mode does:
-//     workers never take e.mu, so they keep draining.
-//  3. Wait for every barrier to close. Queues are FIFO, so a closed barrier
-//     proves that worker has decided every job accepted before the cut, and
-//     the close is the happens-before edge publishing the worker's own
-//     writes (lastSeq, solver state) to the quiescing goroutine.
-//
-// When quiesce returns, every ticket issued before the cut is resolved,
-// worker queues are empty, and workers are parked on an empty channel. The
-// caller reads or writes worker state — taking each worker's mu is still
-// required for fields snapshotted concurrently by Counters/WorkerSnapshots —
-// and then calls release, which drops e.mu and lets producers continue.
 // shardSnapshotters asserts every worker's solver supports checkpointing,
 // refusing descriptively otherwise (adaptive-wrapped shards deliberately do
 // not — see core.AdaptiveMultiUser).
@@ -105,19 +38,40 @@ func (e *ParallelMultiEngine) shardSnapshotters() ([]core.StateSnapshotter, erro
 	return out, nil
 }
 
+// quiesce brings the engine to a consistent cut and returns a
+// release function that resumes ingestion. The protocol:
+//
+//  1. Take e.mu. New Offers/OfferBatches block at the ingest boundary; no
+//     further jobs can be enqueued. The inline engine decides under e.mu, so
+//     for it this step alone is the cut.
+//  2. Send each worker a barrier job. The sends can block if a queue is full
+//     but always terminate, for the same reason Offer's blocking mode does:
+//     workers never take e.mu, so they keep draining.
+//  3. Wait for every barrier to close. Queues are FIFO, so a closed barrier
+//     proves that worker has decided every job accepted before the cut, and
+//     the close is the happens-before edge publishing the worker's own
+//     writes (lastSeq, solver state) to the quiescing goroutine.
+//
+// When quiesce returns, every ticket issued before the cut is resolved,
+// worker queues are empty, and workers are parked on an empty channel. The
+// caller reads or writes worker state — taking each worker's mu is still
+// required for fields snapshotted concurrently by Counters/WorkerSnapshots —
+// and then calls release, which drops e.mu and lets producers continue.
 func (e *ParallelMultiEngine) quiesce() (release func(), err error) {
 	e.mu.Lock()
 	if e.state != stateOpen {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	barriers := make([]chan struct{}, len(e.workers))
-	for i, w := range e.workers {
-		barriers[i] = make(chan struct{})
-		w.ch <- parallelJob{barrier: barriers[i]}
-	}
-	for _, b := range barriers {
-		<-b
+	if !e.inline {
+		barriers := make([]chan struct{}, len(e.workers))
+		for i, w := range e.workers {
+			barriers[i] = make(chan struct{})
+			w.ch <- parallelJob{barrier: barriers[i]}
+		}
+		for _, b := range barriers {
+			<-b
+		}
 	}
 	//lint:ignore lockorder quiesce transfers e.mu ownership to the caller via the returned release func; SnapshotState defers it
 	return e.mu.Unlock, nil
@@ -130,15 +84,17 @@ func (e *ParallelMultiEngine) quiesce() (release func(), err error) {
 // resolved at the cut, so the snapshot is exactly "everything offered so
 // far".
 func (e *ParallelMultiEngine) SnapshotState(enc *checkpoint.Encoder) error {
-	snaps, err := e.shardSnapshotters()
-	if err != nil {
-		return err
-	}
 	release, err := e.quiesce()
 	if err != nil {
 		return err
 	}
 	defer release()
+	// Asserted at the cut, so a concurrent Swap cannot replace a solver
+	// between the check and its use.
+	snaps, err := e.shardSnapshotters()
+	if err != nil {
+		return err
+	}
 	enc.String("parallelengine")
 	enc.Uvarint(uint64(len(e.workers)))
 	//lint:ignore guardcheck quiesce() returns with e.mu held; release() is the deferred unlock
@@ -160,18 +116,17 @@ func (e *ParallelMultiEngine) SnapshotState(enc *checkpoint.Encoder) error {
 // engine must be freshly constructed with the same shape (algorithm, graph,
 // subscriptions, worker count) — the shard count is validated here, shard
 // contents by the solvers underneath. Each worker's timelines restart empty
-// under the quiesce, as MultiEngine's do. On error the engine must be
-// discarded.
+// under the quiesce. On error the engine must be discarded.
 func (e *ParallelMultiEngine) RestoreState(dec *checkpoint.Decoder) error {
-	snaps, err := e.shardSnapshotters()
-	if err != nil {
-		return err
-	}
 	release, err := e.quiesce()
 	if err != nil {
 		return err
 	}
 	defer release()
+	snaps, err := e.shardSnapshotters()
+	if err != nil {
+		return err
+	}
 	dec.Expect("parallelengine")
 	if n := dec.Len("workers", checkpoint.MaxElems); dec.Err() == nil && n != len(e.workers) {
 		dec.Failf("snapshot has %d worker shards, engine has %d", n, len(e.workers))

@@ -45,21 +45,16 @@ func sortedUsers(u []int32) []int32 {
 // TestParallelSnapshotEquivalence is the tentpole correctness bar at the
 // stream layer: snapshot a parallel engine at a prefix boundary, restore
 // into a fresh engine, and require the suffix delivery sequence to be
-// identical to the uninterrupted run — at 1 worker and at 4.
+// identical to the uninterrupted run — at 1 worker, at 4 and on the inline
+// engine.
 func TestParallelSnapshotEquivalence(t *testing.T) {
 	g, subs, posts := parallelScenario(t, 31, 220)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 4, inlineShape} {
 		for _, alg := range []core.Algorithm{core.AlgUniBin, core.AlgNeighborBin, core.AlgCliqueBin} {
 			t.Run(alg.String(), func(t *testing.T) {
-				cont, err := NewParallelMultiEngine(alg, g, subs, th, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				restored, err := NewParallelMultiEngine(alg, g, subs, th, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
+				cont := newShape(t, alg, g, subs, th, workers)
+				restored := newShape(t, alg, g, subs, th, workers)
 				cut := len(posts) / 2
 				for _, p := range posts[:cut] {
 					if _, err := cont.Offer(p); err != nil {
@@ -98,9 +93,10 @@ func TestParallelSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelSnapshotDuringConcurrentIngest: taking a snapshot while
-// producers hammer the engine must neither race (run under -race) nor
-// deadlock, and the stream it produces must restore cleanly.
+// TestParallelSnapshotDuringConcurrentIngest: taking a snapshot — or a Swap,
+// which shares its quiesce — while producers hammer the engine must neither
+// race (run under -race) nor deadlock, and the stream it produces must
+// restore cleanly.
 func TestParallelSnapshotDuringConcurrentIngest(t *testing.T) {
 	g, subs, posts := parallelScenario(t, 32, 150)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
@@ -124,6 +120,9 @@ func TestParallelSnapshotDuringConcurrentIngest(t *testing.T) {
 	var snaps [][]byte
 	for i := 0; i < 8; i++ {
 		snaps = append(snaps, snapEngine(t, e))
+		if err := e.Swap(func(md core.MultiDiversifier) core.MultiDiversifier { return md }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wg.Wait()
 	for i, raw := range snaps {
@@ -183,9 +182,10 @@ func TestParallelRestoreWorkerCountMismatch(t *testing.T) {
 	}
 }
 
-// TestMultiEngineSnapshotEquivalence: the sequential MultiEngine carries its
-// accounting and solver state across a snapshot/restore, and the restored
-// engine's suffix decisions match; timelines restart empty by design.
+// TestMultiEngineSnapshotEquivalence: the synchronous view over the inline
+// engine carries its accounting and solver state across a snapshot/restore,
+// and the restored engine's suffix decisions match; timelines restart empty
+// by design.
 func TestMultiEngineSnapshotEquivalence(t *testing.T) {
 	g, subs, posts := parallelScenario(t, 35, 150)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
@@ -219,9 +219,9 @@ func TestMultiEngineSnapshotEquivalence(t *testing.T) {
 			t.Fatalf("suffix post %d diverged: %v vs %v", i, a, b)
 		}
 	}
-	as, bs := cont.Snapshot(), restored.Snapshot()
-	if as.Offered != bs.Offered || as.Delivered != bs.Delivered {
-		t.Fatalf("accounting diverged: %d/%d vs %d/%d", as.Offered, as.Delivered, bs.Offered, bs.Delivered)
+	ac, bc := cont.Counters(), restored.Counters()
+	if ac.Accepted != bc.Accepted || ac.Rejected != bc.Rejected {
+		t.Fatalf("accounting diverged: %d/%d vs %d/%d", ac.Accepted, ac.Rejected, bc.Accepted, bc.Rejected)
 	}
 	// Restored timelines contain only post-restore deliveries.
 	for u := range subs {

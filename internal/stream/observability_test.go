@@ -12,46 +12,9 @@ func obsThresholds() core.Thresholds {
 	return core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
 }
 
-func TestEngineSnapshot(t *testing.T) {
-	g := authorsim.NewGraph(2, []authorsim.SimPair{{A: 0, B: 1}}, 0.7)
-	div, err := core.NewDiversifier(core.AlgUniBin, g, []int32{0, 1}, obsThresholds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(div)
-	defer e.Close()
-	sub := e.Subscribe(8)
-	_ = sub
-
-	texts := []string{
-		"ferry sinks off southern coast rescue underway",
-		"ferry sinks off southern coast rescue underway", // duplicate, pruned
-		"alibaba files landmark technology listing today",
-	}
-	for i, txt := range texts {
-		if _, err := e.Offer(core.NewPost(uint64(i+1), 0, int64(1000*(i+1)), txt)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	snap := e.Snapshot()
-	if snap.Offered != 3 {
-		t.Fatalf("Offered = %d, want 3", snap.Offered)
-	}
-	if snap.Subscribers != 1 {
-		t.Fatalf("Subscribers = %d, want 1", snap.Subscribers)
-	}
-	if snap.OfferLatency.Count != 3 {
-		t.Fatalf("OfferLatency.Count = %d, want 3", snap.OfferLatency.Count)
-	}
-	if snap.Counters.Decisions.Count != 3 {
-		t.Fatalf("Decisions.Count = %d, want 3", snap.Counters.Decisions.Count)
-	}
-	if snap.Counters.Accepted != 2 || snap.Counters.Rejected != 1 {
-		t.Fatalf("accept/reject = %d/%d, want 2/1", snap.Counters.Accepted, snap.Counters.Rejected)
-	}
-}
-
+// TestMultiEngineSnapshot checks the instrumentation the inline engine
+// reports through its synchronous view: name, counters, the timeline store's
+// size, and no per-worker snapshots (it has no queue).
 func TestMultiEngineSnapshot(t *testing.T) {
 	g := authorsim.NewGraph(3, []authorsim.SimPair{{A: 0, B: 1}}, 0.7)
 	md, err := core.NewSharedMultiUser(core.AlgUniBin, g, [][]int32{{0, 1}, {2}}, obsThresholds())
@@ -69,15 +32,14 @@ func TestMultiEngineSnapshot(t *testing.T) {
 	if _, err := m.Offer(core.NewPost(2, 2, 2000, "ferry sinks off coast tonight")); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Snapshot()
-	if snap.Offered != 2 || snap.Delivered != 2 {
-		t.Fatalf("Offered/Delivered = %d/%d, want 2/2", snap.Offered, snap.Delivered)
+	if posts, entries := m.TimelineSize(); posts != 2 || entries != 2 {
+		t.Fatalf("TimelineSize = %d/%d, want 2/2", posts, entries)
 	}
-	if snap.OfferLatency.Count != 2 {
-		t.Fatalf("OfferLatency.Count = %d", snap.OfferLatency.Count)
+	if c := m.Counters(); c.Accepted != 2 || c.Decisions.Count == 0 {
+		t.Fatalf("Counters: accepted %d, %d decisions observed", c.Accepted, c.Decisions.Count)
 	}
-	if snap.Counters.Decisions.Count == 0 {
-		t.Fatal("Decisions histogram empty")
+	if ws := m.WorkerSnapshots(); ws != nil {
+		t.Fatalf("inline engine reports worker snapshots %+v", ws)
 	}
 }
 

@@ -66,7 +66,14 @@ const DefaultQueueDepth = 256
 // Each worker keeps the delivered history of the posts it decides, appended
 // in its decision loop before the ticket resolves; Timeline merges the
 // workers' histories by sequence number, so per-user timelines equal a
-// sequential MultiEngine's.
+// sequential run's.
+//
+// Sequential is the one-shard case of the same design, not a second engine:
+// NewMultiEngine builds the inline mode, one worker over a caller-supplied
+// solver with no goroutine and no queue, whose decisions run on the caller's
+// goroutine under the ingest lock through the same worker code (decide,
+// runBatch) the goroutine loop runs. Checkpoints, timelines, counters and
+// Swap are shared by every shape.
 //
 // The same component-independence argument is applied at process scale by
 // internal/shard: a router partitions components across worker *processes*
@@ -85,16 +92,20 @@ const DefaultQueueDepth = 256
 // return ErrClosed and enqueue nothing.
 type ParallelMultiEngine struct {
 	workers []*parallelWorker
-	// authorWorker maps author id → worker index.
+	// authorWorker maps author id → worker index; nil in inline mode.
 	authorWorker []int32
-	wg           sync.WaitGroup
-	failFast     bool
+	// inline marks the one-shard engine NewMultiEngine builds: its worker has
+	// no goroutine and no queue, and every post is decided on the offering
+	// goroutine while it holds mu.
+	inline   bool
+	wg       sync.WaitGroup
+	failFast bool
 
 	// mu guards: state, seq
 	//
 	// It also serializes the route-and-enqueue step of Offer so the
 	// per-worker queues receive jobs in sequence order even under concurrent
-	// producers.
+	// producers; in inline mode it serializes the decisions themselves.
 	mu    sync.Mutex
 	state lifecycle
 	seq   uint64
@@ -119,7 +130,8 @@ type parallelWorker struct {
 	// per-component counters deep inside the bins) and the timeline append,
 	// and Counters/WorkerSnapshots/Timeline hold it while merging, so readers
 	// never race decisions. ch is written by the ingest boundary and closed by
-	// Close; lastSeq and offs are owned by the worker goroutine alone.
+	// Close (nil in inline mode); lastSeq and offs are owned by the worker
+	// goroutine alone, or in inline mode by whoever holds the engine's mu.
 	mu sync.Mutex
 	// md is the shard solver: a SharedMultiUser over the shard's components,
 	// optionally wrapped by the adaptive controller. Interface-typed so the
@@ -210,6 +222,15 @@ func (t *Ticket) Users() []int32 {
 // Seq returns the monotone sequence number the ingest boundary assigned to
 // this post — the engine's global arrival order, shared across all workers.
 func (t *Ticket) Seq() uint64 { return t.seq }
+
+// resolved is the done channel of every ticket decided before Offer returns
+// (unknown authors, and every post of an inline engine), so such tickets
+// allocate no channel of their own.
+var resolved = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // BatchTicket is the pending decision handle of OfferBatch: one ticket for
 // the whole batch, resolved shard by shard as workers finish their slices.
@@ -306,53 +327,63 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 		go func(w *parallelWorker) {
 			defer e.wg.Done()
 			for job := range w.ch {
-				if job.barrier != nil {
+				switch {
+				case job.barrier != nil:
 					// Quiesce checkpoint: everything enqueued before this
 					// job has been decided. No queueWait observation — a
 					// barrier is not ingest work.
 					close(job.barrier)
-					continue
+				case job.batch != nil:
+					w.runBatch(job.batch, job.enqueuedAt)
+					close(job.batch.done)
+				default:
+					job.ticket.users = w.decide(job.post, job.ticket.seq, job.enqueuedAt)
+					close(job.ticket.done)
 				}
-				if job.batch != nil {
-					w.runBatch(job)
-					continue
-				}
-				// The ingest boundary serializes enqueues in sequence order,
-				// so a non-monotone sequence here is an engine bug, not a
-				// caller error.
-				if job.ticket.seq <= w.lastSeq {
-					panic(fmt.Sprintf("stream: worker received seq %d after %d", job.ticket.seq, w.lastSeq))
-				}
-				w.lastSeq = job.ticket.seq
-				w.mu.Lock()
-				w.queueWait.ObserveSince(job.enqueuedAt)
-				// Detach from the solver's scratch buffer: the ticket outlives
-				// the next decision on this worker.
-				users := slices.Clone(w.md.Offer(job.post))
-				if !w.discard {
-					w.timelines.Deliver(job.post, job.ticket.seq, users)
-				}
-				w.mu.Unlock()
-				job.ticket.users = users
-				close(job.ticket.done)
 			}
 		}(w)
 	}
 	return e, nil
 }
 
+// decide offers one post, at ingest sequence number seq, to the worker's
+// solver and records its deliveries in the worker's timelines. The returned
+// slice is detached from the solver's scratch buffer, because the ticket
+// outlives the next decision. enqueuedAt is the post's queue entry time; the
+// inline engine passes the zero time, which records no wait.
+func (w *parallelWorker) decide(p *core.Post, seq uint64, enqueuedAt time.Time) []int32 {
+	// The ingest boundary serializes enqueues in sequence order, so a
+	// non-monotone sequence here is an engine bug, not a caller error.
+	if seq <= w.lastSeq {
+		panic(fmt.Sprintf("stream: worker received seq %d after %d", seq, w.lastSeq))
+	}
+	w.lastSeq = seq
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !enqueuedAt.IsZero() {
+		w.queueWait.ObserveSince(enqueuedAt)
+	}
+	users := slices.Clone(w.md.Offer(p))
+	if !w.discard {
+		w.timelines.Deliver(p, seq, users)
+	}
+	return users
+}
+
 // runBatch decides one shard of a batch. Deliveries are packed into a single
 // per-shard arena slice — one allocation per shard instead of one per
 // delivered post — and the ticket's per-post slots receive subslices of it;
-// each post's region is also what the worker's timelines record.
-func (w *parallelWorker) runBatch(job parallelJob) {
-	b := job.batch
+// each post's region is also what the worker's timelines record. enqueuedAt
+// is as for decide; the caller resolves the shard.
+func (w *parallelWorker) runBatch(b *batchShardJob, enqueuedAt time.Time) {
 	if b.firstSeq <= w.lastSeq {
 		panic(fmt.Sprintf("stream: worker received batch seq %d after %d", b.firstSeq, w.lastSeq))
 	}
 	w.lastSeq = b.lastSeq
 	w.mu.Lock()
-	w.queueWait.ObserveSince(job.enqueuedAt)
+	if !enqueuedAt.IsZero() {
+		w.queueWait.ObserveSince(enqueuedAt)
+	}
 	offs := append(w.offs[:0], 0)
 	var arena []int32
 	for i, p := range b.posts {
@@ -373,7 +404,6 @@ func (w *parallelWorker) runBatch(job parallelJob) {
 			b.ticket.users[pos] = users
 		}
 	}
-	close(b.done)
 }
 
 // Offer routes the post to its component's worker and returns a ticket. It is
@@ -386,23 +416,31 @@ func (w *parallelWorker) runBatch(job parallelJob) {
 //
 // When the target worker's queue is full, Offer blocks — backpressure — or,
 // in fail-fast mode, returns ErrQueueFull without enqueueing. After Close has
-// begun it returns ErrClosed.
+// begun it returns ErrClosed. The inline engine decides before returning, so
+// its tickets are already resolved.
 func (e *ParallelMultiEngine) Offer(p *core.Post) (*Ticket, error) {
+	if e.inline {
+		t, err := e.offerInline(p)
+		if err != nil {
+			return nil, err
+		}
+		return &t, nil
+	}
 	e.mu.Lock()
 	if e.state != stateOpen {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if int(p.Author) >= len(e.authorWorker) || p.Author < 0 {
+	wi := e.route(p)
+	if wi < 0 {
 		// Unknown author: no component, no deliveries — but the post keeps
 		// its place in the stream order, exactly as in OfferBatch.
 		e.seq++
-		t := &Ticket{seq: e.seq, done: make(chan struct{})}
+		t := &Ticket{seq: e.seq, done: resolved}
 		e.mu.Unlock()
-		close(t.done)
 		return t, nil
 	}
-	w := e.workers[e.authorWorker[p.Author]]
+	w := e.workers[wi]
 	t := &Ticket{seq: e.seq + 1, done: make(chan struct{})}
 	job := parallelJob{post: p, ticket: t, enqueuedAt: time.Now()}
 	if e.failFast {
@@ -423,6 +461,28 @@ func (e *ParallelMultiEngine) Offer(p *core.Post) (*Ticket, error) {
 	return t, nil
 }
 
+// offerInline is the inline engine's Offer: it decides p on the caller's
+// goroutine under the ingest lock and returns the resolved ticket by value,
+// so the synchronous view allocates nothing for it.
+func (e *ParallelMultiEngine) offerInline(p *core.Post) (Ticket, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.state != stateOpen {
+		return Ticket{}, ErrClosed
+	}
+	e.seq++
+	return Ticket{seq: e.seq, done: resolved, users: e.workers[0].decide(p, e.seq, time.Time{})}, nil
+}
+
+// route returns the index of the worker that decides p, or -1 when p's author
+// belongs to no component.
+func (e *ParallelMultiEngine) route(p *core.Post) int {
+	if p.Author < 0 || int(p.Author) >= len(e.authorWorker) {
+		return -1
+	}
+	return int(e.authorWorker[p.Author])
+}
+
 // OfferBatch ingests a slice of posts as one unit: posts are routed to their
 // component's workers in batch order with one channel send per touched
 // worker — the batch-amortization lever of Gao, Ferrara & Qiu — and the
@@ -440,11 +500,15 @@ func (e *ParallelMultiEngine) Offer(p *core.Post) (*Ticket, error) {
 // fail-fast engine: a batch is never partially shed, because its shards are
 // enqueued one worker at a time and cannot be recalled. Callers that need
 // fail-fast semantics should size batches below the queue depth or use
-// single Offers. After Close has begun it returns ErrClosed.
+// single Offers. After Close has begun it returns ErrClosed. The inline
+// engine decides the whole batch before returning.
 func (e *ParallelMultiEngine) OfferBatch(posts []*core.Post) (*BatchTicket, error) {
 	bt := &BatchTicket{users: make([][]int32, len(posts))}
 	if len(posts) == 0 {
 		return bt, nil
+	}
+	if e.inline {
+		return e.offerBatchInline(bt, posts)
 	}
 	// Group the batch per worker. shards is index-aligned with e.workers;
 	// only touched workers allocate a shard job.
@@ -457,13 +521,14 @@ func (e *ParallelMultiEngine) OfferBatch(posts []*core.Post) (*BatchTicket, erro
 	bt.seqBase = e.seq + 1
 	for i, p := range posts {
 		seq := bt.seqBase + uint64(i)
-		if p.Author < 0 || int(p.Author) >= len(e.authorWorker) {
+		wi := e.route(p)
+		if wi < 0 {
 			continue // no component: bt.users[i] stays nil
 		}
-		sh := shards[e.authorWorker[p.Author]]
+		sh := shards[wi]
 		if sh == nil {
 			sh = &batchShardJob{firstSeq: seq, ticket: bt, done: make(chan struct{})}
-			shards[e.authorWorker[p.Author]] = sh
+			shards[wi] = sh
 			bt.pending = append(bt.pending, sh.done)
 		}
 		sh.posts = append(sh.posts, p)
@@ -485,6 +550,24 @@ func (e *ParallelMultiEngine) OfferBatch(posts []*core.Post) (*BatchTicket, erro
 	return bt, nil
 }
 
+// offerBatchInline is the inline engine's OfferBatch: its one worker decides
+// the whole batch, in batch order, on the caller's goroutine.
+func (e *ParallelMultiEngine) offerBatchInline(bt *BatchTicket, posts []*core.Post) (*BatchTicket, error) {
+	pos := make([]int32, len(posts))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.state != stateOpen {
+		return nil, ErrClosed
+	}
+	bt.seqBase = e.seq + 1
+	e.seq += uint64(len(posts))
+	e.workers[0].runBatch(&batchShardJob{posts: posts, pos: pos, firstSeq: bt.seqBase, lastSeq: e.seq, ticket: bt}, time.Time{})
+	return bt, nil
+}
+
 // Close moves the engine to the closing state (subsequent Offers return
 // ErrClosed), closes the worker queues and waits until every already-accepted
 // job is decided — all outstanding tickets resolve before Close returns. It
@@ -500,8 +583,10 @@ func (e *ParallelMultiEngine) Close() {
 		return
 	}
 	e.state = stateClosing
-	for _, w := range e.workers {
-		close(w.ch)
+	if !e.inline {
+		for _, w := range e.workers {
+			close(w.ch)
+		}
 	}
 	e.mu.Unlock()
 	e.wg.Wait()
@@ -530,8 +615,12 @@ func (e *ParallelMultiEngine) Counters() metrics.Counters {
 // Counters it is safe at any time from any goroutine: each worker's state is
 // read under that worker's decision lock, one worker at a time, so a
 // snapshot never races a decision but workers are not frozen relative to
-// each other — call after Close for exact final values.
+// each other — call after Close for exact final values. The inline engine has
+// no queue and reports none.
 func (e *ParallelMultiEngine) WorkerSnapshots() []WorkerSnapshot {
+	if e.inline {
+		return nil
+	}
 	snaps := make([]WorkerSnapshot, len(e.workers))
 	for i, w := range e.workers {
 		w.mu.Lock()
@@ -549,11 +638,18 @@ func (e *ParallelMultiEngine) WorkerSnapshots() []WorkerSnapshot {
 
 // Timeline returns a copy of user u's delivered history, oldest first: the
 // workers' stores merged by ingest sequence number, which is the order a
-// sequential MultiEngine fed the same stream appends in. Like Counters it
-// reads one worker at a time under its decision lock, so a post decided
-// mid-read may be missing while a later one is present; every post whose
-// ticket has resolved is included.
+// one-shard engine fed the same stream appends in. Like Counters it reads one
+// worker at a time under its decision lock, so a post decided mid-read may be
+// missing while a later one is present; every post whose ticket has resolved
+// is included. One shard's history is already in sequence order and is
+// copied without the merge.
 func (e *ParallelMultiEngine) Timeline(u int32) []*core.Post {
+	if len(e.workers) == 1 {
+		w := e.workers[0]
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.timelines.Timeline(u)
+	}
 	var merged []logEntry
 	for _, w := range e.workers {
 		w.mu.Lock()
@@ -594,6 +690,30 @@ func (e *ParallelMultiEngine) DiscardTimelines() {
 	}
 }
 
+// Swap replaces or mutates every shard's solver between decisions — the safe
+// point for graph churn: call the solver's SetGraph inside f after a followee
+// change has been folded into a refreshed author graph
+// (authorsim.MutableVectors + Graph.WithUpdatedAuthor). It runs under
+// quiesce, so every post offered before the call is decided by the old
+// solvers and every later one by the new. Returning the same instance keeps
+// all window state and timelines; returning a fresh instance keeps the
+// timelines (delivered history, not solver state) but resets the decision
+// windows, which can transiently re-admit duplicates for up to λt. After
+// Close it returns ErrClosed.
+func (e *ParallelMultiEngine) Swap(f func(core.MultiDiversifier) core.MultiDiversifier) error {
+	release, err := e.quiesce()
+	if err != nil {
+		return err
+	}
+	defer release()
+	for _, w := range e.workers {
+		w.mu.Lock()
+		w.md = f(w.md)
+		w.mu.Unlock()
+	}
+	return nil
+}
+
 // Name returns the backing solver's algorithm name (e.g. "S_UniBin"); every
 // shard runs the same algorithm.
 func (e *ParallelMultiEngine) Name() string {
@@ -604,8 +724,9 @@ func (e *ParallelMultiEngine) Name() string {
 }
 
 // AdaptiveStates merges the per-shard adaptive controller states into one
-// per-user view, sorted by user id; it returns nil when the engine was built
-// without ParallelOptions.Adaptive. Budgets are accounted per shard, so for a
+// per-user view, sorted by user id; it returns nil when the shard solvers are
+// not adaptive-wrapped (ParallelOptions.Adaptive, or a core.AdaptiveMultiUser
+// handed to NewMultiEngine). Budgets are accounted per shard, so for a
 // user spanning several shards the merged entry reports the tightest
 // effective thresholds across shards, the summed delivered/suppressed counts,
 // and the earliest current window start. Each shard is snapshotted under its

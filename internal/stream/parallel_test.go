@@ -31,6 +31,28 @@ func parallelScenario(t *testing.T, seed int64, nAuthors int) (*authorsim.Graph,
 	return g, sg.Subscriptions(), gen.Posts
 }
 
+// inlineShape stands for the inline engine NewMultiEngine builds in the
+// worker-count lists of the equivalence suites.
+const inlineShape = 0
+
+// newShape builds one engine shape: the inline engine over a sequential
+// solver for inlineShape, that many goroutine workers otherwise.
+func newShape(t *testing.T, alg core.Algorithm, g *authorsim.Graph, subs [][]int32, th core.Thresholds, workers int) *ParallelMultiEngine {
+	t.Helper()
+	if workers == inlineShape {
+		md, err := core.NewSharedMultiUser(alg, g, subs, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewMultiEngine(md).ParallelMultiEngine
+	}
+	e, err := NewParallelMultiEngine(alg, g, subs, th, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestParallelMatchesSequential(t *testing.T) {
 	g, subs, posts := parallelScenario(t, 21, 250)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
@@ -39,54 +61,45 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewParallelMultiEngine(core.AlgUniBin, g, subs, th, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type delivery struct {
-		post  uint64
-		users []int32
-	}
-	var wantDeliveries []delivery
-	tickets := make([]*Ticket, len(posts))
+	want := make([][]int32, len(posts))
 	for i, p := range posts {
 		// Clone: the solver's returned slice is scratch-backed and only valid
 		// until the next Offer (the MultiDiversifier aliasing contract).
-		wantDeliveries = append(wantDeliveries, delivery{post: p.ID, users: slices.Clone(seq.Offer(p))})
-		tk, err := par.Offer(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets[i] = tk
+		want[i] = slices.Clone(seq.Offer(p))
 	}
-	par.Close()
+	sc := seq.Counters()
 
-	for i := range posts {
-		got := tickets[i].Users()
-		want := wantDeliveries[i].users
-		sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-		if len(got) != len(want) {
-			t.Fatalf("post %d: parallel delivered %d users, sequential %d",
-				posts[i].ID, len(got), len(want))
+	for _, workers := range []int{4, inlineShape} {
+		par := newShape(t, core.AlgUniBin, g, subs, th, workers)
+		tickets := make([]*Ticket, len(posts))
+		for i, p := range posts {
+			tk, err := par.Offer(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tickets[i] = tk
 		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("post %d: deliveries differ: %v vs %v", posts[i].ID, got, want)
+		par.Close()
+
+		for i := range posts {
+			got := tickets[i].Users()
+			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+			if !slices.Equal(got, want[i]) {
+				t.Fatalf("workers=%d post %d: deliveries differ: %v vs sequential %v",
+					workers, posts[i].ID, got, want[i])
 			}
 		}
-	}
 
-	// Counter totals agree (same decisions, same bins, just sharded).
-	sc := seq.Counters()
-	pc := par.Counters()
-	if pc.Accepted != sc.Accepted || pc.Rejected != sc.Rejected {
-		t.Fatalf("accept/reject differ: parallel %d/%d vs sequential %d/%d",
-			pc.Accepted, pc.Rejected, sc.Accepted, sc.Rejected)
-	}
-	if pc.Comparisons != sc.Comparisons || pc.Insertions != sc.Insertions {
-		t.Fatalf("work differs: parallel %d/%d vs sequential %d/%d",
-			pc.Comparisons, pc.Insertions, sc.Comparisons, sc.Insertions)
+		// Counter totals agree (same decisions, same bins, just sharded).
+		pc := par.Counters()
+		if pc.Accepted != sc.Accepted || pc.Rejected != sc.Rejected {
+			t.Fatalf("workers=%d: accept/reject differ: %d/%d vs sequential %d/%d",
+				workers, pc.Accepted, pc.Rejected, sc.Accepted, sc.Rejected)
+		}
+		if pc.Comparisons != sc.Comparisons || pc.Insertions != sc.Insertions {
+			t.Fatalf("workers=%d: work differs: %d/%d vs sequential %d/%d",
+				workers, pc.Comparisons, pc.Insertions, sc.Comparisons, sc.Insertions)
+		}
 	}
 }
 
@@ -128,11 +141,13 @@ func TestParallelUnknownAuthor(t *testing.T) {
 func TestParallelOfferAfterClose(t *testing.T) {
 	g := authorsim.NewGraph(1, nil, 0.7)
 	th := core.Thresholds{LambdaC: 3, LambdaT: 1000, LambdaA: 0.7}
-	e, _ := NewParallelMultiEngine(core.AlgUniBin, g, [][]int32{{0}}, th, 1)
-	e.Close()
-	e.Close() // double close is a no-op
-	if _, err := e.Offer(&core.Post{ID: 1, Author: 0, Time: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("offer after close: got %v, want ErrClosed", err)
+	for _, workers := range []int{1, inlineShape} {
+		e := newShape(t, core.AlgUniBin, g, [][]int32{{0}}, th, workers)
+		e.Close()
+		e.Close() // double close is a no-op
+		if _, err := e.Offer(&core.Post{ID: 1, Author: 0, Time: 1}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("workers=%d: offer after close: got %v, want ErrClosed", workers, err)
+		}
 	}
 }
 
@@ -155,6 +170,64 @@ func TestParallelComponentAffinity(t *testing.T) {
 	}
 	if len(t2.Users()) != 0 {
 		t.Fatal("near-duplicate from a similar author must be pruned across workers")
+	}
+}
+
+// TestParallelSwapMatchesInline: a graph refresh swapped in at a churn point
+// mid-stream gives the same per-post decisions on the inline engine and on a
+// 2-worker engine — Swap quiesces, so both apply it at the same post — and
+// the refresh does change decisions, so the comparison is not vacuous.
+func TestParallelSwapMatchesInline(t *testing.T) {
+	g, subs, posts := parallelScenario(t, 23, 250)
+	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
+	// The refresh drops every author's similarity edges, so a near-duplicate
+	// from a formerly similar author is no longer covered.
+	g2 := g
+	for a := int32(0); a < int32(g.NumAuthors()); a++ {
+		var err error
+		if g2, err = g2.WithUpdatedAuthor(a, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churn := len(posts) / 2
+	run := func(workers int, swap bool) [][]int32 {
+		e := newShape(t, core.AlgUniBin, g, subs, th, workers)
+		defer e.Close()
+		out := make([][]int32, len(posts))
+		for i, p := range posts {
+			if swap && i == churn {
+				if err := e.Swap(func(md core.MultiDiversifier) core.MultiDiversifier {
+					if err := md.(*core.SharedMultiUser).SetGraph(g2); err != nil {
+						t.Errorf("SetGraph: %v", err)
+					}
+					return md
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tk, err := e.Offer(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = sortedUsers(tk.Users())
+		}
+		return out
+	}
+	inline, par := run(inlineShape, true), run(2, true)
+	for i := range posts {
+		if !slices.Equal(inline[i], par[i]) {
+			t.Fatalf("post %d after the swap at %d: inline delivered %v, 2 workers %v", i, churn, inline[i], par[i])
+		}
+	}
+	unswapped := run(inlineShape, false)
+	changed := 0
+	for i := range posts {
+		if !slices.Equal(inline[i], unswapped[i]) {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the refresh changed no decision")
 	}
 }
 

@@ -7,14 +7,14 @@ import (
 )
 
 // Timelines is the delivered-post history of every user: the view the
-// timeline endpoints read. It is the one timeline store — the sequential
-// MultiEngine owns one, and every worker of the parallel engine owns one for
-// the posts it decides — and it is deliberately not checkpointed (a
-// rebuildable view, see checkpoint.go), so owners Reset it on restore.
+// timeline endpoints read. Every worker of the engine owns one for the posts
+// it decides (the inline engine's one worker, all of them), and it is
+// deliberately not checkpointed (a rebuildable view, see checkpoint.go), so
+// owners Reset it on restore.
 //
 // A delivered post is stored once, in an append-only log of fixed-size
-// chunks that also records the owner's sequence number for the post (the
-// parallel engine merges its workers' histories by it). A user's history is
+// chunks that also records the owner's sequence number for the post (a
+// multi-worker engine merges its workers' histories by it). A user's history is
 // a list of uint32 positions into that log, so an append writes 4 bytes and
 // no pointer, and the garbage collector scans one slot per delivered post
 // instead of one per delivery. User ids are subscription indexes, so the

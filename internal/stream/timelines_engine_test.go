@@ -11,22 +11,13 @@ import (
 	"firehose/internal/simhash"
 )
 
-// timelineEngine is what the equivalence test drives on both engines: single
-// and batch ingest that return once the decision is made, and the per-user
-// history read.
-type timelineEngine struct {
-	offer    func(p *core.Post)
-	batch    func(ps []*core.Post)
-	timeline func(u int32) []*core.Post
-	snap     core.StateSnapshotter
-}
-
-// TestParallelTimelinesMatchSequential: the parallel engine's workers keep
-// the timelines, and merging them by sequence number must reproduce the
-// sequential MultiEngine's timelines exactly — every user, same posts, same
-// order — at 1, 2 and 4 workers, over a stream mixing Offer and OfferBatch
-// and containing unknown and negative authors, and again after an in-place
-// RestoreState (which empties them) and a refill.
+// TestParallelTimelinesMatchSequential: every worker keeps the timelines of
+// the posts it decides, and merging them by sequence number must reproduce
+// the sequential solver's deliveries appended in stream order — every user,
+// same posts, same order — at 1, 2 and 4 workers and on the inline engine,
+// over a stream mixing Offer and OfferBatch and containing unknown and
+// negative authors, and again after an in-place RestoreState (which empties
+// them) and a refill.
 func TestParallelTimelinesMatchSequential(t *testing.T) {
 	g, subs, base := parallelScenario(t, 41, 160)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
@@ -41,119 +32,92 @@ func TestParallelTimelinesMatchSequential(t *testing.T) {
 		}
 		posts[i] = &q
 	}
+	seq, err := core.NewSharedMultiUser(core.AlgUniBin, g, subs, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := make([][]int32, len(posts))
+	for i, p := range posts {
+		delivered[i] = slices.Clone(seq.Offer(p))
+	}
+	// want is the reference history of posts[lo:hi]: each post appended to
+	// the timeline of every user the sequential solver delivered it to.
+	want := func(lo, hi int) map[int32][]*core.Post {
+		tl := make(map[int32][]*core.Post)
+		for i := lo; i < hi; i++ {
+			for _, u := range delivered[i] {
+				tl[u] = append(tl[u], posts[i])
+			}
+		}
+		return tl
+	}
 
-	sequential := func() timelineEngine {
-		md, err := core.NewSharedMultiUser(core.AlgUniBin, g, subs, th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewMultiEngine(md)
-		return timelineEngine{
-			offer: func(p *core.Post) {
-				if _, err := m.Offer(p); err != nil {
-					t.Fatal(err)
-				}
-			},
-			batch: func(ps []*core.Post) {
-				if _, err := m.OfferBatch(ps); err != nil {
-					t.Fatal(err)
-				}
-			},
-			timeline: m.Timeline,
-			snap:     m,
-		}
-	}
-	parallel := func(workers int) (timelineEngine, *ParallelMultiEngine) {
-		e, err := NewParallelMultiEngine(core.AlgUniBin, g, subs, th, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return timelineEngine{
-			offer: func(p *core.Post) {
-				tk, err := e.Offer(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tk.Users()
-			},
-			batch: func(ps []*core.Post) {
-				bt, err := e.OfferBatch(ps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bt.Users()
-			},
-			timeline: e.Timeline,
-			snap:     e,
-		}, e
-	}
 	// feed offers posts in random-size runs, alternating single and batch
 	// ingest; the run boundaries depend only on the seed.
-	feed := func(eng timelineEngine, posts []*core.Post, seed int64) {
+	feed := func(e *ParallelMultiEngine, posts []*core.Post, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		for off, run := 0, 0; off < len(posts); run++ {
 			n := min(1+rng.Intn(20), len(posts)-off)
 			if run%2 == 0 {
 				for _, p := range posts[off : off+n] {
-					eng.offer(p)
+					tk, err := e.Offer(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tk.Users()
 				}
 			} else {
-				eng.batch(posts[off : off+n])
+				bt, err := e.OfferBatch(posts[off : off+n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				bt.Users()
 			}
 			off += n
 		}
 	}
-	compare := func(when string, workers int, want, got timelineEngine) int {
+	compare := func(when string, workers int, e *ParallelMultiEngine, lo, hi int) int {
 		t.Helper()
+		ref := want(lo, hi)
 		total := 0
 		for u := int32(-1); u <= int32(len(subs)); u++ {
-			a, b := want.timeline(u), got.timeline(u)
-			if !slices.Equal(a, b) {
-				t.Fatalf("workers=%d %s: user %d: sequential has %d posts, parallel %d (or the order differs)",
+			if a, b := ref[u], e.Timeline(u); !slices.Equal(a, b) {
+				t.Fatalf("workers=%d %s: user %d: reference has %d posts, engine %d (or the order differs)",
 					workers, when, u, len(a), len(b))
 			}
-			total += len(a)
+			total += len(ref[u])
 		}
 		return total
 	}
 
 	cut, cut2 := len(posts)/2, 3*len(posts)/4
-	for _, workers := range []int{1, 2, 4} {
-		seq := sequential()
-		par, pe := parallel(workers)
-		feed(seq, posts[:cut], 1)
-		feed(par, posts[:cut], 1)
-		if n := compare("first half", workers, seq, par); n < 500 {
+	for _, workers := range []int{1, 2, 4, inlineShape} {
+		e := newShape(t, core.AlgUniBin, g, subs, th, workers)
+		feed(e, posts[:cut], 1)
+		if n := compare("first half", workers, e, 0, cut); n < 500 {
 			t.Fatalf("only %d timeline entries after the first half; the stream should fill several chunks", n)
 		}
-		seqSnap, parSnap := snapEngine(t, seq.snap), snapEngine(t, par.snap)
+		snap := snapEngine(t, e)
 
-		// Run on past the snapshot, then roll both engines back in place.
-		feed(seq, posts[cut:cut2], 2)
-		feed(par, posts[cut:cut2], 2)
-		compare("before restore", workers, seq, par)
-		if err := restoreEngine(seq.snap, seqSnap); err != nil {
+		// Run on past the snapshot, then roll the engine back in place.
+		feed(e, posts[cut:cut2], 2)
+		compare("before restore", workers, e, 0, cut2)
+		if err := restoreEngine(e, snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := restoreEngine(par.snap, parSnap); err != nil {
-			t.Fatal(err)
-		}
-		if n := compare("after restore", workers, seq, par); n != 0 {
-			t.Fatalf("workers=%d: %d timeline entries survived RestoreState", workers, n)
-		}
-		if np, ne := pe.TimelineSize(); np != 0 || ne != 0 {
+		compare("after restore", workers, e, 0, 0)
+		if np, ne := e.TimelineSize(); np != 0 || ne != 0 {
 			t.Fatalf("workers=%d: TimelineSize after restore = %d, %d", workers, np, ne)
 		}
 
 		// The refill replays the suffix from the snapshot's cut with other
 		// run boundaries.
-		feed(seq, posts[cut:], 3)
-		feed(par, posts[cut:], 3)
-		if n := compare("after refill", workers, seq, par); n == 0 {
+		feed(e, posts[cut:], 3)
+		if n := compare("after refill", workers, e, cut, len(posts)); n == 0 {
 			t.Fatalf("workers=%d: the refill delivered nothing", workers)
 		}
-		pe.Close()
-		compare("after Close", workers, seq, par)
+		e.Close()
+		compare("after Close", workers, e, cut, len(posts))
 	}
 }
 

@@ -153,23 +153,6 @@ func (sg *SocialGraph) SameCommunity(a, b int32) bool {
 	return sg.Community[a] == sg.Community[b]
 }
 
-// SharedTopics returns how many topics two authors engage with in common
-// (zero when they are in different communities).
-func (sg *SocialGraph) SharedTopics(a, b int32) int {
-	if !sg.SameCommunity(a, b) {
-		return 0
-	}
-	n := 0
-	for _, ta := range sg.Topics[a] {
-		for _, tb := range sg.Topics[b] {
-			if ta == tb {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Subscriptions derives the M-SPSD subscription lists from the follower
 // graph, as the paper does for Figure 16: every author is also a user, and a
 // user's subscriptions are the followees that are themselves authors

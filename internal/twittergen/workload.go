@@ -48,11 +48,6 @@ const (
 	GraphChurn EventKind = "graph-churn"
 )
 
-// EventKinds lists every kind the DSL accepts, in canonical order.
-func EventKinds() []EventKind {
-	return []EventKind{FlashCrowd, CelebrityCascade, Botnet, DiurnalWhiplash, GraphChurn}
-}
-
 func validEventKind(k EventKind) bool {
 	switch k {
 	case FlashCrowd, CelebrityCascade, Botnet, DiurnalWhiplash, GraphChurn:
