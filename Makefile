@@ -84,7 +84,8 @@ bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
 # fuzz runs every fuzz target for FUZZTIME each (Go runs one -fuzz target per
-# invocation, so each gets its own). CI uses this as a smoke; locally raise
+# invocation, so each gets its own). CI uses this as a smoke and fails when a
+# `func Fuzz` in the tree is missing from this list; locally raise
 # FUZZTIME for a real session, e.g. `make fuzz FUZZTIME=10m`.
 FUZZTIME ?= 10s
 
@@ -99,6 +100,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run='^$$' -fuzz=FuzzStreamFrame -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorkload -fuzztime=$(FUZZTIME) ./internal/twittergen
+	$(GO) test -run='^$$' -fuzz=FuzzReadPosts -fuzztime=$(FUZZTIME) ./internal/corpusio
+	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME) ./internal/corpusio
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) .
 
 # scenarios runs the adversarial workload suite (flash crowd, celebrity

@@ -547,18 +547,15 @@ func NewService(g *AuthorGraph, subscriptions [][]AuthorID, opts ServiceOptions)
 			return nil, fmt.Errorf("user %d: %w", u, err)
 		}
 	}
-	var (
-		inner core.MultiDiversifier
-		err   error
-	)
+	build := core.NewSharedMultiUser
 	if opts.Independent {
-		inner, err = core.NewMultiUser(opts.Algorithm, g.g, int32Slices(subscriptions), opts.Config.thresholds())
-	} else {
-		inner, err = core.NewSharedMultiUser(opts.Algorithm, g.g, int32Slices(subscriptions), opts.Config.thresholds())
+		build = core.NewMultiUser
 	}
+	solver, err := build(opts.Algorithm, g.g, int32Slices(subscriptions), opts.Config.thresholds())
 	if err != nil {
 		return nil, err
 	}
+	var inner core.MultiDiversifier = solver
 	if opts.Adaptive != nil {
 		pol, err := opts.Adaptive.policy(opts.Config.thresholds())
 		if err != nil {

@@ -163,7 +163,7 @@ type AdaptiveMultiUser struct {
 // NewAdaptiveMultiUser wraps inner with the controller. base must be the
 // thresholds inner was built with (they are the relax floor), g the author
 // graph (the suppression probe answers the author dimension with it).
-// Per-user baselines (CustomMultiUser) are not supported: the controller
+// Per-user baselines (the Custom_M layout) are not supported: the controller
 // regulates against one baseline.
 func NewAdaptiveMultiUser(inner MultiDiversifier, g AuthorGraph, base Thresholds, pol AdaptivePolicy) (*AdaptiveMultiUser, error) {
 	if err := base.Validate(); err != nil {

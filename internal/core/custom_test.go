@@ -77,9 +77,6 @@ func TestCustomMultiUserMatchesUniformWhenEqual(t *testing.T) {
 			t.Fatalf("user %d: custom %v != uniform %v", u, ct[u], mt[u])
 		}
 	}
-	if c.UserThresholds(2) != th {
-		t.Fatal("UserThresholds mismatch")
-	}
 }
 
 func TestCustomMultiUserValidation(t *testing.T) {

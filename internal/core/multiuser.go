@@ -52,20 +52,17 @@ func NewDiversifier(alg Algorithm, g *authorsim.Graph, authors []int32, th Thres
 	}
 }
 
-// newRoutedDiversifier builds the per-user instances of the M_* and custom
-// multi-user solvers. Unlike NewDiversifier it may consult the global graph
-// for UniBin's author test: the multi-user routing layer only ever offers an
-// instance posts authored within its subscription set, and for two authors
-// inside that set global adjacency coincides with induced adjacency. This
-// keeps the hot author check a pure binary search (S_UniBin's rings rely on
-// the same fact). NeighborBin still needs the induced view (its insertion
-// fan-out must not leak outside the set) and CliqueBin's cover is computed
-// on the induced subgraph anyway.
+// newRoutedDiversifier builds the per-user instances of the M_* and Custom_M
+// layouts from thresholds the constructor has already validated. Unlike
+// NewDiversifier it may consult the global graph for UniBin's author test:
+// the routing table only ever offers an instance posts authored within its
+// subscription set, and for two authors inside that set global adjacency
+// coincides with induced adjacency. This keeps the hot author check a pure
+// binary search (S_UniBin's rings rely on the same fact). NeighborBin still
+// needs the induced view (its insertion fan-out must not leak outside the
+// set) and CliqueBin's cover is computed on the induced subgraph anyway.
 func newRoutedDiversifier(alg Algorithm, g *authorsim.Graph, authors []int32, th Thresholds) (Diversifier, error) {
 	if alg == AlgUniBin {
-		if err := th.Validate(); err != nil {
-			return nil, err
-		}
 		return NewUniBin(g, th), nil
 	}
 	return NewDiversifier(alg, g, authors, th)
@@ -105,149 +102,56 @@ func validateSubscriptions(g *authorsim.Graph, subscriptions [][]int32) error {
 	return nil
 }
 
-// MultiUser is the baseline M_* family: one independent SPSD instance per
-// user, no computation shared (Section 5's M_UniBin / M_NeighborBin /
-// M_CliqueBin).
-type MultiUser struct {
-	alg           Algorithm
-	divs          []Diversifier // one per user
-	authorToUsers [][]int32     // dense, indexed by author id
-	scratch       []int32       // Offer's reusable delivery buffer (aliasing contract)
-}
-
-// NewMultiUser builds the M_* solver. subscriptions[u] lists the authors
-// user u follows; authors must be node ids of g — unknown or negative ids
-// are rejected with an error.
-func NewMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, th Thresholds) (*MultiUser, error) {
-	if err := validateSubscriptions(g, subscriptions); err != nil {
-		return nil, err
-	}
-	m := &MultiUser{
-		alg:           alg,
-		divs:          make([]Diversifier, len(subscriptions)),
-		authorToUsers: make([][]int32, g.NumAuthors()),
-	}
-	for u, subs := range subscriptions {
-		d, err := newRoutedDiversifier(alg, g, subs, th)
-		if err != nil {
-			return nil, err
-		}
-		m.divs[u] = d
-		seen := make(map[int32]bool, len(subs))
-		for _, a := range subs {
-			if !seen[a] {
-				seen[a] = true
-				m.authorToUsers[a] = append(m.authorToUsers[a], int32(u))
-			}
-		}
-	}
-	// Users were appended in increasing order, so the routing lists are
-	// already sorted; delivery order is deterministic.
-	return m, nil
-}
-
-// Name implements MultiDiversifier.
-func (m *MultiUser) Name() string { return "M_" + m.alg.String() }
-
-// Offer implements MultiDiversifier. Posts from authors outside the graph —
-// including negative ids, which arrive from unvalidated ingest boundaries —
-// are delivered to no one. The returned slice follows the interface's
-// aliasing contract: valid until the next Offer.
-func (m *MultiUser) Offer(p *Post) []int32 {
-	if p.Author < 0 || int(p.Author) >= len(m.authorToUsers) {
-		return nil
-	}
-	delivered := m.scratch[:0]
-	for _, u := range m.authorToUsers[p.Author] {
-		if m.divs[u].Offer(p) {
-			delivered = append(delivered, u)
-		}
-	}
-	m.scratch = delivered
-	if len(delivered) == 0 {
-		return nil
-	}
-	return delivered
-}
-
-// SetGraph swaps the author graph consulted by every per-user instance, the
-// multi-user face of the paper's periodic similarity recomputation. Only
-// AlgUniBin supports it: UniBin's single time-ordered bin is
-// graph-independent, while NeighborBin and CliqueBin bake the old graph into
-// their bin layout and need a rebuilt solver. The refreshed graph must keep
-// the author-id universe: the routing tables are dense arrays indexed by
-// author id, and a resized graph would silently drop new authors' posts (or
-// index out of bounds inside the author test), so a size change is an error,
-// not a remap. The per-user subscription routing deliberately stays as
-// built — subscriptions are user intent, not graph structure. Not safe to
-// call concurrently with Offer; serialize via the stream engine's Swap.
-func (m *MultiUser) SetGraph(g *authorsim.Graph) error {
-	if m.alg != AlgUniBin {
-		return fmt.Errorf("core: %s cannot refresh the author graph in place: %s bin layouts bake the old graph; rebuild the solver",
-			m.Name(), m.alg)
-	}
-	if n := g.NumAuthors(); n != len(m.authorToUsers) {
-		return fmt.Errorf("core: refreshed graph has %d authors but %s routes %d; author ids are dense indexes, so a resized graph requires a rebuilt solver",
-			n, m.Name(), len(m.authorToUsers))
-	}
-	for _, d := range m.divs {
-		d.(*UniBin).SetGraph(g)
-	}
-	return nil
-}
-
-// Counters implements MultiDiversifier.
-func (m *MultiUser) Counters() *metrics.Counters {
-	var total metrics.Counters
-	for _, d := range m.divs {
-		if d != nil {
-			total.Merge(*d.Counters())
-		}
-	}
-	return &total
-}
-
-// UserCounters returns the counters of one user's instance (for tests and
-// per-user reporting).
-func (m *MultiUser) UserCounters(user int32) *metrics.Counters {
-	return m.divs[user].Counters()
-}
-
-// SharedMultiUser is the optimized S_* family of Section 5: users whose
-// subscription subgraphs Gi share an identical connected component share one
-// SPSD instance for that component. A component is identified by its author
-// set — components are induced subgraphs of the global G, so an identical
-// author set implies an identical subgraph, which is the paper's strict
-// condition for reuse. Posts from authors outside every similarity relation
-// still flow through their (singleton) components.
+// SharedMultiUser is the multi-user solver of Section 5. It runs a set of
+// SPSD instances; an instance is an author set, the diversifier deciding the
+// posts of those authors and the users whose timelines it feeds. A post is
+// offered to every instance containing its author, and each accepting
+// instance delivers it to all of its users. Three constructors lay the
+// instances out:
 //
-// S_NeighborBin and S_CliqueBin keep one bin-set per instance. S_UniBin
-// shares further, at post granularity: its instances keep no bins of their
-// own but one window ring per connected component of the global G, which
-// stores each emitted post once with the ids of the instances that emitted
-// it (see sharedring.go). Decisions are those of one UniBin per instance,
-// bit for bit. Its Accepted and Rejected count instance decisions, as for
-// the other two algorithms; Comparisons, Insertions, Evictions and the
+//   - NewSharedMultiUser (S_*): users whose subscription subgraphs Gi share
+//     an identical connected component share one instance for it. A
+//     component is identified by its author set — components are induced
+//     subgraphs of the global G, so an identical author set implies an
+//     identical subgraph, which is the paper's strict condition for reuse.
+//     Posts from authors outside every similarity relation still flow
+//     through their (singleton) components.
+//   - NewMultiUser (M_*): one instance per user over the user's whole
+//     subscription set, no computation shared — the paper's baselines.
+//   - NewCustomMultiUser (Custom_M): the M_* layout with each instance built
+//     at its user's own λc and λt.
+//
+// S_UniBin shares further, at post granularity: its instances keep no bins
+// of their own but one window ring per connected component of the global G,
+// which stores each emitted post once with the ids of the instances that
+// emitted it (see sharedring.go). Decisions are those of one UniBin per
+// instance, bit for bit. Its Accepted and Rejected count instance decisions,
+// as in every other layout; Comparisons, Insertions, Evictions and the
 // stored-copy counts are physical ring counts — window entries visited,
 // posts stored, posts evicted and resident posts, once per ring rather than
 // once per instance — and StoredPeak sums the rings' individual peaks.
 //
-// The per-component decision independence this type exploits for sharing is
-// also what makes the engine partitionable: internal/stream spreads
-// components across goroutines and internal/shard spreads them across
-// processes, both relying on the fact that a component's decision sequence
-// never observes posts from outside the component.
+// The per-component decision independence the S_* layout exploits for
+// sharing is also what makes the engine partitionable: internal/stream
+// spreads components across goroutines and internal/shard spreads them
+// across processes, both relying on the fact that a component's decision
+// sequence never observes posts from outside the component.
 type SharedMultiUser struct {
+	name          string
 	alg           Algorithm
-	comps         []*sharedComponent
-	authorToComps [][]int32 // ascending instance indices, dense by author id
-	scratch       []int32   // Offer's reusable delivery buffer (aliasing contract)
+	comps         []instance // in construction order
+	authorToComps [][]int32  // ascending instance indices, dense by author id
+	scratch       []int32    // Offer's reusable delivery buffer (aliasing contract)
+	// perUser marks the M_* and Custom_M layouts: instance u feeds user u
+	// alone, so the routing lists are ascending user ids.
+	perUser bool
 
-	// AlgUniBin only: the global graph (swapped by SetGraph), the rings,
-	// the author → ring table (-1 for authors no instance contains), the
-	// epoch stamps of the decision in progress (per instance and per
-	// author), and the counters (stored-copy counts kept apart: live posts
-	// and summed ring peaks).
+	// S_UniBin only (ring is set): the thresholds, the global graph (swapped
+	// by SetGraph), the rings, the author → ring table (-1 for authors no
+	// instance contains), the epoch stamps of the decision in progress (per
+	// instance and per author), and the counters (stored-copy counts kept
+	// apart: live posts and summed ring peaks).
+	ring       bool
 	th         Thresholds
 	g          *authorsim.Graph
 	rings      []sharedRing
@@ -259,27 +163,40 @@ type SharedMultiUser struct {
 	live, peak int64
 }
 
-type sharedComponent struct {
-	authors []int32
-	div     Diversifier // nil under AlgUniBin, whose instances live in rings
-	users   []int32     // subscribers of exactly this component, sorted
+// instance is one SPSD instance of a layout: an S_* component or an M_* /
+// Custom_M user's subscription set.
+type instance struct {
+	authors []int32     // sorted
+	div     Diversifier // nil under S_UniBin, whose instances live in rings
+	users   []int32     // sorted
+}
+
+// newSolver checks the parameters every layout shares — the algorithm, the
+// given thresholds and the subscribed author ids — before any instance is
+// built, so a bad parameter fails even where no instance would be (a user
+// without subscriptions, no users at all). It returns a solver without
+// instances.
+func newSolver(name string, alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, ths ...Thresholds) (*SharedMultiUser, error) {
+	if alg < AlgUniBin || alg > AlgCliqueBin {
+		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	}
+	for _, th := range ths {
+		if err := th.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	if err := validateSubscriptions(g, subscriptions); err != nil {
+		return nil, err
+	}
+	return &SharedMultiUser{name: name, alg: alg, authorToComps: make([][]int32, g.NumAuthors())}, nil
 }
 
 // NewSharedMultiUser builds the S_* solver from per-user subscriptions.
 // Author ids outside g are rejected with an error.
 func NewSharedMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, th Thresholds) (*SharedMultiUser, error) {
-	if err := validateSubscriptions(g, subscriptions); err != nil {
+	s, err := newSolver("S_"+alg.String(), alg, g, subscriptions, th)
+	if err != nil {
 		return nil, err
-	}
-	s := &SharedMultiUser{
-		alg:           alg,
-		authorToComps: make([][]int32, g.NumAuthors()),
-	}
-	if alg == AlgUniBin {
-		if err := th.Validate(); err != nil {
-			return nil, err
-		}
-		s.th, s.g = th, g
 	}
 	byKey := make(map[string]int32)
 	for u, subs := range subscriptions {
@@ -289,15 +206,13 @@ func NewSharedMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int
 			if !ok {
 				var div Diversifier
 				if alg != AlgUniBin {
-					d, err := NewDiversifier(alg, g, comp, th)
-					if err != nil {
+					if div, err = NewDiversifier(alg, g, comp, th); err != nil {
 						return nil, err
 					}
-					div = d
 				}
 				idx = int32(len(s.comps))
 				byKey[key] = idx
-				s.comps = append(s.comps, &sharedComponent{authors: comp, div: div})
+				s.comps = append(s.comps, instance{authors: comp, div: div})
 				for _, a := range comp {
 					s.authorToComps[a] = append(s.authorToComps[a], idx)
 				}
@@ -306,43 +221,126 @@ func NewSharedMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int
 		}
 	}
 	if alg == AlgUniBin {
+		s.ring, s.th, s.g = true, th, g
 		s.buildRings()
 	}
 	return s, nil
 }
 
-// Name implements MultiDiversifier.
-func (s *SharedMultiUser) Name() string { return "S_" + s.alg.String() }
+// NewMultiUser builds the M_* solver: one instance per user. subscriptions[u]
+// lists the authors user u follows; authors must be node ids of g — unknown
+// or negative ids are rejected with an error.
+func NewMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, th Thresholds) (*SharedMultiUser, error) {
+	s, err := newSolver("M_"+alg.String(), alg, g, subscriptions, th)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.layPerUser(g, subscriptions, func(int) Thresholds { return th }); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
-// NumComponents returns the number of distinct shared components — the
-// number of SPSD instances deciding.
-func (s *SharedMultiUser) NumComponents() int { return len(s.comps) }
+// NewCustomMultiUser builds the Custom_M solver: per-user diversity
+// thresholds, the capability Section 2 notes is easy in client-side SPSD ("we
+// can easily support user customized diversity thresholds") but is lost by
+// the S_* layout, which requires identical thresholds to reuse state. It is
+// the M_* layout with user u's instance built at thresholds[u]; users who
+// share both a component and thresholds could in principle still share
+// state, but stay independent — the paper's stated trade-off for
+// customization.
+//
+// The author threshold λa is common to the service: it is baked into the
+// precomputed author similarity graph, and maintaining one graph per user
+// would defeat the offline-precomputation design of Section 3. So every
+// thresholds entry must carry the same λa.
+func NewCustomMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, thresholds []Thresholds) (*SharedMultiUser, error) {
+	if len(subscriptions) != len(thresholds) {
+		return nil, fmt.Errorf("core: %d subscription lists but %d thresholds",
+			len(subscriptions), len(thresholds))
+	}
+	for u, th := range thresholds {
+		if la := thresholds[0].LambdaA; th.LambdaA != la {
+			return nil, fmt.Errorf(
+				"core: user %d has LambdaA %v but the shared author graph encodes %v; "+
+					"per-user LambdaA requires per-user graphs", u, th.LambdaA, la)
+		}
+		if err := th.Validate(); err != nil {
+			return nil, fmt.Errorf("user %d: %w", u, err)
+		}
+	}
+	s, err := newSolver("Custom_M", alg, g, subscriptions)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.layPerUser(g, subscriptions, func(u int) Thresholds { return thresholds[u] }); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
-// Offer implements MultiDiversifier. Each distinct component containing the
-// post's author decides once; on acceptance the post is delivered to every
-// user subscribed to that component. A user sees the author in at most one
-// of its own components, so the per-component user sets touched here are
-// disjoint and the result needs only sorting, not deduplication.
+// layPerUser lays out the M_* and Custom_M instances: user u's instance is
+// built over its subscriptions at thresholds th(u), routes the deduplicated
+// subscriptions and feeds user u alone.
+func (s *SharedMultiUser) layPerUser(g *authorsim.Graph, subscriptions [][]int32, th func(u int) Thresholds) error {
+	s.perUser = true
+	s.comps = make([]instance, len(subscriptions))
+	for u, subs := range subscriptions {
+		div, err := newRoutedDiversifier(s.alg, g, subs, th(u))
+		if err != nil {
+			return err
+		}
+		authors := slices.Clone(subs)
+		slices.Sort(authors)
+		authors = slices.Compact(authors)
+		for _, a := range authors {
+			s.authorToComps[a] = append(s.authorToComps[a], int32(u))
+		}
+		s.comps[u] = instance{authors: authors, div: div, users: []int32{int32(u)}}
+	}
+	return nil
+}
+
+// Name implements MultiDiversifier: M_<alg>, S_<alg> or Custom_M.
+func (s *SharedMultiUser) Name() string { return s.name }
+
+// NumComponents returns the number of distinct shared components the S_*
+// layout decides with — its number of SPSD instances. The per-user layouts
+// share no component and return 0.
+func (s *SharedMultiUser) NumComponents() int {
+	if s.perUser {
+		return 0
+	}
+	return len(s.comps)
+}
+
+// Offer implements MultiDiversifier. Every instance containing the post's
+// author decides once; on acceptance the post is delivered to every user of
+// that instance. A user sees the author in at most one of its own instances,
+// so the user sets touched here are disjoint and the result needs only
+// sorting, not deduplication. Posts from authors outside the graph —
+// including negative ids, which arrive from unvalidated ingest boundaries —
+// are delivered to no one.
 func (s *SharedMultiUser) Offer(p *Post) []int32 {
 	if p.Author < 0 || int(p.Author) >= len(s.authorToComps) {
 		return nil
 	}
-	if s.alg == AlgUniBin {
+	if s.ring {
 		return s.offerRing(p)
 	}
 	delivered := s.scratch[:0]
 	contributing := 0
 	for _, ci := range s.authorToComps[p.Author] {
-		comp := s.comps[ci]
-		if comp.div.Offer(p) {
-			delivered = append(delivered, comp.users...)
+		inst := &s.comps[ci]
+		if inst.div.Offer(p) {
+			delivered = append(delivered, inst.users...)
 			contributing++
 		}
 	}
-	// Per-component user lists are built in increasing user order, so a
-	// single contributing component is already sorted; only a multi-component
-	// delivery needs the sort.
-	if contributing > 1 {
+	// Every instance's user list is sorted, so a single contributing
+	// instance needs no sort; nor do the per-user layouts, whose instances
+	// are routed in ascending user order.
+	if contributing > 1 && !s.perUser {
 		slices.Sort(delivered)
 	}
 	s.scratch = delivered
@@ -352,13 +350,20 @@ func (s *SharedMultiUser) Offer(p *Post) []int32 {
 	return delivered
 }
 
-// SetGraph swaps the author graph consulted by S_UniBin's coverage test; see
-// MultiUser.SetGraph for the AlgUniBin-only and same-size contracts. The
-// component partition — instances and the rings holding them — deliberately
-// stays as built: instances are identified by author set at construction,
-// and the paper's maintenance story recomputes them with the periodic graph
-// rebuild, not per edge flip — a refreshed graph only changes which stored
-// posts count as author-similar from the next Offer on.
+// SetGraph swaps the author graph consulted by UniBin's author test, the
+// multi-user face of the paper's periodic similarity recomputation. Only
+// AlgUniBin supports it: UniBin's time-ordered bins are graph-independent,
+// while NeighborBin and CliqueBin bake the old graph into their bin layout
+// and need a rebuilt solver. The refreshed graph must keep the author-id
+// universe: the routing tables are dense arrays indexed by author id, and a
+// resized graph would silently drop new authors' posts (or index out of
+// bounds inside the author test), so a size change is an error, not a remap.
+// The instances — and S_UniBin's rings holding them — deliberately stay as
+// built: subscriptions are user intent, not graph structure, and the paper's
+// maintenance story recomputes shared components with the periodic graph
+// rebuild, not per edge flip. A refreshed graph only changes which stored
+// posts count as author-similar from the next Offer on. Not safe to call
+// concurrently with Offer; serialize via the stream engine's Swap.
 func (s *SharedMultiUser) SetGraph(g *authorsim.Graph) error {
 	if s.alg != AlgUniBin {
 		return fmt.Errorf("core: %s cannot refresh the author graph in place: %s bin layouts bake the old graph; rebuild the solver",
@@ -368,20 +373,26 @@ func (s *SharedMultiUser) SetGraph(g *authorsim.Graph) error {
 		return fmt.Errorf("core: refreshed graph has %d authors but %s routes %d; author ids are dense indexes, so a resized graph requires a rebuilt solver",
 			n, s.Name(), len(s.authorToComps))
 	}
-	s.g = g
+	if s.ring {
+		s.g = g
+		return nil
+	}
+	for _, inst := range s.comps {
+		inst.div.(*UniBin).SetGraph(g)
+	}
 	return nil
 }
 
 // Counters implements MultiDiversifier.
 func (s *SharedMultiUser) Counters() *metrics.Counters {
 	var total metrics.Counters
-	if s.alg == AlgUniBin {
+	if s.ring {
 		total = s.c
 		total.SetStored(s.live, s.peak)
 		return &total
 	}
-	for _, comp := range s.comps {
-		total.Merge(*comp.div.Counters())
+	for _, inst := range s.comps {
+		total.Merge(*inst.div.Counters())
 	}
 	return &total
 }

@@ -423,6 +423,27 @@ func TestNewDiversifierErrors(t *testing.T) {
 	if _, err := NewSharedMultiUser(Algorithm(42), g, [][]int32{{0}}, Thresholds{}); err == nil {
 		t.Fatal("expected error from SharedMultiUser with bad algorithm")
 	}
+	// Parameters are validated even when no instance gets built: a user
+	// without subscriptions, or no users at all.
+	bad := Thresholds{LambdaC: 65}
+	good := Thresholds{LambdaC: 3, LambdaT: 10, LambdaA: 0.7}
+	for _, alg := range []Algorithm{AlgUniBin, AlgNeighborBin, AlgCliqueBin} {
+		if _, err := NewSharedMultiUser(alg, g, [][]int32{{}}, bad); err == nil {
+			t.Fatalf("S_%v without instances accepted LambdaC 65", alg)
+		}
+		if _, err := NewMultiUser(alg, g, nil, bad); err == nil {
+			t.Fatalf("M_%v without users accepted LambdaC 65", alg)
+		}
+	}
+	if _, err := NewSharedMultiUser(Algorithm(42), g, [][]int32{{}}, good); err == nil {
+		t.Fatal("S_* without instances accepted an unknown algorithm")
+	}
+	if _, err := NewMultiUser(Algorithm(42), g, nil, good); err == nil {
+		t.Fatal("M_* without users accepted an unknown algorithm")
+	}
+	if _, err := NewCustomMultiUser(Algorithm(42), g, nil, nil); err == nil {
+		t.Fatal("Custom_M without users accepted an unknown algorithm")
+	}
 }
 
 func TestUserCounters(t *testing.T) {
@@ -433,11 +454,10 @@ func TestUserCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Offer(&Post{ID: 1, Author: 1, Time: 1, FP: 0})
-	if got := m.UserCounters(0).Processed(); got != 0 {
-		t.Fatalf("user 0 (not subscribed to author 1) processed %d posts", got)
-	}
-	if got := m.UserCounters(1).Processed(); got != 1 {
-		t.Fatalf("user 1 processed %d posts, want 1", got)
+	// Only user 1's instance sees the post: 2 would mean user 0's instance
+	// (not subscribed to author 1) processed it too.
+	if got := m.Counters().Processed(); got != 1 {
+		t.Fatalf("instances processed the post %d times, want 1", got)
 	}
 }
 

@@ -311,9 +311,9 @@ func authorValidatorFromCover(cb *CliqueBin) func(int32) bool {
 	return func(a int32) bool { return len(cb.cover.CliquesOf(a)) > 0 }
 }
 
-// snapshotInstance snapshots one per-user/per-component instance, failing
-// with a descriptive error should an algorithm without checkpoint support
-// appear (every shipped algorithm supports it).
+// snapshotInstance snapshots one multi-user instance, failing with a
+// descriptive error should an algorithm without checkpoint support appear
+// (every shipped algorithm supports it).
 func snapshotInstance(enc *checkpoint.Encoder, d Diversifier) error {
 	s, ok := d.(StateSnapshotter)
 	if !ok {
@@ -331,43 +331,12 @@ func restoreInstance(dec *checkpoint.Decoder, d Diversifier) error {
 	return s.RestoreState(dec)
 }
 
-// SnapshotState implements StateSnapshotter: every user's instance in user
-// order.
-func (m *MultiUser) SnapshotState(enc *checkpoint.Encoder) error {
-	enc.String("multiuser")
-	enc.Uvarint(uint64(len(m.divs)))
-	for _, d := range m.divs {
-		if err := snapshotInstance(enc, d); err != nil {
-			return err
-		}
-	}
-	return enc.Err()
-}
-
-// RestoreState implements StateSnapshotter. Instances restore in user order;
-// on error the solver is a mix of restored and old state and must be
-// discarded.
-func (m *MultiUser) RestoreState(dec *checkpoint.Decoder) error {
-	dec.Expect("multiuser")
-	if n := dec.Len("users", checkpoint.MaxElems); dec.Err() == nil && n != len(m.divs) {
-		dec.Failf("snapshot has %d users, engine has %d", n, len(m.divs))
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for _, d := range m.divs {
-		if err := restoreInstance(dec, d); err != nil {
-			return err
-		}
-	}
-	return dec.Err()
-}
-
-// SnapshotState implements StateSnapshotter: the structural guard (every
-// instance's author and subscriber counts, in construction order, which is
-// deterministic in the subscription list), then the state. S_NeighborBin and
-// S_CliqueBin write each instance's section in instance order; S_UniBin
-// writes its rings in ring order, then one counters block.
+// SnapshotState implements StateSnapshotter for every layout: the structural
+// guard (every instance's author and user counts, in construction order,
+// which is deterministic in the subscription list), then the state. S_UniBin
+// writes its rings in ring order, then one counters block; every other layout
+// writes each instance's section in instance order. Per-user thresholds are
+// construction parameters, fingerprinted by the public layer, not state.
 func (s *SharedMultiUser) SnapshotState(enc *checkpoint.Encoder) error {
 	enc.String("sharedmultiuser")
 	enc.Uvarint(uint64(len(s.comps)))
@@ -375,7 +344,7 @@ func (s *SharedMultiUser) SnapshotState(enc *checkpoint.Encoder) error {
 		enc.Uvarint(uint64(len(comp.authors)))
 		enc.Uvarint(uint64(len(comp.users)))
 	}
-	if s.alg == AlgUniBin {
+	if s.ring {
 		enc.Uvarint(uint64(len(s.rings)))
 		for i := range s.rings {
 			encodeRing(enc, &s.rings[i])
@@ -393,26 +362,26 @@ func (s *SharedMultiUser) SnapshotState(enc *checkpoint.Encoder) error {
 
 // RestoreState implements StateSnapshotter. S_UniBin decodes and validates
 // the whole section before replacing anything, so on error it is untouched;
-// the per-instance algorithms restore instance by instance and must be
-// discarded on error.
+// the other layouts restore instance by instance and must be discarded on
+// error.
 func (s *SharedMultiUser) RestoreState(dec *checkpoint.Decoder) error {
 	dec.Expect("sharedmultiuser")
-	if n := dec.Len("components", checkpoint.MaxElems); dec.Err() == nil && n != len(s.comps) {
-		dec.Failf("snapshot has %d shared components, engine has %d (different subscriptions)", n, len(s.comps))
+	if n := dec.Len("instances", checkpoint.MaxElems); dec.Err() == nil && n != len(s.comps) {
+		dec.Failf("snapshot has %d instances, engine has %d (different users or subscriptions)", n, len(s.comps))
 	}
 	for ci := 0; ci < len(s.comps) && dec.Err() == nil; ci++ {
-		comp := s.comps[ci]
-		na := dec.Len("component authors", checkpoint.MaxElems)
-		nu := dec.Len("component users", checkpoint.MaxElems)
-		if dec.Err() == nil && (na != len(comp.authors) || nu != len(comp.users)) {
-			dec.Failf("component %d shape mismatch: snapshot %d authors/%d users, engine %d/%d",
-				ci, na, nu, len(comp.authors), len(comp.users))
+		inst := &s.comps[ci]
+		na := dec.Len("instance authors", checkpoint.MaxElems)
+		nu := dec.Len("instance users", checkpoint.MaxElems)
+		if dec.Err() == nil && (na != len(inst.authors) || nu != len(inst.users)) {
+			dec.Failf("instance %d shape mismatch: snapshot %d authors/%d users, engine %d/%d",
+				ci, na, nu, len(inst.authors), len(inst.users))
 		}
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if s.alg == AlgUniBin {
+	if s.ring {
 		if n := dec.Len("rings", checkpoint.MaxElems); dec.Err() == nil && n != len(s.rings) {
 			dec.Failf("snapshot has %d rings, engine has %d (different graph or subscriptions)", n, len(s.rings))
 		}
@@ -507,37 +476,4 @@ func decodeRing(dec *checkpoint.Decoder, s *SharedMultiUser, ri int32, params si
 	}
 	r.bin = newCovBinFromSoA(soa, params, indexed)
 	return r
-}
-
-// SnapshotState implements StateSnapshotter: every user's instance in user
-// order (thresholds are construction parameters, fingerprinted by the public
-// layer, not state).
-func (c *CustomMultiUser) SnapshotState(enc *checkpoint.Encoder) error {
-	enc.String("custommultiuser")
-	enc.Uvarint(uint64(len(c.divs)))
-	for _, d := range c.divs {
-		if err := snapshotInstance(enc, d); err != nil {
-			return err
-		}
-	}
-	return enc.Err()
-}
-
-// RestoreState implements StateSnapshotter. Instances restore in user order;
-// on error the solver is a mix of restored and old state and must be
-// discarded.
-func (c *CustomMultiUser) RestoreState(dec *checkpoint.Decoder) error {
-	dec.Expect("custommultiuser")
-	if n := dec.Len("users", checkpoint.MaxElems); dec.Err() == nil && n != len(c.divs) {
-		dec.Failf("snapshot has %d users, engine has %d", n, len(c.divs))
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for _, d := range c.divs {
-		if err := restoreInstance(dec, d); err != nil {
-			return err
-		}
-	}
-	return dec.Err()
 }

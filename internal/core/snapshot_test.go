@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -513,5 +515,49 @@ func TestSharedRingRestoreValidation(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), clean) {
 		t.Fatal("test encoder drifted from SnapshotState's layout")
+	}
+}
+
+// TestSharedSnapshotBytesPinned pins the checkpoint bytes of every S_*
+// layout after a fixed seeded stream, including an S_UniBin solver with no
+// instance (a parallel worker owning no subscribed component). Daemon
+// checkpoints are S_* snapshots, so a change to these bytes breaks restores
+// across builds and must come with a format Version bump. The decision
+// latency histograms are wall-clock measurements and are cleared first.
+func TestSharedSnapshotBytesPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	g, posts, subs := clusteredScenario(rng, 400)
+	th := Thresholds{LambdaC: 6, LambdaT: 400, LambdaA: 0.7}
+	cases := []struct {
+		name string
+		alg  Algorithm
+		subs [][]int32
+		want string
+	}{
+		{"S_UniBin", AlgUniBin, subs, "421760811b6e18d3e64a93afc35d1f5d2d8717330d3bb1955c89eb9f50f4f415"},
+		{"S_NeighborBin", AlgNeighborBin, subs, "28f77357f701b62abc4c60b739422b5e8b3acf3b726b6947cfcfe546b8e91ec0"},
+		{"S_CliqueBin", AlgCliqueBin, subs, "b61a5c9a2a2ccd2cf85dfa315a766d7e347e2809cd685a24a568344b48428ee8"},
+		{"S_UniBin/no instances", AlgUniBin, make([][]int32, len(subs)), "58a33baab7575baea154f6e25d6750ce7effddcaba4d156e837f37d872a12a6d"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSharedMultiUser(tc.alg, g, tc.subs, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range posts {
+				s.Offer(p)
+			}
+			s.c.Decisions = metrics.Histogram{}
+			for _, comp := range s.comps {
+				if comp.div != nil {
+					comp.div.Counters().Decisions = metrics.Histogram{}
+				}
+			}
+			sum := sha256.Sum256(snapState(t, s))
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Fatalf("snapshot SHA-256 = %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
