@@ -210,3 +210,39 @@ func TestTimelinesSequentialEqualsParallel(t *testing.T) {
 		t.Fatalf("only %d timeline entries; the stream should fill several chunks per user", delivered)
 	}
 }
+
+// TestTimelineTailMatchesWholeHistoryRead: the stream engine serves
+// /v1/timeline and /v1/users/{id}/stats from its bounded tail read; an engine
+// that offers only Timeline (the shape of a wrapper that forwards the Engine
+// interface alone) is served from the whole history. Both must answer every
+// user and n alike.
+func TestTimelineTailMatchesWholeHistoryRead(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		tail, _ := serverPair(t, parallel)
+		whole := NewFromEngine(struct{ Engine }{tail.engine})
+		for i := 0; i < 300; i++ {
+			ingestAt(t, tail, i%4, int64(1000+i*700), fmt.Sprintf("story %d about topic %d", i%37, i%5))
+		}
+		if n := len(tail.engine.Timeline(0)); n <= 7 {
+			t.Fatalf("parallel=%v: user 0 received %d posts; the test wants more than n=7", parallel, n)
+		}
+		for u := 0; u <= 3; u++ {
+			for _, path := range []string{
+				fmt.Sprintf("/v1/timeline?user=%d", u),
+				fmt.Sprintf("/v1/timeline?user=%d&n=1", u),
+				fmt.Sprintf("/v1/timeline?user=%d&n=7", u),
+				fmt.Sprintf("/v1/timeline?user=%d&n=1000000", u),
+				fmt.Sprintf("/v1/users/%d/stats", u),
+			} {
+				a, b := httptest.NewRecorder(), httptest.NewRecorder()
+				tail.ServeHTTP(a, httptest.NewRequest("GET", path, nil))
+				whole.ServeHTTP(b, httptest.NewRequest("GET", path, nil))
+				if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
+					t.Fatalf("parallel=%v %s: tail read %d %s, whole-history read %d %s",
+						parallel, path, a.Code, a.Body, b.Code, b.Body)
+				}
+			}
+		}
+		tail.Close()
+	}
+}

@@ -47,7 +47,7 @@ type workerSource interface {
 // a timeline store (the stream engine, not the shard router); /metrics
 // exposes the firehose_timeline_* gauges when it is there.
 type timelineSizer interface {
-	TimelineSize() (posts, entries uint64)
+	TimelineSize() (posts, entries, bytes uint64)
 }
 
 // timelineErrSource is the optional failure-aware read surface: the shard
@@ -58,13 +58,31 @@ type timelineErrSource interface {
 	TimelineErr(user int32) ([]*core.Post, error)
 }
 
-// timeline reads one user's timeline through the engine, preferring the
-// failure-aware surface when the backend provides it.
-func (s *Server) timeline(user int32) ([]*core.Post, error) {
-	if te, ok := s.engine.(timelineErrSource); ok {
-		return te.TimelineErr(user)
+// timelineTailSource is the optional bounded read surface: the stream engine
+// builds posts for the newest n of a history only. Engines without it (the
+// shard router, wrappers that forward Timeline alone) serve the whole
+// history, and the handler keeps its newest n.
+type timelineTailSource interface {
+	TimelineTail(user int32, n int) (tail []*core.Post, total int)
+}
+
+// timelineTail reads the newest n posts of a user's timeline, oldest first,
+// and the timeline's length, through the narrowest surface the engine offers:
+// the failure-aware one first, then the bounded one.
+func (s *Server) timelineTail(user int32, n int) (tail []*core.Post, total int, err error) {
+	var tl []*core.Post
+	switch e := s.engine.(type) {
+	case timelineErrSource:
+		if tl, err = e.TimelineErr(user); err != nil {
+			return nil, 0, err
+		}
+	case timelineTailSource:
+		tail, total = e.TimelineTail(user, n)
+		return tail, total, nil
+	default:
+		tl = s.engine.Timeline(user)
 	}
-	return s.engine.Timeline(user), nil
+	return tl[len(tl)-min(n, len(tl)):], len(tl), nil
 }
 
 // adaptiveSource is the optional adaptive-controller instrumentation surface.
@@ -357,13 +375,10 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	tl, terr := s.timeline(int32(user))
+	tl, _, terr := s.timelineTail(int32(user), n)
 	if terr != nil {
 		writeError(w, http.StatusServiceUnavailable, CodeShardUnavailable, "%v", terr)
 		return
-	}
-	if len(tl) > n {
-		tl = tl[len(tl)-n:] // most recent n
 	}
 	resp := TimelineResponse{User: int32(user), Posts: make([]TimelinePost, len(tl))}
 	for i, p := range tl {

@@ -93,14 +93,20 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		r.MustRegister("firehose_timeline_posts",
 			"Delivered posts held in the timeline store, each once however many users received it.",
 			metrics.KindGauge, func() []metrics.Sample {
-				posts, _ := ts.TimelineSize()
+				posts, _, _ := ts.TimelineSize()
 				return []metrics.Sample{{Value: float64(posts)}}
 			})
 		r.MustRegister("firehose_timeline_entries",
 			"Per-user timeline positions (one post delivered to k users counts k).",
 			metrics.KindGauge, func() []metrics.Sample {
-				_, entries := ts.TimelineSize()
+				_, entries, _ := ts.TimelineSize()
 				return []metrics.Sample{{Value: float64(entries)}}
+			})
+		r.MustRegister("firehose_timeline_bytes",
+			"Bytes the timeline store retains: post records, text blocks and per-user position chunks, counted by capacity.",
+			metrics.KindGauge, func() []metrics.Sample {
+				_, _, bytes := ts.TimelineSize()
+				return []metrics.Sample{{Value: float64(bytes)}}
 			})
 	}
 

@@ -281,8 +281,9 @@ func TestMetricsEndpointParallel(t *testing.T) {
 }
 
 // TestTimelineGauges: both engines that own a timeline store expose its size
-// — each delivered post once, and one entry per (post, user) delivery — and
-// both gauges drop to zero when a restore empties the store. An engine
+// — each delivered post once, one entry per (post, user) delivery, and the
+// bytes the store retains — and the gauges drop to zero when a restore
+// empties the store. An engine
 // without a store (the shard router's shape) exposes neither.
 func TestTimelineGauges(t *testing.T) {
 	scrapeServer := func(s *Server) string {
@@ -335,12 +336,16 @@ func TestTimelineGauges(t *testing.T) {
 		if v := metricValue(t, body, "firehose_timeline_entries"); v != entries {
 			t.Fatalf("parallel=%v: firehose_timeline_entries = %v, want %v", parallel, v, entries)
 		}
+		_, _, bytes := srv.engine.(timelineSizer).TimelineSize()
+		if v := metricValue(t, body, "firehose_timeline_bytes"); v != float64(bytes) || v == 0 {
+			t.Fatalf("parallel=%v: firehose_timeline_bytes = %v, want the store's %d", parallel, v, bytes)
+		}
 
 		if err := srv.Restore(&ckpt); err != nil {
 			t.Fatal(err)
 		}
 		body = scrapeServer(srv)
-		for _, series := range []string{"firehose_timeline_posts", "firehose_timeline_entries"} {
+		for _, series := range []string{"firehose_timeline_posts", "firehose_timeline_entries", "firehose_timeline_bytes"} {
 			if v := metricValue(t, body, series); v != 0 {
 				t.Fatalf("parallel=%v: %s = %v after restore, want 0", parallel, series, v)
 			}

@@ -202,14 +202,14 @@ func (s *Server) handleUserStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadParam, "bad user id")
 		return
 	}
-	tl, terr := s.timeline(int32(user))
+	last, total, terr := s.timelineTail(int32(user), 1)
 	if terr != nil {
 		writeError(w, http.StatusServiceUnavailable, CodeShardUnavailable, "%v", terr)
 		return
 	}
-	resp := UserStatsResponse{User: int32(user), TimelineSize: len(tl)}
-	if len(tl) > 0 {
-		resp.LastTimeMilli = tl[len(tl)-1].Time
+	resp := UserStatsResponse{User: int32(user), TimelineSize: total}
+	if len(last) > 0 {
+		resp.LastTimeMilli = last[0].Time
 	}
 	writeJSON(w, resp)
 }

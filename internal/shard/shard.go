@@ -1,5 +1,5 @@
 // Package shard implements horizontal, author-partitioned sharding of the
-// multi-user diversification service (ROADMAP item 3).
+// multi-user diversification service.
 //
 // The partition exploits the same independence the parallel engine uses at
 // goroutine scale (paper §5): two posts can only cover each other when their

@@ -32,8 +32,8 @@ func TestMultiEngineSnapshot(t *testing.T) {
 	if _, err := m.Offer(core.NewPost(2, 2, 2000, "ferry sinks off coast tonight")); err != nil {
 		t.Fatal(err)
 	}
-	if posts, entries := m.TimelineSize(); posts != 2 || entries != 2 {
-		t.Fatalf("TimelineSize = %d/%d, want 2/2", posts, entries)
+	if posts, entries, bytes := m.TimelineSize(); posts != 2 || entries != 2 || bytes == 0 {
+		t.Fatalf("TimelineSize = %d/%d/%d, want 2/2 and some bytes", posts, entries, bytes)
 	}
 	if c := m.Counters(); c.Accepted != 2 || c.Decisions.Count == 0 {
 		t.Fatalf("Counters: accepted %d, %d decisions observed", c.Accepted, c.Decisions.Count)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -130,8 +131,8 @@ type parallelWorker struct {
 	// per-component counters deep inside the bins) and the timeline append,
 	// and Counters/WorkerSnapshots/Timeline hold it while merging, so readers
 	// never race decisions. ch is written by the ingest boundary and closed by
-	// Close (nil in inline mode); lastSeq and offs are owned by the worker
-	// goroutine alone, or in inline mode by whoever holds the engine's mu.
+	// Close (nil in inline mode); lastSeq, offs and arenaLen are owned by the
+	// worker goroutine alone, or in inline mode by whoever holds the engine's mu.
 	mu sync.Mutex
 	// md is the shard solver: a SharedMultiUser over the shard's components,
 	// optionally wrapped by the adaptive controller. Interface-typed so the
@@ -150,6 +151,9 @@ type parallelWorker struct {
 	// arena position where batch post i's deliveries start. Only subslices
 	// of the per-batch arena escape to tickets, never offs itself.
 	offs []int32
+	// arenaLen is the length of the last batch's delivery arena; the next
+	// arena starts at that plus an eighth, so a batch rarely regrows it.
+	arenaLen int
 	// queueWait observes, per job, the time between enqueue at the ingest
 	// boundary and dequeue by the worker — the per-worker imbalance signal:
 	// a hot shard's queue wait grows while its siblings stay flat.
@@ -385,7 +389,8 @@ func (w *parallelWorker) runBatch(b *batchShardJob, enqueuedAt time.Time) {
 		w.queueWait.ObserveSince(enqueuedAt)
 	}
 	offs := append(w.offs[:0], 0)
-	var arena []int32
+	// A fresh arena per batch, because its subslices escape into the ticket.
+	arena := make([]int32, 0, w.arenaLen+w.arenaLen/8)
 	for i, p := range b.posts {
 		arena = append(arena, w.md.Offer(p)...)
 		offs = append(offs, int32(len(arena)))
@@ -393,7 +398,7 @@ func (w *parallelWorker) runBatch(b *batchShardJob, enqueuedAt time.Time) {
 			w.timelines.Deliver(p, b.ticket.seqBase+uint64(b.pos[i]), arena[offs[i]:])
 		}
 	}
-	w.offs = offs
+	w.offs, w.arenaLen = offs, len(arena)
 	w.mu.Unlock()
 	// arena is append-grown, so earlier subslices must only be taken now,
 	// after its backing array has stopped moving.
@@ -636,45 +641,56 @@ func (e *ParallelMultiEngine) WorkerSnapshots() []WorkerSnapshot {
 	return snaps
 }
 
-// Timeline returns a copy of user u's delivered history, oldest first: the
-// workers' stores merged by ingest sequence number, which is the order a
-// one-shard engine fed the same stream appends in. Like Counters it reads one
-// worker at a time under its decision lock, so a post decided mid-read may be
-// missing while a later one is present; every post whose ticket has resolved
-// is included. One shard's history is already in sequence order and is
-// copied without the merge.
+// Timeline returns a copy of user u's whole delivered history, oldest first:
+// TimelineTail with no limit, so its posts carry no fingerprint either.
 func (e *ParallelMultiEngine) Timeline(u int32) []*core.Post {
-	if len(e.workers) == 1 {
-		w := e.workers[0]
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.timelines.Timeline(u)
-	}
-	var merged []logEntry
+	tl, _ := e.TimelineTail(u, math.MaxInt)
+	return tl
+}
+
+// TimelineTail returns the newest n posts of user u's delivered history,
+// oldest first, and the history's length. Each worker contributes its newest
+// n, and the merge by ingest sequence number — the order a one-shard engine
+// fed the same stream appends in — keeps the newest n of those. Like Counters
+// it reads one worker at a time under its decision lock, so a post decided
+// mid-read may be missing while a later one is present; every post whose
+// ticket has resolved is included.
+//
+// The posts are copies built from the store and carry ID, Author, Time and
+// Text only: the store keeps no fingerprint, since no read serves one (the
+// shard router's merged read builds its posts the same way).
+func (e *ParallelMultiEngine) TimelineTail(u int32, n int) (tail []*core.Post, total int) {
+	var merged []timelinePost
 	for _, w := range e.workers {
 		w.mu.Lock()
-		merged = w.timelines.appendEntries(merged, u)
+		var k int
+		merged, k = w.timelines.appendTail(merged, u, n)
 		w.mu.Unlock()
+		total += k
 	}
-	slices.SortFunc(merged, func(a, b logEntry) int { return cmp.Compare(a.seq, b.seq) })
-	out := make([]*core.Post, len(merged))
-	for i, le := range merged {
-		out[i] = le.post
+	if len(e.workers) > 1 {
+		slices.SortFunc(merged, func(a, b timelinePost) int { return cmp.Compare(a.seq, b.seq) })
+		merged = merged[len(merged)-min(max(n, 0), len(merged)):]
 	}
-	return out
+	tail = make([]*core.Post, len(merged))
+	for i := range merged {
+		tail[i] = &merged[i].post
+	}
+	return tail, total
 }
 
 // TimelineSize sums the workers' retained timeline state: posts held once
-// each, and per-user positions into them.
-func (e *ParallelMultiEngine) TimelineSize() (posts, entries uint64) {
+// each, per-user positions into them, and the bytes the stores retain.
+func (e *ParallelMultiEngine) TimelineSize() (posts, entries, bytes uint64) {
 	for _, w := range e.workers {
 		w.mu.Lock()
-		p, n := w.timelines.Size()
+		p, n, b := w.timelines.Size()
 		w.mu.Unlock()
 		posts += p
 		entries += n
+		bytes += b
 	}
-	return posts, entries
+	return posts, entries, bytes
 }
 
 // DiscardTimelines drops the delivered history and stops recording it, for

@@ -14,10 +14,11 @@ import (
 // TestParallelTimelinesMatchSequential: every worker keeps the timelines of
 // the posts it decides, and merging them by sequence number must reproduce
 // the sequential solver's deliveries appended in stream order — every user,
-// same posts, same order — at 1, 2 and 4 workers and on the inline engine,
-// over a stream mixing Offer and OfferBatch and containing unknown and
-// negative authors, and again after an in-place RestoreState (which empties
-// them) and a refill.
+// same posts (id, author, time, text), same order — at 1, 2 and 4 workers and
+// on the inline engine, over a stream mixing Offer and OfferBatch and
+// containing unknown and negative authors, and again after an in-place
+// RestoreState (which empties them) and a refill. TimelineTail must return
+// the same history's newest n for n of 0, 1, its length and past it.
 func TestParallelTimelinesMatchSequential(t *testing.T) {
 	g, subs, base := parallelScenario(t, 41, 160)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
@@ -40,13 +41,14 @@ func TestParallelTimelinesMatchSequential(t *testing.T) {
 	for i, p := range posts {
 		delivered[i] = slices.Clone(seq.Offer(p))
 	}
-	// want is the reference history of posts[lo:hi]: each post appended to
-	// the timeline of every user the sequential solver delivered it to.
-	want := func(lo, hi int) map[int32][]*core.Post {
-		tl := make(map[int32][]*core.Post)
+	// want is the reference history of posts[lo:hi]: what a read serves of
+	// each post, appended to the timeline of every user the sequential solver
+	// delivered it to.
+	want := func(lo, hi int) map[int32][]core.Post {
+		tl := make(map[int32][]core.Post)
 		for i := lo; i < hi; i++ {
 			for _, u := range delivered[i] {
-				tl[u] = append(tl[u], posts[i])
+				tl[u] = append(tl[u], core.Post{ID: posts[i].ID, Author: posts[i].Author, Time: posts[i].Time, Text: posts[i].Text})
 			}
 		}
 		return tl
@@ -81,11 +83,19 @@ func TestParallelTimelinesMatchSequential(t *testing.T) {
 		ref := want(lo, hi)
 		total := 0
 		for u := int32(-1); u <= int32(len(subs)); u++ {
-			if a, b := ref[u], e.Timeline(u); !slices.Equal(a, b) {
-				t.Fatalf("workers=%d %s: user %d: reference has %d posts, engine %d (or the order differs)",
+			a := ref[u]
+			if b := e.Timeline(u); !slices.EqualFunc(a, b, func(x core.Post, y *core.Post) bool { return x == *y }) {
+				t.Fatalf("workers=%d %s: user %d: reference has %d posts, engine %d (or they differ)",
 					workers, when, u, len(a), len(b))
 			}
-			total += len(ref[u])
+			for _, n := range []int{0, 1, len(a), len(a) + 1} {
+				tail, k := e.TimelineTail(u, n)
+				if k != len(a) || !slices.EqualFunc(a[len(a)-min(n, len(a)):], tail, func(x core.Post, y *core.Post) bool { return x == *y }) {
+					t.Fatalf("workers=%d %s: user %d: TimelineTail(%d) = %d posts of %d, want the newest of %d",
+						workers, when, u, n, len(tail), k, len(a))
+				}
+			}
+			total += len(a)
 		}
 		return total
 	}
@@ -106,8 +116,8 @@ func TestParallelTimelinesMatchSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		compare("after restore", workers, e, 0, 0)
-		if np, ne := e.TimelineSize(); np != 0 || ne != 0 {
-			t.Fatalf("workers=%d: TimelineSize after restore = %d, %d", workers, np, ne)
+		if np, ne, nb := e.TimelineSize(); np != 0 || ne != 0 || nb != 0 {
+			t.Fatalf("workers=%d: TimelineSize after restore = %d, %d, %d", workers, np, ne, nb)
 		}
 
 		// The refill replays the suffix from the snapshot's cut with other
@@ -147,7 +157,8 @@ func TestParallelTimelinesAscendingUnderConcurrentOffers(t *testing.T) {
 					return
 				default:
 					_ = e.Timeline(int32(r))
-					_, _ = e.TimelineSize()
+					_, _ = e.TimelineTail(int32(r), 3)
+					_, _, _ = e.TimelineSize()
 				}
 			}
 		}(r)
@@ -237,7 +248,7 @@ func TestParallelDiscardTimelines(t *testing.T) {
 	if tl := e.Timeline(0); len(tl) != 0 {
 		t.Fatalf("discarding engine kept %d posts", len(tl))
 	}
-	if posts, entries := e.TimelineSize(); posts != 0 || entries != 0 {
-		t.Fatalf("discarding engine reports %d posts, %d entries", posts, entries)
+	if posts, entries, bytes := e.TimelineSize(); posts != 0 || entries != 0 || bytes != 0 {
+		t.Fatalf("discarding engine reports %d posts, %d entries, %d bytes", posts, entries, bytes)
 	}
 }

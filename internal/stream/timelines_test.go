@@ -1,126 +1,266 @@
 package stream
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"firehose/internal/core"
 )
 
-// TestTimelinesMatchNaiveAppend drives the chunked store and a plain
-// map-of-slices model with the same random deliveries — skewed so some users
-// cross many chunk boundaries and most stay inside the first chunk — and
-// compares every user's history, including users that never received
-// anything, out-of-range ids, and the state after a Reset.
+// served is what a timeline read serves of a post: fingerprint excluded.
+func served(p core.Post) core.Post {
+	p.FP = 0
+	return p
+}
+
+// randomText returns a text of random length mixing ASCII and multi-byte
+// UTF-8; one call in 500 returns one longer than a text block.
+func randomText(rng *rand.Rand) string {
+	if rng.Intn(500) == 0 {
+		return strings.Repeat("ü", timelineTextBlock/2+1+rng.Intn(1000))
+	}
+	var b strings.Builder
+	for n := rng.Intn(300); n > 0; n-- {
+		switch rng.Intn(8) {
+		case 0:
+			b.WriteString("é")
+		case 1:
+			b.WriteString("火")
+		case 2:
+			b.WriteString("🔥")
+		default:
+			b.WriteByte(byte('a' + rng.Intn(26)))
+		}
+	}
+	return b.String()
+}
+
+// TestTimelinesMatchNaiveAppend is the store's value round trip: it drives
+// the store and a plain map-of-slices model with the same random deliveries
+// — texts of random length, multi-byte UTF-8, some longer than a text block,
+// and users skewed so some cross many position chunks while others receive
+// one post — and compares every user's tail (sequence numbers, ids, authors,
+// times, texts, history length) for n of 0, 1, the length and past it,
+// including users that never received anything, out-of-range ids, and the
+// state after a Reset.
 func TestTimelinesMatchNaiveAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const users = 200
 	var tl Timelines
-	model := make(map[int32][]*core.Post)
+	type entry struct {
+		seq  uint64
+		post core.Post
+	}
+	model := make(map[int32][]entry)
 	check := func(when string) {
 		t.Helper()
 		for u := int32(-1); u <= users+1; u++ {
-			got := tl.Timeline(u)
-			if got == nil {
-				t.Fatalf("%s: Timeline(%d) is nil, want an empty slice", when, u)
-			}
-			if !slices.Equal(got, model[u]) {
-				t.Fatalf("%s: user %d: %d posts, model has %d (or order differs)", when, u, len(got), len(model[u]))
+			want := model[u]
+			for _, n := range []int{0, 1, len(want), len(want) + 1, math.MaxInt} {
+				got, total := tl.appendTail(nil, u, n)
+				if total != len(want) {
+					t.Fatalf("%s: user %d: history length %d, model has %d", when, u, total, len(want))
+				}
+				suffix := want[len(want)-min(n, len(want)):]
+				if len(got) != len(suffix) {
+					t.Fatalf("%s: user %d, n=%d: %d posts, want %d", when, u, n, len(got), len(suffix))
+				}
+				for i, e := range suffix {
+					if got[i].seq != e.seq || got[i].post != e.post {
+						t.Fatalf("%s: user %d, n=%d, post %d: got seq %d %+.60v, want seq %d %+.60v",
+							when, u, n, i, got[i].seq, got[i].post, e.seq, e.post)
+					}
+				}
 			}
 		}
 	}
 	seq := uint64(0)
 	deliver := func(n int) {
 		for i := 0; i < n; i++ {
-			p := &core.Post{ID: uint64(i + 1)}
+			seq++
+			p := core.Post{ID: seq * 3, Author: int32(rng.Intn(50)), Time: int64(seq) * 7,
+				Text: randomText(rng), FP: 0xF00D}
 			var to []int32
 			for k := rng.Intn(4); k > 0; k-- {
-				// Squaring skews towards low ids: user 0 receives thousands.
+				// Cubing skews towards low ids: user 0 receives thousands.
 				f := rng.Float64()
 				to = append(to, int32(f*f*f*users))
 			}
-			seq++
-			tl.Deliver(p, seq, to)
+			slices.Sort(to)
+			to = slices.Compact(to)
+			if i == 97 {
+				// A user that receives this post and no other.
+				to = []int32{users}
+			}
+			tl.Deliver(&p, seq, to)
 			for _, u := range to {
-				model[u] = append(model[u], p)
+				model[u] = append(model[u], entry{seq, served(p)})
 			}
 		}
 	}
 	check("empty")
 	deliver(20000)
-	if n := len(model[0]); n < 3*timelineMaxChunk {
-		t.Fatalf("the busiest user has %d posts; the test wants several full-size chunks", n)
+	if len(tl.full[0]) <= timelineDoublings {
+		t.Fatalf("the busiest user has %d full position chunks; the test wants one past a largest-size chunk",
+			len(tl.full[0]))
+	}
+	if len(model[users]) != 1 {
+		t.Fatalf("user %d received %d posts; the test wants one", users, len(model[users]))
+	}
+	var own, shared int
+	for _, b := range tl.blocks {
+		if cap(b) == timelineTextBlock {
+			shared++
+		} else {
+			own++
+		}
+	}
+	if shared < 3 || own == 0 {
+		t.Fatalf("%d text blocks and %d exact-size ones; the test wants several of each", shared, own)
 	}
 	if len(tl.log) < 3 {
 		t.Fatalf("the log has %d chunks; the test wants several", len(tl.log))
 	}
 	check("after deliveries")
 
-	// The returned slice is a copy: writing to it must not reach the store.
-	got := tl.Timeline(0)
-	got[0] = nil
-	if tl.Timeline(0)[0] == nil {
-		t.Fatal("Timeline returned a view of the store, not a copy")
+	// A read returns copies: writing to them must not reach the store.
+	got, _ := tl.appendTail(nil, 0, 1)
+	got[0].post.ID, got[0].post.Text = 0, ""
+	if again, _ := tl.appendTail(nil, 0, 1); again[0].post.ID == 0 || again[0].post.Text == "" {
+		t.Fatal("a read returned a view of the store, not a copy")
 	}
 
 	tl.Reset()
 	clear(model)
 	check("after Reset")
-	if posts, entries := tl.Size(); posts != 0 || entries != 0 {
-		t.Fatalf("Size after Reset = %d, %d", posts, entries)
+	if posts, entries, bytes := tl.Size(); posts != 0 || entries != 0 || bytes != 0 {
+		t.Fatalf("Size after Reset = %d, %d, %d", posts, entries, bytes)
 	}
 	deliver(500)
 	check("refilled after Reset")
 }
 
 // TestTimelinesStoreEachPostOnce: a post delivered to many users occupies one
-// log entry carrying its sequence number, and a post delivered to no one
+// log record carrying its sequence number, and a post delivered to no one
 // occupies none; Size counts both kinds of state.
 func TestTimelinesStoreEachPostOnce(t *testing.T) {
 	var tl Timelines
-	a, b, c := &core.Post{ID: 1}, &core.Post{ID: 2}, &core.Post{ID: 3}
-	tl.Deliver(a, 10, []int32{0, 1, 2})
-	tl.Deliver(b, 11, nil)
-	tl.Deliver(c, 12, []int32{2})
-	if posts, entries := tl.Size(); posts != 2 || entries != 4 {
+	a := core.Post{ID: 1, Author: 4, Time: 100, Text: "ferry sinks", FP: 1}
+	b := core.Post{ID: 2, Author: 5, Time: 101, Text: "unseen", FP: 2}
+	c := core.Post{ID: 3, Author: 6, Time: 102, Text: "markets rally", FP: 3}
+	tl.Deliver(&a, 10, []int32{0, 1, 2})
+	tl.Deliver(&b, 11, nil)
+	tl.Deliver(&c, 12, []int32{2})
+	if posts, entries, _ := tl.Size(); posts != 2 || entries != 4 {
 		t.Fatalf("Size = %d posts, %d entries; want 2, 4", posts, entries)
 	}
-	got := tl.appendEntries(nil, 2)
-	want := []logEntry{{post: a, seq: 10}, {post: c, seq: 12}}
-	if !slices.Equal(got, want) {
-		t.Fatalf("user 2 entries = %v, want %v", got, want)
+	got, total := tl.appendTail(nil, 2, math.MaxInt)
+	want := []timelinePost{{seq: 10, post: served(a)}, {seq: 12, post: served(c)}}
+	if total != 2 || !slices.Equal(got, want) {
+		t.Fatalf("user 2 = %v (length %d), want %v", got, total, want)
 	}
 }
 
 // TestTimelinesChunkGrowth pins the allocation shape: a history is chunks of
-// 4-byte log positions whose capacities double from timelineFirstChunk to
-// timelineMaxChunk and stay there.
+// uvarint position deltas whose capacities double from timelineFirstChunk to
+// timelineMaxChunk and stay there, and every chunk decodes on its own (no
+// varint straddles two). Records hold no pointers, so neither the log nor the
+// byte chunks are scanned by the garbage collector.
 func TestTimelinesChunkGrowth(t *testing.T) {
 	var tl Timelines
 	p := &core.Post{}
-	for i := 0; i < 4*timelineMaxChunk; i++ {
-		tl.Deliver(p, uint64(i+1), []int32{3})
+	rng := rand.New(rand.NewSource(3))
+	const deliveries = 4 * timelineMaxChunk
+	for i := 0; i < deliveries; i++ {
+		// Gaps of up to 300 posts make one- and two-byte varints.
+		for k := rng.Intn(300); k > 0; k-- {
+			tl.Deliver(p, tl.posts+1, []int32{4})
+		}
+		tl.Deliver(p, tl.posts+1, []int32{3})
 	}
-	if size := unsafe.Sizeof(tl.users[3][0][0]); size != 4 {
-		t.Fatalf("a timeline position is %d bytes, want 4", size)
-	}
+	h, full := tl.users[3], tl.full[3]
 	want := timelineFirstChunk
-	for k, c := range tl.users[3] {
+	decoded := 0
+	for k, c := range append(slices.Clone(full), h.cur) {
 		if cap(c) != want {
 			t.Fatalf("chunk %d has capacity %d, want %d", k, cap(c), want)
 		}
+		if k < len(full) && len(c) < cap(c)-binary.MaxVarintLen32+1 {
+			t.Fatalf("full chunk %d holds %d of %d bytes; a varint fitted", k, len(c), cap(c))
+		}
+		for len(c) > 0 {
+			_, n := binary.Uvarint(c)
+			if n <= 0 {
+				t.Fatalf("chunk %d ends in a partial varint", k)
+			}
+			c = c[n:]
+			decoded++
+		}
 		want = min(2*want, timelineMaxChunk)
+	}
+	if decoded != deliveries || int(h.n) != deliveries {
+		t.Fatalf("decoded %d positions, history counts %d, want %d", decoded, h.n, deliveries)
+	}
+
+	rt := reflect.TypeOf(record{})
+	for i := 0; i < rt.NumField(); i++ {
+		if k := rt.Field(i).Type.Kind(); k < reflect.Int || k > reflect.Uint64 {
+			t.Fatalf("record field %s is a %v, want an integer", rt.Field(i).Name, k)
+		}
 	}
 }
 
+// TestTimelinesDoNotPinDeliveredPosts: Deliver copies what it keeps, so a
+// batch slab and the buffer its texts point into are collectable once the
+// caller drops them, however many users received the posts.
+func TestTimelinesDoNotPinDeliveredPosts(t *testing.T) {
+	var tl Timelines
+	freed := make(chan string, 2)
+	func() {
+		raw := make([]byte, 0, 256*64)
+		slab := make([]core.Post, 256)
+		for i := range slab {
+			text := fmt.Sprintf("post %d of the batch, long enough to matter", i)
+			raw = append(raw, text...)
+			// Texts point into raw the way a zero-copy decoder's would.
+			slab[i] = core.Post{ID: uint64(i + 1), Time: int64(i),
+				Text: unsafe.String(&raw[len(raw)-len(text)], len(text))}
+		}
+		runtime.SetFinalizer(&slab[0], func(*core.Post) { freed <- "slab" })
+		runtime.SetFinalizer(&raw[0], func(*byte) { freed <- "texts" })
+		for i := range slab {
+			tl.Deliver(&slab[i], uint64(i+1), []int32{int32(i % 7), 9})
+		}
+	}()
+	for seen := 0; seen < 2; {
+		runtime.GC()
+		select {
+		case <-freed:
+			seen++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("after GC, %d of the batch slab and its text buffer were freed; the store pins the rest", seen)
+		}
+	}
+	if got, _ := tl.appendTail(nil, 9, 1); got[0].post.Text != "post 255 of the batch, long enough to matter" {
+		t.Fatalf("newest post of user 9 reads %q", got[0].post.Text)
+	}
+	runtime.KeepAlive(&tl)
+}
+
 // TestTimelinesRetainedBytesPerDelivery pins the layout's cost: about a
-// thousand deliveries to each of 2,000 users must retain at most 6 bytes of
-// heap per delivery once the posts themselves are accounted for. A history
-// of post pointers costs at least 8.
+// thousand deliveries to each of 2,000 users, of posts with 40-byte texts,
+// must retain at most 2.6 bytes of heap per delivery — records, texts and
+// positions all counted, since the store copies them. The store's own byte
+// count must match the heap it holds. Four-byte positions alone cost 4.
 func TestTimelinesRetainedBytesPerDelivery(t *testing.T) {
 	const (
 		users        = 2000
@@ -128,6 +268,9 @@ func TestTimelinesRetainedBytesPerDelivery(t *testing.T) {
 		usersPerPost = 100 // postCount*usersPerPost/users = 1000 per user
 	)
 	posts := make([]core.Post, postCount)
+	for i := range posts {
+		posts[i] = core.Post{ID: uint64(i + 1), Time: int64(i), Text: fmt.Sprintf("%040d", i)}
+	}
 	to := make([][]int32, postCount)
 	for i := range to {
 		to[i] = make([]int32, usersPerPost)
@@ -144,18 +287,22 @@ func TestTimelinesRetainedBytesPerDelivery(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	_, deliveries := tl.Size()
+	_, deliveries, bytes := tl.Size()
 	runtime.KeepAlive(tl)
 	runtime.KeepAlive(posts)
 	runtime.KeepAlive(to)
 	if deliveries != postCount*usersPerPost {
 		t.Fatalf("%d deliveries, want %d", deliveries, postCount*usersPerPost)
 	}
-	perDelivery := float64(after.HeapAlloc-before.HeapAlloc) / float64(deliveries)
-	if perDelivery > 6 {
-		t.Fatalf("the store retains %.2f B per delivery, want <= 6", perDelivery)
+	heap := after.HeapAlloc - before.HeapAlloc
+	perDelivery := float64(heap) / float64(deliveries)
+	if perDelivery > 2.6 {
+		t.Fatalf("the store retains %.2f B per delivery, want <= 2.6", perDelivery)
 	}
-	t.Logf("%.2f retained bytes per delivery", perDelivery)
+	if float64(bytes) > float64(heap) || float64(bytes) < 0.8*float64(heap) {
+		t.Fatalf("the store counts %d bytes but holds %d of heap", bytes, heap)
+	}
+	t.Logf("%.2f retained bytes per delivery; the store counts %d of %d heap bytes", perDelivery, bytes, heap)
 }
 
 // TestTimelinesPanicAtPositionCeiling: positions are uint32, so the log
@@ -164,8 +311,8 @@ func TestTimelinesPanicAtPositionCeiling(t *testing.T) {
 	tl := Timelines{posts: timelineMaxPosts}
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "2^32") || !strings.Contains(msg, "ROADMAP 5(c)") {
-			t.Fatalf("Deliver at the ceiling: recovered %q, want a panic naming 2^32 and ROADMAP 5(c)", msg)
+		if !strings.Contains(msg, "2^32") || !strings.Contains(msg, "truncates its oldest posts") {
+			t.Fatalf("Deliver at the ceiling: recovered %q, want a panic naming 2^32 and truncating the oldest posts", msg)
 		}
 	}()
 	tl.Deliver(&core.Post{}, 1, []int32{0})

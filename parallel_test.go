@@ -58,8 +58,8 @@ func TestParallelServiceMatchesSequential(t *testing.T) {
 	}
 	// The service serves no timelines, so its workers keep no history: a
 	// long-running embedder's memory stays bounded by the decision window.
-	if posts, entries := par.inner.TimelineSize(); posts != 0 || entries != 0 {
-		t.Fatalf("ParallelService retains %d posts and %d timeline entries", posts, entries)
+	if posts, entries, bytes := par.inner.TimelineSize(); posts != 0 || entries != 0 || bytes != 0 {
+		t.Fatalf("ParallelService retains %d posts, %d timeline entries and %d bytes", posts, entries, bytes)
 	}
 }
 
