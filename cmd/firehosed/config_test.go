@@ -2,12 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"firehose/internal/authorsim"
 	"firehose/internal/connector"
+	"firehose/internal/twittergen"
 )
 
 // loadConfig is the daemon's whole command-line contract: one -config flag
@@ -159,5 +164,59 @@ func TestLoadConfigFlagsMatchConfigMessages(t *testing.T) {
 	}
 	if !strings.HasPrefix(flagErr.Error(), cfgErr.Error()+" (in ") {
 		t.Fatalf("paths diverge:\n flag: %v\n json: %v", flagErr, cfgErr)
+	}
+}
+
+// TestEngineInputsUseConfiguredLambdaA: the author graph the engine is built
+// on is G(engine.lambda_a), not G at the default λa, and thresholds the
+// core refuses fail as an error before any graph is built.
+func TestEngineInputsUseConfiguredLambdaA(t *testing.T) {
+	ec := connector.DefaultConfig().Engine
+	ec.Authors, ec.Seed, ec.LambdaA = 200, 7, 0.5
+	th, g, subs, err := engineInputs(&ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	social, err := twittergen.GenerateGraph(rand.New(rand.NewSource(7)), twittergen.DefaultGraphConfig(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := authorsim.BuildGraph(authorsim.NewVectors(social.Followees), 0.5)
+	if th.LambdaA != 0.5 || g.LambdaA() != 0.5 {
+		t.Fatalf("thresholds λa %v, graph λa %v; want 0.5", th.LambdaA, g.LambdaA())
+	}
+	for a := int32(0); a < int32(want.NumAuthors()); a++ {
+		if !slices.Equal(g.Neighbors(a), want.Neighbors(a)) {
+			t.Fatalf("author %d: neighbors %v, G(0.5) has %v", a, g.Neighbors(a), want.Neighbors(a))
+		}
+	}
+	if dflt := authorsim.BuildGraph(authorsim.NewVectors(social.Followees), 0.7); g.NumEdges() == dflt.NumEdges() {
+		t.Fatalf("G(0.5) and G(0.7) both have %d edges; the case does not tell them apart", g.NumEdges())
+	}
+	if len(subs) != 200 {
+		t.Fatalf("%d subscription lists, want 200", len(subs))
+	}
+
+	ec.LambdaA = 1
+	if _, _, _, err := engineInputs(&ec); err == nil || !strings.Contains(err.Error(), "LambdaA") {
+		t.Fatalf("λa = 1: err %v, want the core's LambdaA range error", err)
+	}
+}
+
+// TestSubscriptions: followees that are authors, deduplicated per author in
+// file order, exactly as the generator derives them; ids past the last
+// author are dropped and negative ids kept for the engine to refuse.
+func TestSubscriptions(t *testing.T) {
+	fs := [][]int32{{2, 9, 1, 2, 0}, {}, {1, -3, 1, 7, 0}}
+	want := [][]int32{{2, 1, 0}, nil, {1, -3, 0}}
+	if got := subscriptions(fs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("subscriptions(%v) = %v, want %v", fs, got, want)
+	}
+	social, err := twittergen.GenerateGraph(rand.New(rand.NewSource(3)), twittergen.DefaultGraphConfig(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(subscriptions(social.Followees), social.Subscriptions()) {
+		t.Fatal("subscriptions differ from the generator's")
 	}
 }

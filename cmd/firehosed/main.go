@@ -120,19 +120,7 @@ func buildGraph(ec *connector.EngineConfig) (fs, subs [][]int32, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// Subscriptions: followees that are themselves authors.
-		n := int32(len(fs))
-		subs = make([][]int32, len(fs))
-		for a, followed := range fs {
-			seen := make(map[int32]bool, len(followed))
-			for _, t := range followed {
-				if t < n && !seen[t] {
-					seen[t] = true
-					subs[a] = append(subs[a], t)
-				}
-			}
-		}
-		return fs, subs, nil
+		return fs, subscriptions(fs), nil
 	}
 	rng := rand.New(rand.NewSource(ec.Seed))
 	social, err := twittergen.GenerateGraph(rng, twittergen.DefaultGraphConfig(ec.Authors))
@@ -140,6 +128,54 @@ func buildGraph(ec *connector.EngineConfig) (fs, subs [][]int32, err error) {
 		return nil, nil, err
 	}
 	return social.Followees, social.Subscriptions(), nil
+}
+
+// subscriptions derives each author's subscription list as
+// twittergen.SocialGraph.Subscriptions does: its followees that are
+// themselves authors, deduplicated, in file order. Negative ids are kept so
+// that the engine refuses them by name, as it does any author outside the
+// graph.
+func subscriptions(fs [][]int32) [][]int32 {
+	subs := make([][]int32, len(fs))
+	last := make([]int32, len(fs)) // last[t] == a+1: t is already in subs[a]
+	for a, followed := range fs {
+		for _, t := range followed {
+			switch {
+			case t < 0:
+				subs[a] = append(subs[a], t)
+			case int(t) < len(fs) && last[t] != int32(a)+1:
+				last[t] = int32(a) + 1
+				subs[a] = append(subs[a], t)
+			}
+		}
+	}
+	return subs
+}
+
+// engineInputs builds what every engine shape is constructed from: the
+// validated thresholds, the author similarity graph G(λa) at the configured
+// λa, and the subscription lists.
+func engineInputs(ec *connector.EngineConfig) (core.Thresholds, *authorsim.Graph, [][]int32, error) {
+	pol, err := core.ParseIndexPolicy(ec.Index)
+	if err != nil {
+		return core.Thresholds{}, nil, nil, err
+	}
+	th := core.Thresholds{
+		LambdaC: ec.LambdaC,
+		LambdaT: ec.LambdaTMillis,
+		LambdaA: ec.LambdaA,
+		Index:   pol,
+	}
+	if err := th.Validate(); err != nil {
+		// engine.index "on" at an infeasible λc (e.g. the paper default 18) fails
+		// here with the Section 3 explanation instead of deep in a constructor.
+		return core.Thresholds{}, nil, nil, err
+	}
+	fs, subs, err := buildGraph(ec)
+	if err != nil {
+		return core.Thresholds{}, nil, nil, err
+	}
+	return th, authorsim.BuildGraph(authorsim.NewVectors(fs), th.LambdaA), subs, nil
 }
 
 func runDaemon(cfg *connector.Config) error {
@@ -154,24 +190,8 @@ func runDaemon(cfg *connector.Config) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", cfg.Engine.Algorithm)
 	}
-	pol, err := core.ParseIndexPolicy(cfg.Engine.Index)
+	th, g, subs, err := engineInputs(&cfg.Engine)
 	if err != nil {
-		return err
-	}
-	fs, subs, err := buildGraph(&cfg.Engine)
-	if err != nil {
-		return err
-	}
-	g := authorsim.BuildGraph(authorsim.NewVectors(fs), 0.7)
-	th := core.Thresholds{
-		LambdaC: cfg.Engine.LambdaC,
-		LambdaT: cfg.Engine.LambdaTMillis,
-		LambdaA: cfg.Engine.LambdaA,
-		Index:   pol,
-	}
-	if err := th.Validate(); err != nil {
-		// engine.index "on" at an infeasible λc (e.g. the paper default 18) fails
-		// here with the Section 3 explanation instead of deep in a constructor.
 		return err
 	}
 	var adPol *core.AdaptivePolicy
@@ -473,7 +493,7 @@ func runDaemon(cfg *connector.Config) error {
 		name = "pipeline"
 	}
 	log.Printf("firehosed: %s: %s → %s (%s) → %d output(s) over %d authors/users on %s",
-		name, cfg.Input.Type, engine, solvers, len(cfg.Outputs), len(fs), cfg.HTTP.Addr)
+		name, cfg.Input.Type, engine, solvers, len(cfg.Outputs), g.NumAuthors(), cfg.HTTP.Addr)
 
 	if pipe.Runner != nil {
 		go func() {

@@ -1,0 +1,31 @@
+package authorsim_test
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"firehose/internal/authorsim"
+	"firehose/internal/twittergen"
+)
+
+// bootFollowees is the follower graph the pipeline benchmark boots the
+// daemon on: 5,000 generated authors, seed 1.
+var bootFollowees = sync.OnceValue(func() [][]int32 {
+	social, err := twittergen.GenerateGraph(rand.New(rand.NewSource(1)), twittergen.DefaultGraphConfig(5000))
+	if err != nil {
+		panic(err)
+	}
+	return social.Followees
+})
+
+// BenchmarkPairsAbove times the author-similarity join a daemon runs at
+// boot, G(0.7) over the benchmark's follower graph. Run it with -cpu 1,2 to
+// see the join's scaling.
+func BenchmarkPairsAbove(b *testing.B) {
+	v := authorsim.NewVectors(bootFollowees())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.PairsAbove(0.3)
+	}
+}

@@ -50,9 +50,8 @@ func NewGraph(n int, pairs []SimPair, lambdaA float64) *Graph {
 		g.adj[p.B] = append(g.adj[p.B], p.A)
 	}
 	for i := range g.adj {
-		a := g.adj[i]
-		sort.Slice(a, func(x, y int) bool { return a[x] < a[y] })
-		g.adj[i] = dedupSortedInPlace(a)
+		slices.Sort(g.adj[i])
+		g.adj[i] = slices.Compact(g.adj[i])
 		g.edges += len(g.adj[i])
 	}
 	g.edges /= 2

@@ -50,10 +50,7 @@ func (mv *MutableVectors) SetFollowees(a int32, followees []int32) error {
 		}
 	}
 	// Normalize the new set exactly as NewVectors does.
-	c := make([]int32, len(followees))
-	copy(c, followees)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	c = dedupSortedInPlace(c)
+	c := sortedSet(followees)
 	mv.v.followees[a] = c
 	for _, t := range c {
 		mv.followers[t] = insertSorted(mv.followers[t], a)
@@ -139,10 +136,7 @@ func (g *Graph) WithUpdatedAuthor(a int32, neighbors []int32) (*Graph, error) {
 	if a < 0 || int(a) >= len(g.adj) {
 		return nil, fmt.Errorf("authorsim: author %d out of range", a)
 	}
-	ns := make([]int32, len(neighbors))
-	copy(ns, neighbors)
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	ns = dedupSortedInPlace(ns)
+	ns := sortedSet(neighbors)
 	for _, b := range ns {
 		if b == a || b < 0 || int(b) >= len(g.adj) {
 			return nil, fmt.Errorf("authorsim: bad neighbor %d for author %d", b, a)

@@ -144,7 +144,8 @@ type EngineConfig struct {
 	LambdaC int `json:"lambda_c"`
 	// LambdaTMillis is the time threshold λt in milliseconds.
 	LambdaTMillis int64 `json:"lambda_t_millis"`
-	// LambdaA is the author-similarity threshold λa.
+	// LambdaA is the author-distance threshold λa, in [0,1): the daemon
+	// builds the author similarity graph G(λa) with it at boot.
 	LambdaA float64 `json:"lambda_a"`
 	// Index is the content-index policy: "auto", "on" or "off".
 	Index string `json:"index"`
@@ -314,8 +315,8 @@ func (e *EngineConfig) validate() error {
 	if e.LambdaTMillis <= 0 {
 		return fmt.Errorf("connector: config: engine.lambda_t_millis must be positive, got %d", e.LambdaTMillis)
 	}
-	if e.LambdaA < 0 || e.LambdaA > 1 || math.IsNaN(e.LambdaA) {
-		return fmt.Errorf("connector: config: engine.lambda_a must be in [0,1], got %v", e.LambdaA)
+	if e.LambdaA < 0 || e.LambdaA >= 1 || math.IsNaN(e.LambdaA) {
+		return fmt.Errorf("connector: config: engine.lambda_a must be in [0,1), got %v", e.LambdaA)
 	}
 	if e.FolloweesPath == "" && e.Authors <= 0 {
 		return fmt.Errorf("connector: config: engine.authors must be positive without followees_path, got %d", e.Authors)

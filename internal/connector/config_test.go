@@ -66,7 +66,8 @@ func TestParseRejects(t *testing.T) {
 		{"adaptive steps both zero", `{"engine": {"adaptive": {"budget_posts": 10, "step_lambda_c": 0, "step_lambda_t_millis": 0}}}`, "step_lambda_c or step_lambda_t_millis"},
 		{"adaptive plus checkpoint", `{"engine": {"checkpoint": {"dir": "/tmp/x"}, "adaptive": {"budget_posts": 10}}}`, "mutually exclusive"},
 		{"negative speedup", `{"input": {"type": "file", "path": "x", "speedup": -1}}`, "speedup must be non-negative"},
-		{"lambda_a out of range", `{"engine": {"lambda_a": 1.5}}`, "lambda_a must be in [0,1]"},
+		{"lambda_a out of range", `{"engine": {"lambda_a": 1.5}}`, "lambda_a must be in [0,1)"},
+		{"lambda_a one", `{"engine": {"lambda_a": 1}}`, "lambda_a must be in [0,1)"},
 		{"empty addr", `{"http": {"addr": ""}}`, "http.addr must not be empty"},
 		{"bad index policy", `{"engine": {"index": "sideways"}}`, "engine.index must be auto, on or off"},
 		{"negative workers", `{"engine": {"workers": -1}}`, "engine.workers must be non-negative"},

@@ -13,6 +13,7 @@ package corpusio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -165,6 +166,12 @@ func WriteFollowees(w io.Writer, followees [][]int32) error {
 
 // ReadFollowees loads followee vectors. Records must appear in author-id
 // order 0..n-1 with no gaps.
+//
+// A line in the exact shape WriteFollowees writes is decoded by
+// decodeFolloweeLine; every other line — other key order, whitespace,
+// escapes, out-of-range numbers, malformed JSON — goes through
+// json.Unmarshal, so encoding/json stays the authority on errors and edge
+// cases. FuzzReadFollowees pins the result to a pure encoding/json reader.
 func ReadFollowees(r io.Reader) ([][]int32, error) {
 	sc := newScanner(r)
 	if _, err := readHeader(sc, kindFollowees); err != nil {
@@ -174,9 +181,11 @@ func ReadFollowees(r io.Reader) ([][]int32, error) {
 	line := 1
 	for sc.Scan() {
 		line++
-		var rec followeeRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("corpusio: line %d: %w", line, err)
+		rec, ok := decodeFolloweeLine(sc.Bytes())
+		if !ok {
+			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+				return nil, fmt.Errorf("corpusio: line %d: %w", line, err)
+			}
 		}
 		if int(rec.Author) != len(out) {
 			return nil, fmt.Errorf("corpusio: line %d: author %d out of order (expected %d)",
@@ -188,6 +197,72 @@ func ReadFollowees(r io.Reader) ([][]int32, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// decodeFolloweeLine decodes a line byte-for-byte as json.Marshal writes a
+// followeeRecord — {"author":N,"followees":[N,…]}, with [] or null for no
+// followees — and reports false, with a zero record, for anything else.
+// Numbers must be canonical JSON integers in int32 range.
+func decodeFolloweeLine(b []byte) (followeeRecord, bool) {
+	const head, mid = `{"author":`, `,"followees":`
+	if !bytes.HasPrefix(b, []byte(head)) {
+		return followeeRecord{}, false
+	}
+	author, i, ok := decodeInt32(b, len(head))
+	if !ok || !bytes.HasPrefix(b[i:], []byte(mid)) {
+		return followeeRecord{}, false
+	}
+	b = b[i+len(mid):]
+	if string(b) == "null}" {
+		return followeeRecord{Author: author}, true
+	}
+	if !bytes.HasPrefix(b, []byte("[")) {
+		return followeeRecord{}, false
+	}
+	rec := followeeRecord{Author: author, Followees: make([]int32, 0, bytes.Count(b, []byte(","))+1)}
+	i = 1
+	for i < len(b) && b[i] != ']' {
+		if len(rec.Followees) > 0 {
+			if b[i] != ',' {
+				return followeeRecord{}, false
+			}
+			i++
+		}
+		var t int32
+		if t, i, ok = decodeInt32(b, i); !ok {
+			return followeeRecord{}, false
+		}
+		rec.Followees = append(rec.Followees, t)
+	}
+	if string(b[i:]) != "]}" {
+		return followeeRecord{}, false
+	}
+	return rec, true
+}
+
+// decodeInt32 parses the canonical JSON integer at b[i:] — no leading zero,
+// no "-0", within int32 — and returns it with the index just past its
+// digits. A fraction or exponent there is left to the caller, which expects
+// a delimiter and so rejects the line.
+func decodeInt32(b []byte, i int) (int32, int, bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' && i-start < 11 {
+		u = u*10 + uint64(b[i]-'0')
+		i++
+	}
+	digits := i - start
+	if digits == 0 || (b[start] == '0' && (digits > 1 || neg)) {
+		return 0, 0, false
+	}
+	if neg {
+		return int32(-int64(u)), i, u <= 1<<31
+	}
+	return int32(u), i, u < 1<<31
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package corpusio
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -105,6 +106,67 @@ func TestReadFolloweesOrderEnforced(t *testing.T) {
 		`{"author":1,"followees":[2]}`
 	if _, err := ReadFollowees(strings.NewReader(in)); err == nil {
 		t.Fatal("gap in author ids accepted")
+	}
+}
+
+// followeeLines seeds TestDecodeFolloweeLine and FuzzReadFollowees.
+// canonical says whether decodeFolloweeLine must decode the line itself
+// rather than leave it to encoding/json.
+var followeeLines = []struct {
+	line      string
+	canonical bool
+}{
+	{`{"author":0,"followees":[1,2,3]}`, true},
+	{`{"author":0,"followees":[]}`, true},
+	{`{"author":0,"followees":null}`, true},
+	{`{"author":0,"followees":[-2147483648,2147483647,0,-1,5,5]}`, true},
+	{`{"author":2147483647,"followees":[7]}`, true},
+	{`{"author":-7,"followees":[7]}`, true},
+
+	{``, false},
+	{`{"author":0}`, false},
+	{`{"followees":[1],"author":0}`, false},
+	{`{"author":0, "followees":[1]}`, false},
+	{`{"author":0,"followees":[1 ,2]}`, false},
+	{`{"author":0,"followees":[1,2]} `, false},
+	{`{"author":0,"followees":[1,2],"x":1}`, false},
+	{`{"author":0,"Followees":[1]}`, false},
+	{`{"author":0,"author":1,"followees":[1]}`, false},
+	{`{"auth\u006fr":0,"followees":[1]}`, false},
+	{`{"author":0,"followees":[2147483648]}`, false},
+	{`{"author":0,"followees":[-2147483649]}`, false},
+	{`{"author":2147483648,"followees":[1]}`, false},
+	{`{"author":0,"followees":[99999999999999999999]}`, false},
+	{`{"author":0,"followees":[01]}`, false},
+	{`{"author":-0,"followees":[1]}`, false},
+	{`{"author":0,"followees":[-0]}`, false},
+	{`{"author":0,"followees":[-]}`, false},
+	{`{"author":0,"followees":[1.0]}`, false},
+	{`{"author":0,"followees":[1e2]}`, false},
+	{`{"author":0,"followees":[1,]}`, false},
+	{`{"author":0,"followees":[,1]}`, false},
+	{`{"author":0,"followees":[1,2}`, false},
+	{`{"author":0,"followees":[1,2]`, false},
+	{`{"author":0,"followees":["1"]}`, false},
+	{`{"author":0,"followees":{}}`, false},
+	{`{"author":0,"followees":nul}`, false},
+	{`{"author":null,"followees":[1]}`, false},
+}
+
+func TestDecodeFolloweeLine(t *testing.T) {
+	for _, c := range followeeLines {
+		rec, ok := decodeFolloweeLine([]byte(c.line))
+		if ok != c.canonical {
+			t.Errorf("decodeFolloweeLine accepted=%v for %q, want %v", ok, c.line, c.canonical)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		var std followeeRecord
+		if err := json.Unmarshal([]byte(c.line), &std); err != nil || !reflect.DeepEqual(rec, std) {
+			t.Errorf("%q: fast path %+v, encoding/json %+v (err %v)", c.line, rec, std, err)
+		}
 	}
 }
 
@@ -278,5 +340,25 @@ func TestFullPipelineRoundTrip(t *testing.T) {
 	g2 := authorsim.BuildGraph(authorsim.NewVectors(rFollowees), 0.7)
 	if g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("rebuilt graph has %d edges, want %d", g2.NumEdges(), g.NumEdges())
+	}
+}
+
+// BenchmarkReadFollowees times decoding the followees file a daemon reads
+// at boot: the pipeline benchmark's 5,000 generated authors, seed 1.
+func BenchmarkReadFollowees(b *testing.B) {
+	sg, err := twittergen.GenerateGraph(rand.New(rand.NewSource(1)), twittergen.DefaultGraphConfig(5000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteFollowees(&buf, sg.Followees); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadFollowees(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,6 +2,10 @@ package corpusio
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +71,58 @@ func FuzzReadGraph(f *testing.F) {
 		}
 		if again.NumEdges() != g.NumEdges() || again.NumAuthors() != g.NumAuthors() {
 			t.Fatal("round trip changed the graph")
+		}
+	})
+}
+
+// readFolloweesStd is ReadFollowees with every record decoded by
+// encoding/json: the reader the fast path must agree with.
+func readFolloweesStd(r io.Reader) ([][]int32, error) {
+	sc := newScanner(r)
+	if _, err := readHeader(sc, kindFollowees); err != nil {
+		return nil, err
+	}
+	var out [][]int32
+	line := 1
+	for sc.Scan() {
+		line++
+		var rec followeeRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			return nil, fmt.Errorf("corpusio: line %d: %w", line, err)
+		}
+		if int(rec.Author) != len(out) {
+			return nil, fmt.Errorf("corpusio: line %d: author %d out of order (expected %d)",
+				line, rec.Author, len(out))
+		}
+		out = append(out, rec.Followees)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FuzzReadFollowees checks that for any input ReadFollowees returns exactly
+// what readFolloweesStd returns: the same vectors, or the same error.
+func FuzzReadFollowees(f *testing.F) {
+	const header = `{"kind":"firehose/followees","version":1}` + "\n"
+	for _, c := range followeeLines {
+		f.Add(header + c.line)
+		f.Add(header + `{"author":0,"followees":[4]}` + "\n" + strings.Replace(c.line, `"author":0`, `"author":1`, 1))
+	}
+	var good bytes.Buffer
+	_ = WriteFollowees(&good, [][]int32{{3, 1, 2}, nil, {}, {-9}})
+	f.Add(good.String())
+	f.Add(strings.ReplaceAll(good.String(), "\n", "\r\n"))
+	f.Add("")
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := ReadFollowees(strings.NewReader(in))
+		want, werr := readFolloweesStd(strings.NewReader(in))
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("ReadFollowees error %v, encoding/json reader %v", err, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ReadFollowees read %#v, encoding/json reader %#v", got, want)
 		}
 	})
 }
