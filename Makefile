@@ -1,7 +1,7 @@
 # Tier-1 verification gate: `make check` must pass before merging.
 GO ?= go
 
-.PHONY: build test vet race lint lockgraph check loc bench bench-go bench-check bench-pipeline fuzz scenarios
+.PHONY: build test vet race lint lockgraph check loc bench bench-go bench-check bench-pipeline bench-boot fuzz scenarios
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,12 @@ bench-check:
 # budget; BENCH_pipeline.json holds the committed before/after rows.
 bench-pipeline:
 	$(GO) run ./cmd/loadgen -seed 1
+
+# bench-boot times the two boot-chain steps every daemon runs before it
+# listens — the author-similarity join and the followees-file read — on the
+# pipeline benchmark's 5,000-author graph, at one and two CPUs.
+bench-boot:
+	$(GO) test -run '^$$' -bench 'PairsAbove|ReadFollowees' -cpu 1,2 -count 5 ./internal/authorsim ./internal/corpusio
 
 # bench-go runs every in-package go test benchmark.
 bench-go:

@@ -1,11 +1,9 @@
 package authorsim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 )
@@ -79,113 +77,6 @@ func TestPairsAboveMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: pair %d mismatch: %v vs %v", trial, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// pairsAboveModel is the specification of PairsAbove: one sequential
-// accumulation pass per author over a map from followee id to its
-// followers, then one global sort. PairsAbove must return exactly its output.
-func pairsAboveModel(v *Vectors, minSim float64) []SimPair {
-	followers := v.invertedIndex()
-	var out []SimPair
-	n := int32(len(v.followees))
-	counts := make([]int32, n)
-	var touched []int32
-	for a := int32(0); a < n; a++ {
-		fa := v.followees[a]
-		touched = touched[:0]
-		for _, t := range fa {
-			for _, b := range followers[t] {
-				if b > a {
-					if counts[b] == 0 {
-						touched = append(touched, b)
-					}
-					counts[b]++
-				}
-			}
-		}
-		la := float64(len(fa))
-		for _, b := range touched {
-			sim := float64(counts[b]) / math.Sqrt(la*float64(len(v.followees[b])))
-			counts[b] = 0
-			if sim >= minSim {
-				out = append(out, SimPair{A: a, B: b, Sim: sim})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// TestPairsAboveMatchesSequentialModel compares the parallel CSR join with
-// the model on random inputs: no authors, authors with no followees,
-// duplicate followees, and followee ids that are negative, near ±2³¹ or
-// spread over the whole int32 range, at several GOMAXPROCS so chunks are
-// claimed by one or many workers.
-func TestPairsAboveMatchesSequentialModel(t *testing.T) {
-	bases := []int64{0, -5000, math.MinInt32, math.MaxInt32 - 200}
-	for _, procs := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			rng := rand.New(rand.NewSource(int64(procs)))
-			for trial := 0; trial < 40; trial++ {
-				n := rng.Intn(200)
-				if trial%10 == 0 {
-					n = 0
-				}
-				universe := 1 + rng.Intn(200)
-				base := bases[rng.Intn(len(bases))]
-				wide := rng.Intn(4) == 0 // some ids anywhere in int32
-				fs := make([][]int32, n)
-				for a := range fs {
-					for k := rng.Intn(25); k > 0; k-- {
-						id := base + int64(rng.Intn(universe))
-						if wide && rng.Intn(3) == 0 {
-							id = int64(int32(rng.Uint32()))
-						}
-						fs[a] = append(fs[a], int32(id))
-						if rng.Intn(5) == 0 { // duplicate followee
-							fs[a] = append(fs[a], int32(id))
-						}
-					}
-				}
-				v := NewVectors(fs)
-				minSim := 0.05 + rng.Float64()*0.9
-				if got, want := v.PairsAbove(minSim), pairsAboveModel(v, minSim); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d (n=%d base=%d wide=%v minSim=%v): got %d pairs %v, model %d pairs %v",
-						trial, n, base, wide, minSim, len(got), got, len(want), want)
-				}
-			}
-		})
-	}
-}
-
-// TestPairsAboveAllocationIndependentOfIDRange joins authors whose followee
-// ids sit at both ends of int32: the index must cost memory in proportion
-// to the followee entries, not to the id span.
-func TestPairsAboveAllocationIndependentOfIDRange(t *testing.T) {
-	fs := make([][]int32, 100)
-	for a := range fs {
-		fs[a] = []int32{math.MinInt32, math.MinInt32 + int32(a%7), math.MaxInt32 - int32(a%5), math.MaxInt32}
-	}
-	v := NewVectors(fs)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	pairs := v.PairsAbove(0.5)
-	runtime.ReadMemStats(&after)
-	if len(pairs) == 0 {
-		t.Fatal("no pairs found")
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Fatalf("PairsAbove allocated %d bytes for 400 followee entries", got)
-	}
-	if want := pairsAboveModel(v, 0.5); !reflect.DeepEqual(pairs, want) {
-		t.Fatalf("got %v, model %v", pairs, want)
 	}
 }
 

@@ -9,15 +9,18 @@ import (
 	"firehose/internal/twittergen"
 )
 
-// bootFollowees is the follower graph the pipeline benchmark boots the
-// daemon on: 5,000 generated authors, seed 1.
-var bootFollowees = sync.OnceValue(func() [][]int32 {
-	social, err := twittergen.GenerateGraph(rand.New(rand.NewSource(1)), twittergen.DefaultGraphConfig(5000))
+// bootGraph returns the follower graph the pipeline benchmark boots the
+// daemon on at the given seed: 5,000 generated authors.
+func bootGraph(seed int64) [][]int32 {
+	social, err := twittergen.GenerateGraph(rand.New(rand.NewSource(seed)), twittergen.DefaultGraphConfig(5000))
 	if err != nil {
 		panic(err)
 	}
 	return social.Followees
-})
+}
+
+// bootFollowees is the benchmark's default graph, seed 1.
+var bootFollowees = sync.OnceValue(func() [][]int32 { return bootGraph(1) })
 
 // BenchmarkPairsAbove times the author-similarity join a daemon runs at
 // boot, G(0.7) over the benchmark's follower graph. Run it with -cpu 1,2 to

@@ -16,8 +16,10 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -80,6 +82,13 @@ type SimPair struct {
 // pairsChunk consecutive authors from a shared counter and emits every pair
 // (a, b > a) of its authors, so chunks are independent and their outputs
 // concatenate, in chunk order, into the globally ordered result.
+//
+// The few most-followed accounts (heavyKeys of them) would touch most pairs
+// while qualifying almost none, so they are not scanned: each author carries
+// a bitmask of the heavy accounts it follows, a pair touched through a light
+// account adds the popcount of the masks' intersection, and a pair sharing
+// only heavy accounts is skipped when its count cannot reach minSim (see
+// pairsJoin.author).
 func (v *Vectors) PairsAbove(minSim float64) []SimPair {
 	if minSim <= 0 {
 		panic(fmt.Sprintf("authorsim: PairsAbove requires minSim > 0, got %v", minSim))
@@ -93,7 +102,7 @@ func (v *Vectors) PairsAbove(minSim float64) []SimPair {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j := pairsJoin{v: v, ix: ix, minSim: minSim, counts: make([]int32, n)}
+			j := pairsJoin{ix: ix, minSim: minSim, counts: make([]int32, n)}
 			for c := int(next.Add(1)) - 1; c < len(chunks); c = int(next.Add(1)) - 1 {
 				j.out = nil
 				for a := c * pairsChunk; a < min(n, (c+1)*pairsChunk); a++ {
@@ -112,13 +121,22 @@ func (v *Vectors) PairsAbove(minSim float64) []SimPair {
 // b > a), so chunks are small enough for the tail to balance.
 const pairsChunk = 32
 
+// heavyKeys is the number of followees with the longest follower lists that
+// PairsAbove counts by bitmask instead of scanning: one bit each of a uint64.
+const heavyKeys = 64
+
 // followerIndex is the inverted index PairsAbove joins over, in CSR form.
 // Followee ids are replaced by dense keys, so its size is linear in the
 // number of followee entries whatever the id range.
 type followerIndex struct {
 	keys      [][]int32 // author → the keys of its followees
-	off       []int     // key k's followers are followers[off[k]:off[k+1]]
+	pos       [][]int32 // author → the index in followers of its own entry under each of those keys
+	off       []int32   // key k's followers are followers[off[k]:off[k+1]]
 	followers []int32   // ascending author ids within each key
+	bit       []int8    // key → its bit in masks, or -1 for a light (scanned) key
+	masks     []uint64  // author → one bit per heavy key it follows
+	lens      []int32   // author → number of followees
+	smin      int32     // the smallest non-zero entry of lens
 }
 
 func (v *Vectors) followerIndex() *followerIndex {
@@ -141,7 +159,13 @@ func (v *Vectors) followerIndex() *followerIndex {
 			rank = make(map[int32]int32)
 		}
 	}
-	ix := &followerIndex{keys: make([][]int32, len(v.followees))}
+	n := len(v.followees)
+	ix := &followerIndex{
+		keys:  make([][]int32, n),
+		pos:   make([][]int32, n),
+		masks: make([]uint64, n),
+		lens:  make([]int32, n),
+	}
 	flat := make([]int32, 0, entries)
 	for a, f := range v.followees {
 		start := len(flat)
@@ -157,35 +181,76 @@ func (v *Vectors) followerIndex() *followerIndex {
 			flat = append(flat, k)
 		}
 		ix.keys[a] = flat[start:len(flat):len(flat)]
+		ix.lens[a] = int32(len(f))
+		if len(f) > 0 && (ix.smin == 0 || int32(len(f)) < ix.smin) {
+			ix.smin = int32(len(f))
+		}
 	}
 	if rank != nil {
 		nkeys = len(rank)
 	}
 	// Counting sort of (key, author) by key; authors are visited in
-	// ascending order, so every follower list comes out sorted.
-	ix.off = make([]int, nkeys+1)
+	// ascending order, so every follower list comes out sorted, and each
+	// entry's slot is recorded so the join starts right after its author.
+	ix.off = make([]int32, nkeys+1)
 	for _, k := range flat {
 		ix.off[k+1]++
 	}
 	for k := 1; k < len(ix.off); k++ {
 		ix.off[k] += ix.off[k-1]
 	}
+	ix.bit = make([]int8, nkeys)
+	for k := range ix.bit {
+		ix.bit[k] = -1
+	}
+	for i, k := range ix.heaviest() {
+		ix.bit[k] = int8(i)
+	}
 	fill := slices.Clone(ix.off[:nkeys])
 	ix.followers = make([]int32, entries)
+	posFlat := make([]int32, entries)
+	e := 0
 	for a, ks := range ix.keys {
-		for _, k := range ks {
+		for i, k := range ks {
 			ix.followers[fill[k]] = int32(a)
+			posFlat[e+i] = fill[k]
 			fill[k]++
+			if ix.bit[k] >= 0 {
+				ix.masks[a] |= 1 << ix.bit[k]
+			}
 		}
+		ix.pos[a] = posFlat[e : e+len(ks) : e+len(ks)]
+		e += len(ks)
 	}
 	return ix
+}
+
+// heaviest returns the keys with the longest follower lists, at most
+// heavyKeys of them, ties broken by the smaller key. A key with one
+// follower pairs no one and is never heavy.
+func (ix *followerIndex) heaviest() []int32 {
+	size := func(k int32) int32 { return ix.off[k+1] - ix.off[k] }
+	// top is kept sorted heaviest first; a key enters only if it beats the
+	// lightest one held, so the pass is linear for all but the first keys.
+	top := make([]int32, 0, heavyKeys+1)
+	for k := int32(0); k < int32(len(ix.off)-1); k++ {
+		if size(k) < 2 || len(top) == heavyKeys && size(k) <= size(top[heavyKeys-1]) {
+			continue
+		}
+		i := len(top)
+		for i > 0 && size(top[i-1]) < size(k) {
+			i--
+		}
+		top = slices.Insert(top, i, k)
+		top = top[:min(len(top), heavyKeys)]
+	}
+	return top
 }
 
 // pairsJoin is one PairsAbove worker's state. counts is a dense per-author
 // accumulator with an explicit touched list: at 20k+ authors the inner loop
 // runs hundreds of millions of increments, so map overhead would dominate.
 type pairsJoin struct {
-	v       *Vectors
 	ix      *followerIndex
 	minSim  float64
 	counts  []int32
@@ -195,27 +260,46 @@ type pairsJoin struct {
 
 // author appends a's pairs (a, b > a) with similarity >= minSim to out,
 // ordered by b.
+//
+// Every similarity is float64(c)/math.Sqrt(la*float64(lb)), exactly as
+// cosine.SetSimilarity and MutableVectors.SimilaritiesOf compute it — the
+// paths must agree bit-for-bit or threshold-boundary pairs flicker. Float
+// multiplication, sqrt and division are correctly rounded and so monotone:
+// the expression can only fall as lb grows and only rise as c grows. With
+// lb >= smin for every b that shares a followee, a count below need, the
+// smallest c whose expression at smin reaches minSim, fails for every b
+// without being divided. A pair sharing only heavy keys counts at most
+// popcount(mask[a]) of them; below need, a skips such pairs, otherwise it
+// scans the heavy keys' follower lists too and counts exactly.
 func (j *pairsJoin) author(a int32) {
+	ix := j.ix
+	la := float64(ix.lens[a])
+	d := math.Sqrt(la * float64(ix.smin))
+	need := int32(sort.Search(int(ix.lens[a])+1, func(c int) bool { return float64(c)/d >= j.minSim }))
+	scanHeavy := int32(bits.OnesCount64(ix.masks[a])) >= need
 	counts, touched := j.counts, j.touched[:0]
-	for _, k := range j.ix.keys[a] {
-		fs := j.ix.followers[j.ix.off[k]:j.ix.off[k+1]]
-		i, _ := slices.BinarySearch(fs, a+1)
-		for _, b := range fs[i:] {
+	for i, k := range ix.keys[a] {
+		if ix.bit[k] >= 0 && !scanHeavy {
+			continue
+		}
+		for _, b := range ix.followers[ix.pos[a][i]+1 : ix.off[k+1]] {
 			if counts[b] == 0 {
 				touched = append(touched, b)
 			}
 			counts[b]++
 		}
 	}
-	la := float64(len(j.v.followees[a]))
 	start := len(j.out)
 	for _, b := range touched {
-		// One sqrt of the product, exactly as cosine.SetSimilarity and
-		// MutableVectors.SimilaritiesOf compute it — the three paths
-		// must agree bit-for-bit or threshold-boundary pairs flicker.
-		sim := float64(counts[b]) / math.Sqrt(la*float64(len(j.v.followees[b])))
+		c := counts[b]
 		counts[b] = 0
-		if sim >= j.minSim {
+		if !scanHeavy {
+			c += int32(bits.OnesCount64(ix.masks[a] & ix.masks[b]))
+		}
+		if c < need {
+			continue
+		}
+		if sim := float64(c) / math.Sqrt(la*float64(ix.lens[b])); sim >= j.minSim {
 			j.out = append(j.out, SimPair{A: a, B: b, Sim: sim})
 		}
 	}

@@ -34,8 +34,9 @@ type RouterOptions struct {
 	// stream is dialled through its Transport, and its Timeout bounds the
 	// stream's handshake and every reply on it (0 leaves them unbounded).
 	Client *http.Client
-	// RetryInterval paces transient-failure retries and crash-recovery polls
-	// (default 200ms).
+	// RetryInterval paces a forward's transient-failure retries and the
+	// polls that wait out a crashed worker (default 200ms). The boot barrier,
+	// AwaitPeers, polls at its own few-millisecond interval.
 	RetryInterval time.Duration
 	// ResyncTimeout bounds how long a forward waits for a crashed worker to
 	// come back before giving up (default 60s).
@@ -504,7 +505,7 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 	// 1. Poll the worker back to reachability and verify its identity.
 	var topo httpapi.TopologyResponse
 	for {
-		if err := rt.getJSON(rt.peers[shard]+"/v1/admin/topology", &topo); err == nil {
+		if err := rt.getJSON(context.Background(), rt.peers[shard]+"/v1/admin/topology", &topo); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -590,7 +591,7 @@ func (rt *Router) TimelineErr(user int32) ([]*core.Post, error) {
 			defer wg.Done()
 			var resp tlResp
 			for {
-				if err := rt.getJSON(fmt.Sprintf("%s/v1/timeline?user=%d&n=%d", peer, user, 1<<30), &resp); err == nil {
+				if err := rt.getJSON(context.Background(), fmt.Sprintf("%s/v1/timeline?user=%d&n=%d", peer, user, 1<<30), &resp); err == nil {
 					break
 				}
 				if time.Now().After(deadline) {
@@ -642,7 +643,7 @@ func (rt *Router) Counters() metrics.Counters {
 	var sum metrics.Counters
 	for _, peer := range rt.peers {
 		var resp httpapi.StatsResponse
-		if err := rt.getJSON(peer+"/v1/stats", &resp); err != nil {
+		if err := rt.getJSON(context.Background(), peer+"/v1/stats", &resp); err != nil {
 			continue
 		}
 		sum.Comparisons += resp.Comparisons
@@ -837,15 +838,22 @@ func (rt *Router) InitialCoordination() error {
 	return nil
 }
 
+// peerPollInterval paces AwaitPeers' probes. Workers boot alongside the
+// router, so the barrier mostly waits out their last milliseconds of setup;
+// every millisecond it sleeps past a worker's readiness adds to the fleet's
+// boot, and a refused probe costs next to nothing.
+const peerPollInterval = 5 * time.Millisecond
+
 // AwaitPeers blocks until every worker answers its topology endpoint with the
 // matching digest, shard index and shard count, or ctx expires — the boot
-// barrier a router runs before restoring or serving.
+// barrier a router runs before restoring or serving. Each probe is bound to
+// ctx, so a worker that accepts and never answers cannot outlast it.
 func (rt *Router) AwaitPeers(ctx context.Context) error {
 	want := fmt.Sprintf("%016x", rt.assign.Digest())
 	for s, peer := range rt.peers {
 		for {
 			var topo httpapi.TopologyResponse
-			err := rt.getJSON(peer+"/v1/admin/topology", &topo)
+			err := rt.getJSON(ctx, peer+"/v1/admin/topology", &topo)
 			if err == nil {
 				if topo.Digest != want || topo.Shard != s || topo.Shards != len(rt.peers) {
 					return fmt.Errorf(
@@ -857,7 +865,7 @@ func (rt *Router) AwaitPeers(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return fmt.Errorf("shard: waiting for shard %d (%s): %w", s, peer, ctx.Err())
-			case <-time.After(rt.retryIvl):
+			case <-time.After(peerPollInterval):
 			}
 		}
 	}
@@ -986,9 +994,13 @@ func classifyRefusal(shard, status int, raw []byte) (fwdClass, error) {
 	}
 }
 
-// getJSON fetches one JSON document from a worker.
-func (rt *Router) getJSON(url string, out any) error {
-	resp, err := rt.client.Get(url)
+// getJSON fetches one JSON document from a worker; ctx bounds the request.
+func (rt *Router) getJSON(ctx context.Context, url string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,16 @@ package shard
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,6 +118,114 @@ func TestTopologyHeaderRoundTrip(t *testing.T) {
 		if _, _, _, err := parseTopology(bad); err == nil {
 			t.Errorf("parseTopology(%q) succeeded", bad)
 		}
+	}
+}
+
+// topologyPeer serves a worker's topology answer for shard 0 of 1 with the
+// given digest, and 503 until ready reports true.
+func topologyPeer(t *testing.T, digest string, ready func() bool) *httptest.Server {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !ready() {
+			http.Error(w, "booting", http.StatusServiceUnavailable)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(httpapi.TopologyResponse{Mode: "worker", Shard: 0, Shards: 1, Digest: digest})
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestAwaitPeersNoticesLatePeer: a worker that becomes ready 30ms into the
+// boot barrier is noticed within a few milliseconds, whatever the router's
+// RetryInterval (left at its 200ms default here), and a worker planned under
+// another assignment is still refused with shard_mismatch.
+func TestAwaitPeersNoticesLatePeer(t *testing.T) {
+	assign, err := Plan(testGraph(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := fmt.Sprintf("%016x", assign.Digest())
+	var readyAt atomic.Int64
+	readyAt.Store(time.Now().Add(time.Hour).UnixNano())
+	peer := topologyPeer(t, digest, func() bool { return time.Now().UnixNano() >= readyAt.Load() })
+	rt, err := NewRouter(RouterOptions{Peers: []string{peer.URL}, Assignment: assign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ready := time.Now().Add(30 * time.Millisecond)
+	readyAt.Store(ready.UnixNano())
+	if err := rt.AwaitPeers(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if late := time.Since(ready); late > 60*time.Millisecond {
+		t.Fatalf("AwaitPeers returned %v after the peer became ready, want within 60ms", late)
+	}
+
+	foreign := topologyPeer(t, fmt.Sprintf("%016x", assign.Digest()^1), func() bool { return true })
+	rt2, err := NewRouter(RouterOptions{Peers: []string{foreign.URL}, Assignment: assign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if err := rt2.AwaitPeers(ctx); err == nil || !strings.Contains(err.Error(), httpapi.CodeShardMismatch) {
+		t.Fatalf("AwaitPeers on a foreign peer = %v, want a %s refusal", err, httpapi.CodeShardMismatch)
+	}
+}
+
+// TestAwaitPeersHonoursContextDuringProbe: a peer that accepts connections
+// and never answers must not hold the barrier past its context, even on a
+// client with no timeout of its own.
+func TestAwaitPeersHonoursContextDuringProbe(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	assign, err := Plan(testGraph(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(RouterOptions{Peers: []string{"http://" + ln.Addr().String()}, Assignment: assign, Client: &http.Client{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- rt.AwaitPeers(ctx) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("AwaitPeers = %v, want the context's deadline error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("AwaitPeers still blocked 1s after its 100ms context on a peer that never answers")
 	}
 }
 
