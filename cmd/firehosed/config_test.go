@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"firehose/internal/authorsim"
 	"firehose/internal/connector"
+	"firehose/internal/corpusio"
 	"firehose/internal/twittergen"
 )
 
@@ -173,7 +175,7 @@ func TestLoadConfigFlagsMatchConfigMessages(t *testing.T) {
 func TestEngineInputsUseConfiguredLambdaA(t *testing.T) {
 	ec := connector.DefaultConfig().Engine
 	ec.Authors, ec.Seed, ec.LambdaA = 200, 7, 0.5
-	th, g, subs, err := engineInputs(&ec)
+	th, g, subs, _, err := engineInputs(&ec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +200,95 @@ func TestEngineInputsUseConfiguredLambdaA(t *testing.T) {
 	}
 
 	ec.LambdaA = 1
-	if _, _, _, err := engineInputs(&ec); err == nil || !strings.Contains(err.Error(), "LambdaA") {
+	if _, _, _, _, err := engineInputs(&ec, false); err == nil || !strings.Contains(err.Error(), "LambdaA") {
 		t.Fatalf("λa = 1: err %v, want the core's LambdaA range error", err)
+	}
+}
+
+// TestInputsFingerprint: a router's fingerprint, taken without building the
+// graph, equals the one a worker takes inside its graph read; every input
+// that changes a decision changes it, and settings that change none do not.
+func TestInputsFingerprint(t *testing.T) {
+	social, err := twittergen.GenerateGraph(rand.New(rand.NewSource(5)), twittergen.DefaultGraphConfig(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := corpusio.WriteFollowees(&buf, social.Followees); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "followees.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fingerprints := func(ec connector.EngineConfig) (worker, router string) {
+		t.Helper()
+		_, _, _, worker, err := engineInputs(&ec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, router, err = routerInputs(&ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worker, router
+	}
+	generated := connector.DefaultConfig().Engine
+	generated.Authors, generated.Seed = 150, 5
+	fromFile := generated
+	fromFile.FolloweesPath = path
+
+	base := map[string]string{}
+	for name, ec := range map[string]connector.EngineConfig{"generated": generated, "followees": fromFile} {
+		worker, router := fingerprints(ec)
+		if worker != router || len(worker) != 64 {
+			t.Fatalf("%s: worker fingerprint %q, router %q; want one 64-hex-digit value", name, worker, router)
+		}
+		base[name] = worker
+	}
+	if base["generated"] == base["followees"] {
+		t.Fatal("a generated graph and the same graph read from a file share a fingerprint")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		from    connector.EngineConfig
+		edit    func(*connector.EngineConfig)
+		changes bool
+	}{
+		{"lambda_a", fromFile, func(ec *connector.EngineConfig) { ec.LambdaA = 0.6 }, true},
+		{"algorithm", fromFile, func(ec *connector.EngineConfig) { ec.Algorithm = "neighborbin" }, true},
+		{"lambda_c", fromFile, func(ec *connector.EngineConfig) { ec.LambdaC-- }, true},
+		{"lambda_t_millis", fromFile, func(ec *connector.EngineConfig) { ec.LambdaTMillis++ }, true},
+		{"index", fromFile, func(ec *connector.EngineConfig) { ec.Index = "off" }, true},
+		{"seed", generated, func(ec *connector.EngineConfig) { ec.Seed++ }, true},
+		{"authors", generated, func(ec *connector.EngineConfig) { ec.Authors++ }, true},
+		{"workers", fromFile, func(ec *connector.EngineConfig) { ec.Workers = 3 }, false},
+		{"checkpoint dir", fromFile, func(ec *connector.EngineConfig) { ec.Checkpoint.Dir = t.TempDir() }, false},
+		{"seed beside a followees file", fromFile, func(ec *connector.EngineConfig) { ec.Seed++ }, false},
+	} {
+		ec := tc.from
+		tc.edit(&ec)
+		worker, router := fingerprints(ec)
+		if worker != router {
+			t.Fatalf("%s: worker fingerprint %s, router %s", tc.name, worker, router)
+		}
+		want := base["followees"]
+		if tc.from.FolloweesPath == "" {
+			want = base["generated"]
+		}
+		if changed := worker != want; changed != tc.changes {
+			t.Errorf("%s: fingerprint changed = %v, want %v", tc.name, changed, tc.changes)
+		}
+	}
+
+	// One byte of the file is a different graph source.
+	edited := bytes.Replace(buf.Bytes(), []byte("1"), []byte("2"), 1)
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, router, err := routerInputs(&fromFile); err != nil || router == base["followees"] {
+		t.Fatalf("an edited followees file kept the fingerprint (%v)", err)
 	}
 }
 

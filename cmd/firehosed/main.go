@@ -51,10 +51,15 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
+	"hash"
+	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -106,14 +111,22 @@ func loadConfig(args []string) (*connector.Config, error) {
 }
 
 // buildGraph loads or generates the follower graph: followee vectors plus the
-// derived subscription lists.
-func buildGraph(ec *connector.EngineConfig) (fs, subs [][]int32, err error) {
+// derived subscription lists. A non-nil sum receives the followees file's
+// bytes as they are decoded.
+func buildGraph(ec *connector.EngineConfig, sum hash.Hash) (fs, subs [][]int32, err error) {
 	if ec.FolloweesPath != "" {
 		f, err := os.Open(ec.FolloweesPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		fs, err = corpusio.ReadFollowees(f)
+		var r io.Reader = f
+		if sum != nil {
+			r = io.TeeReader(f, sum)
+		}
+		fs, err = corpusio.ReadFollowees(r)
+		if err == nil && sum != nil {
+			_, err = io.Copy(sum, f) // any bytes the decoder left unread
+		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -152,13 +165,11 @@ func subscriptions(fs [][]int32) [][]int32 {
 	return subs
 }
 
-// engineInputs builds what every engine shape is constructed from: the
-// validated thresholds, the author similarity graph G(λa) at the configured
-// λa, and the subscription lists.
-func engineInputs(ec *connector.EngineConfig) (core.Thresholds, *authorsim.Graph, [][]int32, error) {
+// engineThresholds parses and validates the configured thresholds.
+func engineThresholds(ec *connector.EngineConfig) (core.Thresholds, error) {
 	pol, err := core.ParseIndexPolicy(ec.Index)
 	if err != nil {
-		return core.Thresholds{}, nil, nil, err
+		return core.Thresholds{}, err
 	}
 	th := core.Thresholds{
 		LambdaC: ec.LambdaC,
@@ -169,13 +180,78 @@ func engineInputs(ec *connector.EngineConfig) (core.Thresholds, *authorsim.Graph
 	if err := th.Validate(); err != nil {
 		// engine.index "on" at an infeasible λc (e.g. the paper default 18) fails
 		// here with the Section 3 explanation instead of deep in a constructor.
-		return core.Thresholds{}, nil, nil, err
+		return core.Thresholds{}, err
 	}
-	fs, subs, err := buildGraph(ec)
+	return th, nil
+}
+
+// engineInputs builds what every engine shape is constructed from: the
+// validated thresholds, the author similarity graph G(λa) at the configured
+// λa, and the subscription lists. With fingerprint set it also returns the
+// inputs fingerprint, hashing a followees file inside the read that decodes
+// it.
+func engineInputs(ec *connector.EngineConfig, fingerprint bool) (core.Thresholds, *authorsim.Graph, [][]int32, string, error) {
+	th, err := engineThresholds(ec)
 	if err != nil {
-		return core.Thresholds{}, nil, nil, err
+		return core.Thresholds{}, nil, nil, "", err
 	}
-	return th, authorsim.BuildGraph(authorsim.NewVectors(fs), th.LambdaA), subs, nil
+	var sum hash.Hash
+	if fingerprint && ec.FolloweesPath != "" {
+		sum = sha256.New()
+	}
+	fs, subs, err := buildGraph(ec, sum)
+	if err != nil {
+		return core.Thresholds{}, nil, nil, "", err
+	}
+	var inputs string
+	if fingerprint {
+		inputs = inputsFingerprint(ec, sum)
+	}
+	return th, authorsim.BuildGraph(authorsim.NewVectors(fs), th.LambdaA), subs, inputs, nil
+}
+
+// routerInputs is a router's part of engineInputs: the validated thresholds
+// and the inputs fingerprint, reading a followees file only to hash it. A
+// router decides no post, so it builds no graph; it adopts its workers'
+// routing table at the boot barrier instead.
+func routerInputs(ec *connector.EngineConfig) (core.Thresholds, string, error) {
+	th, err := engineThresholds(ec)
+	if err != nil {
+		return core.Thresholds{}, "", err
+	}
+	var sum hash.Hash
+	if ec.FolloweesPath != "" {
+		f, err := os.Open(ec.FolloweesPath)
+		if err != nil {
+			return core.Thresholds{}, "", err
+		}
+		sum = sha256.New()
+		_, err = io.Copy(sum, f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return core.Thresholds{}, "", err
+		}
+	}
+	return th, inputsFingerprint(ec, sum), nil
+}
+
+// inputsFingerprint is the SHA-256 a shard worker reports and its router
+// requires at the boot barrier: over the graph source — followees holds the
+// followees file's bytes, nil means the graph is generated from seed and
+// authors — and the thresholds and algorithm every process must share, as
+// 64 hex digits.
+func inputsFingerprint(ec *connector.EngineConfig, followees hash.Hash) string {
+	h := sha256.New()
+	if followees != nil {
+		fmt.Fprintf(h, "followees %x\n", followees.Sum(nil))
+	} else {
+		fmt.Fprintf(h, "generated %d %d\n", ec.Seed, ec.Authors)
+	}
+	fmt.Fprintf(h, "lambda_a %016x\nalgorithm %s\nlambda_c %d\nlambda_t_millis %d\nindex %s\n",
+		math.Float64bits(ec.LambdaA), ec.Algorithm, ec.LambdaC, ec.LambdaTMillis, ec.Index)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func runDaemon(cfg *connector.Config) error {
@@ -190,7 +266,18 @@ func runDaemon(cfg *connector.Config) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", cfg.Engine.Algorithm)
 	}
-	th, g, subs, err := engineInputs(&cfg.Engine)
+	var (
+		th     core.Thresholds
+		g      *authorsim.Graph
+		subs   [][]int32
+		inputs string
+		err    error
+	)
+	if cfg.Router != nil {
+		th, inputs, err = routerInputs(&cfg.Engine)
+	} else {
+		th, g, subs, inputs, err = engineInputs(&cfg.Engine, cfg.Shard != nil)
+	}
 	if err != nil {
 		return err
 	}
@@ -210,18 +297,13 @@ func runDaemon(cfg *connector.Config) error {
 		}
 	}
 
-	// A sharded process — worker or router — plans the author-partitioned
-	// assignment from its own config; the digest it derives must match every
-	// peer's, which the shard layer verifies on each cross-process request.
+	// A shard worker plans the author-partitioned assignment from its own
+	// config; a router adopts its workers' at the boot barrier below. The
+	// digest must match on every process, which the shard layer verifies on
+	// each cross-process request.
 	var assign *shard.Assignment
-	if cfg.Shard != nil || cfg.Router != nil {
-		n := 0
-		if cfg.Shard != nil {
-			n = cfg.Shard.Count
-		} else {
-			n = len(cfg.Router.Peers)
-		}
-		if assign, err = shard.Plan(g, n); err != nil {
+	if cfg.Shard != nil {
+		if assign, err = shard.Plan(g, cfg.Shard.Count); err != nil {
 			return err
 		}
 	}
@@ -281,16 +363,13 @@ func runDaemon(cfg *connector.Config) error {
 	}
 	fileIn, _ := input.(*connector.FileInput)
 
-	// A router blocks until every worker answers with the matching assignment
-	// digest — a misconfigured peer set is refused before any restore or
+	// A router blocks until every worker answers with its own inputs
+	// fingerprint and one assignment digest, then adopts the workers' routing
+	// table — a misconfigured peer set is refused before any restore or
 	// forward touches it.
 	if cfg.Router != nil {
-		probe, err := shard.NewRouter(shard.RouterOptions{Peers: cfg.Router.Peers, Assignment: assign})
-		if err != nil {
-			return err
-		}
 		awaitCtx, cancelAwait := context.WithTimeout(context.Background(), 60*time.Second)
-		err = probe.AwaitPeers(awaitCtx)
+		assign, err = shard.AdoptAssignment(awaitCtx, nil, cfg.Router.Peers, inputs)
 		cancelAwait()
 		if err != nil {
 			return err
@@ -387,6 +466,7 @@ func runDaemon(cfg *connector.Config) error {
 			Server:        api,
 			Shard:         cfg.Shard.Index,
 			Assignment:    assign,
+			Inputs:        inputs,
 			CheckpointDir: ckptDir,
 			Retain:        cfg.Engine.Checkpoint.Retain,
 		})
@@ -492,8 +572,14 @@ func runDaemon(cfg *connector.Config) error {
 	if name == "" {
 		name = "pipeline"
 	}
+	var authors int
+	if g != nil {
+		authors = g.NumAuthors()
+	} else {
+		authors = assign.NumAuthors()
+	}
 	log.Printf("firehosed: %s: %s → %s (%s) → %d output(s) over %d authors/users on %s",
-		name, cfg.Input.Type, engine, solvers, len(cfg.Outputs), g.NumAuthors(), cfg.HTTP.Addr)
+		name, cfg.Input.Type, engine, solvers, len(cfg.Outputs), authors, cfg.HTTP.Addr)
 
 	if pipe.Runner != nil {
 		go func() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -19,7 +20,8 @@ import (
 // process over the same stream — same ids, same delivered-user sets — through
 // a router-coordinated checkpoint, a SIGKILL of one worker mid-stream, and a
 // SIGKILL-and-restore of the router itself. It also pins the topology admin
-// surface and the refusal of a mismatched peer set.
+// surface and the boot refusals of a mismatched peer set and of a worker
+// started over other thresholds.
 func TestShardedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test builds and execs the daemon; skipped in -short")
@@ -257,6 +259,33 @@ func TestShardedEquivalence(t *testing.T) {
 	if !strings.Contains(string(out), "shard_mismatch") {
 		t.Fatalf("mismatched router output does not mention shard_mismatch:\n%s", out)
 	}
+
+	// --- A worker started with another lambda_c plans the same routing table
+	// (the digest covers the graph and λa only) but would decide differently:
+	// a router over it is refused at boot with shard_mismatch naming it. The
+	// context bounds a router that wrongly boots and keeps serving.
+	oddAddr := freeAddr(t)
+	odd := start(fleetArgs(oddAddr, func(c *connector.Config) {
+		c.Shard = &connector.ShardConfig{Index: 1, Count: 2}
+		c.Engine.Checkpoint.Dir = t.TempDir()
+		c.Engine.LambdaC--
+	}))
+	defer func() { _ = odd.Process.Kill() }()
+	waitHealthy(t, "http://"+oddAddr)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err = exec.CommandContext(ctx, bin, fleetArgs(freeAddr(t), func(c *connector.Config) {
+		c.Router = &connector.RouterConfig{Peers: []string{"http://" + workerAddrs[0], "http://" + oddAddr}}
+		c.Engine.Checkpoint.Dir = t.TempDir()
+	})...).CombinedOutput()
+	if err == nil || ctx.Err() != nil {
+		t.Fatalf("a router over a worker with another lambda_c booted (exit %v):\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "shard_mismatch") || !strings.Contains(string(out), oddAddr) {
+		t.Fatalf("router over a worker with another lambda_c: output does not name shard_mismatch and %s:\n%s", oddAddr, out)
+	}
+	_ = odd.Process.Kill()
+	_ = odd.Wait()
 
 	// Graceful shutdown across the fleet.
 	for _, cmd := range []*exec.Cmd{router, workers[0], workers[1], single} {

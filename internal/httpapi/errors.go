@@ -53,10 +53,10 @@ const (
 	// or holds state the router never recorded. The router heals it by rolling
 	// the worker back to the last coordinated round and replaying.
 	CodeShardDesync = "shard_desync"
-	// CodeShardUnavailable: a merged read (timeline, user stats) could not
-	// reach every shard within the retry window; the response would be
-	// silently missing the unreachable shard's posts, so it is refused
-	// instead. Retry once the named worker is back.
+	// CodeShardUnavailable: a merged read (timeline, user stats, /v1/stats)
+	// could not reach every shard within the retry window; the response would
+	// be silently missing the unreachable shard's posts or counts, so it is
+	// refused instead. Retry once the named worker is back.
 	CodeShardUnavailable = "shard_unavailable"
 	// CodeNotRouter: a shard-topology endpoint was called on a node running no
 	// shard topology (a plain single-node daemon).

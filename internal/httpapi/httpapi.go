@@ -58,6 +58,14 @@ type timelineErrSource interface {
 	TimelineErr(user int32) ([]*core.Post, error)
 }
 
+// countersErrSource is the optional failure-aware counters surface, the
+// counterpart of timelineErrSource: the shard router implements it so
+// GET /v1/stats over an unreachable worker becomes a 503 shard_unavailable
+// instead of a silently partial sum.
+type countersErrSource interface {
+	CountersErr() (metrics.Counters, error)
+}
+
 // timelineTailSource is the optional bounded read surface: the stream engine
 // builds posts for the newest n of a history only. Engines without it (the
 // shard router, wrappers that forward Timeline alone) serve the whole
@@ -398,7 +406,16 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	c := s.engine.Counters()
+	var c metrics.Counters
+	if e, ok := s.engine.(countersErrSource); ok {
+		var err error
+		if c, err = e.CountersErr(); err != nil {
+			writeError(w, http.StatusServiceUnavailable, CodeShardUnavailable, "%v", err)
+			return
+		}
+	} else {
+		c = s.engine.Counters()
+	}
 	writeJSON(w, StatsResponse{
 		Comparisons: c.Comparisons,
 		Insertions:  c.Insertions,

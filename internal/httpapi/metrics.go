@@ -18,61 +18,47 @@ import (
 // pull-only: nothing on the ingest hot path touches the registry; every
 // series is computed from engine snapshots at scrape time.
 
-// buildRegistry wires every metric family. Families that read the engine's
-// Counters snapshot per collect; the snapshot is taken under the engine's
-// own locks, so scrapes never race decisions.
+// buildRegistry wires every metric family. The families that read the
+// engine's Counters share one snapshot per scrape; the snapshot is taken
+// under the engine's own locks, so scrapes never race decisions.
 func (s *Server) buildRegistry() *metrics.Registry {
 	r := metrics.NewRegistry()
-	algLabel := func() []metrics.Label {
-		return []metrics.Label{{Name: "algorithm", Value: s.engine.Name()}}
-	}
 
-	r.MustRegister("firehose_decisions_total",
-		"Posts decided by the diversification engine, split by outcome.",
-		metrics.KindCounter, func() []metrics.Sample {
-			c := s.engine.Counters()
-			alg := s.engine.Name()
-			return []metrics.Sample{
+	// The engine-counter families read one Counters snapshot per scrape: on a
+	// router each snapshot is a GET /v1/stats per worker, and one snapshot
+	// keeps the families consistent with each other.
+	r.MustRegisterGroup([]metrics.Family{
+		{Name: "firehose_decisions_total", Kind: metrics.KindCounter,
+			Help: "Posts decided by the diversification engine, split by outcome."},
+		{Name: "firehose_comparisons_total", Kind: metrics.KindCounter,
+			Help: "Pairwise post coverage checks (the paper's comparison cost metric)."},
+		{Name: "firehose_insertions_total", Kind: metrics.KindCounter,
+			Help: "Post-copy insertions into bins."},
+		{Name: "firehose_evictions_total", Kind: metrics.KindCounter,
+			Help: "Post copies expired out of the time window."},
+		{Name: "firehose_stored_copies", Kind: metrics.KindGauge,
+			Help: "Live post copies currently resident across all bins (S_UniBin: physical ring entries, each post once per author-graph component)."},
+		{Name: "firehose_stored_copies_peak", Kind: metrics.KindGauge,
+			Help: "Peak simultaneous post copies (the paper's RAM metric; S_UniBin: physical ring entries, summed per-ring peaks)."},
+		{Name: "firehose_decision_latency_seconds", Kind: metrics.KindHistogram,
+			Help: "Per-post decision latency of the diversification algorithm."},
+	}, func() [][]metrics.Sample {
+		c := s.engine.Counters()
+		alg := s.engine.Name()
+		algLabel := []metrics.Label{{Name: "algorithm", Value: alg}}
+		return [][]metrics.Sample{
+			{
 				{Labels: []metrics.Label{{Name: "algorithm", Value: alg}, {Name: "result", Value: "accepted"}}, Value: float64(c.Accepted)},
 				{Labels: []metrics.Label{{Name: "algorithm", Value: alg}, {Name: "result", Value: "rejected"}}, Value: float64(c.Rejected)},
-			}
-		})
-	r.MustRegister("firehose_comparisons_total",
-		"Pairwise post coverage checks (the paper's comparison cost metric).",
-		metrics.KindCounter, func() []metrics.Sample {
-			c := s.engine.Counters()
-			return []metrics.Sample{{Labels: algLabel(), Value: float64(c.Comparisons)}}
-		})
-	r.MustRegister("firehose_insertions_total",
-		"Post-copy insertions into bins.",
-		metrics.KindCounter, func() []metrics.Sample {
-			c := s.engine.Counters()
-			return []metrics.Sample{{Labels: algLabel(), Value: float64(c.Insertions)}}
-		})
-	r.MustRegister("firehose_evictions_total",
-		"Post copies expired out of the time window.",
-		metrics.KindCounter, func() []metrics.Sample {
-			c := s.engine.Counters()
-			return []metrics.Sample{{Labels: algLabel(), Value: float64(c.Evictions)}}
-		})
-	r.MustRegister("firehose_stored_copies",
-		"Live post copies currently resident across all bins (S_UniBin: physical ring entries, each post once per author-graph component).",
-		metrics.KindGauge, func() []metrics.Sample {
-			c := s.engine.Counters()
-			return []metrics.Sample{{Labels: algLabel(), Value: float64(c.StoredLive())}}
-		})
-	r.MustRegister("firehose_stored_copies_peak",
-		"Peak simultaneous post copies (the paper's RAM metric; S_UniBin: physical ring entries, summed per-ring peaks).",
-		metrics.KindGauge, func() []metrics.Sample {
-			c := s.engine.Counters()
-			return []metrics.Sample{{Labels: algLabel(), Value: float64(c.StoredPeak)}}
-		})
-	r.MustRegister("firehose_decision_latency_seconds",
-		"Per-post decision latency of the diversification algorithm.",
-		metrics.KindHistogram, func() []metrics.Sample {
-			c := s.engine.Counters()
-			return []metrics.Sample{{Labels: algLabel(), Hist: c.Decisions}}
-		})
+			},
+			{{Labels: algLabel, Value: float64(c.Comparisons)}},
+			{{Labels: algLabel, Value: float64(c.Insertions)}},
+			{{Labels: algLabel, Value: float64(c.Evictions)}},
+			{{Labels: algLabel, Value: float64(c.StoredLive())}},
+			{{Labels: algLabel, Value: float64(c.StoredPeak)}},
+			{{Labels: algLabel, Hist: c.Decisions}},
+		}
+	})
 
 	r.MustRegister("firehose_checkpoint_pause_seconds",
 		"Time each checkpoint held the ingest lock (ingest paused while the state was captured and written).",

@@ -10,10 +10,12 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"firehose/internal/authorsim"
 	"firehose/internal/core"
+	"firehose/internal/metrics"
 	"firehose/internal/stream"
 )
 
@@ -391,5 +393,46 @@ func TestPProfOptIn(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof cmdline: status %d", resp.StatusCode)
+	}
+}
+
+// countingEngine counts the Counters snapshots taken of the engine it wraps.
+type countingEngine struct {
+	Engine
+	calls atomic.Int64
+}
+
+func (e *countingEngine) Counters() metrics.Counters {
+	e.calls.Add(1)
+	return e.Engine.Counters()
+}
+
+// TestMetricsScrapeReadsCountersOnce: the seven engine-counter families share
+// one Counters snapshot per scrape. On a router each snapshot is a GET per
+// worker, so a snapshot per family multiplied the fan-out and let the
+// families disagree about the instant they report.
+func TestMetricsScrapeReadsCountersOnce(t *testing.T) {
+	g := authorsim.NewGraph(3, []authorsim.SimPair{{A: 0, B: 1}}, 0.7)
+	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
+	md, err := core.NewSharedMultiUser(core.AlgUniBin, g, [][]int32{{0, 1}, {2}}, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &countingEngine{Engine: stream.NewMultiEngine(md)}
+	ts := httptest.NewServer(NewFromEngine(eng))
+	t.Cleanup(ts.Close)
+	ingest(t, ts, IngestRequest{Author: 0, Text: "ferry sinks, 300 missing", TimeMillis: 1000})
+	for scrapes := int64(1); scrapes <= 3; scrapes++ {
+		before := eng.calls.Load()
+		body, _ := scrape(t, ts)
+		if got := eng.calls.Load() - before; got != 1 {
+			t.Fatalf("scrape %d read the engine's Counters %d times, want 1", scrapes, got)
+		}
+		if v := metricValue(t, body, `firehose_decisions_total{algorithm="S_UniBin",result="accepted"}`); v != 1 {
+			t.Fatalf("accepted = %v, want 1", v)
+		}
+		if v := metricValue(t, body, `firehose_decision_latency_seconds_count{algorithm="S_UniBin"}`); v != 1 {
+			t.Fatalf("latency count = %v, want 1", v)
+		}
 	}
 }

@@ -34,6 +34,12 @@ type TopologyResponse struct {
 	// Digest is the component→shard assignment digest (16 hex digits); every
 	// participant must agree on it.
 	Digest string `json:"digest"`
+	// Inputs fingerprints the engine inputs a worker was started over — a
+	// SHA-256 over the graph source (the followees file's bytes, or the
+	// generator's seed and author count), λa, the algorithm, λc, λt and the
+	// index policy, 64 hex digits. A router requires every worker's to equal
+	// its own at boot. Empty on a router.
+	Inputs string `json:"inputs,omitempty"`
 	// Watermark is the node's post-id watermark: a worker's highest ingested
 	// id, a router's highest merged id.
 	Watermark uint64 `json:"watermark"`

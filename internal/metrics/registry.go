@@ -61,11 +61,28 @@ type Sample struct {
 // the registry's read lock, possibly concurrently with other collectors.
 type Collector func() []Sample
 
+// Family names one family of a group (RegisterGroup).
+type Family struct {
+	Name string
+	Help string
+	Kind Kind
+}
+
+// GroupCollector produces the samples of every family in a group from one
+// snapshot: element i holds the samples of the group's i-th family.
+type GroupCollector func() [][]Sample
+
 type family struct {
 	name    string
 	help    string
 	kind    Kind
-	collect Collector
+	collect Collector // nil for a group member
+	group   *group
+	index   int // position in the group
+}
+
+type group struct {
+	collect GroupCollector
 }
 
 // Registry is a set of metric families with a text exposition. Register and
@@ -88,20 +105,45 @@ var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // and unused; histogram family names must not carry the _bucket/_sum/_count
 // suffixes the exposition appends.
 func (r *Registry) Register(name, help string, kind Kind, collect Collector) error {
-	if !metricNameRE.MatchString(name) {
-		return fmt.Errorf("metrics: invalid metric name %q", name)
-	}
 	if collect == nil {
 		return fmt.Errorf("metrics: nil collector for %q", name)
 	}
+	return r.add(&family{name: name, help: help, kind: kind, collect: collect})
+}
+
+// RegisterGroup adds families that read one snapshot: a scrape calls collect
+// once for the whole group, so every family of it shows the same instant and
+// the snapshot's cost is paid once. Names follow Register's rules.
+func (r *Registry) RegisterGroup(families []Family, collect GroupCollector) error {
+	if collect == nil {
+		return fmt.Errorf("metrics: nil collector for group of %d families", len(families))
+	}
+	g := &group{collect: collect}
+	fams := make([]*family, len(families))
+	for i, f := range families {
+		fams[i] = &family{name: f.Name, help: f.Help, kind: f.Kind, group: g, index: i}
+	}
+	return r.add(fams...)
+}
+
+// add registers fams all or none.
+func (r *Registry) add(fams ...*family) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byName[name]; dup {
-		return fmt.Errorf("metrics: metric %q already registered", name)
+	seen := make(map[string]bool, len(fams))
+	for _, f := range fams {
+		if !metricNameRE.MatchString(f.name) {
+			return fmt.Errorf("metrics: invalid metric name %q", f.name)
+		}
+		if _, dup := r.byName[f.name]; dup || seen[f.name] {
+			return fmt.Errorf("metrics: metric %q already registered", f.name)
+		}
+		seen[f.name] = true
 	}
-	f := &family{name: name, help: help, kind: kind, collect: collect}
-	r.byName[name] = f
-	r.families = append(r.families, f)
+	for _, f := range fams {
+		r.byName[f.name] = f
+		r.families = append(r.families, f)
+	}
 	return nil
 }
 
@@ -109,6 +151,13 @@ func (r *Registry) Register(name, help string, kind Kind, collect Collector) err
 // registration failure is a programming bug.
 func (r *Registry) MustRegister(name, help string, kind Kind, collect Collector) {
 	if err := r.Register(name, help, kind, collect); err != nil {
+		panic(err)
+	}
+}
+
+// MustRegisterGroup is RegisterGroup that panics on error.
+func (r *Registry) MustRegisterGroup(families []Family, collect GroupCollector) {
+	if err := r.RegisterGroup(families, collect); err != nil {
 		panic(err)
 	}
 }
@@ -123,8 +172,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	var sb strings.Builder
+	snaps := make(map[*group][][]Sample) // one collect per group per scrape
 	for _, f := range fams {
-		samples := f.collect()
+		var samples []Sample
+		if f.group == nil {
+			samples = f.collect()
+		} else {
+			snap, ok := snaps[f.group]
+			if !ok {
+				snap = f.group.collect()
+				snaps[f.group] = snap
+			}
+			if f.index < len(snap) {
+				samples = snap[f.index]
+			}
+		}
 		if f.help != "" {
 			fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -124,5 +125,51 @@ func TestCountersEdgeCases(t *testing.T) {
 	neg := Counters{StoredPeak: -5}
 	if got := neg.EstimateRAMBytes(24); got != 0 {
 		t.Fatalf("negative-peak estimate = %d, want 0", got)
+	}
+}
+
+// TestRegistryGroup: a group's families interleave with the others by name,
+// yet their shared collector runs once per scrape; a group registers all or
+// none of its names.
+func TestRegistryGroup(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.MustRegister("b_single", "", KindGauge, func() []Sample { return []Sample{{Value: 7}} })
+	r.MustRegisterGroup([]Family{
+		{Name: "c_group", Kind: KindCounter},
+		{Name: "a_group", Kind: KindGauge},
+		{Name: "d_group_short", Kind: KindGauge},
+	}, func() [][]Sample {
+		calls++
+		return [][]Sample{{{Value: float64(calls)}}, {{Value: float64(10 * calls)}}} // d_group_short: no samples
+	})
+	for scrape := 1; scrape <= 2; scrape++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if calls != scrape {
+			t.Fatalf("after %d scrapes the group collected %d times", scrape, calls)
+		}
+		want := fmt.Sprintf("# TYPE a_group gauge\na_group %d\n# TYPE b_single gauge\nb_single 7\n# TYPE c_group counter\nc_group %d\n# TYPE d_group_short gauge\n", 10*scrape, scrape)
+		if got := sb.String(); got != want {
+			t.Fatalf("scrape %d:\n%s\nwant:\n%s", scrape, got, want)
+		}
+	}
+
+	if err := r.RegisterGroup([]Family{{Name: "e_new"}, {Name: "b_single"}}, func() [][]Sample { return nil }); err == nil {
+		t.Fatal("group reusing a registered name accepted")
+	}
+	if err := r.RegisterGroup([]Family{{Name: "f_twice"}, {Name: "f_twice"}}, func() [][]Sample { return nil }); err == nil {
+		t.Fatal("group naming one family twice accepted")
+	}
+	if err := r.RegisterGroup([]Family{{Name: "0bad"}}, func() [][]Sample { return nil }); err == nil {
+		t.Fatal("group with an invalid name accepted")
+	}
+	if err := r.RegisterGroup([]Family{{Name: "g_ok"}}, nil); err == nil {
+		t.Fatal("group with a nil collector accepted")
+	}
+	if err := r.Register("e_new", "", KindGauge, func() []Sample { return nil }); err != nil {
+		t.Fatalf("a refused group left its name behind: %v", err)
 	}
 }

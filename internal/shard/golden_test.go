@@ -161,6 +161,40 @@ func TestRouterTimelineUnavailableGolden(t *testing.T) {
 	}
 }
 
+// TestRouterStatsUnavailableGolden pins the counters counterpart of the
+// timeline read: GET /v1/stats on a router that cannot reach every shard
+// within the resync window answers 503 shard_unavailable naming the lowest
+// failing shard — never 200 with the reachable shards' partial sum.
+func TestRouterStatsUnavailableGolden(t *testing.T) {
+	assign, err := Plan(testGraph(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(RouterOptions{
+		Peers:         []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		Assignment:    assign,
+		RetryInterval: time.Millisecond,
+		ResyncTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := httpapi.NewFromEngine(rt)
+	rec := httptest.NewRecorder()
+	api.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 (%s)", rec.Code, rec.Body)
+	}
+	compareGolden(t, "stats_shard_unavailable", rec.Body.Bytes())
+	var env httpapi.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("envelope does not parse: %v", err)
+	}
+	if env.Code != httpapi.CodeShardUnavailable {
+		t.Fatalf("code = %q, want %q", env.Code, httpapi.CodeShardUnavailable)
+	}
+}
+
 func compareGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", "golden", name+".json")

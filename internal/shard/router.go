@@ -26,7 +26,8 @@ type RouterOptions struct {
 	// Peers are the worker base URLs, indexed by shard
 	// ("http://host:port", no trailing slash).
 	Peers []string
-	// Assignment is the routing table, planned from the same engine config the
+	// Assignment is the routing table: the one the workers planned, adopted
+	// through AdoptAssignment, or one planned from the same engine config the
 	// workers were started with.
 	Assignment *Assignment
 	// Client is the HTTP client for all worker traffic; nil uses a client with
@@ -35,8 +36,8 @@ type RouterOptions struct {
 	// stream's handshake and every reply on it (0 leaves them unbounded).
 	Client *http.Client
 	// RetryInterval paces a forward's transient-failure retries and the
-	// polls that wait out a crashed worker (default 200ms). The boot barrier,
-	// AwaitPeers, polls at its own few-millisecond interval.
+	// polls that wait out a crashed worker (default 200ms). The boot barrier
+	// (AdoptAssignment, AwaitPeers) polls at its own few-millisecond interval.
 	RetryInterval time.Duration
 	// ResyncTimeout bounds how long a forward waits for a crashed worker to
 	// come back before giving up (default 60s).
@@ -144,8 +145,9 @@ type shardStats struct {
 	dials, resyncs uint64
 }
 
-// NewRouter validates the options and builds the router. Call AwaitPeers
-// before serving traffic.
+// NewRouter validates the options and builds the router. Build it over the
+// assignment AdoptAssignment returns, or call AwaitPeers before serving
+// traffic.
 func NewRouter(opts RouterOptions) (*Router, error) {
 	if opts.Assignment == nil {
 		return nil, fmt.Errorf("shard: RouterOptions.Assignment is required")
@@ -505,7 +507,7 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 	// 1. Poll the worker back to reachability and verify its identity.
 	var topo httpapi.TopologyResponse
 	for {
-		if err := rt.getJSON(context.Background(), rt.peers[shard]+"/v1/admin/topology", &topo); err == nil {
+		if err := getJSON(context.Background(), rt.client, rt.peers[shard]+"/v1/admin/topology", &topo); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -565,6 +567,35 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 	return nil
 }
 
+// fromEveryShard runs fetch once per shard, concurrently, retrying a failed
+// fetch every RetryInterval until deadline, and returns the lowest shard
+// whose fetch never succeeded (-1 when all did). A deadline already passed
+// makes it a single attempt per shard.
+func (rt *Router) fromEveryShard(deadline time.Time, fetch func(s int, peer string) error) int {
+	var mu sync.Mutex
+	failed := -1
+	var wg sync.WaitGroup
+	for s, peer := range rt.peers {
+		wg.Add(1)
+		go func(s int, peer string) {
+			defer wg.Done()
+			for fetch(s, peer) != nil {
+				if time.Now().After(deadline) {
+					mu.Lock()
+					if failed == -1 || s < failed {
+						failed = s
+					}
+					mu.Unlock()
+					return
+				}
+				time.Sleep(rt.retryIvl)
+			}
+		}(s, peer)
+	}
+	wg.Wait()
+	return failed
+}
+
 // TimelineErr fetches the user's timeline from every shard and merges by
 // ascending id. Each shard holds exactly the user's posts whose authors it
 // owns, so the merge is a disjoint union. A failed shard fetch is retried
@@ -580,43 +611,26 @@ func (rt *Router) TimelineErr(user int32) ([]*core.Post, error) {
 			Text       string `json:"text"`
 		} `json:"posts"`
 	}
-	deadline := time.Now().Add(rt.resyncTO)
-	var mu sync.Mutex
-	var all []*core.Post
-	errShard := -1
-	var wg sync.WaitGroup
-	for s, peer := range rt.peers {
-		wg.Add(1)
-		go func(s int, peer string) {
-			defer wg.Done()
-			var resp tlResp
-			for {
-				if err := rt.getJSON(context.Background(), fmt.Sprintf("%s/v1/timeline?user=%d&n=%d", peer, user, 1<<30), &resp); err == nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					mu.Lock()
-					if errShard == -1 || s < errShard {
-						errShard = s
-					}
-					mu.Unlock()
-					return
-				}
-				time.Sleep(rt.retryIvl)
-			}
-			mu.Lock()
-			for _, p := range resp.Posts {
-				// No fingerprint: the read path serves id, author, time and
-				// text only.
-				all = append(all, &core.Post{ID: p.ID, Author: p.Author, Time: p.TimeMillis, Text: p.Text})
-			}
-			mu.Unlock()
-		}(s, peer)
-	}
-	wg.Wait()
-	if errShard != -1 {
+	resps := make([]tlResp, len(rt.peers))
+	failed := rt.fromEveryShard(time.Now().Add(rt.resyncTO), func(s int, peer string) error {
+		var resp tlResp
+		if err := getJSON(context.Background(), rt.client, fmt.Sprintf("%s/v1/timeline?user=%d&n=%d", peer, user, 1<<30), &resp); err != nil {
+			return err
+		}
+		resps[s] = resp
+		return nil
+	})
+	if failed != -1 {
 		return nil, fmt.Errorf("shard %d (%s) answered no timeline within %v; the merged timeline would be missing its posts",
-			errShard, rt.peers[errShard], rt.resyncTO)
+			failed, rt.peers[failed], rt.resyncTO)
+	}
+	var all []*core.Post
+	for _, resp := range resps {
+		for _, p := range resp.Posts {
+			// No fingerprint: the read path serves id, author, time and text
+			// only.
+			all = append(all, &core.Post{ID: p.ID, Author: p.Author, Time: p.TimeMillis, Text: p.Text})
+		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	return all, nil
@@ -633,19 +647,26 @@ func (rt *Router) Timeline(user int32) []*core.Post {
 	return tl
 }
 
-// Counters implements httpapi.Engine: the sum of the workers' counters.
+// counters sums the workers' GET /v1/stats answers, fetched as
+// fromEveryShard does until deadline, and returns the lowest shard it could
+// not read (-1 when it read all); an unread shard adds nothing to the sum.
 // Comparisons, insertions, evictions and the accept/reject tallies are exact
 // (each decision happens on exactly one shard). StoredPeak is an upper bound,
 // not the single-node metric: it sums per-shard peaks that were reached at
 // independent moments, so it can exceed the deployment-wide peak a single
 // node would have recorded.
-func (rt *Router) Counters() metrics.Counters {
-	var sum metrics.Counters
-	for _, peer := range rt.peers {
+func (rt *Router) counters(deadline time.Time) (metrics.Counters, int) {
+	stats := make([]httpapi.StatsResponse, len(rt.peers))
+	failed := rt.fromEveryShard(deadline, func(s int, peer string) error {
 		var resp httpapi.StatsResponse
-		if err := rt.getJSON(context.Background(), peer+"/v1/stats", &resp); err != nil {
-			continue
+		if err := getJSON(context.Background(), rt.client, peer+"/v1/stats", &resp); err != nil {
+			return err
 		}
+		stats[s] = resp
+		return nil
+	})
+	var sum metrics.Counters
+	for _, resp := range stats {
 		sum.Comparisons += resp.Comparisons
 		sum.Insertions += resp.Insertions
 		sum.Evictions += resp.Evictions
@@ -653,6 +674,28 @@ func (rt *Router) Counters() metrics.Counters {
 		sum.Rejected += resp.Rejected
 		sum.StoredPeak += resp.PeakCopies
 	}
+	return sum, failed
+}
+
+// CountersErr is the failure-aware counters read, the counterpart of
+// TimelineErr: a shard whose stats stay unreadable past the resync window is
+// an error, never a silently partial sum. GET /v1/stats prefers it and serves
+// the error as 503 shard_unavailable.
+func (rt *Router) CountersErr() (metrics.Counters, error) {
+	sum, failed := rt.counters(time.Now().Add(rt.resyncTO))
+	if failed != -1 {
+		return metrics.Counters{}, fmt.Errorf("shard %d (%s) answered no stats within %v; the summed counters would be missing its decisions",
+			failed, rt.peers[failed], rt.resyncTO)
+	}
+	return sum, nil
+}
+
+// Counters implements httpapi.Engine with one attempt per shard: the
+// /v1/metrics scrape reads it, and a scrape must not wait out the resync
+// window. A shard that does not answer adds nothing; GET /v1/stats reads
+// CountersErr instead.
+func (rt *Router) Counters() metrics.Counters {
+	sum, _ := rt.counters(time.Time{})
 	return sum
 }
 
@@ -838,27 +881,24 @@ func (rt *Router) InitialCoordination() error {
 	return nil
 }
 
-// peerPollInterval paces AwaitPeers' probes. Workers boot alongside the
+// peerPollInterval paces the boot barrier's probes. Workers boot alongside the
 // router, so the barrier mostly waits out their last milliseconds of setup;
 // every millisecond it sleeps past a worker's readiness adds to the fleet's
 // boot, and a refused probe costs next to nothing.
 const peerPollInterval = 5 * time.Millisecond
 
-// AwaitPeers blocks until every worker answers its topology endpoint with the
-// matching digest, shard index and shard count, or ctx expires — the boot
-// barrier a router runs before restoring or serving. Each probe is bound to
-// ctx, so a worker that accepts and never answers cannot outlast it.
-func (rt *Router) AwaitPeers(ctx context.Context) error {
-	want := fmt.Sprintf("%016x", rt.assign.Digest())
-	for s, peer := range rt.peers {
+// awaitTopologies is the boot barrier's poll: for each peer in shard order it
+// probes GET /v1/admin/topology every peerPollInterval until the peer
+// answers, and hands the answer to check, whose error ends the barrier. Each
+// probe is bound to ctx, so a worker that accepts and never answers cannot
+// outlast it.
+func awaitTopologies(ctx context.Context, client *http.Client, peers []string, check func(s int, topo httpapi.TopologyResponse) error) error {
+	for s, peer := range peers {
 		for {
 			var topo httpapi.TopologyResponse
-			err := rt.getJSON(ctx, peer+"/v1/admin/topology", &topo)
-			if err == nil {
-				if topo.Digest != want || topo.Shard != s || topo.Shards != len(rt.peers) {
-					return fmt.Errorf(
-						"shard: %s: peer %s reports shard %d/%d with assignment digest %s, this router planned shard %d/%d with digest %s; all processes must share the graph, thresholds and shard count",
-						httpapi.CodeShardMismatch, peer, topo.Shard, topo.Shards, topo.Digest, s, len(rt.peers), want)
+			if err := getJSON(ctx, client, peer+"/v1/admin/topology", &topo); err == nil {
+				if err := check(s, topo); err != nil {
+					return err
 				}
 				break
 			}
@@ -870,6 +910,105 @@ func (rt *Router) AwaitPeers(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// AwaitPeers blocks until every worker answers its topology endpoint with the
+// router's assignment digest, its shard index and the shard count, or ctx
+// expires — the boot barrier for a router built over an assignment it
+// planned itself. A router that adopts its workers' assignment runs
+// AdoptAssignment instead.
+func (rt *Router) AwaitPeers(ctx context.Context) error {
+	want := fmt.Sprintf("%016x", rt.assign.Digest())
+	return awaitTopologies(ctx, rt.client, rt.peers, func(s int, topo httpapi.TopologyResponse) error {
+		if topo.Digest != want || topo.Shard != s || topo.Shards != len(rt.peers) {
+			return fmt.Errorf(
+				"shard: %s: peer %s reports shard %d/%d with assignment digest %s, this router planned shard %d/%d with digest %s; all processes must share the graph, λa and shard count",
+				httpapi.CodeShardMismatch, rt.peers[s], topo.Shard, topo.Shards, topo.Digest, s, len(rt.peers), want)
+		}
+		return nil
+	})
+}
+
+// AdoptAssignment is a router's boot barrier: it waits, as AwaitPeers does,
+// until every peer answers its topology endpoint, then returns the routing
+// table the workers planned, so the router never builds the author graph. It
+// refuses with shard_mismatch unless every peer reports inputs (the engine
+// inputs fingerprint the router computed from its own config), its own shard
+// index, len(peers) shards and one shared digest, and unless the table
+// fetched from shard 0's GET /v1/shard/assignment rebuilds (FromTable) to
+// len(peers) shards and that digest. A nil client uses one with a 30s
+// timeout; ctx bounds every request.
+func AdoptAssignment(ctx context.Context, client *http.Client, peers []string, inputs string) (*Assignment, error) {
+	if len(peers) == 0 {
+		return nil, fmt.Errorf("shard: no peers to adopt an assignment from")
+	}
+	if client == nil {
+		client = &http.Client{Timeout: 30 * time.Second}
+	}
+	var digest string
+	err := awaitTopologies(ctx, client, peers, func(s int, topo httpapi.TopologyResponse) error {
+		switch {
+		case topo.Inputs == "":
+			return fmt.Errorf("shard: %s: peer %s reports no engine inputs fingerprint; the router and its workers must run the same firehosed build",
+				httpapi.CodeShardMismatch, peers[s])
+		case topo.Inputs != inputs:
+			return fmt.Errorf("shard: %s: peer %s was started over engine inputs %.16s…, this router over %.16s…; every process must share the graph (followees_path, or seed and authors), lambda_a, algorithm, lambda_c, lambda_t_millis and index",
+				httpapi.CodeShardMismatch, peers[s], topo.Inputs, inputs)
+		case topo.Shard != s || topo.Shards != len(peers):
+			return fmt.Errorf("shard: %s: peer %s reports shard %d/%d, this router lists it as shard %d/%d",
+				httpapi.CodeShardMismatch, peers[s], topo.Shard, topo.Shards, s, len(peers))
+		case s > 0 && topo.Digest != digest:
+			return fmt.Errorf("shard: %s: peer %s reports assignment digest %s, shard 0 (%s) reports %s; the workers planned different routing tables",
+				httpapi.CodeShardMismatch, peers[s], topo.Digest, peers[0], digest)
+		}
+		digest = topo.Digest
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	table, err := fetchTable(ctx, client, peers[0])
+	if err != nil {
+		return nil, err
+	}
+	a, err := FromTable(table)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s: peer %s served an invalid assignment table: %w", httpapi.CodeShardMismatch, peers[0], err)
+	}
+	if a.NumShards() != len(peers) {
+		return nil, fmt.Errorf("shard: %s: peer %s served an assignment table for %d shards, this router has %d peers",
+			httpapi.CodeShardMismatch, peers[0], a.NumShards(), len(peers))
+	}
+	if got := fmt.Sprintf("%016x", a.Digest()); got != digest {
+		return nil, fmt.Errorf("shard: %s: the assignment table from peer %s rebuilds to digest %s, the workers report %s",
+			httpapi.CodeShardMismatch, peers[0], got, digest)
+	}
+	return a, nil
+}
+
+// fetchTable reads a worker's GET /v1/shard/assignment, retrying a failed
+// request until ctx expires. A 404 or 405 is refused at once: that worker
+// predates the endpoint, and waiting would not change its build.
+func fetchTable(ctx context.Context, client *http.Client, peer string) (AssignmentTable, error) {
+	for {
+		resp, err := get(ctx, client, peer+assignmentPath)
+		if err == nil {
+			table, err := decodeTable(resp.Body)
+			_ = resp.Body.Close()
+			return table, err
+		}
+		var se *statusError
+		if errors.As(err, &se) && (se.status == http.StatusNotFound || se.status == http.StatusMethodNotAllowed) {
+			return AssignmentTable{}, fmt.Errorf(
+				"shard: peer %s does not serve its assignment table: GET %s answered %d; the router and its workers must run the same firehosed build",
+				peer, assignmentPath, se.status)
+		}
+		select {
+		case <-ctx.Done():
+			return AssignmentTable{}, fmt.Errorf("shard: fetching the assignment table from %s: %v: %w", peer, err, ctx.Err())
+		case <-time.After(peerPollInterval):
+		}
+	}
 }
 
 // Topology is the router's GET /v1/admin/topology answer; install it with
@@ -994,19 +1133,38 @@ func classifyRefusal(shard, status int, raw []byte) (fwdClass, error) {
 	}
 }
 
-// getJSON fetches one JSON document from a worker; ctx bounds the request.
-func (rt *Router) getJSON(ctx context.Context, url string, out any) error {
+// statusError is a worker's non-200 answer to a GET.
+type statusError struct {
+	url    string
+	status int
+}
+
+func (e *statusError) Error() string { return fmt.Sprintf("GET %s: %d", e.url, e.status) }
+
+// get issues one GET bound to ctx; any status but 200 is a *statusError. The
+// caller closes the body.
+func get(ctx context.Context, client *http.Client, url string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		_ = resp.Body.Close()
+		return nil, &statusError{url: url, status: resp.StatusCode}
+	}
+	return resp, nil
+}
+
+// getJSON fetches one JSON document from a worker; ctx bounds the request.
+func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
+	resp, err := get(ctx, client, url)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %d", url, resp.StatusCode)
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -14,9 +14,12 @@
 //
 // The package provides three pieces:
 //
-//   - Plan: the deterministic component → shard assignment, computed
-//     identically by every process from the shared engine config and
-//     fingerprinted by its digest.
+//   - Plan and FromTable: the deterministic component → shard assignment,
+//     planned by every worker from the shared engine config, adopted and
+//     verified by the router (FromTable over a worker's
+//     GET /v1/shard/assignment table, checked against every worker's
+//     digest), and fingerprinted by its digest. A router builds no author
+//     graph: it decides no post.
 //   - Worker (NewWorker): wraps an httpapi.Server with the shard-local
 //     ingest/checkpoint/restore endpoints a router drives.
 //   - Router (NewRouter): an httpapi.Engine that fans ingest out to the
@@ -27,6 +30,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"firehose/internal/authorsim"
@@ -35,12 +39,17 @@ import (
 // Assignment is the author-partitioned routing table: every connected
 // component of the author-similarity graph is owned by exactly one shard,
 // and a post routes to the shard owning its author's component. Assignments
-// are deterministic — every process that computes one over the same graph
-// and shard count gets byte-identical routing and the same digest.
+// are deterministic — every worker that plans one over the same graph and
+// shard count gets byte-identical routing and the same digest, and a router
+// that adopts one through FromTable gets the same routing and digest again.
 type Assignment struct {
 	shards int
 	owner  []int32 // author → owning shard
-	digest uint64
+	// edges and lambdaA are the planned graph's shape, kept so Table can hand
+	// a router everything Digest covers.
+	edges   int
+	lambdaA float64
+	digest  uint64
 }
 
 // Plan computes the assignment of g's components onto shards. Components are
@@ -70,8 +79,10 @@ func Plan(g *authorsim.Graph, shards int) (*Assignment, error) {
 	})
 
 	a := &Assignment{
-		shards: shards,
-		owner:  make([]int32, n),
+		shards:  shards,
+		owner:   make([]int32, n),
+		edges:   g.NumEdges(),
+		lambdaA: g.LambdaA(),
 	}
 	load := make([]int, shards)
 	for _, ci := range order {
@@ -87,6 +98,58 @@ func Plan(g *authorsim.Graph, shards int) (*Assignment, error) {
 		}
 	}
 
+	a.digest = digestOf(a)
+	return a, nil
+}
+
+// FromTable rebuilds the assignment a worker planned from the table it
+// serves (Assignment.Table), recomputing the digest with Plan's own function.
+// A router adopts the workers' routing this way instead of planning over an
+// author graph it would otherwise build only for that; it must still check
+// the recomputed digest against the ones the workers report. The table comes
+// off the network, so every field is checked: a table FromTable accepts
+// routes every int32 author to a shard in [0, Shards).
+func FromTable(t AssignmentTable) (*Assignment, error) {
+	switch {
+	case t.Shards < 1:
+		return nil, fmt.Errorf("shard: assignment table has shard count %d, want at least 1", t.Shards)
+	case t.Authors != len(t.Owners):
+		return nil, fmt.Errorf("shard: assignment table names %d authors but carries %d owners", t.Authors, len(t.Owners))
+	case t.Edges < 0:
+		return nil, fmt.Errorf("shard: assignment table has edge count %d", t.Edges)
+	case math.IsNaN(t.LambdaA) || t.LambdaA < 0 || t.LambdaA > 1:
+		return nil, fmt.Errorf("shard: assignment table has λa %v outside [0, 1]", t.LambdaA)
+	}
+	for author, s := range t.Owners {
+		if s < 0 || int(s) >= t.Shards {
+			return nil, fmt.Errorf("shard: assignment table routes author %d to shard %d, outside [0,%d)", author, s, t.Shards)
+		}
+	}
+	a := &Assignment{
+		shards:  t.Shards,
+		owner:   append([]int32(nil), t.Owners...),
+		edges:   t.Edges,
+		lambdaA: t.LambdaA,
+	}
+	a.digest = digestOf(a)
+	return a, nil
+}
+
+// Table is the assignment as GET /v1/shard/assignment serves it. Its Owners
+// is the assignment's own vector, read-only.
+func (a *Assignment) Table() AssignmentTable {
+	return AssignmentTable{
+		Shards:  a.shards,
+		Authors: len(a.owner),
+		Edges:   a.edges,
+		LambdaA: a.lambdaA,
+		Owners:  a.owner,
+	}
+}
+
+// digestOf is the one digest function Plan and FromTable share: FNV-1a over
+// the shard count, the graph shape and the author → shard vector.
+func digestOf(a *Assignment) uint64 {
 	h := fnv.New64a()
 	w64 := func(v uint64) {
 		var b [8]byte
@@ -95,15 +158,14 @@ func Plan(g *authorsim.Graph, shards int) (*Assignment, error) {
 		}
 		_, _ = h.Write(b[:]) // hash.Hash.Write never fails
 	}
-	w64(uint64(shards))
-	w64(uint64(n))
-	w64(uint64(g.NumEdges()))
-	w64(uint64(int64(g.LambdaA() * 1e9)))
+	w64(uint64(a.shards))
+	w64(uint64(len(a.owner)))
+	w64(uint64(a.edges))
+	w64(uint64(int64(a.lambdaA * 1e9)))
 	for _, s := range a.owner {
 		w64(uint64(s))
 	}
-	a.digest = h.Sum64()
-	return a, nil
+	return h.Sum64()
 }
 
 // NumShards returns the shard count the assignment was planned for.
@@ -124,8 +186,9 @@ func (a *Assignment) ShardOf(author int32) int {
 
 // Digest fingerprints the assignment: FNV-1a over the shard count, the graph
 // shape (author count, edge count, λa) and the full author → shard vector.
-// Router and workers each compute it from their own config; a mismatch means
-// the processes were started over different graphs or shard counts, and
-// every cross-process message carries it so the disagreement is refused at
-// the first request, not discovered as silently divergent decisions.
+// Every worker computes it from its own plan and the router from the table it
+// adopted; a mismatch means the processes were started over different graphs
+// or shard counts, and every cross-process message carries it so the
+// disagreement is refused at the first request, not discovered as silently
+// divergent decisions.
 func (a *Assignment) Digest() uint64 { return a.digest }

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 )
@@ -13,6 +15,21 @@ import (
 //	POST /v1/shard/stream      Upgrade: firehose-shard/1 — the data plane
 //	POST /v1/shard/checkpoint  write the coordinated tagged checkpoint
 //	POST /v1/shard/restore     roll back to a coordination round
+//	GET  /v1/shard/assignment  the worker's routing table (read-only)
+//
+// # The boot barrier
+//
+// The routing table is planned by every worker, adopted and verified by the
+// router. Before it restores or serves, a router polls every worker's
+// GET /v1/admin/topology until it answers, and requires each to report the
+// router's own inputs fingerprint (a SHA-256 over the graph source and the
+// thresholds, see httpapi.TopologyResponse.Inputs), its own shard index, the
+// router's shard count and one digest shared by all. It then fetches shard
+// 0's table once from GET /v1/shard/assignment, rebuilds it with FromTable
+// and requires the recomputed digest to be that shared digest. Any
+// disagreement is a shard_mismatch refusal that stops the router's boot; a
+// worker that answers the table request 404 or 405 runs another firehosed
+// build and is refused at once.
 //
 // # The stream
 //
@@ -61,6 +78,38 @@ const StreamProtocol = "firehose-shard/1"
 
 // streamPath is the worker endpoint the router upgrades.
 const streamPath = "/v1/shard/stream"
+
+// assignmentPath is the worker endpoint serving its routing table.
+const assignmentPath = "/v1/shard/assignment"
+
+// maxTableBytes bounds an assignment table read off the network: 16 MiB holds
+// the owner vector of well over a million authors.
+const maxTableBytes = 1 << 24
+
+// AssignmentTable is the GET /v1/shard/assignment body: every input of the
+// assignment digest, so FromTable rebuilds the byte-identical routing and
+// the same digest.
+type AssignmentTable struct {
+	// Shards is the shard count the table was planned for.
+	Shards int `json:"shards"`
+	// Authors is the size of the author universe; len(Owners) must equal it.
+	Authors int `json:"authors"`
+	// Edges is the edge count of the planned author graph G(λa).
+	Edges int `json:"edges"`
+	// LambdaA is the planned graph's author-similarity threshold λa.
+	LambdaA float64 `json:"lambdaA"`
+	// Owners maps each author id to its owning shard.
+	Owners []int32 `json:"owners"`
+}
+
+// decodeTable reads one assignment table of at most maxTableBytes.
+func decodeTable(r io.Reader) (AssignmentTable, error) {
+	var t AssignmentTable
+	if err := json.NewDecoder(io.LimitReader(r, maxTableBytes)).Decode(&t); err != nil {
+		return AssignmentTable{}, fmt.Errorf("shard: decoding assignment table: %w", err)
+	}
+	return t, nil
+}
 
 // formatTopology renders the TopologyHeader value for a request addressed to
 // the given shard.

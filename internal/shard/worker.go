@@ -27,9 +27,14 @@ type WorkerOptions struct {
 	Server *httpapi.Server
 	// Shard is this worker's shard index in [0, Assignment.NumShards()).
 	Shard int
-	// Assignment is the deterministic routing table; the worker recomputes it
-	// from the same config as the router and refuses requests that disagree.
+	// Assignment is the deterministic routing table, planned from the
+	// worker's config; the worker serves it to the router at the boot barrier
+	// and refuses requests whose digest disagrees.
 	Assignment *Assignment
+	// Inputs is the fingerprint of the engine inputs the worker was built
+	// from (graph source and thresholds), reported in the topology answer; a
+	// router refuses a worker whose fingerprint differs from its own.
+	Inputs string
 	// CheckpointDir, when non-empty, holds the worker's watermark-tagged
 	// checkpoints. Empty disables coordinated durability (the checkpoint and
 	// restore endpoints answer 503 checkpoints_disabled).
@@ -47,6 +52,7 @@ type Worker struct {
 	srv    *httpapi.Server
 	shard  int
 	assign *Assignment
+	inputs string
 	dir    string
 	retain int
 
@@ -84,6 +90,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		srv:    opts.Server,
 		shard:  opts.Shard,
 		assign: opts.Assignment,
+		inputs: opts.Inputs,
 		dir:    opts.CheckpointDir,
 		retain: opts.Retain,
 	}
@@ -95,6 +102,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	srv.Handle("POST "+streamPath, w.handleStream)
 	srv.Handle("POST /v1/shard/checkpoint", w.handleCheckpoint)
 	srv.Handle("POST /v1/shard/restore", w.handleRestore)
+	srv.Handle("GET "+assignmentPath, w.handleAssignment)
 	return w, nil
 }
 
@@ -122,9 +130,17 @@ func (w *Worker) topologyResponse() httpapi.TopologyResponse {
 		Shard:                w.shard,
 		Shards:               w.assign.NumShards(),
 		Digest:               fmt.Sprintf("%016x", w.assign.Digest()),
+		Inputs:               w.inputs,
 		Watermark:            w.srv.IDWatermark(),
 		CoordinatedWatermark: coordinated,
 	}
+}
+
+// handleAssignment serves the routing table the router adopts at its boot
+// barrier. It carries no topology header check: the router asks before it
+// knows the digest, and the table is what it verifies the digests against.
+func (w *Worker) handleAssignment(rw http.ResponseWriter, _ *http.Request) {
+	httpapi.WriteJSON(rw, w.assign.Table())
 }
 
 // checkTopology refuses a request whose Firehose-Topology header names a
