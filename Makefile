@@ -83,7 +83,7 @@ bench-pipeline:
 # listens — the author-similarity join and the followees-file read — on the
 # pipeline benchmark's 5,000-author graph, at one and two CPUs.
 bench-boot:
-	$(GO) test -run '^$$' -bench 'PairsAbove|ReadFollowees' -cpu 1,2 -count 5 ./internal/authorsim ./internal/corpusio
+	$(GO) test -run '^$$' -bench 'PairsAbove|ReadFollowees' -benchmem -cpu 1,2 -count 5 ./internal/authorsim ./internal/corpusio
 
 # bench-go runs every in-package go test benchmark.
 bench-go:

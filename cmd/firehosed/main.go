@@ -207,7 +207,9 @@ func engineInputs(ec *connector.EngineConfig, fingerprint bool) (core.Thresholds
 	if fingerprint {
 		inputs = inputsFingerprint(ec, sum)
 	}
-	return th, authorsim.BuildGraph(authorsim.NewVectors(fs), th.LambdaA), subs, inputs, nil
+	// subs was derived from fs in file order already, so the join may sort
+	// the decoded rows in place instead of beside a sorted copy.
+	return th, authorsim.BuildGraphInPlace(fs, th.LambdaA), subs, inputs, nil
 }
 
 // routerInputs is a router's part of engineInputs: the validated thresholds

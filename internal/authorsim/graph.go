@@ -34,6 +34,21 @@ func BuildGraph(v *Vectors, lambdaA float64) *Graph {
 	return NewGraph(v.NumAuthors(), v.PairsAbove(minSim), lambdaA)
 }
 
+// BuildGraphInPlace is BuildGraph(NewVectors(followees), lambdaA) without
+// the copy, for a caller that decoded the rows only to build the graph: it
+// takes ownership of followees, sorting and deduplicating every row in
+// place (followees[i] is replaced by its deduplicated prefix, and the
+// elements past it are zeroed), then runs the same join. The caller must
+// not read followees afterwards; the graph keeps no reference to it, so the
+// rows can be collected as soon as the caller drops them.
+func BuildGraphInPlace(followees [][]int32, lambdaA float64) *Graph {
+	for i, f := range followees {
+		slices.Sort(f)
+		followees[i] = slices.Compact(f)
+	}
+	return BuildGraph(&Vectors{followees: followees}, lambdaA)
+}
+
 // NewGraph builds a Graph over n authors from an explicit edge list. Pairs
 // are interpreted as undirected edges; duplicates and self-loops are
 // rejected. The lambdaA value is recorded for reporting only.

@@ -177,3 +177,88 @@ func TestPairsAboveAllocationIndependentOfIDRange(t *testing.T) {
 		t.Fatalf("got %v, model %v", pairs, want)
 	}
 }
+
+// sameGraph fails the test unless got and want have the same authors, λa
+// and neighbor lists.
+func sameGraph(t *testing.T, name string, got, want *authorsim.Graph) {
+	t.Helper()
+	if got.NumAuthors() != want.NumAuthors() || got.NumEdges() != want.NumEdges() || got.LambdaA() != want.LambdaA() {
+		t.Fatalf("%s: %d authors, %d edges, λa %v; want %d, %d, %v", name,
+			got.NumAuthors(), got.NumEdges(), got.LambdaA(), want.NumAuthors(), want.NumEdges(), want.LambdaA())
+	}
+	for a := int32(0); a < int32(want.NumAuthors()); a++ {
+		if !reflect.DeepEqual(got.Neighbors(a), want.Neighbors(a)) {
+			t.Fatalf("%s: author %d has neighbors %v, want %v", name, a, got.Neighbors(a), want.Neighbors(a))
+		}
+	}
+}
+
+// TestBuildGraphInPlaceMatchesBuildGraph: the in-place entry point builds
+// the graph BuildGraph builds over a copy, on the benchmark's boot graphs
+// and on rows that are unsorted, duplicated, negative, near ±2³¹, spread
+// over the whole int32 range (the rank-map keys) or sharing heavy keys
+// only.
+func TestBuildGraphInPlaceMatchesBuildGraph(t *testing.T) {
+	check := func(t *testing.T, name string, fs [][]int32, lambdaA float64) {
+		t.Helper()
+		want := authorsim.BuildGraph(authorsim.NewVectors(fs), lambdaA)
+		sameGraph(t, name, authorsim.BuildGraphInPlace(fs, lambdaA), want)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		check(t, fmt.Sprintf("boot seed %d", seed), bootGraph(seed), 0.7)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, base := range []int64{0, -5000, math.MinInt32, math.MaxInt32 - 200} {
+		for trial := 0; trial < 20; trial++ {
+			fs := make([][]int32, rng.Intn(200))
+			for a := range fs {
+				for k := rng.Intn(25); k > 0; k-- {
+					id := int32(base + int64(rng.Intn(150)))
+					if trial%4 == 0 && rng.Intn(3) == 0 {
+						id = int32(rng.Uint32()) // anywhere in int32: rank-map keys
+					}
+					fs[a] = append(fs[a], id)
+					if rng.Intn(5) == 0 { // duplicate followee
+						fs[a] = append(fs[a], id)
+					}
+				}
+			}
+			check(t, fmt.Sprintf("base %d trial %d", base, trial), fs, rng.Float64()*0.95)
+		}
+	}
+	ends := make([][]int32, 100)
+	for a := range ends {
+		ends[a] = []int32{math.MaxInt32, math.MinInt32 + int32(a%7), math.MaxInt32 - int32(a%5), math.MinInt32, math.MaxInt32}
+	}
+	check(t, "ids at both ends of int32", ends, 0.5)
+	for trial := 0; trial < 5; trial++ {
+		check(t, fmt.Sprintf("heavy-only trial %d", trial), heavyOnlyFollowees(rng), 0.5+rng.Float64()*0.2)
+		check(t, fmt.Sprintf("few-keys trial %d", trial), fewKeysFollowees(rng), rng.Float64()*0.95)
+	}
+}
+
+// TestPairsAboveAllocatesOneEntryArray guards the join's memory on the
+// benchmark's seed-1 graph (E = 624,602 followee entries, P = 78,093 pairs
+// at 0.3): PairsAbove may allocate followers (4E bytes), the result and its
+// per-chunk parts as append grows them (at most 5·16P bytes: one for the
+// concatenated result, four for the chunks), and arrays sized by the
+// authors or the keys (21,160 of them), which fit in that slack — 8.75 MB in
+// all. A second E-sized int32 array, like the renumbered key copy or the slot
+// table the join once kept, adds 2.5 MB and exceeds it.
+func TestPairsAboveAllocatesOneEntryArray(t *testing.T) {
+	v := authorsim.NewVectors(bootFollowees())
+	entries := 0
+	for a := int32(0); a < int32(v.NumAuthors()); a++ {
+		entries += len(v.Followees(a))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pairs := v.PairsAbove(0.3)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(4*entries + 5*16*len(pairs))
+	if got > bound {
+		t.Fatalf("PairsAbove allocated %d bytes over E = %d entries and P = %d pairs, want at most 4E + 5·16P = %d",
+			got, entries, len(pairs), bound)
+	}
+}

@@ -113,7 +113,20 @@ func (v *Vectors) PairsAbove(minSim float64) []SimPair {
 		}()
 	}
 	wg.Wait()
-	return slices.Concat(chunks...)
+	// One exact allocation (slices.Concat allocates twice under -race), and
+	// nil when no pair qualifies.
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
+	var out []SimPair
+	if total > 0 {
+		out = make([]SimPair, 0, total)
+	}
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // pairsChunk is the number of consecutive authors a PairsAbove worker
@@ -127,10 +140,12 @@ const heavyKeys = 64
 
 // followerIndex is the inverted index PairsAbove joins over, in CSR form.
 // Followee ids are replaced by dense keys, so its size is linear in the
-// number of followee entries whatever the id range.
+// number of followee entries whatever the id range. On a contiguous id
+// range it reads the Vectors' own rows as keys, so followers is its only
+// array of that size.
 type followerIndex struct {
-	keys      [][]int32 // author → the keys of its followees
-	pos       [][]int32 // author → the index in followers of its own entry under each of those keys
+	rows      [][]int32 // author → its followees' keys, each offset by base
+	base      int32     // a followee t has key t − base
 	off       []int32   // key k's followers are followers[off[k]:off[k+1]]
 	followers []int32   // ascending author ids within each key
 	bit       []int8    // key → its bit in masks, or -1 for a light (scanned) key
@@ -147,54 +162,52 @@ func (v *Vectors) followerIndex() *followerIndex {
 			lo, hi = min(lo, int64(f[0])), max(hi, int64(f[len(f)-1]))
 		}
 	}
-	// A followee's key is its offset from the smallest id when the ids span
-	// at most twice the entry count (a contiguous account universe, as the
-	// generator and real crawls produce), and its first-seen rank otherwise.
-	var rank map[int32]int32
-	nkeys := 0
-	if entries > 0 {
-		if span := hi - lo + 1; span <= 2*int64(entries) {
-			nkeys = int(span)
-		} else {
-			rank = make(map[int32]int32)
-		}
-	}
 	n := len(v.followees)
 	ix := &followerIndex{
-		keys:  make([][]int32, n),
-		pos:   make([][]int32, n),
+		rows:  v.followees,
 		masks: make([]uint64, n),
 		lens:  make([]int32, n),
 	}
-	flat := make([]int32, 0, entries)
 	for a, f := range v.followees {
-		start := len(flat)
-		for _, t := range f {
-			k := int32(int64(t) - lo)
-			if rank != nil {
-				var ok bool
-				if k, ok = rank[t]; !ok {
-					k = int32(len(rank))
-					rank[t] = k
-				}
-			}
-			flat = append(flat, k)
-		}
-		ix.keys[a] = flat[start:len(flat):len(flat)]
 		ix.lens[a] = int32(len(f))
 		if len(f) > 0 && (ix.smin == 0 || int32(len(f)) < ix.smin) {
 			ix.smin = int32(len(f))
 		}
 	}
-	if rank != nil {
+	// A followee's key is its offset from the smallest id when the ids span
+	// at most twice the entry count (a contiguous account universe, as the
+	// generator and real crawls produce): the rows are then the keys, read
+	// with base = lo, and the subtraction wraps to the true offset, which
+	// fits in an int32. Otherwise a key is the followee's first-seen rank,
+	// and the rows are renumbered into one copy.
+	nkeys := 0
+	if span := hi - lo + 1; entries > 0 && span <= 2*int64(entries) {
+		nkeys, ix.base = int(span), int32(lo)
+	} else if entries > 0 {
+		rank := make(map[int32]int32)
+		flat := make([]int32, 0, entries)
+		ix.rows = make([][]int32, n)
+		for a, f := range v.followees {
+			start := len(flat)
+			for _, t := range f {
+				k, ok := rank[t]
+				if !ok {
+					k = int32(len(rank))
+					rank[t] = k
+				}
+				flat = append(flat, k)
+			}
+			ix.rows[a] = flat[start:len(flat):len(flat)]
+		}
 		nkeys = len(rank)
 	}
 	// Counting sort of (key, author) by key; authors are visited in
-	// ascending order, so every follower list comes out sorted, and each
-	// entry's slot is recorded so the join starts right after its author.
+	// ascending order, so every follower list comes out sorted.
 	ix.off = make([]int32, nkeys+1)
-	for _, k := range flat {
-		ix.off[k+1]++
+	for _, row := range ix.rows {
+		for _, t := range row {
+			ix.off[t-ix.base+1]++
+		}
 	}
 	for k := 1; k < len(ix.off); k++ {
 		ix.off[k] += ix.off[k-1]
@@ -208,19 +221,15 @@ func (v *Vectors) followerIndex() *followerIndex {
 	}
 	fill := slices.Clone(ix.off[:nkeys])
 	ix.followers = make([]int32, entries)
-	posFlat := make([]int32, entries)
-	e := 0
-	for a, ks := range ix.keys {
-		for i, k := range ks {
+	for a, row := range ix.rows {
+		for _, t := range row {
+			k := t - ix.base
 			ix.followers[fill[k]] = int32(a)
-			posFlat[e+i] = fill[k]
 			fill[k]++
 			if ix.bit[k] >= 0 {
 				ix.masks[a] |= 1 << ix.bit[k]
 			}
 		}
-		ix.pos[a] = posFlat[e : e+len(ks) : e+len(ks)]
-		e += len(ks)
 	}
 	return ix
 }
@@ -278,11 +287,16 @@ func (j *pairsJoin) author(a int32) {
 	need := int32(sort.Search(int(ix.lens[a])+1, func(c int) bool { return float64(c)/d >= j.minSim }))
 	scanHeavy := int32(bits.OnesCount64(ix.masks[a])) >= need
 	counts, touched := j.counts, j.touched[:0]
-	for i, k := range ix.keys[a] {
+	for _, t := range ix.rows[a] {
+		k := t - ix.base
 		if ix.bit[k] >= 0 && !scanHeavy {
 			continue
 		}
-		for _, b := range ix.followers[ix.pos[a][i]+1 : ix.off[k+1]] {
+		// a is in k's ascending follower list; only the followers after it
+		// pair with a as (a, b > a).
+		fl := ix.followers[ix.off[k]:ix.off[k+1]]
+		i, _ := slices.BinarySearch(fl, a)
+		for _, b := range fl[i+1:] {
 			if counts[b] == 0 {
 				touched = append(touched, b)
 			}

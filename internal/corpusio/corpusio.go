@@ -29,7 +29,10 @@ const maxLineBytes = 1 << 20
 type header struct {
 	Kind    string `json:"kind"`
 	Version int    `json:"version"`
-	// Count is informational (readers do not preallocate from it blindly).
+	// Count is the number of records that follow. ReadPosts and
+	// ReadFollowees refuse a file whose record count differs from a
+	// positive Count (a file cut at a line boundary) and presize from it,
+	// capped by maxPresize; zero or absent means unknown.
 	Count int `json:"count"`
 	// NumAuthors and LambdaA apply to graph and cover files.
 	NumAuthors int     `json:"numAuthors,omitempty"`
@@ -80,6 +83,19 @@ func readHeader(sc *bufio.Scanner, wantKind string) (header, error) {
 	return h, nil
 }
 
+// maxPresize caps the records a reader allocates room for up front from a
+// header's count, so a corrupt count cannot demand unbounded memory.
+const maxPresize = 1 << 20
+
+// checkCount refuses n records read under a header that declares another
+// positive count.
+func checkCount(h header, n int) error {
+	if h.Count > 0 && n != h.Count {
+		return fmt.Errorf("corpusio: %s header declares %d records, read %d", h.Kind, h.Count, n)
+	}
+	return nil
+}
+
 func newScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
@@ -115,14 +131,15 @@ func WritePosts(w io.Writer, posts []*core.Post) error {
 }
 
 // ReadPosts loads a corpus, recomputing fingerprints and validating stream
-// order (non-decreasing timestamps).
+// order (non-decreasing timestamps) and, against a positive header count,
+// the number of posts.
 func ReadPosts(r io.Reader) ([]*core.Post, error) {
 	sc := newScanner(r)
 	h, err := readHeader(sc, kindPosts)
 	if err != nil {
 		return nil, err
 	}
-	posts := make([]*core.Post, 0, min(h.Count, 1<<20))
+	posts := make([]*core.Post, 0, min(max(h.Count, 0), maxPresize))
 	line := 1
 	for sc.Scan() {
 		line++
@@ -136,6 +153,9 @@ func ReadPosts(r io.Reader) ([]*core.Post, error) {
 		posts = append(posts, core.NewPost(rec.ID, rec.Author, rec.TimeMillis, rec.Text))
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkCount(h, len(posts)); err != nil {
 		return nil, err
 	}
 	return posts, nil
@@ -165,7 +185,8 @@ func WriteFollowees(w io.Writer, followees [][]int32) error {
 }
 
 // ReadFollowees loads followee vectors. Records must appear in author-id
-// order 0..n-1 with no gaps.
+// order 0..n-1 with no gaps, and there must be as many as a positive header
+// count declares.
 //
 // A line in the exact shape WriteFollowees writes is decoded by
 // decodeFolloweeLine; every other line — other key order, whitespace,
@@ -174,10 +195,14 @@ func WriteFollowees(w io.Writer, followees [][]int32) error {
 // cases. FuzzReadFollowees pins the result to a pure encoding/json reader.
 func ReadFollowees(r io.Reader) ([][]int32, error) {
 	sc := newScanner(r)
-	if _, err := readHeader(sc, kindFollowees); err != nil {
+	h, err := readHeader(sc, kindFollowees)
+	if err != nil {
 		return nil, err
 	}
 	var out [][]int32
+	if h.Count > 0 {
+		out = make([][]int32, 0, min(h.Count, maxPresize))
+	}
 	line := 1
 	for sc.Scan() {
 		line++
@@ -194,6 +219,9 @@ func ReadFollowees(r io.Reader) ([][]int32, error) {
 		out = append(out, rec.Followees)
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkCount(h, len(out)); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -109,6 +109,58 @@ func TestReadFolloweesOrderEnforced(t *testing.T) {
 	}
 }
 
+// TestReadersRefuseMiscountedFiles: a posts or followees file cut at a line
+// boundary, or with a record appended, no longer matches its header's count
+// and is refused with both numbers; a header without a count (or a
+// non-positive one) is read as before.
+func TestReadersRefuseMiscountedFiles(t *testing.T) {
+	var posts, followees bytes.Buffer
+	if err := WritePosts(&posts, samplePosts()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFollowees(&followees, [][]int32{{1, 2, 3}, {}, {0, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]struct {
+		file string
+		read func(string) (int, error)
+	}{
+		"posts": {posts.String(), func(in string) (int, error) {
+			ps, err := ReadPosts(strings.NewReader(in))
+			return len(ps), err
+		}},
+		"followees": {followees.String(), func(in string) (int, error) {
+			fs, err := ReadFollowees(strings.NewReader(in))
+			return len(fs), err
+		}},
+	}
+	for name, r := range readers {
+		lines := strings.SplitAfter(r.file, "\n")
+		header, records := lines[0], lines[1:len(lines)-1] // the file ends in a newline
+		if n, err := r.read(r.file); err != nil || n != 3 {
+			t.Fatalf("%s: intact file read %d records, %v", name, n, err)
+		}
+		for _, tc := range []struct{ what, in, want string }{
+			{"cut after two records", header + strings.Join(records[:2], ""), "declares 3 records, read 2"},
+			{"cut after the header", header, "declares 3 records, read 0"},
+			{"one record appended", r.file + records[2], "declares 3 records, read 4"},
+		} {
+			if name == "followees" && tc.what == "one record appended" {
+				tc.in = r.file + `{"author":3,"followees":[1]}` + "\n"
+			}
+			if _, err := r.read(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: err = %v, want it to say %q", name, tc.what, err, tc.want)
+			}
+		}
+		for _, count := range []string{``, `,"count":0`, `,"count":-5`} {
+			h := strings.Replace(header, `,"count":3`, count, 1)
+			if n, err := r.read(h + strings.Join(records[:2], "")); err != nil || n != 2 {
+				t.Errorf("%s under header %q: read %d records, %v; want 2 and no error", name, strings.TrimSpace(h), n, err)
+			}
+		}
+	}
+}
+
 // followeeLines seeds TestDecodeFolloweeLine and FuzzReadFollowees.
 // canonical says whether decodeFolloweeLine must decode the line itself
 // rather than leave it to encoding/json.

@@ -79,7 +79,8 @@ func FuzzReadGraph(f *testing.F) {
 // encoding/json: the reader the fast path must agree with.
 func readFolloweesStd(r io.Reader) ([][]int32, error) {
 	sc := newScanner(r)
-	if _, err := readHeader(sc, kindFollowees); err != nil {
+	h, err := readHeader(sc, kindFollowees)
+	if err != nil {
 		return nil, err
 	}
 	var out [][]int32
@@ -98,6 +99,9 @@ func readFolloweesStd(r io.Reader) ([][]int32, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if h.Count > 0 && len(out) != h.Count {
+		return nil, fmt.Errorf("corpusio: %s header declares %d records, read %d", h.Kind, h.Count, len(out))
 	}
 	return out, nil
 }

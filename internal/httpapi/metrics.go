@@ -3,6 +3,8 @@ package httpapi
 import (
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -74,6 +76,30 @@ func (s *Server) buildRegistry() *metrics.Registry {
 			defer s.mu.Unlock()
 			return []metrics.Sample{{Value: float64(s.ckptBytes)}}
 		})
+
+	// Process memory, read with runtime/metrics: one Read per scrape, no
+	// stop-the-world (runtime.ReadMemStats would stop it).
+	goMemory := []rtmetrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/memory/classes/total:bytes"},
+	}
+	r.MustRegisterGroup([]metrics.Family{
+		{Name: "firehose_go_heap_live_bytes", Kind: metrics.KindGauge,
+			Help: "Heap bytes the last garbage collection marked live."},
+		{Name: "firehose_go_heap_goal_bytes", Kind: metrics.KindGauge,
+			Help: "Heap size the garbage collector aims to end its current or next cycle at."},
+		{Name: "firehose_go_memory_total_bytes", Kind: metrics.KindGauge,
+			Help: "All memory the Go runtime has mapped read-write into the process (heap, stacks, runtime metadata), including heap memory released back to the OS."},
+	}, func() [][]metrics.Sample {
+		samples := slices.Clone(goMemory)
+		rtmetrics.Read(samples)
+		out := make([][]metrics.Sample, len(samples))
+		for i, sm := range samples {
+			out[i] = []metrics.Sample{{Value: float64(sm.Value.Uint64())}}
+		}
+		return out
+	})
 
 	if ts, ok := s.engine.(timelineSizer); ok {
 		r.MustRegister("firehose_timeline_posts",

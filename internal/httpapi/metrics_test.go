@@ -362,6 +362,25 @@ func TestTimelineGauges(t *testing.T) {
 	}
 }
 
+// TestGoMemoryGauges: every server exports the process's Go memory as
+// gauges that parse as byte counts in a plausible order (live ≤ goal,
+// live ≤ everything the runtime mapped).
+func TestGoMemoryGauges(t *testing.T) {
+	body, _ := scrape(t, newTestServer(t))
+	checkExpositionFormat(t, body)
+	live := metricValue(t, body, "firehose_go_heap_live_bytes")
+	goal := metricValue(t, body, "firehose_go_heap_goal_bytes")
+	total := metricValue(t, body, "firehose_go_memory_total_bytes")
+	for _, family := range []string{"firehose_go_heap_live_bytes", "firehose_go_heap_goal_bytes", "firehose_go_memory_total_bytes"} {
+		if !strings.Contains(body, "# TYPE "+family+" gauge\n") {
+			t.Fatalf("%s is not declared a gauge", family)
+		}
+	}
+	if goal <= 0 || total <= 0 || live > goal || live > total {
+		t.Fatalf("live %v, goal %v, total %v bytes: want 0 ≤ live ≤ goal, live ≤ total, goal and total > 0", live, goal, total)
+	}
+}
+
 func TestPProfDisabledByDefault(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/debug/pprof/")

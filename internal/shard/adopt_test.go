@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -136,16 +137,32 @@ func TestAdoptAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := make([]string, 2)
-	for s := range peers {
+	servers := make([]*httptest.Server, 2)
+	workers := make([]*Worker, 2)
+	dirs := []string{t.TempDir(), t.TempDir()}
+	// start runs shard s's worker over inputs at addr ("host:0" picks one).
+	start := func(s int, inputs, addr string) {
+		t.Helper()
 		srv := newEquivServer(t)
-		w, err := NewWorker(WorkerOptions{Server: srv, Shard: s, Assignment: planned, Inputs: inputs, CheckpointDir: t.TempDir()})
+		w, err := NewWorker(WorkerOptions{Server: srv, Shard: s, Assignment: planned, Inputs: inputs, CheckpointDir: dirs[s]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(srv)
+		ts.Listener.Close()
+		ts.Listener = ln
+		ts.Start()
 		t.Cleanup(ts.Close)
 		t.Cleanup(func() { _ = w.Close() })
+		servers[s], workers[s] = ts, w
 		peers[s] = ts.URL
+	}
+	for s := range peers {
+		start(s, inputs, "127.0.0.1:0")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -182,6 +199,22 @@ func TestAdoptAssignment(t *testing.T) {
 	if _, err := AdoptAssignment(ctx, nil, peers, "9c1d"); err == nil ||
 		!strings.Contains(err.Error(), httpapi.CodeShardMismatch) || !strings.Contains(err.Error(), peers[0]) {
 		t.Fatalf("AdoptAssignment over other inputs = %v, want a %s refusal naming %s", err, httpapi.CodeShardMismatch, peers[0])
+	}
+
+	// Worker 0 restarted mid-run over other inputs, at the same address and
+	// over the same checkpoint directory: the router's resync refuses it
+	// instead of replaying into an engine that would decide differently.
+	servers[0].Close()
+	_ = workers[0].Close()
+	start(0, "9c1d", strings.TrimPrefix(peers[0], "http://"))
+	i := 40
+	for author, _, _ := equivPost(i); adopted.ShardOf(author) != 0; author, _, _ = equivPost(i) {
+		i++
+	}
+	author, tm, text := equivPost(i)
+	if code, body := do(t, sharded, "POST", "/v1/ingest", ingestBody(author, tm, text), nil); code == http.StatusOK ||
+		!strings.Contains(body, httpapi.CodeShardMismatch) || !strings.Contains(body, "engine inputs") {
+		t.Fatalf("forward to a worker restarted over other inputs = %d %s, want a %s refusal", code, body, httpapi.CodeShardMismatch)
 	}
 }
 

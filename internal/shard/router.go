@@ -500,7 +500,8 @@ func (rt *Router) dial(shard int) (*streamConn, fwdClass, error) {
 }
 
 // resync brings one shard back to the router's view of its state: poll it
-// healthy, verify its topology digest, roll it back to the last coordinated
+// healthy, verify its topology digest (and, on an adopted assignment, its
+// engine inputs fingerprint), roll it back to the last coordinated
 // round, and replay the pending suffix. Safe to call on a healthy worker (it
 // detects the intact state and skips the rollback).
 func (rt *Router) resync(shard int, deadline time.Time) error {
@@ -519,6 +520,10 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 	if topo.Digest != want || topo.Shard != shard || topo.Shards != len(rt.peers) {
 		return fmt.Errorf("%s: peer %s reports shard %d/%d digest %s, want shard %d/%d digest %s",
 			httpapi.CodeShardMismatch, rt.peers[shard], topo.Shard, topo.Shards, topo.Digest, shard, len(rt.peers), want)
+	}
+	if in := rt.assign.inputs; in != "" && topo.Inputs != in {
+		return fmt.Errorf("%s: peer %s reports engine inputs %.16s…, want %.16s…; it was restarted over another configuration",
+			httpapi.CodeShardMismatch, rt.peers[shard], topo.Inputs, in)
 	}
 
 	// 2. Intact state (e.g. a queue_full rollback, a blip that lost only the
@@ -936,7 +941,9 @@ func (rt *Router) AwaitPeers(ctx context.Context) error {
 // inputs fingerprint the router computed from its own config), its own shard
 // index, len(peers) shards and one shared digest, and unless the table
 // fetched from shard 0's GET /v1/shard/assignment rebuilds (FromTable) to
-// len(peers) shards and that digest. A nil client uses one with a 30s
+// len(peers) shards and that digest. The returned assignment records
+// inputs, and a router built on it refuses, in its resync, a worker that
+// comes back reporting other inputs. A nil client uses one with a 30s
 // timeout; ctx bounds every request.
 func AdoptAssignment(ctx context.Context, client *http.Client, peers []string, inputs string) (*Assignment, error) {
 	if len(peers) == 0 {
@@ -983,6 +990,7 @@ func AdoptAssignment(ctx context.Context, client *http.Client, peers []string, i
 		return nil, fmt.Errorf("shard: %s: the assignment table from peer %s rebuilds to digest %s, the workers report %s",
 			httpapi.CodeShardMismatch, peers[0], got, digest)
 	}
+	a.inputs = inputs
 	return a, nil
 }
 

@@ -50,6 +50,10 @@ type Assignment struct {
 	edges   int
 	lambdaA float64
 	digest  uint64
+	// inputs is the engine inputs fingerprint AdoptAssignment verified every
+	// worker reports, so the router's resync can hold a restarted worker to
+	// it; empty for a planned assignment.
+	inputs string
 }
 
 // Plan computes the assignment of g's components onto shards. Components are
