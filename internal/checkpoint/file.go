@@ -44,7 +44,12 @@ type File struct {
 // A missing directory is an empty list, not an error, so boot-time restore
 // probes are unconditional. Files that do not match the canonical name
 // (including *.tmp leftovers from interrupted writes) are ignored.
-func List(dir string) ([]File, error) {
+func List(dir string) ([]File, error) { return list(dir, fileRe) }
+
+// list returns the files in dir whose names re matches, sorted by the
+// number re captures (File.Seq). It backs both name families: the
+// sequential set and the watermark-tagged shard checkpoints.
+func list(dir string, re *regexp.Regexp) ([]File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -54,7 +59,7 @@ func List(dir string) ([]File, error) {
 	}
 	var out []File
 	for _, ent := range entries {
-		m := fileRe.FindStringSubmatch(ent.Name())
+		m := re.FindStringSubmatch(ent.Name())
 		if m == nil || ent.IsDir() {
 			continue
 		}
@@ -158,11 +163,15 @@ func syncDir(dir string) error {
 
 // Prune deletes the oldest checkpoints beyond keep and returns the ones
 // removed. keep <= 0 keeps everything.
-func Prune(dir string, keep int) ([]File, error) {
+func Prune(dir string, keep int) ([]File, error) { return prune(dir, fileRe, keep) }
+
+// prune deletes the oldest files of list(dir, re) beyond keep and returns
+// the ones removed. keep <= 0 keeps everything.
+func prune(dir string, re *regexp.Regexp, keep int) ([]File, error) {
 	if keep <= 0 {
 		return nil, nil
 	}
-	files, err := List(dir)
+	files, err := list(dir, re)
 	if err != nil || len(files) <= keep {
 		return nil, err
 	}

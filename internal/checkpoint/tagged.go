@@ -3,11 +3,7 @@ package checkpoint
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"regexp"
-	"sort"
-	"strconv"
 )
 
 // Watermark-tagged checkpoints back the sharded deployment's coordinated
@@ -36,33 +32,7 @@ func WriteTagged(dir string, tag uint64, snapshot func(w io.Writer) error) (File
 
 // ListTagged returns the tagged checkpoints in dir sorted by ascending
 // watermark (File.Seq holds the tag). A missing directory is an empty list.
-func ListTagged(dir string) ([]File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("checkpoint: listing %s: %w", dir, err)
-	}
-	var out []File
-	for _, ent := range entries {
-		m := taggedRe.FindStringSubmatch(ent.Name())
-		if m == nil || ent.IsDir() {
-			continue
-		}
-		tag, err := strconv.ParseUint(m[1], 10, 64)
-		if err != nil {
-			continue // 20-digit overflow; not ours
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue // raced a concurrent prune
-		}
-		out = append(out, File{Seq: tag, Path: filepath.Join(dir, ent.Name()), Size: info.Size(), ModTime: info.ModTime()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
-}
+func ListTagged(dir string) ([]File, error) { return list(dir, taggedRe) }
 
 // LatestTaggedAtMost returns the newest tagged checkpoint whose watermark is
 // <= max; ok=false when none qualifies.
@@ -81,19 +51,4 @@ func LatestTaggedAtMost(dir string, max uint64) (f File, ok bool, err error) {
 
 // PruneTagged deletes the oldest tagged checkpoints beyond keep and returns
 // the ones removed. keep <= 0 keeps everything.
-func PruneTagged(dir string, keep int) ([]File, error) {
-	if keep <= 0 {
-		return nil, nil
-	}
-	files, err := ListTagged(dir)
-	if err != nil || len(files) <= keep {
-		return nil, err
-	}
-	victims := files[:len(files)-keep]
-	for _, f := range victims {
-		if err := os.Remove(f.Path); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("checkpoint: pruning %s: %w", f.Path, err)
-		}
-	}
-	return victims, nil
-}
+func PruneTagged(dir string, keep int) ([]File, error) { return prune(dir, taggedRe, keep) }

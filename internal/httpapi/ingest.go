@@ -48,40 +48,7 @@ func (e *DisorderError) Error() string {
 // transient backpressure and replays reproduce identical ids. The time
 // watermark rolls back with it, so the refused post can be retried.
 func (s *Server) IngestPost(author int32, timeMillis int64, text string) (uint64, []int32, error) {
-	s.ingestMu.RLock()
-	defer s.ingestMu.RUnlock()
-	if text == "" {
-		return 0, nil, ErrEmptyText
-	}
-
-	s.mu.Lock()
-	if last := s.lastT; timeMillis < last {
-		s.mu.Unlock()
-		return 0, nil, &DisorderError{Watermark: last}
-	}
-	prevT := s.lastT
-	s.lastT = timeMillis
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-
-	post := core.NewPost(id, author, timeMillis, text)
-	users, err := s.engine.Offer(post)
-	if err != nil {
-		s.mu.Lock()
-		if s.nextID == id {
-			s.nextID, s.lastT = id-1, prevT
-		}
-		s.mu.Unlock()
-		return 0, nil, err
-	}
-	if users == nil {
-		users = []int32{}
-	}
-	if len(users) > 0 {
-		s.deliver(TimelinePost{ID: post.ID, Author: post.Author, TimeMillis: post.Time, Text: post.Text}, users)
-	}
-	return id, users, nil
+	return s.ingestOne(0, author, timeMillis, text)
 }
 
 // StaleIDError rejects an assigned-id ingest whose id does not advance the
@@ -107,25 +74,38 @@ func (e *StaleIDError) Error() string {
 // watermarks back so a retried forward burns nothing. Time-order and
 // stale-id violations are deterministic rejections.
 func (s *Server) IngestAssigned(id uint64, author int32, timeMillis int64, text string) ([]int32, error) {
+	if id == 0 { // no post carries id 0, and ingestOne reads it as "allocate"
+		return nil, &StaleIDError{ID: id, Watermark: s.IDWatermark()}
+	}
+	_, users, err := s.ingestOne(id, author, timeMillis, text)
+	return users, err
+}
+
+// ingestOne is the single-post admission step behind IngestPost (id 0: take
+// the next id) and IngestAssigned (id: the caller's, which must advance the
+// id watermark): time check, id step, offer, rollback of a refused offer,
+// delivery — all under ingestMu shared.
+func (s *Server) ingestOne(id uint64, author int32, timeMillis int64, text string) (uint64, []int32, error) {
 	s.ingestMu.RLock()
 	defer s.ingestMu.RUnlock()
 	if text == "" {
-		return nil, ErrEmptyText
+		return 0, nil, ErrEmptyText
 	}
 
 	s.mu.Lock()
-	if id <= s.nextID {
-		w := s.nextID
-		s.mu.Unlock()
-		return nil, &StaleIDError{ID: id, Watermark: w}
-	}
-	if last := s.lastT; timeMillis < last {
-		s.mu.Unlock()
-		return nil, &DisorderError{Watermark: last}
-	}
 	prevID, prevT := s.nextID, s.lastT
-	s.nextID = id
-	s.lastT = timeMillis
+	switch {
+	case id == 0:
+		id = prevID + 1
+	case id <= prevID:
+		s.mu.Unlock()
+		return 0, nil, &StaleIDError{ID: id, Watermark: prevID}
+	}
+	if timeMillis < prevT {
+		s.mu.Unlock()
+		return 0, nil, &DisorderError{Watermark: prevT}
+	}
+	s.nextID, s.lastT = id, timeMillis
 	s.mu.Unlock()
 
 	post := core.NewPost(id, author, timeMillis, text)
@@ -136,7 +116,7 @@ func (s *Server) IngestAssigned(id uint64, author int32, timeMillis int64, text 
 			s.nextID, s.lastT = prevID, prevT
 		}
 		s.mu.Unlock()
-		return nil, err
+		return 0, nil, err
 	}
 	if users == nil {
 		users = []int32{}
@@ -144,7 +124,7 @@ func (s *Server) IngestAssigned(id uint64, author int32, timeMillis int64, text 
 	if len(users) > 0 {
 		s.deliver(TimelinePost{ID: post.ID, Author: post.Author, TimeMillis: post.Time, Text: post.Text}, users)
 	}
-	return users, nil
+	return id, users, nil
 }
 
 // deliver routes one delivered post through the delivery hook (the connector

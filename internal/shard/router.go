@@ -93,16 +93,19 @@ type Router struct {
 	pendingFull func()
 	// streams[s] is shard s's persistent stream, dialled on the first forward.
 	streams []shardStream
+	// ctx is the router's lifetime, and Close cancels it: every wait on a
+	// worker selects on it, and every open stream closes with it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	// mu guards: lastDone, ckptW, closed, pending, base, forwarded, pendingFullFired, live, stats
+	// mu guards: lastDone, ckptW, pending, base, forwarded, pendingFullFired, stats
 	mu   sync.Mutex
 	cond *sync.Cond
 	// lastDone is the largest post id whose forward has completed (the
 	// turnstile's gate); equal to the server's id watermark when quiescent.
 	lastDone uint64
 	// ckptW is the watermark of the newest coordinated checkpoint round.
-	ckptW  uint64
-	closed bool
+	ckptW uint64
 	// pending[s] holds the posts forwarded to shard s since the last
 	// coordination round, in id order — the crash-replay buffer.
 	pending [][]IngestRequest
@@ -116,9 +119,6 @@ type Router struct {
 	// pendingFullFired records that the buffers-full callback already ran for
 	// the current coordination round; coordinate() re-arms it.
 	pendingFullFired bool
-	// live[s] is shard s's open stream (nil when none), kept here as well as
-	// in streams[s] so Close can sever it under an exchange in flight.
-	live []*streamConn
 	// stats[s] feeds shard s's firehose_shard_* series.
 	stats []shardStats
 }
@@ -186,9 +186,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		pending:    make([][]IngestRequest, len(opts.Peers)),
 		base:       make([]uint64, len(opts.Peers)),
 		forwarded:  make([]uint64, len(opts.Peers)),
-		live:       make([]*streamConn, len(opts.Peers)),
 		stats:      make([]shardStats, len(opts.Peers)),
 	}
+	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	rt.cond = sync.NewCond(&rt.mu)
 	return rt, nil
 }
@@ -205,17 +205,12 @@ func (rt *Router) Name() string {
 	return fmt.Sprintf("router(%d shards, digest %016x)", len(rt.peers), rt.assign.Digest())
 }
 
-// Close unblocks waiting turns and severs every shard stream, failing any
-// exchange in flight; subsequent Offers fail with stream.ErrClosed.
+// Close ends the router's lifetime: it unblocks waiting turns, ends every
+// wait on a worker and closes every shard stream, failing any exchange in
+// flight; subsequent Offers fail with stream.ErrClosed.
 func (rt *Router) Close() {
+	rt.cancel()
 	rt.mu.Lock()
-	rt.closed = true
-	for s, sc := range rt.live {
-		if sc != nil {
-			sc.close()
-			rt.live[s] = nil
-		}
-	}
 	rt.cond.Broadcast()
 	rt.mu.Unlock()
 }
@@ -228,10 +223,10 @@ func (rt *Router) Close() {
 func (rt *Router) acquireTurn(id uint64) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for !rt.closed && id > rt.lastDone+1 {
+	for rt.ctx.Err() == nil && id > rt.lastDone+1 {
 		rt.cond.Wait()
 	}
-	if rt.closed {
+	if rt.ctx.Err() != nil {
 		return stream.ErrClosed
 	}
 	return nil
@@ -281,8 +276,8 @@ func (rt *Router) OfferBatch(posts []*core.Post) ([][]int32, error) {
 
 	// Partition into per-shard sub-batches, remembering each post's batch
 	// position so the per-shard results reassemble in order.
-	sub := make(map[int][]IngestRequest)
-	subIdx := make(map[int][]int)
+	sub := make([][]IngestRequest, len(rt.peers))
+	subIdx := make([][]int, len(rt.peers))
 	for i, p := range posts {
 		s := rt.assign.ShardOf(p.Author)
 		prev := rt.expected(s)
@@ -294,41 +289,27 @@ func (rt *Router) OfferBatch(posts []*core.Post) ([][]int32, error) {
 	}
 
 	results := make([][]int32, len(posts))
-	var wg sync.WaitGroup
-	errs := make(map[int]error)
-	var errMu sync.Mutex
-	for s, reqs := range sub {
-		wg.Add(1)
-		go func(s int, reqs []IngestRequest) {
-			defer wg.Done()
-			users := make([][]int32, len(reqs))
-			if err := rt.forward(s, reqs, users); err != nil {
-				errMu.Lock()
-				errs[s] = err
-				errMu.Unlock()
-				return
-			}
-			for i, u := range users {
-				results[subIdx[s][i]] = u
-			}
-		}(s, reqs)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		// Deterministic pick: lowest failing shard. The engine contract treats
-		// a batch as one unit: the HTTP layer rolls the ids back, and nothing
-		// lands in pending. A shard that did ingest its sub-batch now holds
-		// state the router never recorded — its next forward fails the Prev
-		// check (shard_desync) and resyncs, and coordinate() verifies and
-		// resyncs every shard before a checkpoint, so the phantom sub-batch is
-		// rolled back and replayed before anything is made durable.
-		var worst int = -1
-		for s := range errs {
-			if worst == -1 || s < worst {
-				worst = s
-			}
+	if failed, err := rt.eachShard(func(s int) error {
+		if len(sub[s]) == 0 {
+			return nil
 		}
-		return nil, fmt.Errorf("shard %d: %w", worst, errs[worst])
+		users := make([][]int32, len(sub[s]))
+		if err := rt.forward(s, sub[s], users); err != nil {
+			return err
+		}
+		for i, u := range users {
+			results[subIdx[s][i]] = u
+		}
+		return nil
+	}); err != nil {
+		// The engine contract treats a batch as one unit: the HTTP layer
+		// rolls the ids back, and nothing lands in pending. A shard that did
+		// ingest its sub-batch now holds state the router never recorded —
+		// its next forward fails the Prev check (shard_desync) and resyncs,
+		// and coordinate() verifies and resyncs every shard before a
+		// checkpoint, so the phantom sub-batch is rolled back and replayed
+		// before anything is made durable.
+		return nil, fmt.Errorf("shard %d: %w", failed, err)
 	}
 	for s, reqs := range sub {
 		for _, r := range reqs {
@@ -382,10 +363,39 @@ type fwdClass int
 
 const (
 	fwdOK       fwdClass = iota
-	fwdRetry             // transient with intact worker state (queue_full): plain retry
-	fwdResync            // ambiguous or crashed: recover the worker, then retry
+	fwdRetry             // transient with intact worker state (queue_full, a failed control request): retry after a pause
+	fwdResync            // ambiguous or crashed: recover the worker, then retry at once
 	fwdTerminal          // deterministic refusal: give up
 )
+
+// retry is the router's one way to wait on a worker. It runs attempt until
+// attempt answers fwdOK (retry returns nil) or fwdTerminal (its error), until
+// the window closes at deadline, or until ctx is done. A deadline already
+// past allows exactly one attempt; the zero deadline leaves the end to ctx.
+// After fwdRetry it waits every before the next attempt; after fwdResync it
+// goes again at once, because that attempt recovers the worker first. over
+// reports that the window or ctx, not an answer, ended the wait; err is
+// then the last attempt's.
+func retry(ctx context.Context, deadline time.Time, every time.Duration, attempt func() (fwdClass, error)) (over bool, err error) {
+	for {
+		class, err := attempt()
+		switch {
+		case class == fwdOK:
+			return false, nil
+		case class == fwdTerminal:
+			return false, err
+		case ctx.Err() != nil, !deadline.IsZero() && !time.Now().Before(deadline):
+			return true, err
+		case class == fwdResync:
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			return true, err
+		case <-time.After(every):
+		}
+	}
+}
 
 // forward sends one post, or one sub-batch as a pipeline, to its shard with
 // bounded recovery; out receives the deliveries, one entry per request.
@@ -397,35 +407,36 @@ func (rt *Router) forward(shard int, reqs []IngestRequest, out [][]int32) error 
 		rt.mu.Unlock()
 	}()
 	deadline := start.Add(rt.resyncTO)
-	for {
+	var failed error // the failure the next attempt recovers from, if any
+	over, err := retry(rt.ctx, deadline, rt.retryIvl, func() (fwdClass, error) {
+		if failed != nil {
+			if err := rt.resync(shard, deadline); err != nil {
+				return fwdTerminal, fmt.Errorf("shard: forward to shard %d failed (%v) and recovery failed: %w", shard, failed, err)
+			}
+		}
 		_, class, err := rt.exchange(shard, reqs, out)
-		switch class {
-		case fwdOK:
-			return nil
-		case fwdTerminal:
-			return err
+		if class == fwdRetry && len(reqs) > 1 {
+			// A pipeline refused part-way: the Prev chain stopped the worker
+			// at the refused frame, so a prefix is ingested. Like an
+			// ambiguous failure, it recovers through the rollback path, and
+			// the clean retry starts from a consistent worker.
+			class = fwdResync
 		}
-		rt.mu.Lock()
-		closed := rt.closed
-		rt.mu.Unlock()
-		if closed {
-			return stream.ErrClosed // Close severed the stream; there is nothing to recover for
+		failed = nil
+		if class == fwdResync {
+			failed = err
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shard: giving up on shard %d after %v: %w", shard, rt.resyncTO, err)
-		}
-		if class == fwdRetry && len(reqs) == 1 {
-			time.Sleep(rt.retryIvl)
-			continue
-		}
-		// Ambiguous, or a pipeline refused part-way: the Prev chain stopped
-		// the worker at the refused frame, so a prefix is ingested. Both
-		// recover through the rollback path, and the clean retry starts from
-		// a consistent worker.
-		if rerr := rt.resync(shard, deadline); rerr != nil {
-			return fmt.Errorf("shard: forward to shard %d failed (%v) and recovery failed: %w", shard, err, rerr)
-		}
+		return class, err
+	})
+	switch {
+	case err == nil:
+		return nil
+	case rt.ctx.Err() != nil:
+		return stream.ErrClosed // Close ended the wait; there is nothing to recover for
+	case over:
+		return fmt.Errorf("shard: giving up on shard %d after %v: %w", shard, rt.resyncTO, err)
 	}
+	return err
 }
 
 // exchange runs reqs as one pipelined exchange on the shard's stream,
@@ -450,9 +461,6 @@ func (rt *Router) exchange(shard int, reqs []IngestRequest, out [][]int32) (int,
 	accepted, status, envelope, moved, err := st.sc.roundTrip(reqs, out)
 	rt.mu.Lock()
 	rt.stats[shard].bytes += uint64(moved)
-	if err != nil {
-		rt.live[shard] = nil
-	}
 	rt.mu.Unlock()
 	if err != nil {
 		st.sc.close()
@@ -462,11 +470,11 @@ func (rt *Router) exchange(shard int, reqs []IngestRequest, out [][]int32) (int,
 	if status == 0 {
 		return accepted, fwdOK, nil
 	}
-	class, err := classifyRefusal(shard, status, envelope)
+	class, err := classifyRefusal(status, envelope)
 	return accepted, class, err
 }
 
-// dial opens the shard's stream and registers it for Close.
+// dial opens the shard's stream and ties it to the router's lifetime.
 func (rt *Router) dial(shard int) (*streamConn, fwdClass, error) {
 	rt.mu.Lock()
 	rt.stats[shard].dials++
@@ -485,17 +493,11 @@ func (rt *Router) dial(shard int) (*streamConn, fwdClass, error) {
 			"shard %d (%s) does not speak %s: POST %s answered %d; the router and its workers must run the same firehosed build",
 			shard, rt.peers[shard], StreamProtocol, streamPath, status)
 	case sc == nil:
-		class, err := classifyRefusal(shard, status, body)
+		class, err := classifyRefusal(status, body)
 		return nil, class, err
 	}
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		sc.close()
-		return nil, fwdTerminal, stream.ErrClosed
-	}
-	rt.live[shard] = sc
-	rt.mu.Unlock()
+	// Close closes the stream, whether it has an exchange in flight or not.
+	sc.unbind = context.AfterFunc(rt.ctx, func() { _ = sc.rwc.Close() })
 	return sc, fwdOK, nil
 }
 
@@ -507,14 +509,10 @@ func (rt *Router) dial(shard int) (*streamConn, fwdClass, error) {
 func (rt *Router) resync(shard int, deadline time.Time) error {
 	// 1. Poll the worker back to reachability and verify its identity.
 	var topo httpapi.TopologyResponse
-	for {
-		if err := getJSON(context.Background(), rt.client, rt.peers[shard]+"/v1/admin/topology", &topo); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shard %d (%s) unreachable", shard, rt.peers[shard])
-		}
-		time.Sleep(rt.retryIvl)
+	if _, err := retry(rt.ctx, deadline, rt.retryIvl, func() (fwdClass, error) {
+		return rt.control(shard, "/v1/admin/topology", nil, &topo)
+	}); err != nil {
+		return fmt.Errorf("shard %d (%s) unreachable: %w", shard, rt.peers[shard], err)
 	}
 	want := fmt.Sprintf("%016x", rt.assign.Digest())
 	if topo.Digest != want || topo.Shard != shard || topo.Shards != len(rt.peers) {
@@ -539,8 +537,7 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 	rt.stats[shard].resyncs++
 	rt.mu.Unlock()
 	var res RestoreResponse
-	class, err := rt.postShard(shard, "/v1/shard/restore", RestoreRequest{Watermark: w}, &res)
-	if class != fwdOK {
+	if class, err := rt.control(shard, "/v1/shard/restore", RestoreRequest{Watermark: w}, &res); class != fwdOK {
 		return fmt.Errorf("rolling shard %d back to coordinated watermark %d: %w", shard, w, err)
 	}
 	if res.Restored && res.Watermark != w {
@@ -558,46 +555,54 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 		replay[i].Prev = prev // re-chain from the restored watermark
 		prev = replay[i].ID
 	}
-	for len(replay) > 0 {
+	if _, err := retry(rt.ctx, deadline, rt.retryIvl, func() (fwdClass, error) {
+		if len(replay) == 0 {
+			return fwdOK, nil
+		}
 		done, class, err := rt.exchange(shard, replay, nil)
-		if class == fwdOK {
-			break
-		}
-		if class == fwdTerminal || time.Now().After(deadline) {
-			return fmt.Errorf("replaying post %d to shard %d: %w", replay[done].ID, shard, err)
-		}
 		replay = replay[done:] // the chain still holds from the refused frame on
-		time.Sleep(rt.retryIvl)
+		if class == fwdResync {
+			class = fwdRetry // a broken stream is redialled by the next attempt
+		}
+		return class, err
+	}); err != nil {
+		return fmt.Errorf("replaying %d pending posts to shard %d: %w", len(replay), shard, err)
 	}
 	return nil
 }
 
-// fromEveryShard runs fetch once per shard, concurrently, retrying a failed
-// fetch every RetryInterval until deadline, and returns the lowest shard
-// whose fetch never succeeded (-1 when all did). A deadline already passed
-// makes it a single attempt per shard.
-func (rt *Router) fromEveryShard(deadline time.Time, fetch func(s int, peer string) error) int {
-	var mu sync.Mutex
-	failed := -1
+// eachShard runs fn for every shard concurrently and returns the lowest
+// shard whose fn failed, with its error (-1 and nil when none did), so every
+// fan-out reports the same shard however the goroutines interleave.
+func (rt *Router) eachShard(fn func(s int) error) (int, error) {
+	errs := make([]error, len(rt.peers))
 	var wg sync.WaitGroup
-	for s, peer := range rt.peers {
+	for s := range rt.peers {
 		wg.Add(1)
-		go func(s int, peer string) {
+		go func(s int) {
 			defer wg.Done()
-			for fetch(s, peer) != nil {
-				if time.Now().After(deadline) {
-					mu.Lock()
-					if failed == -1 || s < failed {
-						failed = s
-					}
-					mu.Unlock()
-					return
-				}
-				time.Sleep(rt.retryIvl)
-			}
-		}(s, peer)
+			errs[s] = fn(s)
+		}(s)
 	}
 	wg.Wait()
+	for s, err := range errs {
+		if err != nil {
+			return s, err
+		}
+	}
+	return -1, nil
+}
+
+// fromEveryShard GETs path from every shard concurrently, each answer into
+// out(s), retrying a failed request until deadline, and returns the lowest
+// shard it could not read (-1 when it read all).
+func (rt *Router) fromEveryShard(deadline time.Time, path string, out func(s int) any) int {
+	failed, _ := rt.eachShard(func(s int) error {
+		_, err := retry(rt.ctx, deadline, rt.retryIvl, func() (fwdClass, error) {
+			return rt.control(s, path, nil, out(s))
+		})
+		return err
+	})
 	return failed
 }
 
@@ -617,14 +622,8 @@ func (rt *Router) TimelineErr(user int32) ([]*core.Post, error) {
 		} `json:"posts"`
 	}
 	resps := make([]tlResp, len(rt.peers))
-	failed := rt.fromEveryShard(time.Now().Add(rt.resyncTO), func(s int, peer string) error {
-		var resp tlResp
-		if err := getJSON(context.Background(), rt.client, fmt.Sprintf("%s/v1/timeline?user=%d&n=%d", peer, user, 1<<30), &resp); err != nil {
-			return err
-		}
-		resps[s] = resp
-		return nil
-	})
+	failed := rt.fromEveryShard(time.Now().Add(rt.resyncTO), fmt.Sprintf("/v1/timeline?user=%d&n=%d", user, 1<<30),
+		func(s int) any { return &resps[s] })
 	if failed != -1 {
 		return nil, fmt.Errorf("shard %d (%s) answered no timeline within %v; the merged timeline would be missing its posts",
 			failed, rt.peers[failed], rt.resyncTO)
@@ -652,9 +651,9 @@ func (rt *Router) Timeline(user int32) []*core.Post {
 	return tl
 }
 
-// counters sums the workers' GET /v1/stats answers, fetched as
-// fromEveryShard does until deadline, and returns the lowest shard it could
-// not read (-1 when it read all); an unread shard adds nothing to the sum.
+// counters sums the workers' GET /v1/stats answers, fetched through
+// fromEveryShard until deadline, and returns the lowest shard it could not
+// read (-1 when it read all); an unread shard adds nothing to the sum.
 // Comparisons, insertions, evictions and the accept/reject tallies are exact
 // (each decision happens on exactly one shard). StoredPeak is an upper bound,
 // not the single-node metric: it sums per-shard peaks that were reached at
@@ -662,14 +661,7 @@ func (rt *Router) Timeline(user int32) []*core.Post {
 // node would have recorded.
 func (rt *Router) counters(deadline time.Time) (metrics.Counters, int) {
 	stats := make([]httpapi.StatsResponse, len(rt.peers))
-	failed := rt.fromEveryShard(deadline, func(s int, peer string) error {
-		var resp httpapi.StatsResponse
-		if err := getJSON(context.Background(), rt.client, peer+"/v1/stats", &resp); err != nil {
-			return err
-		}
-		stats[s] = resp
-		return nil
-	})
+	failed := rt.fromEveryShard(deadline, "/v1/stats", func(s int) any { return &stats[s] })
 	var sum metrics.Counters
 	for _, resp := range stats {
 		sum.Comparisons += resp.Comparisons
@@ -700,7 +692,7 @@ func (rt *Router) CountersErr() (metrics.Counters, error) {
 // window. A shard that does not answer adds nothing; GET /v1/stats reads
 // CountersErr instead.
 func (rt *Router) Counters() metrics.Counters {
-	sum, _ := rt.counters(time.Time{})
+	sum, _ := rt.counters(time.Now())
 	return sum
 }
 
@@ -756,20 +748,11 @@ func (rt *Router) coordinate() (uint64, []uint64, error) {
 	// another process, and the caller holds the exclusive ingest lock for as
 	// long as the slowest takes.
 	seqs := make([]uint64, len(rt.peers))
-	errs := make([]error, len(rt.peers))
-	var wg sync.WaitGroup
-	for s := range rt.peers {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			seqs[s], errs[s] = rt.coordinateShard(s, w, deadline)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs { // the lowest failing shard, deterministically
-		if err != nil {
-			return 0, nil, err
-		}
+	if _, err := rt.eachShard(func(s int) (err error) {
+		seqs[s], err = rt.coordinateShard(s, w, deadline)
+		return err
+	}); err != nil {
+		return 0, nil, err
 	}
 	rt.mu.Lock()
 	rt.ckptW = w
@@ -790,8 +773,7 @@ func (rt *Router) coordinateShard(s int, w uint64, deadline time.Time) (uint64, 
 		return 0, fmt.Errorf("shard: coordinated checkpoint at watermark %d: resyncing shard %d: %w", w, s, err)
 	}
 	var resp CheckpointResponse
-	class, err := rt.postShard(s, "/v1/shard/checkpoint", CheckpointRequest{Watermark: w}, &resp)
-	if class != fwdOK {
+	if class, err := rt.control(s, "/v1/shard/checkpoint", CheckpointRequest{Watermark: w}, &resp); class != fwdOK {
 		return 0, fmt.Errorf("shard: coordinated checkpoint at watermark %d: shard %d: %w", w, s, err)
 	}
 	// The caller holds the exclusive ingest lock and the shard was just
@@ -832,27 +814,19 @@ func (rt *Router) RestoreState(dec *checkpoint.Decoder) error {
 	}
 	deadline := time.Now().Add(rt.resyncTO)
 	for s := range rt.peers {
-		for {
-			var res RestoreResponse
-			class, err := rt.postShard(s, "/v1/shard/restore", RestoreRequest{Watermark: w}, &res)
-			if class == fwdOK {
-				if res.Restored && res.Watermark != w {
-					return fmt.Errorf("shard: %s: shard %d restored tag %d, want %d", httpapi.CodeShardMismatch, s, res.Watermark, w)
-				}
-				if res.ShardSeq != seqs[s] {
-					return fmt.Errorf(
-						"shard: %s: shard %d reports watermark %d inside coordinated round %d, the router checkpoint recorded %d; the worker's checkpoint directory does not match this router's",
-						httpapi.CodeShardMismatch, s, res.ShardSeq, w, seqs[s])
-				}
-				break
-			}
-			if class == fwdTerminal {
-				return fmt.Errorf("shard: restoring shard %d to coordinated watermark %d: %w", s, w, err)
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("shard: restoring shard %d to coordinated watermark %d: %w", s, w, err)
-			}
-			time.Sleep(rt.retryIvl)
+		var res RestoreResponse
+		if _, err := retry(rt.ctx, deadline, rt.retryIvl, func() (fwdClass, error) {
+			return rt.control(s, "/v1/shard/restore", RestoreRequest{Watermark: w}, &res)
+		}); err != nil {
+			return fmt.Errorf("shard: restoring shard %d to coordinated watermark %d: %w", s, w, err)
+		}
+		if res.Restored && res.Watermark != w {
+			return fmt.Errorf("shard: %s: shard %d restored tag %d, want %d", httpapi.CodeShardMismatch, s, res.Watermark, w)
+		}
+		if res.ShardSeq != seqs[s] {
+			return fmt.Errorf(
+				"shard: %s: shard %d reports watermark %d inside coordinated round %d, the router checkpoint recorded %d; the worker's checkpoint directory does not match this router's",
+				httpapi.CodeShardMismatch, s, res.ShardSeq, w, seqs[s])
 		}
 	}
 	rt.mu.Lock()
@@ -899,19 +873,21 @@ const peerPollInterval = 5 * time.Millisecond
 // outlast it.
 func awaitTopologies(ctx context.Context, client *http.Client, peers []string, check func(s int, topo httpapi.TopologyResponse) error) error {
 	for s, peer := range peers {
-		for {
+		over, err := retry(ctx, time.Time{}, peerPollInterval, func() (fwdClass, error) {
 			var topo httpapi.TopologyResponse
-			if err := getJSON(ctx, client, peer+"/v1/admin/topology", &topo); err == nil {
-				if err := check(s, topo); err != nil {
-					return err
-				}
-				break
+			if class, err := control(ctx, client, peer+"/v1/admin/topology", "", nil, &topo); class != fwdOK {
+				return class, err
 			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("shard: waiting for shard %d (%s): %w", s, peer, ctx.Err())
-			case <-time.After(peerPollInterval):
+			if err := check(s, topo); err != nil {
+				return fwdTerminal, err
 			}
+			return fwdOK, nil
+		})
+		switch {
+		case over:
+			return fmt.Errorf("shard: waiting for shard %d (%s): %w", s, peer, ctx.Err())
+		case err != nil:
+			return err
 		}
 	}
 	return nil
@@ -923,6 +899,9 @@ func awaitTopologies(ctx context.Context, client *http.Client, peers []string, c
 // planned itself. A router that adopts its workers' assignment runs
 // AdoptAssignment instead.
 func (rt *Router) AwaitPeers(ctx context.Context) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(rt.ctx, cancel)() // Close ends the barrier too
 	want := fmt.Sprintf("%016x", rt.assign.Digest())
 	return awaitTopologies(ctx, rt.client, rt.peers, func(s int, topo httpapi.TopologyResponse) error {
 		if topo.Digest != want || topo.Shard != s || topo.Shards != len(rt.peers) {
@@ -998,25 +977,17 @@ func AdoptAssignment(ctx context.Context, client *http.Client, peers []string, i
 // request until ctx expires. A 404 or 405 is refused at once: that worker
 // predates the endpoint, and waiting would not change its build.
 func fetchTable(ctx context.Context, client *http.Client, peer string) (AssignmentTable, error) {
-	for {
-		resp, err := get(ctx, client, peer+assignmentPath)
-		if err == nil {
-			table, err := decodeTable(resp.Body)
-			_ = resp.Body.Close()
-			return table, err
-		}
-		var se *statusError
-		if errors.As(err, &se) && (se.status == http.StatusNotFound || se.status == http.StatusMethodNotAllowed) {
-			return AssignmentTable{}, fmt.Errorf(
-				"shard: peer %s does not serve its assignment table: GET %s answered %d; the router and its workers must run the same firehosed build",
-				peer, assignmentPath, se.status)
-		}
-		select {
-		case <-ctx.Done():
-			return AssignmentTable{}, fmt.Errorf("shard: fetching the assignment table from %s: %v: %w", peer, err, ctx.Err())
-		case <-time.After(peerPollInterval):
-		}
+	var table AssignmentTable
+	over, err := retry(ctx, time.Time{}, peerPollInterval, func() (fwdClass, error) {
+		return control(ctx, client, peer+assignmentPath, "", nil, &table)
+	})
+	switch {
+	case over:
+		return table, fmt.Errorf("shard: fetching the assignment table from %s: %v: %w", peer, err, ctx.Err())
+	case err != nil:
+		return table, fmt.Errorf("shard: peer %s does not serve its assignment table: %w", peer, err)
 	}
+	return table, nil
 }
 
 // Topology is the router's GET /v1/admin/topology answer; install it with
@@ -1088,44 +1059,75 @@ func (e *envelopeError) Error() string {
 	return fmt.Sprintf("worker answered %d %s: %s", e.status, e.code, e.msg)
 }
 
-// postShard POSTs one control message (checkpoint, restore) to a shard and
-// classifies the outcome. out is decoded only on 200.
-func (rt *Router) postShard(shard int, path string, body, out any) (fwdClass, error) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return fwdTerminal, err
+// control is one control request from the router to a shard: bound to the
+// router's lifetime and carrying its view of the shard's topology.
+func (rt *Router) control(shard int, path string, body, out any) (fwdClass, error) {
+	return control(rt.ctx, rt.client, rt.peers[shard]+path, formatTopology(rt.assign.Digest(), shard, len(rt.peers)), body, out)
+}
+
+// control sends one control request to a worker — a GET when body is nil,
+// a JSON POST of body otherwise — with the TopologyHeader value topology
+// (omitted when empty), bound to ctx. Every answer is classified by one
+// rule: a 200 decodes into out; a 404 or 405 is terminal, as the stream
+// dial treats it (the worker runs another build, and no retry changes
+// that); an error envelope is classified by classifyRefusal; and a
+// transport failure or a bad body is retried. A control request has no
+// stream to recover, so whatever a forward would resync is retried too.
+func control(ctx context.Context, client *http.Client, url, topology string, body, out any) (fwdClass, error) {
+	method, payload := http.MethodGet, io.Reader(http.NoBody)
+	if body != nil {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			return fwdTerminal, err
+		}
+		method, payload = http.MethodPost, bytes.NewReader(buf)
 	}
-	req, err := http.NewRequest(http.MethodPost, rt.peers[shard]+path, bytes.NewReader(buf))
+	req, err := http.NewRequestWithContext(ctx, method, url, payload)
 	if err != nil {
 		return fwdTerminal, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(TopologyHeader, formatTopology(rt.assign.Digest(), shard, len(rt.peers)))
-	resp, err := rt.client.Do(req)
+	if topology != "" {
+		req.Header.Set(TopologyHeader, topology)
+	}
+	resp, err := client.Do(req)
 	if err != nil {
-		return fwdResync, err
+		return fwdRetry, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
+	switch resp.StatusCode {
+	case http.StatusOK:
+		if table, ok := out.(*AssignmentTable); ok {
+			*table, err = decodeTable(resp.Body) // the one answer read under a size bound
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(out)
+		}
+		if err != nil {
+			return fwdRetry, fmt.Errorf("decoding the answer to %s %s: %w", method, url, err)
+		}
+		return fwdOK, nil
+	case http.StatusNotFound, http.StatusMethodNotAllowed:
+		return fwdTerminal, fmt.Errorf("%s %s answered %d; the router and its workers must run the same firehosed build",
+			method, url, resp.StatusCode)
+	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return fwdResync, err
+		return fwdRetry, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return classifyRefusal(shard, resp.StatusCode, raw)
+	class, err := classifyRefusal(resp.StatusCode, raw)
+	if class != fwdTerminal {
+		class = fwdRetry
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fwdResync, fmt.Errorf("decoding shard %d response: %w", shard, err)
-	}
-	return fwdOK, nil
+	return class, err
 }
 
 // classifyRefusal turns a worker's refusal — an HTTP error answer or a
 // stream error reply, the envelope bytes are the same — into its retry class
 // and a Go error.
-func classifyRefusal(shard, status int, raw []byte) (fwdClass, error) {
+func classifyRefusal(status int, raw []byte) (fwdClass, error) {
 	var env httpapi.ErrorResponse
 	if err := json.Unmarshal(raw, &env); err != nil || env.Code == "" {
-		return fwdResync, fmt.Errorf("shard %d answered %d with no envelope", shard, status)
+		return fwdResync, fmt.Errorf("worker answered %d with no envelope", status)
 	}
 	ee := &envelopeError{status: status, code: env.Code, msg: env.Error}
 	switch env.Code {
@@ -1139,40 +1141,4 @@ func classifyRefusal(shard, status int, raw []byte) (fwdClass, error) {
 	default:
 		return fwdTerminal, ee
 	}
-}
-
-// statusError is a worker's non-200 answer to a GET.
-type statusError struct {
-	url    string
-	status int
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("GET %s: %d", e.url, e.status) }
-
-// get issues one GET bound to ctx; any status but 200 is a *statusError. The
-// caller closes the body.
-func get(ctx context.Context, client *http.Client, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		_ = resp.Body.Close()
-		return nil, &statusError{url: url, status: resp.StatusCode}
-	}
-	return resp, nil
-}
-
-// getJSON fetches one JSON document from a worker; ctx bounds the request.
-func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
-	resp, err := get(ctx, client, url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
 }

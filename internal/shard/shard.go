@@ -24,7 +24,10 @@
 //     ingest/checkpoint/restore endpoints a router drives.
 //   - Router (NewRouter): an httpapi.Engine that fans ingest out to the
 //     workers over one persistent framed stream per shard and merges
-//     deliveries back in global id order.
+//     deliveries back in global id order. Every control request goes
+//     through one helper that classifies the answer by one rule, and every
+//     wait on a worker through one retry helper bound to the router's
+//     lifetime, which Close ends.
 package shard
 
 import (

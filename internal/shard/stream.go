@@ -170,8 +170,8 @@ var errBound = errors.New("no reply within the per-forward bound")
 // streamConn is the router's end of one open shard stream. It has no lock of
 // its own: exchanges run one at a time under the owning shardStream's mutex.
 // close is the exception — it only touches the connection, the timer and the
-// context, all safe for concurrent use — so Router.Close can sever a stream
-// under an exchange in flight.
+// contexts, all safe for concurrent use — and so is the router's lifetime,
+// which closes rwc to end a stream under an exchange in flight.
 type streamConn struct {
 	rwc io.ReadWriteCloser
 	br  *bufio.Reader
@@ -181,8 +181,10 @@ type streamConn struct {
 	// reply otherwise.
 	bound time.Duration
 	timer *time.Timer
-	// release cancels the Upgrade request's context.
+	// release cancels the Upgrade request's context; unbind, when the router
+	// dialled the stream, stops it closing with the router's lifetime.
 	release    context.CancelFunc
+	unbind     func() bool
 	wbuf, rbuf []byte
 }
 
@@ -249,6 +251,9 @@ func (sc *streamConn) close() {
 	}
 	_ = sc.rwc.Close()
 	sc.release()
+	if sc.unbind != nil {
+		sc.unbind()
+	}
 }
 
 // roundTrip writes every request as one frame, back to back, and reads one

@@ -247,10 +247,13 @@ func (st *proxiedStack) dials() uint64 {
 	return st.rt.stats[0].dials
 }
 
+// streamOpen waits out an exchange in flight, then reports whether the
+// shard's stream is still open.
 func (st *proxiedStack) streamOpen() bool {
-	st.rt.mu.Lock()
-	defer st.rt.mu.Unlock()
-	return st.rt.live[0] != nil
+	ss := &st.rt.streams[0]
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.sc != nil
 }
 
 // TestStreamCutRecovers: the connection dies in the middle of a request frame
