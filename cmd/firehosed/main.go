@@ -37,8 +37,10 @@
 //
 // With a checkpoint directory the daemon restores at boot, writes a
 // checkpoint at every interval tick and one at shutdown, and retains the
-// newest N files. Durable inputs (file) resume exactly at the restored
-// checkpoint's watermark: the input's ack cursor only advances when a
+// newest N files. Boot keeps the newest checkpoint the input can resume at
+// (for a file input, one whose watermark has an ack cursor; else a cold
+// start) and rewinds a file input to it; a shard worker restores nothing, as
+// its router rolls it back. The input's ack cursor only advances when a
 // durable checkpoint covers the acked posts, so a SIGKILLed daemon replays
 // the un-checkpointed suffix with identical ids and deliveries —
 // at-least-once egress with the post id as the dedup key.
@@ -314,45 +316,50 @@ func runDaemon(cfg *connector.Config) error {
 	if nw == 0 {
 		nw = runtime.NumCPU()
 	}
-	// The restore-matching loop for durable inputs may need several fresh
-	// engines, so construction is a closure, not straight-line code.
-	var rtr *shard.Router // router mode: the most recently built router engine
-	buildAPI := func() (*httpapi.Server, string, string, error) {
+	// resume may build several engines before it keeps one, so construction
+	// is a closure that also records what it built for the boot log line.
+	var (
+		rtr             *shard.Router // router mode: the kept router (resume keeps the last server it builds)
+		engine, solvers string
+	)
+	buildAPI := func() (*httpapi.Server, error) {
 		if cfg.Router != nil {
 			r, err := shard.NewRouter(shard.RouterOptions{Peers: cfg.Router.Peers, Assignment: assign})
 			if err != nil {
-				return nil, "", "", err
+				return nil, err
 			}
 			srv := httpapi.NewFromEngine(r)
 			srv.SetTopology(-1, assign.NumShards(), assign.Digest())
 			srv.SetTopologyProvider(r.Topology)
 			r.MountMetrics(srv)
-			rtr = r
-			return srv, r.Name(), fmt.Sprintf("%d shards", assign.NumShards()), nil
+			rtr, engine, solvers = r, r.Name(), fmt.Sprintf("%d shards", assign.NumShards())
+			return srv, nil
 		}
 		if nw > 1 {
 			pe, err := stream.NewParallelMultiEngineOpts(alg, g, subs, th, nw, stream.ParallelOptions{Adaptive: adPol})
 			if err != nil {
-				return nil, "", "", err
+				return nil, err
 			}
-			return httpapi.NewParallel(pe), pe.Name(), fmt.Sprintf("%d workers", pe.NumWorkers()), nil
+			engine, solvers = pe.Name(), fmt.Sprintf("%d workers", pe.NumWorkers())
+			return httpapi.NewParallel(pe), nil
 		}
 		md, err := core.NewSharedMultiUser(alg, g, subs, th)
 		if err != nil {
-			return nil, "", "", err
+			return nil, err
 		}
 		var solver core.MultiDiversifier = md
 		if adPol != nil {
 			solver, err = core.NewAdaptiveMultiUser(md, g, th, *adPol)
 			if err != nil {
-				return nil, "", "", err
+				return nil, err
 			}
 		}
-		return httpapi.New(solver), solver.Name(), "sequential", nil
+		engine, solvers = solver.Name(), "sequential"
+		return httpapi.New(solver), nil
 	}
 
-	// The input connects before any restore: a durable input's ack cursors
-	// decide which checkpoint the daemon may resume from.
+	// The input connects before resume: a durable input's ack cursors decide
+	// which checkpoint the daemon may resume from.
 	input, pacer, err := connector.BuildInput(cfg.Input)
 	if err != nil {
 		return err
@@ -363,7 +370,6 @@ func runDaemon(cfg *connector.Config) error {
 		}
 		defer func() { _ = input.Close() }()
 	}
-	fileIn, _ := input.(*connector.FileInput)
 
 	// A router blocks until every worker answers with its own inputs
 	// fingerprint and one assignment digest, then adopts the workers' routing
@@ -379,88 +385,9 @@ func runDaemon(cfg *connector.Config) error {
 	}
 
 	ckptDir := cfg.Engine.Checkpoint.Dir
-	var (
-		api     *httpapi.Server
-		engine  string
-		solvers string
-	)
-	switch {
-	case cfg.Shard != nil:
-		// Worker durability is router-coordinated: watermark-tagged
-		// checkpoints are written and restored on router command, never
-		// self-served at boot — a worker that restored on its own would
-		// disagree with the router about the replay suffix.
-		if api, engine, solvers, err = buildAPI(); err != nil {
-			return err
-		}
-	case ckptDir != "" && fileIn != nil:
-		// Durable input: resume is only correct at a (checkpoint, cursor)
-		// pair that names the same watermark — an unmatched cursor would
-		// either lose posts or replay checkpointed ones under fresh ids. Try
-		// the retained checkpoints newest-first (a fresh engine per attempt;
-		// Restore replaces state, it cannot be peeked) and fall back to a
-		// cold boot replaying the whole file.
-		files, err := checkpoint.List(ckptDir)
-		if err != nil {
-			return err
-		}
-		matched := false
-		for i := len(files) - 1; i >= 0 && !matched; i-- {
-			f := files[i]
-			if api, engine, solvers, err = buildAPI(); err != nil {
-				return err
-			}
-			fh, err := os.Open(f.Path)
-			if err != nil {
-				return err
-			}
-			err = api.Restore(fh)
-			if cerr := fh.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("restoring %s: %w", f.Path, err)
-			}
-			w := api.SnapshotWatermark()
-			if err := fileIn.Rewind(w); err == nil {
-				log.Printf("firehosed: restored checkpoint %d (%s), resuming input at watermark %d", f.Seq, f.Path, w)
-				matched = true
-			} else {
-				log.Printf("firehosed: checkpoint %d has no matching ack cursor (watermark %d); trying older", f.Seq, w)
-			}
-		}
-		if !matched {
-			if api, engine, solvers, err = buildAPI(); err != nil {
-				return err
-			}
-			if err := fileIn.Rewind(0); err != nil {
-				return err
-			}
-			log.Printf("firehosed: no checkpoint/ack-cursor match in %s, cold boot from the start of %s", ckptDir, cfg.Input.Path)
-		}
-	case ckptDir != "":
-		if api, engine, solvers, err = buildAPI(); err != nil {
-			return err
-		}
-		if f, ok, err := checkpoint.RestoreLatest(ckptDir, api.Restore); err != nil {
-			return err
-		} else if ok {
-			log.Printf("firehosed: restored checkpoint %d (%s)", f.Seq, f.Path)
-		} else {
-			log.Printf("firehosed: no checkpoint in %s, cold boot", ckptDir)
-		}
-	default:
-		if api, engine, solvers, err = buildAPI(); err != nil {
-			return err
-		}
-		if fileIn != nil {
-			// Without checkpoints nothing durable covers acked posts; any
-			// leftover sidecar cursor refers to state this run does not
-			// have. Replay from the start.
-			if err := fileIn.Rewind(0); err != nil {
-				return err
-			}
-		}
+	api, err := resume(ckptDir, cfg.Shard != nil, input, buildAPI)
+	if err != nil {
+		return err
 	}
 	var wk *shard.Worker
 	if cfg.Shard != nil {
@@ -561,8 +488,7 @@ func runDaemon(cfg *connector.Config) error {
 	if rtr != nil {
 		// Seed the rollback target before any traffic: a coordination round
 		// at the current watermark gives every worker a tagged checkpoint to
-		// restore from even before the first periodic round. No-op for
-		// workers running without a checkpoint directory.
+		// restore from even before the first periodic round.
 		if err := rtr.InitialCoordination(); err != nil {
 			return err
 		}
@@ -659,4 +585,71 @@ func runDaemon(cfg *connector.Config) error {
 	}
 	log.Printf("firehosed: stopped")
 	return nil
+}
+
+// resume is the daemon's one boot-time resume rule. The candidates are the
+// checkpoints in dir, newest first; a shard worker, or a daemon without a
+// directory, has none — a worker restores only on its router's command, or
+// it would disagree with the router about the replay suffix. Each attempt
+// restores into a fresh server from build (Restore replaces state; it cannot
+// be peeked). An attempt is kept unless in is a file input whose ack sidecar
+// holds no cursor for the restored watermark: resuming such an input at any
+// other offset would lose posts or replay checkpointed ones under fresh ids.
+// With no attempt kept the server starts cold at watermark 0. Every server
+// not kept is closed. A file input is then rewound once, to the kept
+// watermark, so it replays exactly the suffix no kept checkpoint covers.
+func resume(dir string, worker bool, in connector.Input, build func() (*httpapi.Server, error)) (*httpapi.Server, error) {
+	var files []checkpoint.File
+	if dir != "" && !worker {
+		var err error
+		if files, err = checkpoint.List(dir); err != nil {
+			return nil, err
+		}
+	}
+	fileIn, _ := in.(*connector.FileInput)
+	var api *httpapi.Server
+	for i := len(files) - 1; i >= 0 && api == nil; i-- {
+		f := files[i]
+		srv, err := build()
+		if err != nil {
+			return nil, err
+		}
+		fh, err := os.Open(f.Path)
+		if err == nil {
+			err = srv.Restore(fh)
+			if cerr := fh.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			srv.Close()
+			return nil, fmt.Errorf("restoring %s: %w", f.Path, err)
+		}
+		w := srv.SnapshotWatermark()
+		if fileIn != nil {
+			if _, ok := fileIn.CursorFor(w); !ok {
+				log.Printf("firehosed: checkpoint %d has no matching ack cursor (watermark %d); trying older", f.Seq, w)
+				srv.Close()
+				continue
+			}
+		}
+		log.Printf("firehosed: restored checkpoint %d (%s) at watermark %d", f.Seq, f.Path, w)
+		api = srv
+	}
+	if api == nil {
+		var err error
+		if api, err = build(); err != nil {
+			return nil, err
+		}
+		if dir != "" && !worker {
+			log.Printf("firehosed: no checkpoint in %s to resume from, cold boot", dir)
+		}
+	}
+	if fileIn != nil {
+		if err := fileIn.Rewind(api.SnapshotWatermark()); err != nil {
+			api.Close()
+			return nil, err
+		}
+	}
+	return api, nil
 }

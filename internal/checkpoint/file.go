@@ -184,28 +184,6 @@ func prune(dir string, re *regexp.Regexp, keep int) ([]File, error) {
 	return victims, nil
 }
 
-// RestoreLatest opens the newest checkpoint in dir and feeds it to restore.
-// ok=false (with no error) means the directory holds no checkpoint — the
-// cold-boot path.
-func RestoreLatest(dir string, restore func(r io.Reader) error) (f File, ok bool, err error) {
-	f, ok, err = Latest(dir)
-	if err != nil || !ok {
-		return File{}, false, err
-	}
-	file, err := os.Open(f.Path)
-	if err != nil {
-		return File{}, false, fmt.Errorf("checkpoint: open %s: %w", f.Path, err)
-	}
-	err = restore(file)
-	if cerr := file.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return File{}, false, fmt.Errorf("checkpoint: restoring %s: %w", f.Path, err)
-	}
-	return f, true, nil
-}
-
 // Manager serializes periodic and on-demand checkpoints of one snapshot
 // target into one directory, applying a retention bound after every write.
 // It is safe for concurrent use (the admin endpoint and the interval ticker

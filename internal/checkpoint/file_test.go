@@ -52,33 +52,14 @@ func TestWriteSequencesAndList(t *testing.T) {
 	}
 }
 
-func TestRestoreLatestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for i := 1; i <= 2; i++ {
-		if _, err := Write(dir, snapshotBytes(fmt.Sprintf("state-%d", i))); err != nil {
-			t.Fatal(err)
-		}
+// TestListEmptyAndMissingDir: an empty and a missing directory both list no
+// checkpoints and no error, so boot-time resume probes unconditionally.
+func TestListEmptyAndMissingDir(t *testing.T) {
+	if files, err := List(t.TempDir()); len(files) != 0 || err != nil {
+		t.Fatalf("empty dir: files=%v err=%v", files, err)
 	}
-	var got string
-	f, ok, err := RestoreLatest(dir, func(r io.Reader) error {
-		s, err := readPayload(r)
-		got = s
-		return err
-	})
-	if err != nil || !ok {
-		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
-	}
-	if f.Seq != 2 || got != "state-2" {
-		t.Fatalf("restored seq=%d payload=%q", f.Seq, got)
-	}
-}
-
-func TestRestoreLatestEmptyAndMissingDir(t *testing.T) {
-	if _, ok, err := RestoreLatest(t.TempDir(), func(io.Reader) error { return nil }); ok || err != nil {
-		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
-	}
-	if _, ok, err := RestoreLatest(filepath.Join(t.TempDir(), "nope"), func(io.Reader) error { return nil }); ok || err != nil {
-		t.Fatalf("missing dir: ok=%v err=%v", ok, err)
+	if files, err := List(filepath.Join(t.TempDir(), "nope")); len(files) != 0 || err != nil {
+		t.Fatalf("missing dir: files=%v err=%v", files, err)
 	}
 }
 

@@ -29,7 +29,6 @@ type Runner struct {
 	input     Input
 	ingest    IngestFunc
 	pacer     *Pacer
-	backoff   time.Duration
 
 	// mu guards: pending, lastSeq, ackSeq, stopped
 	mu      sync.Mutex
@@ -63,19 +62,16 @@ type RunnerOptions struct {
 	// (recorded-speed or compressed replay). Nil ingests as fast as the
 	// engine accepts.
 	Pacer *Pacer
-	// QueueFullBackoff is the wait before retrying a backpressured ingest
-	// (default 5ms).
-	QueueFullBackoff time.Duration
 }
+
+// queueFullBackoff is the wait before retrying a backpressured ingest.
+const queueFullBackoff = 5 * time.Millisecond
 
 // NewRunner builds a runner for one input. component names it in stats
 // ("input:file", "input:tcp", …).
 func NewRunner(component string, in Input, ingest IngestFunc, opts RunnerOptions) (*Runner, error) {
 	if in == nil || ingest == nil {
 		return nil, fmt.Errorf("connector: runner needs an input and an ingest func")
-	}
-	if opts.QueueFullBackoff <= 0 {
-		opts.QueueFullBackoff = 5 * time.Millisecond
 	}
 	return &Runner{
 		component: component,
@@ -84,7 +80,6 @@ func NewRunner(component string, in Input, ingest IngestFunc, opts RunnerOptions
 		pacer:     opts.Pacer,
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
-		backoff:   opts.QueueFullBackoff,
 	}, nil
 }
 
@@ -133,7 +128,7 @@ func (r *Runner) ingestOne(msg *Message) (stop bool) {
 			return true
 		case errors.Is(err, stream.ErrQueueFull):
 			select {
-			case <-time.After(r.backoff):
+			case <-time.After(queueFullBackoff):
 				continue
 			case <-r.stopCh:
 				return true

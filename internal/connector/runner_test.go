@@ -182,7 +182,7 @@ func TestRunnerRetriesQueueFull(t *testing.T) {
 		}
 		return 1, nil, nil
 	}
-	r, err := connector.NewRunner("input:stub", in, ingest, connector.RunnerOptions{QueueFullBackoff: time.Millisecond})
+	r, err := connector.NewRunner("input:stub", in, ingest, connector.RunnerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

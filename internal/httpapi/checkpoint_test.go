@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -155,8 +156,17 @@ func TestAdminCheckpointEndpoints(t *testing.T) {
 	}
 
 	// Restore the newest into a fresh server; the id sequence continues.
-	if _, ok, err := checkpoint.RestoreLatest(dir, fresh.Restore); err != nil || !ok {
-		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
+	files, err := checkpoint.List(dir)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("List: files=%v err=%v", files, err)
+	}
+	newest, err := os.Open(files[len(files)-1].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer newest.Close()
+	if err := fresh.Restore(newest); err != nil {
+		t.Fatalf("restoring the newest checkpoint: %v", err)
 	}
 	out := ingestAt(t, fresh, 2, 2000, "local team wins the cup")
 	if out.ID != 2 {

@@ -174,10 +174,11 @@ func TestAdoptAssignment(t *testing.T) {
 		t.Fatalf("adopted digest %016x, planned %016x", adopted.Digest(), planned.Digest())
 	}
 
-	rt, err := NewRouter(RouterOptions{Peers: peers, Assignment: adopted, RetryInterval: 5 * time.Millisecond, ResyncTimeout: 5 * time.Second})
+	rt, err := NewRouter(RouterOptions{Peers: peers, Assignment: adopted})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = 5*time.Millisecond, 5*time.Second
 	defer rt.Close()
 	if err := rt.InitialCoordination(); err != nil {
 		t.Fatal(err)

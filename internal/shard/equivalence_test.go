@@ -95,14 +95,13 @@ func newShardedStack(t *testing.T, shards int) *shardedStack {
 		peers[s] = ts.URL
 	}
 	rt, err := NewRouter(RouterOptions{
-		Peers:         peers,
-		Assignment:    assign,
-		RetryInterval: 5 * time.Millisecond,
-		ResyncTimeout: 5 * time.Second,
+		Peers:      peers,
+		Assignment: assign,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = 5*time.Millisecond, 5*time.Second
 	if err := rt.InitialCoordination(); err != nil {
 		t.Fatal(err)
 	}
@@ -295,14 +294,13 @@ func TestRouterRecoversCrashedWorker(t *testing.T) {
 	}()
 
 	rt, err := NewRouter(RouterOptions{
-		Peers:         peers,
-		Assignment:    assign,
-		RetryInterval: 10 * time.Millisecond,
-		ResyncTimeout: 5 * time.Second,
+		Peers:      peers,
+		Assignment: assign,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = 10*time.Millisecond, 5*time.Second
 	if err := rt.InitialCoordination(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +472,7 @@ func TestCoordinateRollsBackPhantomState(t *testing.T) {
 }
 
 // TestRouterPendingFullHook pins the replay-buffer bound: the buffers-full
-// callback fires once when total pending reaches MaxPending, stays quiet for
+// callback fires once when total pending reaches the pending bound, stays quiet for
 // the rest of the round, and re-arms after a coordination round clears the
 // buffers.
 func TestRouterPendingFullHook(t *testing.T) {
@@ -492,15 +490,13 @@ func TestRouterPendingFullHook(t *testing.T) {
 	defer ts.Close()
 
 	rt, err := NewRouter(RouterOptions{
-		Peers:         []string{ts.URL},
-		Assignment:    assign,
-		RetryInterval: 5 * time.Millisecond,
-		ResyncTimeout: 5 * time.Second,
-		MaxPending:    5,
+		Peers:      []string{ts.URL},
+		Assignment: assign,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO, rt.maxPending = 5*time.Millisecond, 5*time.Second, 5
 	fired := make(chan struct{}, 4)
 	rt.SetPendingFullHook(func() { fired <- struct{}{} })
 	if err := rt.InitialCoordination(); err != nil {
@@ -535,9 +531,9 @@ func TestRouterPendingFullHook(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		offer(i)
 	}
-	mustNotFire("below MaxPending")
+	mustNotFire("below the pending bound")
 	offer(4)
-	mustFire("at MaxPending")
+	mustFire("at the pending bound")
 	for i := 5; i < 9; i++ {
 		offer(i)
 	}
@@ -563,7 +559,7 @@ func TestRouterRefusesForeignTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newEquivServer(t)
-	w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign})
+	w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +572,7 @@ func TestRouterRefusesForeignTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(RouterOptions{Peers: []string{ts.URL, ts.URL}, Assignment: other, ResyncTimeout: time.Minute})
+	rt, err := NewRouter(RouterOptions{Peers: []string{ts.URL, ts.URL}, Assignment: other})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,14 +137,13 @@ func TestRouterTimelineUnavailableGolden(t *testing.T) {
 	// Port 1 and 2 refuse instantly, so the retry loop spins until the resync
 	// window closes and the message's duration renders stably as "50ms".
 	rt, err := NewRouter(RouterOptions{
-		Peers:         []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
-		Assignment:    assign,
-		RetryInterval: time.Millisecond,
-		ResyncTimeout: 50 * time.Millisecond,
+		Peers:      []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		Assignment: assign,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = time.Millisecond, 50*time.Millisecond
 	api := httpapi.NewFromEngine(rt)
 	rec := httptest.NewRecorder()
 	api.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/timeline?user=0", nil))
@@ -171,14 +170,13 @@ func TestRouterStatsUnavailableGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, err := NewRouter(RouterOptions{
-		Peers:         []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
-		Assignment:    assign,
-		RetryInterval: time.Millisecond,
-		ResyncTimeout: 50 * time.Millisecond,
+		Peers:      []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		Assignment: assign,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = time.Millisecond, 50*time.Millisecond
 	api := httpapi.NewFromEngine(rt)
 	rec := httptest.NewRecorder()
 	api.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))

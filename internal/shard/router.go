@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,21 +34,24 @@ type RouterOptions struct {
 	// stream is dialled through its Transport, and its Timeout bounds the
 	// stream's handshake and every reply on it (0 leaves them unbounded).
 	Client *http.Client
-	// RetryInterval paces a forward's transient-failure retries and the
-	// polls that wait out a crashed worker (default 200ms). The boot barrier
-	// (AdoptAssignment, AwaitPeers) polls at its own few-millisecond interval.
-	RetryInterval time.Duration
-	// ResyncTimeout bounds how long a forward waits for a crashed worker to
-	// come back before giving up (default 60s).
-	ResyncTimeout time.Duration
-	// MaxPending bounds the total posts held across the per-shard replay
-	// buffers (default 8192). When the bound is reached the router fires the
-	// SetPendingFullHook callback (once per coordination round), asking the
-	// deployment to run a coordination round that clears the buffers — without
-	// it, a router that never checkpoints would buffer every forwarded post
-	// for the lifetime of the process.
-	MaxPending int
 }
+
+const (
+	// retryInterval paces a forward's transient-failure retries and the
+	// polls that wait out a crashed worker. The boot barrier (AdoptAssignment,
+	// AwaitPeers) polls at its own peerPollInterval.
+	retryInterval = 200 * time.Millisecond
+	// resyncTimeout bounds how long a forward waits for a crashed worker to
+	// come back before giving up.
+	resyncTimeout = 60 * time.Second
+	// maxPendingPosts bounds the total posts held across the per-shard
+	// replay buffers. When the bound is reached the router fires the
+	// SetPendingFullHook callback (once per coordination round), asking the
+	// deployment to run a coordination round that clears the buffers —
+	// without it, a router that never checkpoints would buffer every
+	// forwarded post for the lifetime of the process.
+	maxPendingPosts = 8192
+)
 
 // Router is the fan-out half of a sharded deployment: an httpapi.Engine whose
 // Offer forwards each post to the shard owning its author's component and
@@ -81,9 +83,11 @@ type RouterOptions struct {
 // and the retried post gets the identical answer a crash-free run would have
 // produced.
 type Router struct {
-	peers      []string
-	assign     *Assignment
-	client     *http.Client
+	peers  []string
+	assign *Assignment
+	client *http.Client
+	// retryIvl, resyncTO and maxPending start at retryInterval,
+	// resyncTimeout and maxPendingPosts; in-package tests shorten them.
 	retryIvl   time.Duration
 	resyncTO   time.Duration
 	maxPending int
@@ -98,7 +102,7 @@ type Router struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// mu guards: lastDone, ckptW, pending, base, forwarded, pendingFullFired, stats
+	// mu guards: lastDone, ckptW, pending, base, pendingFullFired, stats
 	mu   sync.Mutex
 	cond *sync.Cond
 	// lastDone is the largest post id whose forward has completed (the
@@ -113,9 +117,6 @@ type Router struct {
 	// base[s] (or the last pending id) is the watermark a healthy worker must
 	// report.
 	base []uint64
-	// forwarded[s] is the highest id ever forwarded to shard s (topology
-	// reporting only).
-	forwarded []uint64
 	// pendingFullFired records that the buffers-full callback already ran for
 	// the current coordination round; coordinate() re-arms it.
 	pendingFullFired bool
@@ -163,29 +164,16 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	retry := opts.RetryInterval
-	if retry <= 0 {
-		retry = 200 * time.Millisecond
-	}
-	resync := opts.ResyncTimeout
-	if resync <= 0 {
-		resync = 60 * time.Second
-	}
-	maxPending := opts.MaxPending
-	if maxPending <= 0 {
-		maxPending = 8192
-	}
 	rt := &Router{
 		peers:      append([]string(nil), opts.Peers...),
 		assign:     opts.Assignment,
 		client:     client,
-		retryIvl:   retry,
-		resyncTO:   resync,
-		maxPending: maxPending,
+		retryIvl:   retryInterval,
+		resyncTO:   resyncTimeout,
+		maxPending: maxPendingPosts,
 		streams:    make([]shardStream, len(opts.Peers)),
 		pending:    make([][]IngestRequest, len(opts.Peers)),
 		base:       make([]uint64, len(opts.Peers)),
-		forwarded:  make([]uint64, len(opts.Peers)),
 		stats:      make([]shardStats, len(opts.Peers)),
 	}
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
@@ -194,9 +182,10 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 }
 
 // SetPendingFullHook installs the callback fired (on its own goroutine, once
-// per coordination round) when the replay buffers reach MaxPending posts. The
-// daemon points it at the checkpoint manager, so a full buffer triggers the
-// same coordination round a periodic checkpoint runs — clearing the buffers.
+// per coordination round) when the replay buffers reach maxPendingPosts
+// posts. The daemon points it at the checkpoint manager, so a full buffer
+// triggers the same coordination round a periodic checkpoint runs — clearing
+// the buffers.
 // Call before serving traffic.
 func (rt *Router) SetPendingFullHook(fn func()) { rt.pendingFull = fn }
 
@@ -321,14 +310,11 @@ func (rt *Router) OfferBatch(posts []*core.Post) ([][]int32, error) {
 
 // recordForwarded appends a successfully forwarded post to the shard's replay
 // buffer and fires the buffers-full callback when the total pending count
-// reaches MaxPending — the bound that keeps an infrequently-checkpointing
+// reaches maxPending — the bound that keeps an infrequently-checkpointing
 // router from buffering the whole stream.
 func (rt *Router) recordForwarded(shard int, req IngestRequest) {
 	rt.mu.Lock()
 	rt.pending[shard] = append(rt.pending[shard], req)
-	if req.ID > rt.forwarded[shard] {
-		rt.forwarded[shard] = req.ID
-	}
 	total := 0
 	for s := range rt.pending {
 		total += len(rt.pending[s])
@@ -742,7 +728,7 @@ func (rt *Router) coordinate() (uint64, []uint64, error) {
 	// retry or report, so an unreachable worker fails the round fast instead
 	// of riding out the full resync window the way a forward must. A
 	// shutdown-time round racing the workers' own exits would otherwise block
-	// the process for the whole ResyncTimeout.
+	// the process for the whole resyncTimeout.
 	deadline := time.Now().Add(2 * rt.retryIvl)
 	// The shards go concurrently: each tagged checkpoint is an fsync in
 	// another process, and the caller holds the exclusive ingest lock for as
@@ -835,7 +821,6 @@ func (rt *Router) RestoreState(dec *checkpoint.Decoder) error {
 	for s := range rt.pending {
 		rt.pending[s] = rt.pending[s][:0]
 		rt.base[s] = seqs[s]
-		rt.forwarded[s] = seqs[s]
 	}
 	rt.pendingFullFired = false
 	rt.mu.Unlock()
@@ -846,18 +831,10 @@ func (rt *Router) RestoreState(dec *checkpoint.Decoder) error {
 // watermark. A cold router calls it once on boot so every worker holds a
 // tagged rollback target (shard-0.fhc) from the very first post — without
 // one, a crash before the first periodic checkpoint would have nowhere to
-// roll back to. Workers without a checkpoint directory make it a no-op
-// (recovery then relies on the fresh-restart path alone).
+// roll back to.
 func (rt *Router) InitialCoordination() error {
 	_, _, err := rt.coordinate()
-	if err != nil {
-		var envErr *envelopeError
-		if errors.As(err, &envErr) && envErr.code == httpapi.CodeCheckpointsDisabled {
-			return nil // uncoordinated deployment; nothing to pre-seed
-		}
-		return err
-	}
-	return nil
+	return err
 }
 
 // peerPollInterval paces the boot barrier's probes. Workers boot alongside the
@@ -1004,10 +981,15 @@ func (rt *Router) Topology() httpapi.TopologyResponse {
 		CoordinatedWatermark: rt.ckptW,
 	}
 	for s, peer := range rt.peers {
+		// expected(s), computed inline because Topology holds rt.mu.
+		w := rt.base[s]
+		if n := len(rt.pending[s]); n > 0 {
+			w = rt.pending[s][n-1].ID
+		}
 		resp.PerShard = append(resp.PerShard, httpapi.ShardStatus{
 			Shard:     s,
 			Peer:      peer,
-			Watermark: rt.forwarded[s],
+			Watermark: w,
 			Pending:   len(rt.pending[s]),
 		})
 	}

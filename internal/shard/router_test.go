@@ -34,7 +34,7 @@ func routerGoroutines() []string {
 // window. Close ends both at once — the forward with stream.ErrClosed, the
 // read with 503 shard_unavailable — and leaves no router goroutine behind.
 func TestRouterCloseEndsEveryWait(t *testing.T) {
-	st := newShardedStack(t, 2) // ResyncTimeout 5s
+	st := newShardedStack(t, 2) // resync timeout 5s
 	st.servers[0].Close()
 	author := int32(0)
 	for st.assign.ShardOf(author) != 0 {
@@ -88,7 +88,7 @@ func TestRouterCloseEndsEveryWait(t *testing.T) {
 // with one attempt per shard, so a dead worker costs a scrape one refused
 // request, not the resync window.
 func TestRouterMetricsScrapeOneAttempt(t *testing.T) {
-	st := newShardedStack(t, 2) // ResyncTimeout 5s
+	st := newShardedStack(t, 2) // resync timeout 5s
 	defer st.router.Close()
 	st.servers[1].Close()
 	start := time.Now()
@@ -112,14 +112,13 @@ func TestRouterRestoreRefusesWorkerWithoutRestore(t *testing.T) {
 	old := httptest.NewServer(http.NotFoundHandler())
 	defer old.Close()
 	rt, err := NewRouter(RouterOptions{
-		Peers:         []string{old.URL},
-		Assignment:    assign,
-		RetryInterval: 5 * time.Millisecond,
-		ResyncTimeout: 5 * time.Second,
+		Peers:      []string{old.URL},
+		Assignment: assign,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = 5*time.Millisecond, 5*time.Second
 	defer rt.Close()
 
 	var buf bytes.Buffer

@@ -137,8 +137,8 @@ func topologyPeer(t *testing.T, digest string, ready func() bool) *httptest.Serv
 
 // TestAwaitPeersNoticesLatePeer: a worker that becomes ready 30ms into the
 // boot barrier is noticed within a few milliseconds, whatever the router's
-// RetryInterval (left at its 200ms default here), and a worker planned under
-// another assignment is still refused with shard_mismatch.
+// retry interval (200ms), and a worker planned under another assignment is
+// still refused with shard_mismatch.
 func TestAwaitPeersNoticesLatePeer(t *testing.T) {
 	assign, err := Plan(testGraph(), 1)
 	if err != nil {
@@ -262,13 +262,12 @@ func TestRouterRestoreRefusesForeignCheckpoint(t *testing.T) {
 			"http://192.0.2.1:1", "http://192.0.2.1:2",
 			"http://192.0.2.1:3", "http://192.0.2.1:4",
 		},
-		Assignment:    four,
-		RetryInterval: time.Millisecond,
-		ResyncTimeout: time.Second,
+		Assignment: four,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = time.Millisecond, time.Second
 	defer rt.Close()
 
 	dec, err := checkpoint.NewDecoder(bytes.NewReader(buf.Bytes()))
@@ -317,14 +316,13 @@ func TestRouterCheckpointRoundTrip(t *testing.T) {
 	ingest(30, 50)
 
 	rt, err := NewRouter(RouterOptions{
-		Peers:         []string{st.servers[0].URL, st.servers[1].URL},
-		Assignment:    st.assign,
-		RetryInterval: 5 * time.Millisecond,
-		ResyncTimeout: 5 * time.Second,
+		Peers:      []string{st.servers[0].URL, st.servers[1].URL},
+		Assignment: st.assign,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = 5*time.Millisecond, 5*time.Second
 	defer rt.Close()
 	dec, err := checkpoint.NewDecoder(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -350,5 +348,18 @@ func TestRouterCheckpointRoundTrip(t *testing.T) {
 		if w := st.workers[s].topologyResponse().Watermark; w != want.PerShard[s].Watermark {
 			t.Fatalf("worker %d rolled back to %d, the checkpoint recorded %d", s, w, want.PerShard[s].Watermark)
 		}
+	}
+}
+
+// TestNewWorkerRequiresCheckpointDir: a worker without a checkpoint directory
+// could never be rolled back by its router, so NewWorker refuses it.
+func TestNewWorkerRequiresCheckpointDir(t *testing.T) {
+	assign, err := Plan(testGraph(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewWorker(WorkerOptions{Server: newEquivServer(t), Shard: 0, Assignment: assign})
+	if err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
+		t.Fatalf("NewWorker without a checkpoint directory: %v, want an error naming CheckpointDir", err)
 	}
 }

@@ -206,15 +206,14 @@ func newProxiedStack(t *testing.T, bound time.Duration) *proxiedStack {
 	proxy := newFaultProxy(t, ts.URL)
 	tr := &http.Transport{}
 	rt, err := NewRouter(RouterOptions{
-		Peers:         []string{proxy.url()},
-		Assignment:    assign,
-		Client:        &http.Client{Transport: tr, Timeout: bound},
-		RetryInterval: 5 * time.Millisecond,
-		ResyncTimeout: 10 * time.Second,
+		Peers:      []string{proxy.url()},
+		Assignment: assign,
+		Client:     &http.Client{Transport: tr, Timeout: bound},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.retryIvl, rt.resyncTO = 5*time.Millisecond, 10*time.Second
 	t.Cleanup(func() {
 		rt.Close()
 		tr.CloseIdleConnections()
@@ -352,7 +351,7 @@ func TestStreamPipelineLargerThanSocketBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := bigReplyServer(t, users)
-	w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign})
+	w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +423,7 @@ func TestStreamPrevChainStopsPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newEquivServer(t)
-	w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign})
+	w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +508,7 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 	topo := formatTopology(assign.Digest(), 0, 1)
 	srv := newEquivServer(t)
-	w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign})
+	w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +581,7 @@ func TestStreamLifecycle(t *testing.T) {
 		_, _ = io.Copy(io.Discard, conn)
 	}))
 	defer silent.Close()
-	rt, err := NewRouter(RouterOptions{Peers: []string{silent.URL}, Assignment: assign, Client: &http.Client{Transport: tr}, ResyncTimeout: time.Minute})
+	rt, err := NewRouter(RouterOptions{Peers: []string{silent.URL}, Assignment: assign, Client: &http.Client{Transport: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +617,7 @@ func TestRouterNamesProtocolToWorkerWithoutStream(t *testing.T) {
 	}
 	old := httptest.NewServer(newEquivServer(t)) // a plain node: no shard endpoints
 	defer old.Close()
-	rt, err := NewRouter(RouterOptions{Peers: []string{old.URL}, Assignment: assign, ResyncTimeout: time.Minute})
+	rt, err := NewRouter(RouterOptions{Peers: []string{old.URL}, Assignment: assign})
 	if err != nil {
 		t.Fatal(err)
 	}

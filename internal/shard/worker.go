@@ -18,8 +18,7 @@ import (
 )
 
 // WorkerOptions configures NewWorker. Server, Shard (with Assignment's shard
-// count) and Assignment are required; CheckpointDir is required for a worker
-// participating in coordinated checkpoints.
+// count), Assignment and CheckpointDir are required.
 type WorkerOptions struct {
 	// Server is the worker's HTTP server, already built over the full engine
 	// configuration (whole graph, whole subscription map, same thresholds as
@@ -35,9 +34,8 @@ type WorkerOptions struct {
 	// from (graph source and thresholds), reported in the topology answer; a
 	// router refuses a worker whose fingerprint differs from its own.
 	Inputs string
-	// CheckpointDir, when non-empty, holds the worker's watermark-tagged
-	// checkpoints. Empty disables coordinated durability (the checkpoint and
-	// restore endpoints answer 503 checkpoints_disabled).
+	// CheckpointDir holds the worker's watermark-tagged checkpoints: the
+	// router recovers a desynced worker by rolling it back to one.
 	CheckpointDir string
 	// Retain bounds the tagged checkpoints kept on disk; <= 0 keeps all.
 	Retain int
@@ -85,6 +83,9 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	if opts.Shard < 0 || opts.Shard >= opts.Assignment.NumShards() {
 		return nil, fmt.Errorf("shard: worker shard index %d out of range [0,%d)", opts.Shard, opts.Assignment.NumShards())
+	}
+	if opts.CheckpointDir == "" {
+		return nil, fmt.Errorf("shard: WorkerOptions.CheckpointDir is required")
 	}
 	w := &Worker{
 		srv:    opts.Server,
@@ -333,11 +334,6 @@ func (w *Worker) handleCheckpoint(rw http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(rw, http.StatusBadRequest, httpapi.CodeBadJSON, "invalid JSON body: %v", err)
 		return
 	}
-	if w.dir == "" {
-		httpapi.WriteError(rw, http.StatusServiceUnavailable, httpapi.CodeCheckpointsDisabled,
-			"this worker runs without a checkpoint directory; coordinated checkpoints need one on every shard")
-		return
-	}
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
 	f, err := checkpoint.WriteTagged(w.dir, req.Watermark, w.srv.Snapshot)
@@ -368,15 +364,10 @@ func (w *Worker) handleRestore(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	var f checkpoint.File
-	var ok bool
-	if w.dir != "" {
-		var err error
-		f, ok, err = checkpoint.LatestTaggedAtMost(w.dir, req.Watermark)
-		if err != nil {
-			httpapi.WriteError(rw, http.StatusInternalServerError, httpapi.CodeCheckpointFailed, "%v", err)
-			return
-		}
+	f, ok, err := checkpoint.LatestTaggedAtMost(w.dir, req.Watermark)
+	if err != nil {
+		httpapi.WriteError(rw, http.StatusInternalServerError, httpapi.CodeCheckpointFailed, "%v", err)
+		return
 	}
 	if req.Watermark == 0 && !(ok && f.Seq == 0) {
 		// The router is cold (no coordinated round, not even the boot-time
@@ -388,11 +379,6 @@ func (w *Worker) handleRestore(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 		httpapi.WriteJSON(rw, RestoreResponse{Restored: false, Watermark: 0, ShardSeq: 0})
-		return
-	}
-	if w.dir == "" {
-		httpapi.WriteError(rw, http.StatusServiceUnavailable, httpapi.CodeCheckpointsDisabled,
-			"this worker runs without a checkpoint directory; coordinated restore needs one on every shard")
 		return
 	}
 	if !ok || f.Seq != req.Watermark {
