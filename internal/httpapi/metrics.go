@@ -101,25 +101,25 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		return out
 	})
 
+	// The timeline gauges read the store once per scrape: TimelineSize takes
+	// every worker's decision lock in turn, and one read keeps the three
+	// consistent with each other.
 	if ts, ok := s.engine.(timelineSizer); ok {
-		r.MustRegister("firehose_timeline_posts",
-			"Delivered posts held in the timeline store, each once however many users received it.",
-			metrics.KindGauge, func() []metrics.Sample {
-				posts, _, _ := ts.TimelineSize()
-				return []metrics.Sample{{Value: float64(posts)}}
-			})
-		r.MustRegister("firehose_timeline_entries",
-			"Per-user timeline positions (one post delivered to k users counts k).",
-			metrics.KindGauge, func() []metrics.Sample {
-				_, entries, _ := ts.TimelineSize()
-				return []metrics.Sample{{Value: float64(entries)}}
-			})
-		r.MustRegister("firehose_timeline_bytes",
-			"Bytes the timeline store retains: post records, text blocks and per-user position chunks, counted by capacity.",
-			metrics.KindGauge, func() []metrics.Sample {
-				_, _, bytes := ts.TimelineSize()
-				return []metrics.Sample{{Value: float64(bytes)}}
-			})
+		r.MustRegisterGroup([]metrics.Family{
+			{Name: "firehose_timeline_posts", Kind: metrics.KindGauge,
+				Help: "Delivered posts held in the timeline store, each once however many users received it."},
+			{Name: "firehose_timeline_entries", Kind: metrics.KindGauge,
+				Help: "Per-user timeline positions (one post delivered to k users counts k)."},
+			{Name: "firehose_timeline_bytes", Kind: metrics.KindGauge,
+				Help: "Bytes the timeline store has mapped outside the Go heap for post records, texts and per-user positions, counted by whole pages; not part of the firehose_go_* figures."},
+		}, func() [][]metrics.Sample {
+			posts, entries, bytes := ts.TimelineSize()
+			return [][]metrics.Sample{
+				{{Value: float64(posts)}},
+				{{Value: float64(entries)}},
+				{{Value: float64(bytes)}},
+			}
+		})
 	}
 
 	if s.workers != nil {

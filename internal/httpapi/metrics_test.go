@@ -415,10 +415,12 @@ func TestPProfOptIn(t *testing.T) {
 	}
 }
 
-// countingEngine counts the Counters snapshots taken of the engine it wraps.
+// countingEngine counts the Counters snapshots and the timeline-store reads
+// taken of the engine it wraps, which must own a timeline store.
 type countingEngine struct {
 	Engine
 	calls atomic.Int64
+	sizes atomic.Int64
 }
 
 func (e *countingEngine) Counters() metrics.Counters {
@@ -426,10 +428,17 @@ func (e *countingEngine) Counters() metrics.Counters {
 	return e.Engine.Counters()
 }
 
+func (e *countingEngine) TimelineSize() (posts, entries, bytes uint64) {
+	e.sizes.Add(1)
+	return e.Engine.(timelineSizer).TimelineSize()
+}
+
 // TestMetricsScrapeReadsCountersOnce: the seven engine-counter families share
 // one Counters snapshot per scrape. On a router each snapshot is a GET per
 // worker, so a snapshot per family multiplied the fan-out and let the
-// families disagree about the instant they report.
+// families disagree about the instant they report. Likewise the three
+// timeline gauges share one TimelineSize read, which takes every worker's
+// decision lock.
 func TestMetricsScrapeReadsCountersOnce(t *testing.T) {
 	g := authorsim.NewGraph(3, []authorsim.SimPair{{A: 0, B: 1}}, 0.7)
 	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
@@ -443,9 +452,16 @@ func TestMetricsScrapeReadsCountersOnce(t *testing.T) {
 	ingest(t, ts, IngestRequest{Author: 0, Text: "ferry sinks, 300 missing", TimeMillis: 1000})
 	for scrapes := int64(1); scrapes <= 3; scrapes++ {
 		before := eng.calls.Load()
+		sizesBefore := eng.sizes.Load()
 		body, _ := scrape(t, ts)
 		if got := eng.calls.Load() - before; got != 1 {
 			t.Fatalf("scrape %d read the engine's Counters %d times, want 1", scrapes, got)
+		}
+		if got := eng.sizes.Load() - sizesBefore; got != 1 {
+			t.Fatalf("scrape %d read the timeline store %d times, want 1", scrapes, got)
+		}
+		if v := metricValue(t, body, "firehose_timeline_posts"); v != 1 {
+			t.Fatalf("firehose_timeline_posts = %v, want 1", v)
 		}
 		if v := metricValue(t, body, `firehose_decisions_total{algorithm="S_UniBin",result="accepted"}`); v != 1 {
 			t.Fatalf("accepted = %v, want 1", v)

@@ -2,9 +2,12 @@ package stream
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"firehose/internal/authorsim"
 	"firehose/internal/core"
@@ -250,5 +253,156 @@ func TestParallelDiscardTimelines(t *testing.T) {
 	}
 	if posts, entries, bytes := e.TimelineSize(); posts != 0 || entries != 0 || bytes != 0 {
 		t.Fatalf("discarding engine reports %d posts, %d entries, %d bytes", posts, entries, bytes)
+	}
+}
+
+// settledMappedBytes collects until every dropped store's finalizer has
+// unmapped its pages — the count of mapped arena bytes holds still over three
+// collections — and returns that count: the baseline of the lifecycle tests.
+func settledMappedBytes(t *testing.T) int64 {
+	t.Helper()
+	last, still := mappedBytes.Load(), 0
+	for i := 0; i < 200 && still < 3; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // the finalizer goroutine runs meanwhile
+		if n := mappedBytes.Load(); n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+	}
+	if still < 3 {
+		t.Fatalf("the count of mapped arena bytes never settled (last %d)", last)
+	}
+	return last
+}
+
+// offerAll offers posts one by one and joins every decision.
+func offerAll(t *testing.T, e *ParallelMultiEngine, posts []*core.Post) {
+	t.Helper()
+	for _, p := range posts {
+		tk, err := e.Offer(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk.Users()
+	}
+}
+
+// TestTimelinesArenaReleased: Reset, DiscardTimelines and RestoreState unmap
+// every page the stores mapped, so the process's count of mapped arena bytes
+// returns to its baseline at once, on every engine shape; before that, the
+// count has grown by exactly what TimelineSize reports.
+func TestTimelinesArenaReleased(t *testing.T) {
+	g, subs, posts := parallelScenario(t, 41, 160)
+	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
+	base := settledMappedBytes(t)
+
+	var tl Timelines
+	for i, p := range posts[:500] {
+		tl.Deliver(p, uint64(i+1), []int32{int32(i % 7)})
+	}
+	if _, _, bytes := tl.Size(); mappedBytes.Load()-base != int64(bytes) || bytes == 0 {
+		t.Fatalf("a store reporting %d bytes mapped %d", bytes, mappedBytes.Load()-base)
+	}
+	tl.Reset()
+	if n := mappedBytes.Load(); n != base {
+		t.Fatalf("Reset left %d mapped bytes over the baseline", n-base)
+	}
+
+	drops := []struct {
+		name string
+		drop func(e *ParallelMultiEngine, snap []byte) error
+	}{
+		{"DiscardTimelines", func(e *ParallelMultiEngine, _ []byte) error { e.DiscardTimelines(); return nil }},
+		{"RestoreState", func(e *ParallelMultiEngine, snap []byte) error { return restoreEngine(e, snap) }},
+	}
+	for _, d := range drops {
+		for _, workers := range []int{1, 2, inlineShape} {
+			e := newShape(t, core.AlgUniBin, g, subs, th, workers)
+			snap := snapEngine(t, e)
+			offerAll(t, e, posts)
+			if _, _, bytes := e.TimelineSize(); mappedBytes.Load()-base != int64(bytes) || bytes == 0 {
+				t.Fatalf("%s, workers=%d: stores reporting %d bytes mapped %d",
+					d.name, workers, bytes, mappedBytes.Load()-base)
+			}
+			if err := d.drop(e, snap); err != nil {
+				t.Fatal(err)
+			}
+			if n := mappedBytes.Load(); n != base {
+				t.Fatalf("%s, workers=%d: %d mapped bytes over the baseline remain", d.name, workers, n-base)
+			}
+			e.Close()
+		}
+	}
+}
+
+// TestTimelinesUnmappedWhenEngineDropped: an engine with deliveries that is
+// dropped without Close or Reset leaves its pages to its stores' arena
+// finalizers, which unmap them within a bounded number of collections.
+func TestTimelinesUnmappedWhenEngineDropped(t *testing.T) {
+	g, subs, posts := parallelScenario(t, 41, 160)
+	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
+	base := settledMappedBytes(t)
+	func() {
+		e := newShape(t, core.AlgUniBin, g, subs, th, inlineShape)
+		offerAll(t, e, posts)
+		if _, _, bytes := e.TimelineSize(); bytes == 0 {
+			t.Fatal("the engine mapped nothing; the test wants deliveries")
+		}
+	}()
+	for gc := 1; gc <= 20; gc++ {
+		runtime.GC()
+		for wait := 0; wait < 50 && mappedBytes.Load() != base; wait++ {
+			time.Sleep(time.Millisecond)
+		}
+		if mappedBytes.Load() == base {
+			t.Logf("unmapped after %d collections", gc)
+			return
+		}
+	}
+	t.Fatalf("20 collections after the engine was dropped, %d mapped bytes over the baseline remain",
+		mappedBytes.Load()-base)
+}
+
+// TestTimelineTailOutlivesReset: the posts a read returns are copies, so they
+// keep their texts after the store that served them unmapped its pages.
+func TestTimelineTailOutlivesReset(t *testing.T) {
+	g, subs, posts := parallelScenario(t, 41, 160)
+	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
+	for _, workers := range []int{2, inlineShape} {
+		e := newShape(t, core.AlgUniBin, g, subs, th, workers)
+		offerAll(t, e, posts)
+		var reads [][]*core.Post
+		var want [][]string
+		for u := range subs {
+			tail, _ := e.TimelineTail(int32(u), 5)
+			texts := make([]string, len(tail))
+			for i, p := range tail {
+				texts[i] = strings.Clone(p.Text)
+			}
+			reads, want = append(reads, tail), append(want, texts)
+		}
+		e.DiscardTimelines()
+		// Fresh pages after the unmap may land where the old ones were.
+		e2 := newShape(t, core.AlgUniBin, g, subs, th, workers)
+		offerAll(t, e2, posts[len(posts)/2:])
+		nonEmpty := 0
+		for u, tail := range reads {
+			for i, p := range tail {
+				if p.Text != want[u][i] {
+					t.Fatalf("workers=%d: user %d's post %d reads %q after the reset, was %q",
+						workers, u, i, p.Text, want[u][i])
+				}
+				if p.Text != "" {
+					nonEmpty++
+				}
+			}
+		}
+		if nonEmpty == 0 {
+			t.Fatalf("workers=%d: the reads held no text; the test wants some", workers)
+		}
+		e.Close()
+		e2.Close()
 	}
 }

@@ -23,10 +23,10 @@ func served(p core.Post) core.Post {
 }
 
 // randomText returns a text of random length mixing ASCII and multi-byte
-// UTF-8; one call in 500 returns one longer than a text block.
+// UTF-8; one call in 4,000 returns one longer than an arena page.
 func randomText(rng *rand.Rand) string {
-	if rng.Intn(500) == 0 {
-		return strings.Repeat("ü", timelineTextBlock/2+1+rng.Intn(1000))
+	if rng.Intn(4000) == 0 {
+		return strings.Repeat("ü", arenaPage/2+1+rng.Intn(1000))
 	}
 	var b strings.Builder
 	for n := rng.Intn(300); n > 0; n-- {
@@ -46,7 +46,7 @@ func randomText(rng *rand.Rand) string {
 
 // TestTimelinesMatchNaiveAppend is the store's value round trip: it drives
 // the store and a plain map-of-slices model with the same random deliveries
-// — texts of random length, multi-byte UTF-8, some longer than a text block,
+// — texts of random length, multi-byte UTF-8, some longer than an arena page,
 // and users skewed so some cross many position chunks while others receive
 // one post — and compares every user's tail (sequence numbers, ids, authors,
 // times, texts, history length) for n of 0, 1, the length and past it,
@@ -109,23 +109,22 @@ func TestTimelinesMatchNaiveAppend(t *testing.T) {
 	}
 	check("empty")
 	deliver(20000)
-	if len(tl.full[0]) <= timelineDoublings {
-		t.Fatalf("the busiest user has %d full position chunks; the test wants one past a largest-size chunk",
-			len(tl.full[0]))
+	if n := len(positionChain(&tl, 0)); n < 20 {
+		t.Fatalf("the busiest user's positions fill %d chunks; the test wants a long chain", n)
 	}
 	if len(model[users]) != 1 {
 		t.Fatalf("user %d received %d posts; the test wants one", users, len(model[users]))
 	}
 	var own, shared int
-	for _, b := range tl.blocks {
-		if cap(b) == timelineTextBlock {
+	for _, b := range tl.mem.pages {
+		if len(b) == arenaPage {
 			shared++
 		} else {
 			own++
 		}
 	}
 	if shared < 3 || own == 0 {
-		t.Fatalf("%d text blocks and %d exact-size ones; the test wants several of each", shared, own)
+		t.Fatalf("%d arena pages and %d oversize ones; the test wants several and at least one", shared, own)
 	}
 	if len(tl.log) < 3 {
 		t.Fatalf("the log has %d chunks; the test wants several", len(tl.log))
@@ -170,51 +169,118 @@ func TestTimelinesStoreEachPostOnce(t *testing.T) {
 	}
 }
 
-// TestTimelinesChunkGrowth pins the allocation shape: a history is chunks of
-// uvarint position deltas whose capacities double from timelineFirstChunk to
-// timelineMaxChunk and stay there, and every chunk decodes on its own (no
-// varint straddles two). Records hold no pointers, so neither the log nor the
-// byte chunks are scanned by the garbage collector.
+// positionChain returns the chunks of user u's position chain, oldest first,
+// following each chunk's header from the history's first chunk to its tail.
+func positionChain(tl *Timelines, u int32) []aref {
+	h := tl.users[u]
+	chain := []aref{h.first}
+	for c := h.first; c != h.tail; {
+		c = *(*aref)(tl.mem.ptr(c))
+		chain = append(chain, c)
+	}
+	return chain
+}
+
+// TestTimelinesChunkGrowth pins the position layout: a history is a chain of
+// timelineChunk-byte chunks, each linked from its predecessor's header, and
+// every chunk decodes on its own up to its zeroed tail — no uvarint straddles
+// two chunks, and none that fitted was pushed into the next. The first
+// position is 0 (coded as 1, since a zero byte ends a chunk), gaps of up to
+// 300 posts make one- and two-byte uvarints, and both kinds end up opening a
+// chunk. A read spanning every chunk returns every position in order. Records,
+// headers and histories hold no pointers, so nothing the arena holds needs
+// the garbage collector.
 func TestTimelinesChunkGrowth(t *testing.T) {
 	var tl Timelines
 	p := &core.Post{}
 	rng := rand.New(rand.NewSource(3))
-	const deliveries = 4 * timelineMaxChunk
+	const deliveries = 1500
+	var want []uint32
 	for i := 0; i < deliveries; i++ {
-		// Gaps of up to 300 posts make one- and two-byte varints.
-		for k := rng.Intn(300); k > 0; k-- {
-			tl.Deliver(p, tl.posts+1, []int32{4})
+		if i > 0 {
+			for k := rng.Intn(300); k > 0; k-- {
+				tl.Deliver(p, tl.posts+1, []int32{4})
+			}
 		}
+		want = append(want, uint32(tl.posts))
 		tl.Deliver(p, tl.posts+1, []int32{3})
 	}
-	h, full := tl.users[3], tl.full[3]
-	want := timelineFirstChunk
-	decoded := 0
-	for k, c := range append(slices.Clone(full), h.cur) {
-		if cap(c) != want {
-			t.Fatalf("chunk %d has capacity %d, want %d", k, cap(c), want)
-		}
-		if k < len(full) && len(c) < cap(c)-binary.MaxVarintLen32+1 {
-			t.Fatalf("full chunk %d holds %d of %d bytes; a varint fitted", k, len(c), cap(c))
-		}
-		for len(c) > 0 {
-			_, n := binary.Uvarint(c)
-			if n <= 0 {
-				t.Fatalf("chunk %d ends in a partial varint", k)
-			}
-			c = c[n:]
-			decoded++
-		}
-		want = min(2*want, timelineMaxChunk)
-	}
-	if decoded != deliveries || int(h.n) != deliveries {
-		t.Fatalf("decoded %d positions, history counts %d, want %d", decoded, h.n, deliveries)
+	if want[0] != 0 {
+		t.Fatalf("user 3's first position is %d, want 0", want[0])
 	}
 
-	rt := reflect.TypeOf(record{})
+	chain := positionChain(&tl, 3)
+	if len(chain) < 10 {
+		t.Fatalf("%d deliveries fill %d chunks; the test wants many", deliveries, len(chain))
+	}
+	var got []uint32
+	next := uint64(0)       // the newest decoded position + 1
+	opened := map[int]int{} // uvarint length → chunks it opened
+	for k, c := range chain {
+		body := tl.mem.bytes(aref{c.page, c.off + chunkHeader}, chunkBody)
+		used := 0
+		for used < len(body) && body[used] != 0 {
+			v, n := binary.Uvarint(body[used:])
+			if n <= 0 {
+				t.Fatalf("chunk %d ends in a partial uvarint", k)
+			}
+			if k > 0 && used == 0 {
+				opened[n]++
+			}
+			used += n
+			next += v
+			got = append(got, uint32(next-1))
+		}
+		if k == len(chain)-1 {
+			if uint32(used) != tl.users[3].used {
+				t.Fatalf("the tail chunk decodes %d bytes, the history says %d are used", used, tl.users[3].used)
+			}
+			break
+		}
+		// The uvarint that opened the next chunk did not fit in this one.
+		nb := tl.mem.bytes(aref{chain[k+1].page, chain[k+1].off + chunkHeader}, chunkBody)
+		if _, n := binary.Uvarint(nb); used+n <= len(body) {
+			t.Fatalf("chunk %d uses %d of %d bytes, yet the %d-byte uvarint after it went to the next chunk",
+				k, used, len(body), n)
+		}
+		if slices.ContainsFunc(body[used:], func(b byte) bool { return b != 0 }) {
+			t.Fatalf("chunk %d has bytes after its zero terminator", k)
+		}
+	}
+	if opened[1] == 0 || opened[2] == 0 {
+		t.Fatalf("chunks opened by one-byte uvarints: %d, by two-byte ones: %d; the test wants both", opened[1], opened[2])
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("the chain decodes %d positions, want %d (or they differ)", len(got), len(want))
+	}
+
+	tail, total := tl.appendTail(nil, 3, math.MaxInt)
+	if total != deliveries || len(tail) != deliveries {
+		t.Fatalf("a read over the whole chain returns %d of %d posts, want %d", len(tail), total, deliveries)
+	}
+	for i, tp := range tail {
+		// Every post was delivered at sequence number position + 1.
+		if tp.seq != uint64(want[i])+1 {
+			t.Fatalf("read post %d has seq %d, want %d", i, tp.seq, want[i]+1)
+		}
+	}
+
+	for _, v := range []any{record{}, history{}, aref{}} {
+		integersOnly(t, reflect.TypeOf(v))
+	}
+}
+
+// integersOnly fails the test unless every field of struct type rt, nested
+// structs included, is an integer.
+func integersOnly(t *testing.T, rt reflect.Type) {
+	t.Helper()
 	for i := 0; i < rt.NumField(); i++ {
-		if k := rt.Field(i).Type.Kind(); k < reflect.Int || k > reflect.Uint64 {
-			t.Fatalf("record field %s is a %v, want an integer", rt.Field(i).Name, k)
+		f := rt.Field(i)
+		switch k := f.Type.Kind(); {
+		case k == reflect.Struct:
+			integersOnly(t, f.Type)
+		case k < reflect.Int || k > reflect.Uint64:
+			t.Fatalf("%s field %s is a %v, want an integer", rt.Name(), f.Name, k)
 		}
 	}
 }
@@ -258,9 +324,12 @@ func TestTimelinesDoNotPinDeliveredPosts(t *testing.T) {
 
 // TestTimelinesRetainedBytesPerDelivery pins the layout's cost: about a
 // thousand deliveries to each of 2,000 users, of posts with 40-byte texts,
-// must retain at most 2.6 bytes of heap per delivery — records, texts and
-// positions all counted, since the store copies them. The store's own byte
-// count must match the heap it holds. Four-byte positions alone cost 4.
+// must map at most 2.6 bytes per delivery — records, texts and positions all
+// counted, since the store copies them, and every page counted whole — and
+// the process's count of mapped arena bytes must grow by exactly what Size
+// reports. Four-byte positions alone cost 4. Where the pages lie outside the
+// Go heap, the heap must grow by at most 0.1 bytes per delivery: only the
+// per-user index and the log's chunk table live there.
 func TestTimelinesRetainedBytesPerDelivery(t *testing.T) {
 	const (
 		users        = 2000
@@ -281,10 +350,12 @@ func TestTimelinesRetainedBytesPerDelivery(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	mappedBefore := mappedBytes.Load()
 	tl := new(Timelines)
 	for i := range posts {
 		tl.Deliver(&posts[i], uint64(i+1), to[i])
 	}
+	mapped := mappedBytes.Load() - mappedBefore
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	_, deliveries, bytes := tl.Size()
@@ -294,15 +365,19 @@ func TestTimelinesRetainedBytesPerDelivery(t *testing.T) {
 	if deliveries != postCount*usersPerPost {
 		t.Fatalf("%d deliveries, want %d", deliveries, postCount*usersPerPost)
 	}
-	heap := after.HeapAlloc - before.HeapAlloc
-	perDelivery := float64(heap) / float64(deliveries)
+	perDelivery := float64(bytes) / float64(deliveries)
 	if perDelivery > 2.6 {
-		t.Fatalf("the store retains %.2f B per delivery, want <= 2.6", perDelivery)
+		t.Fatalf("the store maps %.2f B per delivery, want <= 2.6", perDelivery)
 	}
-	if float64(bytes) > float64(heap) || float64(bytes) < 0.8*float64(heap) {
-		t.Fatalf("the store counts %d bytes but holds %d of heap", bytes, heap)
+	if mapped != int64(bytes) {
+		t.Fatalf("the store counts %d bytes but mapped %d", bytes, mapped)
 	}
-	t.Logf("%.2f retained bytes per delivery; the store counts %d of %d heap bytes", perDelivery, bytes, heap)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	heapPerDelivery := float64(heap) / float64(deliveries)
+	if pagesOffHeap && heapPerDelivery > 0.1 {
+		t.Fatalf("the Go heap grew by %.3f B per delivery, want <= 0.1", heapPerDelivery)
+	}
+	t.Logf("%.2f mapped bytes per delivery (%d bytes); the Go heap grew by %.3f B per delivery", perDelivery, bytes, heapPerDelivery)
 }
 
 // TestTimelinesPanicAtPositionCeiling: positions are uint32, so the log
@@ -318,18 +393,33 @@ func TestTimelinesPanicAtPositionCeiling(t *testing.T) {
 	tl.Deliver(&core.Post{}, 1, []int32{0})
 }
 
+// TestTimelinesPanicOnRepeatedUser: a user listed twice for one post is a
+// solver bug, and the position chain cannot code a repeated position (its
+// delta is the zero byte that ends a chunk), so Deliver panics naming both.
+func TestTimelinesPanicOnRepeatedUser(t *testing.T) {
+	var tl Timelines
+	tl.Deliver(&core.Post{ID: 1}, 1, []int32{2})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "user 2 is listed twice for post 7") {
+			t.Fatalf("Deliver with a repeated user: recovered %q", msg)
+		}
+	}()
+	tl.Deliver(&core.Post{ID: 7}, 2, []int32{1, 2, 2})
+}
+
 // BenchmarkTimelinesDeliver appends posts delivered to 25 users each, spread
 // over 5,000 users: the store's per-post cost on the ingest path. The store
-// restarts every resetEvery posts (≈1,300 deliveries per user, past the
-// largest chunk size) so a long run does not hold gigabytes.
+// restarts every resetEvery posts (≈1,300 deliveries per user, a chain of
+// about a dozen chunks) so a long run does not map gigabytes.
 func BenchmarkTimelinesDeliver(b *testing.B) {
 	const users, perPost, resetEvery = 5000, 25, 1 << 18
 	rng := rand.New(rand.NewSource(1))
 	to := make([][]int32, 1024)
 	for i := range to {
-		to[i] = make([]int32, perPost)
-		for j := range to[i] {
-			to[i][j] = int32(rng.Intn(users))
+		// A solver lists each user once.
+		for _, u := range rng.Perm(users)[:perPost] {
+			to[i] = append(to[i], int32(u))
 		}
 	}
 	p := &core.Post{}
