@@ -598,12 +598,20 @@ func runDaemon(cfg *connector.Config) error {
 // With no attempt kept the server starts cold at watermark 0. Every server
 // not kept is closed. A file input is then rewound once, to the kept
 // watermark, so it replays exactly the suffix no kept checkpoint covers.
+// Before any of that, resume sweeps dir of the temp files of checkpoint
+// writes a killed process left behind; every daemon shape boots through
+// here before it writes to dir.
 func resume(dir string, worker bool, in connector.Input, build func() (*httpapi.Server, error)) (*httpapi.Server, error) {
 	var files []checkpoint.File
-	if dir != "" && !worker {
-		var err error
-		if files, err = checkpoint.List(dir); err != nil {
+	if dir != "" {
+		if err := checkpoint.SweepTemp(dir); err != nil {
 			return nil, err
+		}
+		if !worker {
+			var err error
+			if files, err = checkpoint.List(dir); err != nil {
+				return nil, err
+			}
 		}
 	}
 	fileIn, _ := in.(*connector.FileInput)

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -151,6 +152,45 @@ func TestResumeRule(t *testing.T) {
 			}
 			if n := runtime.NumGoroutine(); n > baseline {
 				t.Errorf("%d goroutines after closing the kept server, %d before resume: a discarded attempt leaked its engine", n, baseline)
+			}
+		})
+	}
+}
+
+// TestResumeSweepsTempFiles: boot removes the temp file a daemon killed
+// mid-checkpoint left in its directory, in the plain and the shard worker
+// shape, and leaves every checkpoint and foreign file where it is.
+func TestResumeSweepsTempFiles(t *testing.T) {
+	for _, worker := range []bool{false, true} {
+		t.Run(fmt.Sprintf("worker=%v", worker), func(t *testing.T) {
+			dir := t.TempDir()
+			firstLife(t, dir)
+			write := func(name string) string {
+				path := filepath.Join(dir, name)
+				if err := os.WriteFile(path, make([]byte, 4096), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
+			torn := write("checkpoint-2746107373.tmp")
+			kept := []string{
+				filepath.Join(dir, "checkpoint-3.fhc"),
+				write("shard-7.fhc"),
+				write("notes.tmp"),
+				write("checkpoint-notes.txt"),
+			}
+			api, err := resume(dir, worker, nil, resumeBuild)
+			if err != nil {
+				t.Fatal(err)
+			}
+			api.Close()
+			if _, err := os.Stat(torn); !os.IsNotExist(err) {
+				t.Errorf("temp file %s survived boot (stat err %v)", torn, err)
+			}
+			for _, path := range kept {
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("boot removed %s: %v", path, err)
+				}
 			}
 		})
 	}

@@ -69,8 +69,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // encoderBlock is the encoder's block size: fields are appended to one
 // in-memory block that is checksummed and written when it fills, so a
 // multi-megabyte snapshot costs a few dozen hash and write calls instead of
-// one of each per field. Snapshots are taken inside the ingest pause, which
-// is why the constant matters.
+// one of each per field. A pre-encoded span (Raw) joins the block when it
+// fits and is otherwise hashed and written as it stands, right after the
+// block, so a section an engine keeps in its encoded form costs no copy.
+// Snapshots are taken inside the ingest pause, which is why the constant
+// matters.
 const encoderBlock = 256 << 10
 
 // Encoder writes the checkpoint format to an io.Writer, maintaining the
@@ -112,16 +115,21 @@ func (e *Encoder) flush() {
 
 // writeBlock writes the block's bytes and empties it.
 func (e *Encoder) writeBlock() {
+	e.write(e.block)
+	e.block = e.block[:0]
+}
+
+// write writes p unless an earlier write failed.
+func (e *Encoder) write(p []byte) {
 	if e.err == nil {
-		n, err := e.w.Write(e.block)
-		if err == nil && n < len(e.block) {
+		n, err := e.w.Write(p)
+		if err == nil && n < len(p) {
 			err = io.ErrShortWrite
 		}
 		if err != nil {
 			e.err = fmt.Errorf("checkpoint: write: %w", err)
 		}
 	}
-	e.block = e.block[:0]
 }
 
 // Uvarint writes an unsigned varint.
@@ -150,6 +158,20 @@ func (e *Encoder) Bool(v bool) {
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
 	e.block = append(e.block, s...)
+}
+
+// Raw writes bytes that are already in the format's encoding, such as a
+// section an engine keeps encoded in memory, checksummed like any field. A
+// span that does not fit the block's remaining room is written after the
+// block without being copied into it. The caller may reuse p on return.
+func (e *Encoder) Raw(p []byte) {
+	if len(e.block)+len(p) <= encoderBlock {
+		e.block = append(e.block, p...)
+		return
+	}
+	e.flush()
+	e.crc = crc32.Update(e.crc, crcTable, p)
+	e.write(p)
 }
 
 // Err returns the first error encountered, if any.

@@ -131,3 +131,59 @@ func TestBlockEncoderWritesPerBlock(t *testing.T) {
 		t.Fatalf("%d writes after the failure, want none", failing.writes-2)
 	}
 }
+
+// rawEncoder encodes the fixture's fields itself and hands them to Raw in
+// spans of assorted sizes, some far smaller and some larger than a block,
+// so both of Raw's paths run between ordinary fields.
+type rawEncoder struct {
+	*Encoder
+	buf  []byte
+	rng  *rand.Rand
+	span int
+}
+
+func (e *rawEncoder) emit() {
+	if len(e.buf) < e.span {
+		return
+	}
+	e.Raw(e.buf)
+	e.buf = e.buf[:0]
+	e.span = []int{1, 100, encoderBlock / 3, 2 * encoderBlock}[e.rng.Intn(4)]
+}
+
+func (e *rawEncoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v); e.emit() }
+func (e *rawEncoder) Varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v); e.emit() }
+func (e *rawEncoder) U64(v uint64)     { e.buf = binary.LittleEndian.AppendUint64(e.buf, v); e.emit() }
+func (e *rawEncoder) String(s string) {
+	e.buf = append(binary.AppendUvarint(e.buf, uint64(len(s))), s...)
+	e.emit()
+}
+func (e *rawEncoder) Finish() error {
+	e.Raw(e.buf)
+	return e.Encoder.Finish()
+}
+
+func TestRawMatchesLegacyBytes(t *testing.T) {
+	var legacy, raw bytes.Buffer
+	if err := writeFixture(newLegacyEncoder(&legacy, "test.Kind")); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFixture(&rawEncoder{Encoder: NewEncoder(&raw, "test.Kind"), rng: rand.New(rand.NewSource(4)), span: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(legacy.Bytes(), raw.Bytes()) {
+		t.Fatalf("Raw spans wrote %d bytes that differ from the legacy encoder's %d", raw.Len(), legacy.Len())
+	}
+
+	// A failed write of a span larger than the block is sticky too.
+	failing := &countingWriter{failFrom: 2}
+	enc := NewEncoder(failing, "test.Kind")
+	enc.Raw(make([]byte, 2*encoderBlock))
+	enc.Uvarint(1)
+	if err := enc.Finish(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Finish after a failed Raw write: %v", err)
+	}
+	if failing.writes != 2 {
+		t.Fatalf("%d writes after the failure, want none", failing.writes-2)
+	}
+}

@@ -17,13 +17,17 @@ import (
 // write to a temp file, fsync it, atomically rename into place, fsync the
 // directory. A crash at any point leaves either the previous checkpoint set
 // or the previous set plus one complete new file; a torn write can only ever
-// be a *.tmp leftover, which the scan ignores and Write sweeps.
+// be a checkpoint-*.tmp leftover, which the scan ignores and SweepTemp
+// removes at boot.
 
 // Ext is the checkpoint file extension.
 const Ext = ".fhc"
 
 // fileName formats the canonical file name for a sequence number.
 func fileName(seq uint64) string { return fmt.Sprintf("checkpoint-%d%s", seq, Ext) }
+
+// tmpPattern names the temp files publish writes before its rename.
+const tmpPattern = "checkpoint-*.tmp"
 
 // fileRe matches canonical checkpoint names, capturing the sequence number.
 var fileRe = regexp.MustCompile(`^checkpoint-(\d{1,19})\.fhc$`)
@@ -110,7 +114,7 @@ func publish(dir, name string, seq uint64, snapshot func(w io.Writer) error) (Fi
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return File{}, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
 	}
-	tmp, err := os.CreateTemp(dir, "checkpoint-*.tmp")
+	tmp, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return File{}, fmt.Errorf("checkpoint: creating temp file: %w", err)
 	}
@@ -143,6 +147,29 @@ func publish(dir, name string, seq uint64, snapshot func(w io.Writer) error) (Fi
 		return File{}, fmt.Errorf("checkpoint: stat %s: %w", path, err)
 	}
 	return File{Seq: seq, Path: path, Size: info.Size(), ModTime: info.ModTime()}, nil
+}
+
+// SweepTemp removes the temp files of checkpoint writes that never reached
+// their rename, which a process killed mid-write leaves behind in dir. Call
+// it once at boot, before anything writes to dir; a missing directory has
+// nothing to sweep.
+func SweepTemp(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("checkpoint: listing %s: %w", dir, err)
+	}
+	for _, ent := range entries {
+		if ok, _ := filepath.Match(tmpPattern, ent.Name()); !ok || ent.IsDir() {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("checkpoint: removing temp file: %w", err)
+		}
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a completed rename survives power loss.

@@ -61,7 +61,7 @@ func TestAdaptivePinnedEquivalence(t *testing.T) {
 		}
 		subs := randomSubscriptions(rng, 1+rng.Intn(6), nAuthors)
 		pol := AdaptivePolicy{
-			BudgetPosts: 1 + rng.Intn(3),
+			BudgetPosts:  1 + rng.Intn(3),
 			WindowMillis: step * int64(1+rng.Intn(10)),
 			MaxLambdaC:   th.LambdaC, // pinned: tightening has no headroom
 			MaxLambdaT:   th.LambdaT,

@@ -149,8 +149,9 @@ type SharedMultiUser struct {
 	// S_UniBin only (ring is set): the thresholds, the global graph (swapped
 	// by SetGraph), the rings, the author → ring table (-1 for authors no
 	// instance contains), the epoch stamps of the decision in progress (per
-	// instance and per author), and the counters (stored-copy counts kept
-	// apart: live posts and summed ring peaks).
+	// instance and per author), Offer's reusable encoded emitter list, and
+	// the counters (stored-copy counts kept apart: live posts and summed
+	// ring peaks).
 	ring       bool
 	th         Thresholds
 	g          *authorsim.Graph
@@ -159,6 +160,7 @@ type SharedMultiUser struct {
 	stamp      []uint32
 	similar    []uint32
 	epoch      uint32
+	emitList   []byte
 	c          metrics.Counters
 	live, peak int64
 }

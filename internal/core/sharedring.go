@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"time"
@@ -28,13 +29,18 @@ import (
 
 // sharedRing is one global component's window: the coverage bin (SoA ring
 // plus the optional SimHash index, exactly UniBin's) and, in step with it,
-// the emitter arena. Entry i (0 = oldest) emitted for the instances
-// emitters.live()[starts[i]-emitBase : starts[i+1]-emitBase], the newest
+// the emitter arena. Entry i (0 = oldest) emitted for the instances listed
+// in emitters.live()[starts[i]-emitBase : starts[i+1]-emitBase], the newest
 // entry's list running to the arena's end.
+//
+// Each list is kept in its checkpoint encoding: a uvarint count, then the
+// ascending ids as uvarint deltas (each id minus the previous, starting
+// from -1). The live arena is therefore the ring's emitter section byte for
+// byte, and a snapshot writes it with one copy.
 type sharedRing struct {
 	bin      covBin
 	starts   fifo[uint64]
-	emitters fifo[int32]
+	emitters fifo[byte]
 	// emitBase is the arena position of emitters.live()[0]; positions are
 	// absolute and only grow, so starts survive the arena's compaction.
 	emitBase uint64
@@ -45,12 +51,12 @@ type sharedRing struct {
 // len returns the number of stored posts.
 func (r *sharedRing) len() int { return r.bin.soa.Len() }
 
-// emitEnd returns the arena position the next pushed emitter takes.
+// emitEnd returns the arena position the next pushed list starts at.
 func (r *sharedRing) emitEnd() uint64 { return r.emitBase + uint64(len(r.emitters.live())) }
 
-// emittersOf returns the ascending emitter ids of entry i (0 = oldest). The
-// slice aliases the arena and is invalidated by the next push or prune.
-func (r *sharedRing) emittersOf(i int) []int32 {
+// emittersOf returns entry i's encoded emitter list (0 = oldest). The slice
+// aliases the arena and is invalidated by the next push or prune.
+func (r *sharedRing) emittersOf(i int) []byte {
 	starts, arena := r.starts.live(), r.emitters.live()
 	hi := len(arena)
 	if i+1 < len(starts) {
@@ -76,11 +82,12 @@ func (r *sharedRing) prune(cutoff int64) int {
 	return n
 }
 
-// push stores a post whose emitter list was appended to the arena from
-// arena position start on, and reports whether the ring's peak rose.
-func (r *sharedRing) push(t int64, fp uint64, author int32, start uint64) bool {
+// push stores a post with its encoded emitter list and reports whether the
+// ring's peak rose.
+func (r *sharedRing) push(t int64, fp uint64, author int32, emitters []byte) bool {
 	r.bin.push(t, fp, author)
-	r.starts.push(start)
+	r.starts.push(r.emitEnd())
+	r.emitters.pushAll(emitters)
 	if n := int64(r.len()); n > r.peak {
 		r.peak = n
 		return true
@@ -88,10 +95,11 @@ func (r *sharedRing) push(t int64, fp uint64, author int32, start uint64) bool {
 	return false
 }
 
-// fifo is a slice-backed queue. push appends at the back and popFront
-// advances the head; the dead prefix is reclaimed by sliding the live tail
-// down when the backing array is full and at least half dead, so both are
-// amortized O(1) and allocation-free once the array fits the live window.
+// fifo is a slice-backed queue. push and pushAll append at the back and
+// popFront advances the head; the dead prefix is reclaimed by sliding the
+// live tail down when the appended values do not fit and the backing array
+// is at least half dead, so all three are amortized O(1) per value and
+// allocation-free once the array fits the live window.
 // A burst's capacity is released once occupancy falls below a quarter.
 type fifo[T any] struct {
 	buf  []T
@@ -103,11 +111,23 @@ type fifo[T any] struct {
 func (q *fifo[T]) live() []T { return q.buf[q.head:] }
 
 func (q *fifo[T]) push(v T) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf, q.head = q.buf[:n], 0
-	}
+	q.reclaim(1)
 	q.buf = append(q.buf, v)
+}
+
+// pushAll appends vs at the back in one copy.
+func (q *fifo[T]) pushAll(vs []T) {
+	q.reclaim(len(vs))
+	q.buf = append(q.buf, vs...)
+}
+
+// reclaim slides the live tail down when n more values do not fit and at
+// least half the array is dead.
+func (q *fifo[T]) reclaim(n int) {
+	if len(q.buf)+n > cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		k := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:k], 0
+	}
 }
 
 func (q *fifo[T]) popFront(n int) {
@@ -166,12 +186,24 @@ func (s *SharedMultiUser) nextEpoch() uint32 {
 	return s.epoch
 }
 
-// cover marks the candidates among one matching entry's emitters as covered
-// and returns how many candidates remain open. Marks are idempotent, so an
-// entry seen twice (the index may probe it through several tables) is
-// harmless.
-func (s *SharedMultiUser) cover(emitters []int32, e uint32, open int) int {
-	for _, k := range emitters {
+// cover marks the candidates among one matching entry's emitters (its
+// encoded list, decoded as it is walked) as covered and returns how many
+// candidates remain open. Marks are idempotent, so an entry seen twice (the
+// index may probe it through several tables) is harmless.
+func (s *SharedMultiUser) cover(emitters []byte, e uint32, open int) int {
+	// Skip the count: the slice ends where the list does.
+	i := 1
+	for emitters[i-1] >= 0x80 {
+		i++
+	}
+	k := -1
+	for i < len(emitters) {
+		d, n := uint64(emitters[i]), 1
+		if d >= 0x80 { // a longer delta, well formed: this package encoded it
+			d, n = binary.Uvarint(emitters[i:])
+		}
+		i += n
+		k += int(d)
 		if s.stamp[k] == e {
 			s.stamp[k] = e + 1
 			if open--; open == 0 {
@@ -219,20 +251,27 @@ func (s *SharedMultiUser) offerRing(p *Post) []int32 {
 	s.c.Comparisons += comparisons
 
 	delivered := s.scratch[:0]
-	start := r.emitEnd()
 	emitted := 0
 	for _, k := range insts {
 		if s.stamp[k] != e {
 			continue
 		}
-		r.emitters.push(k)
 		delivered = append(delivered, s.comps[k].users...)
 		emitted++
 	}
 	s.c.Accepted += uint64(emitted)
 	s.c.Rejected += uint64(len(insts) - emitted)
 	if emitted > 0 {
-		if r.push(p.Time, fp, p.Author, start) {
+		list := binary.AppendUvarint(s.emitList[:0], uint64(emitted))
+		prev := int32(-1)
+		for _, k := range insts {
+			if s.stamp[k] == e {
+				list = binary.AppendUvarint(list, uint64(k-prev))
+				prev = k
+			}
+		}
+		s.emitList = list
+		if r.push(p.Time, fp, p.Author, list) {
 			s.peak++
 		}
 		s.c.Insertions++

@@ -16,6 +16,7 @@ package core
 // MultiDiversifier restore methods).
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -127,9 +128,12 @@ func decodeCounters(dec *checkpoint.Decoder) metrics.Counters {
 // per entry the timestamp (varint), fingerprint (fixed 8 bytes) and author
 // (varint). Ring geometry (capacity, head) is deliberately not serialized —
 // it is an accident of arrival history, and rebuilding compactly keeps the
-// format canonical: one logical bin state, one byte sequence.
-func encodeBin(enc *checkpoint.Encoder, b *postbin.SoA) {
-	enc.Uvarint(uint64(b.Len()))
+// format canonical: one logical bin state, one byte sequence. The section
+// is encoded into buf, a scratch buffer the caller reuses across a
+// snapshot's bins, and written with one Raw call; the grown buffer is
+// returned.
+func encodeBin(enc *checkpoint.Encoder, b *postbin.SoA, buf []byte) []byte {
+	buf = binary.AppendUvarint(buf[:0], uint64(b.Len()))
 	tOld, tNew := b.TimeSegments()
 	fOld, fNew := b.FPSegments()
 	aOld, aNew := b.AuthorSegments()
@@ -139,11 +143,13 @@ func encodeBin(enc *checkpoint.Encoder, b *postbin.SoA) {
 			ts, fps, as = tNew, fNew, aNew
 		}
 		for i := range ts {
-			enc.Varint(ts[i])
-			enc.U64(fps[i])
-			enc.Varint(int64(as[i]))
+			buf = binary.AppendVarint(buf, ts[i])
+			buf = binary.LittleEndian.AppendUint64(buf, fps[i])
+			buf = binary.AppendVarint(buf, int64(as[i]))
 		}
 	}
+	enc.Raw(buf)
+	return buf
 }
 
 // decodeBin reads one bin into a fresh SoA, validating time monotonicity
@@ -182,7 +188,7 @@ func decodeBin(dec *checkpoint.Decoder, validAuthor func(int32) bool) postbin.So
 // under another.
 func (u *UniBin) SnapshotState(enc *checkpoint.Encoder) error {
 	enc.String("unibin")
-	encodeBin(enc, &u.bin.soa)
+	encodeBin(enc, &u.bin.soa, nil)
 	encodeCounters(enc, &u.c)
 	return enc.Err()
 }
@@ -211,9 +217,10 @@ func (nb *NeighborBin) SnapshotState(enc *checkpoint.Encoder) error {
 	}
 	slices.Sort(authors)
 	enc.Uvarint(uint64(len(authors)))
+	var buf []byte
 	for _, a := range authors {
 		enc.Varint(int64(a))
-		encodeBin(enc, &nb.bins[a].soa)
+		buf = encodeBin(enc, &nb.bins[a].soa, buf)
 	}
 	encodeCounters(enc, &nb.c)
 	return enc.Err()
@@ -262,10 +269,11 @@ func (cb *CliqueBin) SnapshotState(enc *checkpoint.Encoder) error {
 		}
 	}
 	enc.Uvarint(uint64(populated))
+	var buf []byte
 	for ci, b := range cb.bins {
 		if b != nil {
 			enc.Uvarint(uint64(ci))
-			encodeBin(enc, &b.soa)
+			buf = encodeBin(enc, &b.soa, buf)
 		}
 	}
 	encodeCounters(enc, &cb.c)
@@ -346,8 +354,9 @@ func (s *SharedMultiUser) SnapshotState(enc *checkpoint.Encoder) error {
 	}
 	if s.ring {
 		enc.Uvarint(uint64(len(s.rings)))
+		var buf []byte
 		for i := range s.rings {
-			encodeRing(enc, &s.rings[i])
+			buf = encodeRing(enc, &s.rings[i], buf)
 		}
 		encodeCounters(enc, s.Counters())
 		return enc.Err()
@@ -413,21 +422,16 @@ func (s *SharedMultiUser) RestoreState(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// encodeRing writes one S_UniBin ring: its bin, then per entry (oldest
-// first) the emitting instances as a count plus ascending delta varints
-// (each id minus the previous, starting from -1), then the ring's peak.
-func encodeRing(enc *checkpoint.Encoder, r *sharedRing) {
-	encodeBin(enc, &r.bin.soa)
-	for i := 0; i < r.len(); i++ {
-		emitters := r.emittersOf(i)
-		enc.Uvarint(uint64(len(emitters)))
-		prev := int64(-1)
-		for _, k := range emitters {
-			enc.Uvarint(uint64(int64(k) - prev))
-			prev = int64(k)
-		}
-	}
+// encodeRing writes one S_UniBin ring: its bin (through buf, as
+// encodeBin), then per entry (oldest first) the emitting instances as a
+// count plus ascending delta varints (each id minus the previous, starting
+// from -1), then the ring's peak. The emitter section is the live arena as
+// it stands, which already holds exactly these bytes.
+func encodeRing(enc *checkpoint.Encoder, r *sharedRing, buf []byte) []byte {
+	buf = encodeBin(enc, &r.bin.soa, buf)
+	enc.Raw(r.emitters.live())
 	enc.Varint(r.peak)
+	return buf
 }
 
 // decodeRing reads ring ri, validating that every entry's author belongs to
@@ -440,6 +444,7 @@ func decodeRing(dec *checkpoint.Decoder, s *SharedMultiUser, ri int32, params si
 	})
 	aOld, aNew := soa.AuthorSegments()
 	var r sharedRing
+	var list []byte
 	for i := 0; i < soa.Len() && dec.Err() == nil; i++ {
 		var author int32
 		if i < len(aOld) {
@@ -447,11 +452,11 @@ func decodeRing(dec *checkpoint.Decoder, s *SharedMultiUser, ri int32, params si
 		} else {
 			author = aNew[i-len(aOld)]
 		}
-		r.starts.push(r.emitEnd())
 		n := dec.Len("entry emitters", len(s.comps))
 		if dec.Err() == nil && n == 0 {
 			dec.Failf("ring %d entry %d has no emitting instance", ri, i)
 		}
+		list = binary.AppendUvarint(list[:0], uint64(n))
 		prev := int64(-1)
 		for j := 0; j < n && dec.Err() == nil; j++ {
 			k := prev + int64(dec.Uvarint())
@@ -466,9 +471,11 @@ func decodeRing(dec *checkpoint.Decoder, s *SharedMultiUser, ri int32, params si
 				dec.Failf("ring %d entry %d: emitter %d does not contain author %d", ri, i, k, author)
 				break
 			}
-			r.emitters.push(int32(k))
+			list = binary.AppendUvarint(list, uint64(k-prev))
 			prev = k
 		}
+		r.starts.push(r.emitEnd())
+		r.emitters.pushAll(list)
 	}
 	r.peak = dec.Varint()
 	if dec.Err() == nil && (r.peak < int64(soa.Len()) || r.peak > checkpoint.MaxElems) {

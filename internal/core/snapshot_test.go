@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -368,9 +370,30 @@ func sweepTruncations(t *testing.T, raw []byte, mkFresh func() StateSnapshotter)
 	}
 }
 
+// decodeEmitters reads one entry's encoded emitter list back into ids: a
+// uvarint count, then uvarint deltas from -1 to the list's end. A list whose
+// count disagrees with its deltas panics.
+func decodeEmitters(list []byte) []int32 {
+	n, i := binary.Uvarint(list)
+	var ids []int32
+	prev := int64(-1)
+	for i < len(list) {
+		d, w := binary.Uvarint(list[i:])
+		prev += int64(d)
+		ids = append(ids, int32(prev))
+		i += w
+	}
+	if uint64(len(ids)) != n {
+		panic(fmt.Sprintf("emitter list % x: count %d, %d deltas", list, n, len(ids)))
+	}
+	return ids
+}
+
 // encodeSharedRings writes an S_UniBin section the way SnapshotState does,
 // letting edit rewrite each entry's author and emitter list on the way out —
-// the corruptions a checksum cannot catch because the writer made them.
+// the corruptions a checksum cannot catch because the writer made them. It
+// writes ids one by one from decoded lists, so it checks the arena
+// SnapshotState copies rather than copying it.
 func encodeSharedRings(enc *checkpoint.Encoder, s *SharedMultiUser, edit func(ri, i int, author int32, emitters []int32) (int32, []int32)) {
 	enc.String("sharedmultiuser")
 	enc.Uvarint(uint64(len(s.comps)))
@@ -387,7 +410,7 @@ func encodeSharedRings(enc *checkpoint.Encoder, s *SharedMultiUser, edit func(ri
 		ts, fps, as := append(slices.Clone(tOld), tNew...), append(slices.Clone(fOld), fNew...), append(slices.Clone(aOld), aNew...)
 		lists := make([][]int32, len(ts))
 		for i := range ts {
-			as[i], lists[i] = edit(ri, i, as[i], slices.Clone(r.emittersOf(i)))
+			as[i], lists[i] = edit(ri, i, as[i], decodeEmitters(r.emittersOf(i)))
 		}
 		enc.Uvarint(uint64(len(ts)))
 		for i := range ts {

@@ -173,7 +173,9 @@ type ScenarioConfig struct {
 
 // SmokeScenarioConfig is the reduced scale used by `make scenarios SMOKE=1`
 // and the golden tests.
-func SmokeScenarioConfig() ScenarioConfig { return ScenarioConfig{Authors: 120, Seed: 20160315, Smoke: true} }
+func SmokeScenarioConfig() ScenarioConfig {
+	return ScenarioConfig{Authors: 120, Seed: 20160315, Smoke: true}
+}
 
 // FullScenarioConfig is the default CLI scale.
 func FullScenarioConfig() ScenarioConfig { return ScenarioConfig{Authors: 600, Seed: 20160315} }

@@ -13,10 +13,10 @@ func TestHistogramObserveBucketPlacement(t *testing.T) {
 		bucket int // -1 means overflow (Count only)
 	}{
 		{0, 0},
-		{100 * time.Nanosecond, 0},  // on the bound: inclusive
-		{101 * time.Nanosecond, 1},  // just above
-		{time.Microsecond, 3},       // 1µs bound
-		{time.Millisecond, 12},      // 1ms bound
+		{100 * time.Nanosecond, 0}, // on the bound: inclusive
+		{101 * time.Nanosecond, 1}, // just above
+		{time.Microsecond, 3},      // 1µs bound
+		{time.Millisecond, 12},     // 1ms bound
 		{time.Second, NumBuckets - 1},
 		{2 * time.Second, -1},
 		{-time.Second, 0}, // negative clamps to 0
