@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadPosts -fuzztime=$(FUZZTIME) ./internal/corpusio
 	$(GO) test -run='^$$' -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME) ./internal/corpusio
 	$(GO) test -run='^$$' -fuzz=FuzzReadFollowees -fuzztime=$(FUZZTIME) ./internal/corpusio
+	$(GO) test -run='^$$' -fuzz=FuzzDecoder -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) .
 
 # scenarios runs the adversarial workload suite (flash crowd, celebrity

@@ -4,14 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"firehose/internal/connector"
+	"firehose/internal/httpapi"
 )
 
 // TestShardedEquivalence is the sharding integration test: a real 2-shard
@@ -137,6 +140,18 @@ func TestShardedEquivalence(t *testing.T) {
 		}
 		return ids
 	}
+	// sameReads asserts the bounded reads — the newest 7 and the user stats —
+	// answer byte-identically on both deployments for every user.
+	sameReads := func(when string) {
+		t.Helper()
+		for u := 0; u < 5; u++ {
+			for _, path := range []string{fmt.Sprintf("/v1/timeline?user=%d&n=7", u), fmt.Sprintf("/v1/users/%d/stats", u)} {
+				if w, g := getBody(t, singleBase+path), getBody(t, routerBase+path); w != g {
+					t.Fatalf("%s: %s: single %s, sharded %s", when, path, w, g)
+				}
+			}
+		}
+	}
 
 	// --- Phase 1: plain streaming equivalence.
 	for i := 0; i < 25; i++ {
@@ -147,6 +162,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatalf("user %d timeline: single %v, sharded %v", u, w, g)
 		}
 	}
+	sameReads("before the checkpoint")
 
 	// --- Coordinated checkpoint over the admin API.
 	resp, err := http.Post(routerBase+"/v1/admin/checkpoint", "application/json", nil)
@@ -168,6 +184,7 @@ func TestShardedEquivalence(t *testing.T) {
 	for i := 25; i < 40; i++ {
 		offer(i, true)
 	}
+	sameReads("after the coordinated checkpoint")
 
 	// --- Phase 3: SIGKILL worker 0 mid-stream; restart it cold. The router
 	// must detect the lost state, roll the worker back to the coordinated
@@ -179,6 +196,32 @@ func TestShardedEquivalence(t *testing.T) {
 	workers[0] = startWorker(0)
 	for i := 40; i < 65; i++ {
 		offer(i, true)
+	}
+	// A restored worker's timelines restart empty (checkpoints hold no
+	// delivered history), so from here the router's history lacks worker
+	// 0's posts from before the coordinated round. The posts after it (ids
+	// above 25) must still match, and the bounded reads must be exactly the
+	// newest of the router's own whole history.
+	for u := 0; u < 5; u++ {
+		var whole, single, seven httpapi.TimelineResponse
+		var stats httpapi.UserStatsResponse
+		readJSON(t, fmt.Sprintf("%s/v1/timeline?user=%d&n=100000", routerBase, u), &whole)
+		readJSON(t, fmt.Sprintf("%s/v1/timeline?user=%d&n=100000", singleBase, u), &single)
+		readJSON(t, fmt.Sprintf("%s/v1/timeline?user=%d&n=7", routerBase, u), &seven)
+		readJSON(t, fmt.Sprintf("%s/v1/users/%d/stats", routerBase, u), &stats)
+		after := func(tl []httpapi.TimelinePost) []httpapi.TimelinePost {
+			return slices.DeleteFunc(slices.Clone(tl), func(p httpapi.TimelinePost) bool { return p.ID <= 25 })
+		}
+		if w, g := after(single.Posts), after(whole.Posts); !slices.Equal(w, g) {
+			t.Fatalf("after the worker SIGKILL: user %d's posts after the checkpoint: single %v, sharded %v", u, w, g)
+		}
+		if whole.Total != len(whole.Posts) || seven.Total != whole.Total ||
+			!slices.Equal(seven.Posts, whole.Posts[len(whole.Posts)-min(7, len(whole.Posts)):]) {
+			t.Fatalf("after the worker SIGKILL: user %d: n=7 read %+v is not the newest 7 of %+v", u, seven, whole)
+		}
+		if stats.TimelineSize != whole.Total || (whole.Total > 0 && stats.LastTimeMilli != whole.Posts[whole.Total-1].TimeMillis) {
+			t.Fatalf("after the worker SIGKILL: user %d: stats %+v disagree with the timeline %+v", u, stats, whole)
+		}
 	}
 
 	// --- Topology admin surface.
@@ -302,5 +345,36 @@ func TestShardedEquivalence(t *testing.T) {
 	case <-done:
 	case <-time.After(20 * time.Second):
 		t.Fatal("fleet did not shut down within 20s")
+	}
+}
+
+// getBody GETs url and returns its status and body as one string.
+func getBody(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%d %s", resp.StatusCode, body)
+}
+
+// readJSON GETs url and decodes its 200 JSON body into out.
+func readJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -242,27 +242,31 @@ func (d *Decoder) read(p []byte) error {
 	return nil
 }
 
-// byteReader adapts the decoder for binary.ReadUvarint while keeping the
-// checksum current.
-type byteReader struct{ d *Decoder }
-
-func (b byteReader) ReadByte() (byte, error) {
-	var one [1]byte
-	if err := b.d.read(one[:]); err != nil {
-		return 0, err
-	}
-	return one[0], nil
-}
-
-// Uvarint reads an unsigned varint; 0 after a sticky error.
+// Uvarint reads an unsigned varint; 0 after a sticky error. It peeks at
+// most binary.MaxVarintLen64 bytes, decodes them in place, and hashes and
+// consumes exactly the bytes the varint spans.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(byteReader{d})
-	if err != nil && d.err == nil {
-		d.err = fmt.Errorf("checkpoint: bad varint: %w", err)
+	buf, err := d.r.Peek(binary.MaxVarintLen64)
+	v, n := binary.Uvarint(buf)
+	switch {
+	case n > 0:
+	case n < 0 || len(buf) == binary.MaxVarintLen64:
+		// A tenth byte above 1, or ten continuation bytes: either way ten
+		// bytes, as many as binary.ReadUvarint consumed before failing.
+		n = binary.MaxVarintLen64
+		d.err = errors.New("checkpoint: bad varint: binary: varint overflows a 64-bit integer")
+	case errors.Is(err, io.EOF):
+		n = len(buf)
+		d.err = fmt.Errorf("truncated stream: %w", io.EOF)
+	default:
+		n = len(buf)
+		d.err = err
 	}
+	_, _ = d.crc.Write(buf[:n])
+	_, _ = d.r.Discard(n)
 	if d.err != nil {
 		return 0
 	}
@@ -271,17 +275,12 @@ func (d *Decoder) Uvarint() uint64 {
 
 // Varint reads a zig-zag signed varint; 0 after a sticky error.
 func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+	ux := d.Uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	v, err := binary.ReadVarint(byteReader{d})
-	if err != nil && d.err == nil {
-		d.err = fmt.Errorf("checkpoint: bad varint: %w", err)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return v
+	return x
 }
 
 // U64 reads a fixed 8-byte little-endian word; 0 after a sticky error.

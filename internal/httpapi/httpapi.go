@@ -30,6 +30,10 @@ type Engine interface {
 	// deliveries in batch order. Backends amortize their per-post costs (lock
 	// acquisitions, worker channel sends) across the batch.
 	OfferBatch(posts []*core.Post) ([][]int32, error)
+	// Timeline returns the user's whole delivered history, oldest first. The
+	// handlers read it only from an engine without TimelineTail (today that
+	// is only a wrapper that forwards this interface alone, such as a
+	// tracing engine), and keep its newest n.
 	Timeline(user int32) []*core.Post
 	Counters() metrics.Counters
 	Name() string
@@ -50,46 +54,30 @@ type timelineSizer interface {
 	TimelineSize() (posts, entries, bytes uint64)
 }
 
-// timelineErrSource is the optional failure-aware read surface: the shard
-// router implements it so a merged read over an unreachable worker becomes a
-// 503 shard_unavailable instead of a silently partial 200. Engines without it
-// (in-process backends, which cannot fail a read) serve Timeline directly.
-type timelineErrSource interface {
-	TimelineErr(user int32) ([]*core.Post, error)
-}
-
-// countersErrSource is the optional failure-aware counters surface, the
-// counterpart of timelineErrSource: the shard router implements it so
-// GET /v1/stats over an unreachable worker becomes a 503 shard_unavailable
-// instead of a silently partial sum.
+// countersErrSource is the optional failure-aware counters surface: the
+// shard router implements it so GET /v1/stats over an unreachable worker
+// becomes a 503 shard_unavailable instead of a silently partial sum.
 type countersErrSource interface {
 	CountersErr() (metrics.Counters, error)
 }
 
-// timelineTailSource is the optional bounded read surface: the stream engine
-// builds posts for the newest n of a history only. Engines without it (the
-// shard router, wrappers that forward Timeline alone) serve the whole
-// history, and the handler keeps its newest n.
-type timelineTailSource interface {
-	TimelineTail(user int32, n int) (tail []*core.Post, total int)
+// timelineTailer is the optional bounded, failure-aware read surface. The
+// stream engine builds posts for the newest n of a history only and never
+// fails; the shard router asks each shard for its newest n and fails a read
+// over an unreachable worker, which the handlers serve as 503
+// shard_unavailable instead of a silently partial 200.
+type timelineTailer interface {
+	TimelineTail(user int32, n int) (tail []*core.Post, total int, err error)
 }
 
 // timelineTail reads the newest n posts of a user's timeline, oldest first,
-// and the timeline's length, through the narrowest surface the engine offers:
-// the failure-aware one first, then the bounded one.
+// and the timeline's length: through TimelineTail when the engine has it,
+// else from the whole history Engine.Timeline returns.
 func (s *Server) timelineTail(user int32, n int) (tail []*core.Post, total int, err error) {
-	var tl []*core.Post
-	switch e := s.engine.(type) {
-	case timelineErrSource:
-		if tl, err = e.TimelineErr(user); err != nil {
-			return nil, 0, err
-		}
-	case timelineTailSource:
-		tail, total = e.TimelineTail(user, n)
-		return tail, total, nil
-	default:
-		tl = s.engine.Timeline(user)
+	if e, ok := s.engine.(timelineTailer); ok {
+		return e.TimelineTail(user, n)
 	}
+	tl := s.engine.Timeline(user)
 	return tl[len(tl)-min(n, len(tl)):], len(tl), nil
 }
 
@@ -362,10 +350,12 @@ type TimelinePost struct {
 	Text       string `json:"text"`
 }
 
-// TimelineResponse is the GET /v1/timeline body.
+// TimelineResponse is the GET /v1/timeline body: the newest n posts, oldest
+// first, and the length of the user's whole history.
 type TimelineResponse struct {
 	User  int32          `json:"user"`
 	Posts []TimelinePost `json:"posts"`
+	Total int            `json:"total"`
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
@@ -383,12 +373,12 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	tl, _, terr := s.timelineTail(int32(user), n)
+	tl, total, terr := s.timelineTail(int32(user), n)
 	if terr != nil {
 		writeError(w, http.StatusServiceUnavailable, CodeShardUnavailable, "%v", terr)
 		return
 	}
-	resp := TimelineResponse{User: int32(user), Posts: make([]TimelinePost, len(tl))}
+	resp := TimelineResponse{User: int32(user), Posts: make([]TimelinePost, len(tl)), Total: total}
 	for i, p := range tl {
 		resp.Posts[i] = TimelinePost{ID: p.ID, Author: p.Author, TimeMillis: p.Time, Text: p.Text}
 	}

@@ -196,6 +196,8 @@ type UserStatsResponse struct {
 	LastTimeMilli int64 `json:"lastTimeMillis"`
 }
 
+// handleUserStats answers from a one-post read: its total is the timeline's
+// length and its post the newest time, so a router asks each shard for n=1.
 func (s *Server) handleUserStats(w http.ResponseWriter, r *http.Request) {
 	user, err := strconv.ParseInt(r.PathValue("id"), 10, 32)
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,6 +68,33 @@ type shardedStack struct {
 	servers []*httptest.Server
 	router  *Router
 	api     *httpapi.Server
+	reads   *timelineReads
+}
+
+// timelineReads is the router's transport in a shardedStack: it records the
+// query of every GET /v1/timeline the router sends a shard.
+type timelineReads struct {
+	// mu guards: queries
+	mu      sync.Mutex
+	queries []url.Values
+}
+
+func (l *timelineReads) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet && r.URL.Path == "/v1/timeline" {
+		l.mu.Lock()
+		l.queries = append(l.queries, r.URL.Query())
+		l.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// take returns the queries recorded since the last take.
+func (l *timelineReads) take() []url.Values {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	q := l.queries
+	l.queries = nil
+	return q
 }
 
 func newShardedStack(t *testing.T, shards int) *shardedStack {
@@ -74,7 +103,7 @@ func newShardedStack(t *testing.T, shards int) *shardedStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &shardedStack{assign: assign}
+	st := &shardedStack{assign: assign, reads: &timelineReads{}}
 	peers := make([]string, shards)
 	for s := 0; s < shards; s++ {
 		srv := newEquivServer(t)
@@ -97,6 +126,7 @@ func newShardedStack(t *testing.T, shards int) *shardedStack {
 	rt, err := NewRouter(RouterOptions{
 		Peers:      peers,
 		Assignment: assign,
+		Client:     &http.Client{Timeout: 30 * time.Second, Transport: st.reads},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +184,46 @@ func timelineIDs(t *testing.T, s *httpapi.Server, user int) []uint64 {
 	return ids
 }
 
+// checkBoundedReads: for every user, and one on each side of the user range,
+// the router answers /v1/timeline at the default n and at n = 1, 7 and
+// 100000, and /v1/users/{u}/stats, byte-identically to the single node,
+// total included. Each read asks every shard once, for the caller's n (1 for
+// user stats), never for the whole history.
+func checkBoundedReads(t *testing.T, single *httpapi.Server, st *shardedStack) {
+	t.Helper()
+	st.reads.take()
+	longest := 0
+	for u := -1; u <= len(equivSubscriptions()); u++ {
+		for _, read := range []struct{ path, n string }{
+			{fmt.Sprintf("/v1/timeline?user=%d", u), "50"},
+			{fmt.Sprintf("/v1/timeline?user=%d&n=1", u), "1"},
+			{fmt.Sprintf("/v1/timeline?user=%d&n=7", u), "7"},
+			{fmt.Sprintf("/v1/timeline?user=%d&n=100000", u), "100000"},
+			{fmt.Sprintf("/v1/users/%d/stats", u), "1"},
+		} {
+			var tl httpapi.TimelineResponse
+			wantCode, want := do(t, single, "GET", read.path, "", &tl)
+			gotCode, got := do(t, st.api, "GET", read.path, "", nil)
+			if wantCode != http.StatusOK || gotCode != wantCode || got != want {
+				t.Fatalf("%s: single %d %s, sharded %d %s", read.path, wantCode, want, gotCode, got)
+			}
+			longest = max(longest, tl.Total)
+			queries := st.reads.take()
+			if len(queries) != len(st.servers) {
+				t.Fatalf("%s: the router sent %d shard timeline reads, want one per shard (%d)", read.path, len(queries), len(st.servers))
+			}
+			for _, q := range queries {
+				if q.Get("user") != fmt.Sprint(u) || q.Get("n") != read.n {
+					t.Fatalf("%s: the router asked a shard for %v, want user=%d n=%s", read.path, q, u, read.n)
+				}
+			}
+		}
+	}
+	if longest <= 50 {
+		t.Fatalf("the longest timeline holds %d posts; the reads need one longer than the default n", longest)
+	}
+}
+
 func TestShardedDecisionEquivalence(t *testing.T) {
 	const posts = 150
 	for _, shards := range []int{1, 2, 4} {
@@ -189,12 +259,7 @@ func TestShardedDecisionEquivalence(t *testing.T) {
 				}
 			}
 
-			for u := range equivSubscriptions() {
-				w, g := timelineIDs(t, single, u), timelineIDs(t, st.api, u)
-				if fmt.Sprint(w) != fmt.Sprint(g) {
-					t.Fatalf("user %d timeline: single %v, sharded %v", u, w, g)
-				}
-			}
+			checkBoundedReads(t, single, st)
 		})
 	}
 }
@@ -234,12 +299,7 @@ func TestShardedBatchEquivalence(t *testing.T) {
 				}
 			}
 
-			for u := range equivSubscriptions() {
-				w, g := timelineIDs(t, single, u), timelineIDs(t, st.api, u)
-				if fmt.Sprint(w) != fmt.Sprint(g) {
-					t.Fatalf("user %d timeline: single %v, sharded %v", u, w, g)
-				}
-			}
+			checkBoundedReads(t, single, st)
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -592,48 +593,40 @@ func (rt *Router) fromEveryShard(deadline time.Time, path string, out func(s int
 	return failed
 }
 
-// TimelineErr fetches the user's timeline from every shard and merges by
-// ascending id. Each shard holds exactly the user's posts whose authors it
-// owns, so the merge is a disjoint union. A failed shard fetch is retried
-// within the resync window, like forwards; a shard that stays unreachable
-// past it is an error — a silently partial merge would diverge from the
-// single-node read. The HTTP layer serves the error as 503 shard_unavailable.
-func (rt *Router) TimelineErr(user int32) ([]*core.Post, error) {
-	type tlResp struct {
-		Posts []struct {
-			ID         uint64 `json:"id"`
-			Author     int32  `json:"author"`
-			TimeMillis int64  `json:"timeMillis"`
-			Text       string `json:"text"`
-		} `json:"posts"`
-	}
-	resps := make([]tlResp, len(rt.peers))
-	failed := rt.fromEveryShard(time.Now().Add(rt.resyncTO), fmt.Sprintf("/v1/timeline?user=%d&n=%d", user, 1<<30),
+// TimelineTail reads the newest n posts of the user's timeline, oldest
+// first, and the length of the whole timeline. Each shard holds exactly the
+// user's posts whose authors it owns, so the newest n overall are among the
+// shards' newest n each: the router asks every shard for n, merges the
+// disjoint answers by ascending id, keeps the newest n and sums the shards'
+// totals. A failed shard read is retried within the resync window, like
+// forwards; a shard that stays unreachable past it is an error — a silently
+// partial merge would diverge from the single-node read. The HTTP layer
+// serves the error as 503 shard_unavailable.
+func (rt *Router) TimelineTail(user int32, n int) (tail []*core.Post, total int, err error) {
+	resps := make([]httpapi.TimelineResponse, len(rt.peers))
+	failed := rt.fromEveryShard(time.Now().Add(rt.resyncTO), fmt.Sprintf("/v1/timeline?user=%d&n=%d", user, n),
 		func(s int) any { return &resps[s] })
 	if failed != -1 {
-		return nil, fmt.Errorf("shard %d (%s) answered no timeline within %v; the merged timeline would be missing its posts",
+		return nil, 0, fmt.Errorf("shard %d (%s) answered no timeline within %v; the merged timeline would be missing its posts",
 			failed, rt.peers[failed], rt.resyncTO)
 	}
-	var all []*core.Post
 	for _, resp := range resps {
+		total += resp.Total
 		for _, p := range resp.Posts {
 			// No fingerprint: the read path serves id, author, time and text
 			// only.
-			all = append(all, &core.Post{ID: p.ID, Author: p.Author, Time: p.TimeMillis, Text: p.Text})
+			tail = append(tail, &core.Post{ID: p.ID, Author: p.Author, Time: p.TimeMillis, Text: p.Text})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	return all, nil
+	sort.Slice(tail, func(i, j int) bool { return tail[i].ID < tail[j].ID })
+	return tail[len(tail)-min(n, len(tail)):], total, nil
 }
 
-// Timeline implements httpapi.Engine. The HTTP layer prefers TimelineErr
-// (failures become 503 shard_unavailable); this error-less form answers nil
-// while any shard is unreachable.
+// Timeline implements httpapi.Engine with the whole history. The HTTP layer
+// reads TimelineTail instead (failures become 503 shard_unavailable); this
+// error-less form answers nil while any shard is unreachable.
 func (rt *Router) Timeline(user int32) []*core.Post {
-	tl, err := rt.TimelineErr(user)
-	if err != nil {
-		return nil
-	}
+	tl, _, _ := rt.TimelineTail(user, math.MaxInt)
 	return tl
 }
 
@@ -661,7 +654,7 @@ func (rt *Router) counters(deadline time.Time) (metrics.Counters, int) {
 }
 
 // CountersErr is the failure-aware counters read, the counterpart of
-// TimelineErr: a shard whose stats stay unreadable past the resync window is
+// TimelineTail: a shard whose stats stay unreadable past the resync window is
 // an error, never a silently partial sum. GET /v1/stats prefers it and serves
 // the error as 503 shard_unavailable.
 func (rt *Router) CountersErr() (metrics.Counters, error) {

@@ -644,7 +644,7 @@ func (e *ParallelMultiEngine) WorkerSnapshots() []WorkerSnapshot {
 // Timeline returns a copy of user u's whole delivered history, oldest first:
 // TimelineTail with no limit, so its posts carry no fingerprint either.
 func (e *ParallelMultiEngine) Timeline(u int32) []*core.Post {
-	tl, _ := e.TimelineTail(u, math.MaxInt)
+	tl, _, _ := e.TimelineTail(u, math.MaxInt)
 	return tl
 }
 
@@ -658,8 +658,10 @@ func (e *ParallelMultiEngine) Timeline(u int32) []*core.Post {
 //
 // The posts are copies built from the store and carry ID, Author, Time and
 // Text only: the store keeps no fingerprint, since no read serves one (the
-// shard router's merged read builds its posts the same way).
-func (e *ParallelMultiEngine) TimelineTail(u int32, n int) (tail []*core.Post, total int) {
+// shard router's merged read builds its posts the same way). The error is
+// always nil: an in-process read cannot fail, and the result has the shape
+// of the shard router's read, which can.
+func (e *ParallelMultiEngine) TimelineTail(u int32, n int) (tail []*core.Post, total int, err error) {
 	var merged []timelinePost
 	for _, w := range e.workers {
 		w.mu.Lock()
@@ -676,7 +678,7 @@ func (e *ParallelMultiEngine) TimelineTail(u int32, n int) (tail []*core.Post, t
 	for i := range merged {
 		tail[i] = &merged[i].post
 	}
-	return tail, total
+	return tail, total, nil
 }
 
 // TimelineSize sums the workers' retained timeline state: posts held once

@@ -92,8 +92,8 @@ func TestParallelTimelinesMatchSequential(t *testing.T) {
 					workers, when, u, len(a), len(b))
 			}
 			for _, n := range []int{0, 1, len(a), len(a) + 1} {
-				tail, k := e.TimelineTail(u, n)
-				if k != len(a) || !slices.EqualFunc(a[len(a)-min(n, len(a)):], tail, func(x core.Post, y *core.Post) bool { return x == *y }) {
+				tail, k, err := e.TimelineTail(u, n)
+				if err != nil || k != len(a) || !slices.EqualFunc(a[len(a)-min(n, len(a)):], tail, func(x core.Post, y *core.Post) bool { return x == *y }) {
 					t.Fatalf("workers=%d %s: user %d: TimelineTail(%d) = %d posts of %d, want the newest of %d",
 						workers, when, u, n, len(tail), k, len(a))
 				}
@@ -160,7 +160,7 @@ func TestParallelTimelinesAscendingUnderConcurrentOffers(t *testing.T) {
 					return
 				default:
 					_ = e.Timeline(int32(r))
-					_, _ = e.TimelineTail(int32(r), 3)
+					_, _, _ = e.TimelineTail(int32(r), 3)
 					_, _, _ = e.TimelineSize()
 				}
 			}
@@ -376,7 +376,7 @@ func TestTimelineTailOutlivesReset(t *testing.T) {
 		var reads [][]*core.Post
 		var want [][]string
 		for u := range subs {
-			tail, _ := e.TimelineTail(int32(u), 5)
+			tail, _, _ := e.TimelineTail(int32(u), 5)
 			texts := make([]string, len(tail))
 			for i, p := range tail {
 				texts[i] = strings.Clone(p.Text)
