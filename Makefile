@@ -79,11 +79,13 @@ bench-check:
 bench-pipeline:
 	$(GO) run ./cmd/loadgen -seed 1
 
-# bench-boot times the two boot-chain steps every daemon runs before it
-# listens — the author-similarity join and the followees-file read — on the
-# pipeline benchmark's 5,000-author graph, at one and two CPUs.
+# bench-boot times the boot-chain steps a daemon runs before it listens —
+# the followees-file read, the in-place row sort and author-similarity join
+# (BuildGraphInPlace, and the join alone), the S_UniBin shared-component
+# table and the 2-worker engine build — on the pipeline benchmark's
+# 5,000-author graph, at one and two CPUs.
 bench-boot:
-	$(GO) test -run '^$$' -bench 'PairsAbove|ReadFollowees' -benchmem -cpu 1,2 -count 5 ./internal/authorsim ./internal/corpusio
+	$(GO) test -run '^$$' -bench 'PairsAbove|ReadFollowees|BuildGraphInPlace|NewSharedMultiUser|NewParallelMultiEngine' -benchmem -cpu 1,2 -count 5 ./internal/authorsim ./internal/corpusio ./internal/core ./internal/stream
 
 # bench-go runs every in-package go test benchmark.
 bench-go:

@@ -32,3 +32,20 @@ func BenchmarkPairsAbove(b *testing.B) {
 		v.PairsAbove(0.3)
 	}
 }
+
+// BenchmarkBuildGraphInPlace times what a daemon does with the rows it
+// decoded: sort and deduplicate every row in place, then run the join.
+// Each iteration works on a fresh copy of the rows, made off the clock.
+func BenchmarkBuildGraphInPlace(b *testing.B) {
+	src := bootFollowees()
+	rows := make([][]int32, len(src))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for a, f := range src {
+			rows[a] = append(rows[a][:0], f...)
+		}
+		b.StartTimer()
+		authorsim.BuildGraphInPlace(rows, 0.7)
+	}
+}

@@ -134,7 +134,7 @@ func newPerInstance(t *testing.T, alg Algorithm, g *authorsim.Graph, subs [][]in
 	byKey := map[string]*specInstance{}
 	for u, s := range subs {
 		for _, comp := range g.InducedComponents(s) {
-			key := authorsim.ComponentKey(comp)
+			key := fmt.Sprint(comp) // comp is sorted
 			in, ok := byKey[key]
 			if !ok {
 				d, err := newRoutedDiversifier(alg, g, comp, th)
