@@ -106,7 +106,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSharedRestore -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeIngest -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/httpapi
-	$(GO) test -run='^$$' -fuzz=FuzzStreamFrame -fuzztime=$(FUZZTIME) ./internal/shard
+	$(GO) test -run='^$$' -fuzz=FuzzStreamFrame -fuzztime=$(FUZZTIME) ./internal/ingeststream
 	$(GO) test -run='^$$' -fuzz=FuzzAssignmentTable -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzParseWorkload -fuzztime=$(FUZZTIME) ./internal/twittergen
 	$(GO) test -run='^$$' -fuzz=FuzzReadPosts -fuzztime=$(FUZZTIME) ./internal/corpusio

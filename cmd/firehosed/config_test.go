@@ -134,14 +134,14 @@ func TestLoadConfigExclusiveWithFlags(t *testing.T) {
 // validation errors carry the file name.
 func TestLoadConfigFile(t *testing.T) {
 	good := writeConfigFile(t, `{
-		"input": {"type": "tcp", "addr": "127.0.0.1:0"},
+		"input": {"type": "file", "path": "posts.ndjson", "tail": true},
 		"outputs": [{"type": "sse"}]
 	}`)
 	cfg, err := loadConfig([]string{"-config", good})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Input.Type != connector.InputTCP || cfg.Input.Addr != "127.0.0.1:0" {
+	if cfg.Input.Type != connector.InputFile || cfg.Input.Path != "posts.ndjson" || !cfg.Input.Tail {
 		t.Fatalf("config file not applied: %+v", cfg.Input)
 	}
 

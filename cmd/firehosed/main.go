@@ -21,13 +21,17 @@
 // Endpoints, all under /v1:
 //
 //	POST /v1/ingest {"author":12,"text":"...","timeMillis":1458000000000}
-//	                → {"delivered":[0,7,19]} (users whose timeline got the post)
-//	                (503 ingest_disabled when a file/tcp input owns the stream)
+//	                → {"id":1,"delivered":[0,7,19]} (users whose timeline got the post)
+//	                (the three push routes answer 503 ingest_disabled when a
+//	                file input owns the stream, and on a shard worker)
 //	POST /v1/ingest/batch
 //	                {"posts":[{"author":12,...},...]} (time-ordered)
 //	                → {"results":[{"id":1,"delivered":[...]},...]} in batch order
+//	POST /v1/ingest/stream  Upgrade: firehose-ingest/1
+//	                → a framed stream: one reply per post frame, as /v1/ingest
+//	                answers it (internal/ingeststream documents the frames)
 //	GET  /v1/timeline?user=7&n=20
-//	                → {"user":7,"posts":[{...},...]}
+//	                → {"user":7,"posts":[{...},...],"total":31}
 //	GET  /v1/stats  → cost counters
 //	GET  /v1/metrics → Prometheus text exposition (decision latency, worker
 //	                queues, SSE, firehose_connector_* pipeline counters)
@@ -165,6 +169,17 @@ func subscriptions(fs [][]int32) [][]int32 {
 		}
 	}
 	return subs
+}
+
+// workerSubscriptions restricts subs to the authors shard index owns: the
+// router sends a worker only its own authors' posts, so the worker builds,
+// holds and checkpoints the solver state of those authors alone. Authors
+// outside the graph stay, so that the engine refuses them by name as a
+// single node does.
+func workerSubscriptions(g *authorsim.Graph, subs [][]int32, assign *shard.Assignment, index int) [][]int32 {
+	return core.RestrictSubscriptions(subs, func(a int32) bool {
+		return !g.Contains(a) || assign.ShardOf(a) == index
+	})
 }
 
 // engineThresholds parses and validates the configured thresholds.
@@ -310,6 +325,7 @@ func runDaemon(cfg *connector.Config) error {
 		if assign, err = shard.Plan(g, cfg.Shard.Count); err != nil {
 			return err
 		}
+		subs = workerSubscriptions(g, subs, assign, cfg.Shard.Index)
 	}
 
 	nw := cfg.Engine.Workers

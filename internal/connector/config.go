@@ -27,8 +27,6 @@ const (
 	// InputFile replays (and optionally tails) an NDJSON post file with a
 	// durable ack cursor.
 	InputFile InputType = "file"
-	// InputTCP accepts NDJSON post streams from TCP clients.
-	InputTCP InputType = "tcp"
 )
 
 // OutputType names an output plugin.
@@ -45,7 +43,7 @@ const (
 // fields are meaningful depends on Type; Validate rejects fields outside the
 // type's schema.
 type InputConfig struct {
-	// Type selects the plugin: "http", "file" or "tcp" (default "http").
+	// Type selects the plugin: "http" or "file" (default "http").
 	Type InputType `json:"type"`
 
 	// Path is the NDJSON file to replay (file only, required).
@@ -62,9 +60,6 @@ type InputConfig struct {
 	// AckPath overrides the durable ack cursor location (file only, default
 	// "<path>.ack").
 	AckPath string `json:"ack_path,omitempty"`
-
-	// Addr is the NDJSON listen address (tcp only, required).
-	Addr string `json:"addr,omitempty"`
 }
 
 // OutputConfig selects and configures one output plugin. Which fields are
@@ -164,9 +159,11 @@ type EngineConfig struct {
 
 // ShardConfig makes the daemon one worker of a sharded deployment: it serves
 // the /v1/shard endpoints for the router that owns the stream, and its ids
-// are router-assigned. The worker still needs the FULL engine configuration
-// (whole graph, whole subscriptions, same thresholds) — the shard boundary is
-// which posts it sees, never which state it holds. A worker requires
+// are router-assigned. The worker needs the same engine section as every
+// other process (graph, thresholds, algorithm): it plans the component
+// partition from it, and builds its solver over each user's subscriptions
+// restricted to the authors its shard owns, the only ones whose posts the
+// router sends it. A worker requires
 // engine.checkpoint.dir: router-driven crash recovery rolls it back to its
 // coordinated tagged checkpoint.
 type ShardConfig struct {
@@ -348,22 +345,13 @@ func (e *EngineConfig) validate() error {
 }
 
 func (in *InputConfig) validate() error {
-	forbid := func(cond bool, field string) error {
-		if cond {
-			return fmt.Errorf("connector: config: input field %s is not part of the %q input's schema", field, in.Type)
-		}
-		return nil
-	}
-	var checks []error
 	switch in.Type {
 	case InputHTTP:
-		checks = append(checks,
-			forbid(in.Path != "", "path"),
-			forbid(in.Tail, "tail"),
-			forbid(in.Speedup != 0, "speedup"),
-			forbid(in.PollMillis != 0, "poll_millis"),
-			forbid(in.AckPath != "", "ack_path"),
-			forbid(in.Addr != "", "addr"))
+		// Every field but Type is the file input's.
+		if f := firstBad([]field{{in.Path != "", "path"}, {in.Tail, "tail"}, {in.Speedup != 0, "speedup"},
+			{in.PollMillis != 0, "poll_millis"}, {in.AckPath != "", "ack_path"}}); f != "" {
+			return fmt.Errorf("connector: config: input field %s is not part of the %q input's schema", f, in.Type)
+		}
 	case InputFile:
 		if in.Path == "" {
 			return fmt.Errorf("connector: config: file input needs a path")
@@ -371,66 +359,52 @@ func (in *InputConfig) validate() error {
 		if in.Speedup < 0 || math.IsInf(in.Speedup, 0) || math.IsNaN(in.Speedup) {
 			return fmt.Errorf("connector: config: input speedup must be non-negative and finite, got %v", in.Speedup)
 		}
-		checks = append(checks,
-			forbid(in.PollMillis < 0, "poll_millis (must be non-negative)"),
-			forbid(in.Addr != "", "addr"))
-	case InputTCP:
-		if in.Addr == "" {
-			return fmt.Errorf("connector: config: tcp input needs an addr")
+		if in.PollMillis < 0 {
+			return fmt.Errorf("connector: config: input poll_millis must be non-negative, got %d", in.PollMillis)
 		}
-		checks = append(checks,
-			forbid(in.Path != "", "path"),
-			forbid(in.Tail, "tail"),
-			forbid(in.Speedup != 0, "speedup"),
-			forbid(in.PollMillis != 0, "poll_millis"),
-			forbid(in.AckPath != "", "ack_path"))
 	default:
-		return fmt.Errorf("connector: config: unknown input type %q (want http, file or tcp)", string(in.Type))
-	}
-	for _, err := range checks {
-		if err != nil {
-			return err
-		}
+		return fmt.Errorf("connector: config: unknown input type %q (want http or file)", string(in.Type))
 	}
 	return nil
 }
 
 func (o *OutputConfig) validate() error {
-	forbid := func(cond bool, field string) error {
-		if cond {
-			return fmt.Errorf("field %s is not part of the %q output's schema", field, o.Type)
-		}
-		return nil
-	}
-	var checks []error
 	switch o.Type {
 	case OutputSSE:
-		checks = append(checks,
-			forbid(o.URL != "", "url"),
-			forbid(o.QueueSize != 0, "queue_size"),
-			forbid(o.MaxRetries != 0, "max_retries"),
-			forbid(o.BackoffMillis != 0, "backoff_millis"),
-			forbid(o.TimeoutMillis != 0, "timeout_millis"),
-			forbid(o.FlushMillis != 0, "flush_millis"))
+		// Every field but Type is the webhook output's.
+		if f := firstBad([]field{{o.URL != "", "url"}, {o.QueueSize != 0, "queue_size"}, {o.MaxRetries != 0, "max_retries"},
+			{o.BackoffMillis != 0, "backoff_millis"}, {o.TimeoutMillis != 0, "timeout_millis"}, {o.FlushMillis != 0, "flush_millis"}}); f != "" {
+			return fmt.Errorf("field %s is not part of the %q output's schema", f, o.Type)
+		}
 	case OutputWebhook:
 		if o.URL == "" {
 			return fmt.Errorf("webhook output needs a url")
 		}
-		checks = append(checks,
-			forbid(o.QueueSize < 0, "queue_size (must be non-negative)"),
-			forbid(o.MaxRetries < 0, "max_retries (must be non-negative)"),
-			forbid(o.BackoffMillis < 0, "backoff_millis (must be non-negative)"),
-			forbid(o.TimeoutMillis < 0, "timeout_millis (must be non-negative)"),
-			forbid(o.FlushMillis < 0, "flush_millis (must be non-negative)"))
+		if f := firstBad([]field{{o.QueueSize < 0, "queue_size"}, {o.MaxRetries < 0, "max_retries"},
+			{o.BackoffMillis < 0, "backoff_millis"}, {o.TimeoutMillis < 0, "timeout_millis"}, {o.FlushMillis < 0, "flush_millis"}}); f != "" {
+			return fmt.Errorf("field %s must be non-negative", f)
+		}
 	default:
 		return fmt.Errorf("unknown output type %q (want sse or webhook)", string(o.Type))
 	}
-	for _, err := range checks {
-		if err != nil {
-			return err
+	return nil
+}
+
+// field is one config field a plugin type constrains; bad marks a value the
+// type does not accept.
+type field struct {
+	bad  bool
+	name string
+}
+
+// firstBad names the first field in fs whose value is bad ("" for none).
+func firstBad(fs []field) string {
+	for _, f := range fs {
+		if f.bad {
+			return f.name
 		}
 	}
-	return nil
+	return ""
 }
 
 // Parse decodes and validates one JSON pipeline config over the defaults.

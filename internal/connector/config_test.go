@@ -53,9 +53,9 @@ func TestParseRejects(t *testing.T) {
 		{"unknown input type", `{"input": {"type": "kafka"}}`, `unknown input type "kafka"`},
 		{"unknown output type", `{"outputs": [{"type": "kinesis"}]}`, `unknown output type "kinesis"`},
 		{"file field on http input", `{"input": {"type": "http", "path": "x"}}`, `field path is not part of the "http" input's schema`},
-		{"tcp field on file input", `{"input": {"type": "file", "path": "x", "addr": ":9"}}`, `field addr is not part of the "file" input's schema`},
+		{"tcp field on file input", `{"input": {"type": "file", "path": "x", "addr": ":9"}}`, `unknown field "addr"`},
 		{"file input without path", `{"input": {"type": "file"}}`, "file input needs a path"},
-		{"tcp input without addr", `{"input": {"type": "tcp"}}`, "tcp input needs an addr"},
+		{"tcp input without addr", `{"input": {"type": "tcp"}}`, `unknown input type "tcp" (want http or file)`},
 		{"webhook without url", `{"outputs": [{"type": "webhook"}]}`, "webhook output needs a url"},
 		{"webhook field on sse", `{"outputs": [{"type": "sse", "url": "http://x"}]}`, `field url is not part of the "sse" output's schema`},
 		{"empty outputs", `{"outputs": []}`, "outputs must not be empty"},

@@ -3,7 +3,6 @@ package connector_test
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -55,50 +54,19 @@ func (w *fileWorld) Feed(t *testing.T, _ connector.Input, msgs []connector.Messa
 	}
 }
 
-// tcpWorld feeds the TCP input over a real client connection; one connection
-// keeps the line order.
-type tcpWorld struct{}
-
-func (tcpWorld) New(t *testing.T) connector.Input {
-	t.Helper()
-	in, err := connector.NewTCPInput("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in
-}
-
-func (tcpWorld) Feed(t *testing.T, in connector.Input, msgs []connector.Message) {
-	t.Helper()
-	conn, err := net.Dial("tcp", in.(*connector.TCPInput).Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	for _, m := range msgs {
-		if _, err := fmt.Fprintf(conn, `{"author":%d,"timeMillis":%d,"text":%q}`+"\n", m.Author, m.TimeMillis, m.Text); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestInputConformance(t *testing.T) {
 	for _, h := range []connectortest.InputHarness{
 		{
-			Name: "file", Durable: true, Finite: true,
+			Name: "file", Finite: true,
 			Setup: func(t *testing.T) connectortest.InputWorld {
 				return &fileWorld{path: filepath.Join(t.TempDir(), "posts.ndjson")}
 			},
 		},
 		{
-			Name: "file-tail", Durable: true,
+			Name: "file-tail",
 			Setup: func(t *testing.T) connectortest.InputWorld {
 				return &fileWorld{path: filepath.Join(t.TempDir(), "posts.ndjson"), tail: true}
 			},
-		},
-		{
-			Name:  "tcp",
-			Setup: func(t *testing.T) connectortest.InputWorld { return tcpWorld{} },
 		},
 	} {
 		t.Run(h.Name, func(t *testing.T) { connectortest.RunInput(t, h) })

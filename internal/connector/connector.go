@@ -22,10 +22,10 @@
 //     idempotency key for downstream dedup).
 //
 // Durable inputs (the file input) persist the acked cursor crash-safely next
-// to their source. Non-replayable inputs (TCP sockets) accept every Ack
-// trivially: their at-least-once window is the sender's own retry. HTTP push
-// ingest is not an Input at all — the daemon's /v1/ingest handlers feed the
-// engine directly and answer each sender synchronously.
+// to their source. HTTP push ingest is not an Input at all — the daemon's
+// /v1/ingest handlers and its /v1/ingest/stream frames feed the engine
+// directly and answer each post synchronously, so a sender's at-least-once
+// window is its own retry of an unanswered post.
 package connector
 
 import (

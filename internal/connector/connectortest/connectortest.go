@@ -1,8 +1,8 @@
 // Package connectortest is the conformance suite for connector.Input and
 // connector.Output implementations: a table of behaviors every plugin must
 // share (delivery of fed messages in order, idempotent Close, ErrClosed
-// after Close, ack acceptance, and — for durable inputs — resumption from the
-// acked cursor after a re-instantiation). Built-ins run it in the connector
+// after Close, ack acceptance, and resumption from the acked cursor after a
+// re-instantiation). Built-ins run it in the connector
 // package's own tests; out-of-tree plugins can import it and run the same
 // contract.
 package connectortest
@@ -17,9 +17,9 @@ import (
 )
 
 // InputWorld binds the suite to one Input implementation. New builds a fresh
-// instance over the same backing store each call — for a durable input,
-// state persisted by Ack must be visible to later instances, which is how
-// the suite simulates a restart.
+// instance over the same backing store each call: state persisted by Ack
+// must be visible to later instances, which is how the suite simulates a
+// restart.
 type InputWorld interface {
 	// New returns an unconnected instance. The suite closes it via t.Cleanup.
 	New(t *testing.T) connector.Input
@@ -32,9 +32,6 @@ type InputWorld interface {
 // InputHarness names one Input implementation and its contract flags.
 type InputHarness struct {
 	Name string
-	// Durable inputs persist the acked cursor across instances; the suite
-	// adds the replay-from-watermark test.
-	Durable bool
 	// Finite inputs return io.EOF once the fed messages are consumed.
 	Finite bool
 	// Setup builds the world backing every subtest.
@@ -80,9 +77,19 @@ func newConnected(t *testing.T, w InputWorld) connector.Input {
 	return in
 }
 
+// newConnectedOutput is newConnected for an output.
+func newConnectedOutput(t *testing.T, w OutputWorld) connector.Output {
+	t.Helper()
+	out := w.New(t)
+	t.Cleanup(func() { _ = out.Close() })
+	if err := out.Connect(context.Background()); err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	return out
+}
+
 // readN reads n messages, asserting content and order against want and
-// stamping each with the pipeline seq i+1 (the seq durable inputs record on
-// Ack).
+// stamping each with the pipeline seq i+1 (the seq an input records on Ack).
 func readN(t *testing.T, in connector.Input, want []connector.Message) []*connector.Message {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -121,16 +128,14 @@ func RunInput(t *testing.T, h InputHarness) {
 	})
 
 	t.Run("ConnectTwice", func(t *testing.T) {
-		w := h.Setup(t)
-		in := newConnected(t, w)
+		in := newConnected(t, h.Setup(t))
 		if err := in.Connect(context.Background()); err != nil {
 			t.Fatalf("second Connect: %v", err)
 		}
 	})
 
 	t.Run("CloseIdempotent", func(t *testing.T) {
-		w := h.Setup(t)
-		in := newConnected(t, w)
+		in := newConnected(t, h.Setup(t))
 		if err := in.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -140,8 +145,7 @@ func RunInput(t *testing.T, h InputHarness) {
 	})
 
 	t.Run("ReadAfterClose", func(t *testing.T) {
-		w := h.Setup(t)
-		in := newConnected(t, w)
+		in := newConnected(t, h.Setup(t))
 		if err := in.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -151,8 +155,7 @@ func RunInput(t *testing.T, h InputHarness) {
 	})
 
 	t.Run("ReadHonorsContext", func(t *testing.T) {
-		w := h.Setup(t)
-		in := newConnected(t, w)
+		in := newConnected(t, h.Setup(t))
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		defer cancel()
 		if h.Finite {
@@ -180,24 +183,23 @@ func RunInput(t *testing.T, h InputHarness) {
 		}
 	})
 
-	if h.Durable {
-		t.Run("ReplayFromWatermark", func(t *testing.T) {
-			w := h.Setup(t)
-			in1 := newConnected(t, w)
-			want := feedMsgs(5)
-			w.Feed(t, in1, want)
-			msgs := readN(t, in1, want)
-			// A checkpoint covered seq 3: ack it, crash (Close), restart.
-			if err := in1.Ack(msgs[2]); err != nil {
-				t.Fatalf("Ack: %v", err)
-			}
-			if err := in1.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			in2 := newConnected(t, w)
-			readN(t, in2, want[3:])
-		})
-	}
+	// Every input persists the acked cursor across instances.
+	t.Run("ReplayFromWatermark", func(t *testing.T) {
+		w := h.Setup(t)
+		in1 := newConnected(t, w)
+		want := feedMsgs(5)
+		w.Feed(t, in1, want)
+		msgs := readN(t, in1, want)
+		// A checkpoint covered seq 3: ack it, crash (Close), restart.
+		if err := in1.Ack(msgs[2]); err != nil {
+			t.Fatalf("Ack: %v", err)
+		}
+		if err := in1.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		in2 := newConnected(t, w)
+		readN(t, in2, want[3:])
+	})
 }
 
 // RunOutput runs the Output conformance suite against one harness.
@@ -210,11 +212,7 @@ func RunOutput(t *testing.T, h OutputHarness) {
 
 	t.Run("WritesArrive", func(t *testing.T) {
 		w := h.Setup(t)
-		out := w.New(t)
-		t.Cleanup(func() { _ = out.Close() })
-		if err := out.Connect(context.Background()); err != nil {
-			t.Fatalf("Connect: %v", err)
-		}
+		out := newConnectedOutput(t, w)
 		ctx := context.Background()
 		for i, d := range deliveries {
 			if err := out.Write(ctx, d); err != nil {
@@ -253,23 +251,14 @@ func RunOutput(t *testing.T, h OutputHarness) {
 	})
 
 	t.Run("ConnectTwice", func(t *testing.T) {
-		w := h.Setup(t)
-		out := w.New(t)
-		t.Cleanup(func() { _ = out.Close() })
-		if err := out.Connect(context.Background()); err != nil {
-			t.Fatalf("Connect: %v", err)
-		}
+		out := newConnectedOutput(t, h.Setup(t))
 		if err := out.Connect(context.Background()); err != nil {
 			t.Fatalf("second Connect: %v", err)
 		}
 	})
 
 	t.Run("CloseIdempotent", func(t *testing.T) {
-		w := h.Setup(t)
-		out := w.New(t)
-		if err := out.Connect(context.Background()); err != nil {
-			t.Fatalf("Connect: %v", err)
-		}
+		out := newConnectedOutput(t, h.Setup(t))
 		if err := out.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -279,11 +268,7 @@ func RunOutput(t *testing.T, h OutputHarness) {
 	})
 
 	t.Run("WriteAfterClose", func(t *testing.T) {
-		w := h.Setup(t)
-		out := w.New(t)
-		if err := out.Connect(context.Background()); err != nil {
-			t.Fatalf("Connect: %v", err)
-		}
+		out := newConnectedOutput(t, h.Setup(t))
 		if err := out.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}

@@ -60,12 +60,6 @@ func BuildInput(ic InputConfig) (Input, *Pacer, error) {
 			}
 		}
 		return in, pacer, nil
-	case InputTCP:
-		in, err := NewTCPInput(ic.Addr)
-		if err != nil {
-			return nil, nil, err
-		}
-		return in, nil, nil
 	default:
 		return nil, nil, fmt.Errorf("connector: unknown input type %q", string(ic.Type))
 	}

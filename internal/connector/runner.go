@@ -68,7 +68,7 @@ type RunnerOptions struct {
 const queueFullBackoff = 5 * time.Millisecond
 
 // NewRunner builds a runner for one input. component names it in stats
-// ("input:file", "input:tcp", …).
+// ("input:file", …).
 func NewRunner(component string, in Input, ingest IngestFunc, opts RunnerOptions) (*Runner, error) {
 	if in == nil || ingest == nil {
 		return nil, fmt.Errorf("connector: runner needs an input and an ingest func")

@@ -194,6 +194,23 @@ func newSolver(name string, alg Algorithm, g *authorsim.Graph, subscriptions [][
 	return &SharedMultiUser{name: name, alg: alg, authorToComps: make([][]int32, g.NumAuthors())}, nil
 }
 
+// RestrictSubscriptions returns each user's subscriptions that keep accepts,
+// in order: the subscription map of a solver that decides only some
+// authors' posts (one of the parallel engine's workers, one shard worker of
+// a fleet). For those authors it decides as a solver over the whole map
+// does, as long as keep accepts each component of G(λa) whole or not at all.
+func RestrictSubscriptions(subscriptions [][]int32, keep func(author int32) bool) [][]int32 {
+	out := make([][]int32, len(subscriptions))
+	for u, subs := range subscriptions {
+		for _, a := range subs {
+			if keep(a) {
+				out[u] = append(out[u], a)
+			}
+		}
+	}
+	return out
+}
+
 // NewSharedMultiUser builds the S_* solver from per-user subscriptions.
 // Author ids outside g are rejected with an error.
 //

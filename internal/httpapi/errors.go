@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"firehose/internal/ingeststream"
 	"firehose/internal/stream"
 )
 
@@ -33,10 +34,12 @@ const (
 	// CodeEngineError: the engine rejected the post for an unanticipated
 	// reason; see the message.
 	CodeEngineError = "engine_error"
-	// CodeIngestDisabled: the daemon runs a connector input (file or tcp)
-	// that owns the stream; push ingestion over HTTP is turned off.
+	// CodeIngestDisabled: push ingestion over HTTP is turned off: a file
+	// input owns the stream, or the node is a shard worker, whose router
+	// owns it.
 	CodeIngestDisabled = "ingest_disabled"
-	// CodeStreamingUnsupported: the connection cannot carry server-sent events.
+	// CodeStreamingUnsupported: the connection cannot carry server-sent
+	// events, or an ingest stream's request lacks its Upgrade header.
 	CodeStreamingUnsupported = "streaming_unsupported"
 	// CodeCheckpointsDisabled: the server runs without a checkpoint directory.
 	CodeCheckpointsDisabled = "checkpoints_disabled"
@@ -97,6 +100,23 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 	writeError(w, status, code, format, args...)
 }
 
+// ServeStream upgrades r to fs's stream, which serves every frame with
+// decide, and answers an Upgrade fs turns down with its envelope: 426
+// streaming_unsupported without the Upgrade header, 503 engine_closed once
+// fs is closed. Both ingest hops serve their stream through it.
+func ServeStream(w http.ResponseWriter, r *http.Request, fs *ingeststream.Server, decide ingeststream.Decide) {
+	switch err := fs.Serve(w, r, decide); {
+	case err == nil:
+	case errors.Is(err, ingeststream.ErrUpgradeRequired):
+		writeError(w, http.StatusUpgradeRequired, CodeStreamingUnsupported,
+			"%s carries the %s protocol; send Connection: Upgrade and Upgrade: %s over HTTP/1.1", r.URL.Path, fs.Protocol(), fs.Protocol())
+	case errors.Is(err, ingeststream.ErrClosed):
+		writeError(w, http.StatusServiceUnavailable, CodeEngineClosed, "%s is shutting down and opens no new stream", r.URL.Path)
+	default:
+		writeError(w, http.StatusInternalServerError, CodeStreamingUnsupported, "%v", err)
+	}
+}
+
 // WriteJSON writes a 200 JSON response body, matching the built-in handlers'
 // encoding; exported for externally mounted handlers.
 func WriteJSON(w http.ResponseWriter, v any) { writeJSON(w, v) }
@@ -111,13 +131,13 @@ func writeDisorder(w http.ResponseWriter, watermark int64, format string, args .
 	})
 }
 
-// WriteIngestError maps an IngestPost/IngestAssigned error to its envelope —
-// the exported face of the handlers' own mapping, for the shard worker's
-// forwarded-ingest endpoints: deterministic rejections (empty text, time
-// disorder, stale id) keep their 4xx codes and transient engine conditions
-// keep their 503s, so a router can branch on exactly the codes a direct
-// client would see.
-func WriteIngestError(w http.ResponseWriter, err error) {
+// WriteIngestError maps an IngestPost/IngestAssigned error for a post
+// stamped timeMillis to its envelope: deterministic rejections (empty text,
+// time disorder, stale id) keep their 4xx codes and transient engine
+// conditions keep their 503s. POST /v1/ingest, each frame of
+// POST /v1/ingest/stream and the shard worker's frames all answer through
+// it, so a router branches on exactly the codes a direct client sees.
+func WriteIngestError(w http.ResponseWriter, timeMillis int64, err error) {
 	var de *DisorderError
 	var se *StaleIDError
 	switch {
@@ -125,7 +145,7 @@ func WriteIngestError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusBadRequest, CodeEmptyText, "empty text")
 	case errors.As(err, &de):
 		writeDisorder(w, de.Watermark,
-			"post precedes the stream time watermark %d; the stream must be time-ordered", de.Watermark)
+			"post at %d arrived after %d; the stream must be time-ordered", timeMillis, de.Watermark)
 	case errors.As(err, &se):
 		writeError(w, http.StatusConflict, CodeDisorder, "%v", se)
 	default:

@@ -6,7 +6,6 @@ package httpapi
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -14,6 +13,7 @@ import (
 
 	"firehose/internal/checkpoint"
 	"firehose/internal/core"
+	"firehose/internal/ingeststream"
 	"firehose/internal/metrics"
 	"firehose/internal/stream"
 )
@@ -98,6 +98,7 @@ type Server struct {
 	workers  workerSource   // nil unless the engine has worker queues
 	adaptive adaptiveSource // nil unless the solver is adaptive-wrapped
 	broker   *broker
+	streams  *ingeststream.Server // POST /v1/ingest/stream
 	registry *metrics.Registry
 	ckpt     *checkpoint.Manager // nil until EnableCheckpoints
 
@@ -150,9 +151,10 @@ func NewFromEngine(e Engine) *Server { return newServer(e) }
 
 func newServer(e Engine) *Server {
 	s := &Server{
-		mux:    http.NewServeMux(),
-		engine: e,
-		broker: newBroker(),
+		mux:     http.NewServeMux(),
+		engine:  e,
+		broker:  newBroker(),
+		streams: ingeststream.NewServer(ingeststream.ClientProtocol, false),
 	}
 	if ws, ok := e.(workerSource); ok && ws.WorkerSnapshots() != nil {
 		s.workers = ws
@@ -164,6 +166,7 @@ func newServer(e Engine) *Server {
 	// Every endpoint is served under the versioned /v1 prefix only.
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/ingest/batch", s.handleIngestBatch)
+	s.mux.HandleFunc("POST /v1/ingest/stream", s.handleIngestStream)
 	s.mux.HandleFunc("GET /v1/timeline", s.handleTimeline)
 	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
 	s.mux.HandleFunc("GET /v1/users/{id}/stats", s.handleUserStats)
@@ -188,14 +191,19 @@ func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(p
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close releases the server's streaming resources: every open SSE
-// subscription is closed so /v1/stream handlers return, and the engine is
-// closed (draining in-flight parallel decisions). Call it before
-// http.Server.Shutdown, which waits for active handlers — without it the
-// (otherwise endless) SSE connections would hold shutdown until its context
-// expires. In-flight ingests racing Close are answered with 503.
+// subscription is closed so /v1/stream handlers return, the engine is
+// closed (draining in-flight parallel decisions), and every open ingest
+// stream ends, its goroutine with it. Call it before http.Server.Shutdown,
+// which waits for active handlers — without it the (otherwise endless) SSE
+// connections would hold shutdown until its context expires, and it never
+// sees a stream's hijacked connection. In-flight ingests racing Close are
+// answered with 503. The engine closes before the streams so that a frame
+// waiting on it (a router's forward to a worker that is down) returns at
+// once.
 func (s *Server) Close() {
 	s.broker.close()
 	s.engine.Close()
+	s.streams.Close()
 }
 
 // IngestRequest is the POST /v1/ingest body.
@@ -230,20 +238,40 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	id, users, err := s.IngestPost(req.Author, req.TimeMillis, req.Text)
 	if err != nil {
-		var de *DisorderError
-		switch {
-		case errors.Is(err, ErrEmptyText):
-			writeError(w, http.StatusBadRequest, CodeEmptyText, "empty text")
-		case errors.As(err, &de):
-			writeDisorder(w, de.Watermark,
-				"post at %d arrived after %d; the stream must be time-ordered", req.TimeMillis, de.Watermark)
-		default:
-			writeOfferError(w, err)
-		}
+		WriteIngestError(w, req.TimeMillis, err)
 		return
 	}
 	cb.b = append(appendIngestResponse(cb.b[:0], id, users), '\n')
 	writeJSONBytes(w, cb.b)
+}
+
+// handleIngestStream serves POST /v1/ingest/stream: an Upgrade to the
+// ingeststream.ClientProtocol stream, whose every frame is one
+// POST /v1/ingest. Push ingestion being disabled is answered before the
+// Upgrade.
+func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request) {
+	if s.httpIngestDisabled() {
+		writeError(w, http.StatusServiceUnavailable, CodeIngestDisabled, "%v", ErrIngestDisabled)
+		return
+	}
+	ServeStream(w, r, s.streams, s.decideFrame)
+}
+
+// decideFrame is POST /v1/ingest for one client frame: the same id
+// allocation, rollback, refusals and delivered list. A client frame carries
+// neither id nor prev; the reply carries the id the server assigned.
+func (s *Server) decideFrame(req *ingeststream.Request, refuse http.ResponseWriter) (uint64, []int32, bool) {
+	if req.ID != 0 || req.Prev != 0 {
+		writeError(refuse, http.StatusBadRequest, CodeBadParam,
+			"a client frame carries id 0 and prev 0 (got %d and %d): the server assigns post ids", req.ID, req.Prev)
+		return 0, nil, false
+	}
+	id, users, err := s.IngestPost(req.Author, req.TimeMillis, req.Text)
+	if err != nil {
+		WriteIngestError(refuse, req.TimeMillis, err)
+		return 0, nil, false
+	}
+	return id, users, true
 }
 
 // BatchIngestRequest is the POST /v1/ingest/batch body: a time-ordered slice of

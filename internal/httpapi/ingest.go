@@ -17,9 +17,9 @@ import (
 // a replayed stream rejects it again.
 var ErrEmptyText = errors.New("httpapi: empty text")
 
-// ErrIngestDisabled rejects push ingestion when the daemon runs a connector
-// input (file or tcp): the pipeline owns the stream's time order, and
-// interleaved pushes would corrupt it.
+// ErrIngestDisabled rejects push ingestion when the daemon runs a file input
+// or is a shard worker: the pipeline (or the router) owns the stream's time
+// order, and interleaved pushes would corrupt it.
 var ErrIngestDisabled = errors.New("httpapi: push ingest is disabled: posts arrive through the configured pipeline input")
 
 // DisorderError rejects a post that precedes the stream's time watermark. The
@@ -37,7 +37,8 @@ func (e *DisorderError) Error() string {
 
 // IngestPost validates, identifies and offers one post, returning its
 // assigned id and the users whose timelines received it. It is the
-// connector runner's IngestFunc and the POST /v1/ingest handler's core.
+// connector runner's IngestFunc and the core of POST /v1/ingest and of each
+// POST /v1/ingest/stream frame.
 //
 // The whole step — watermark check, id allocation, engine offer, delivery
 // fan-out — holds ingestMu (shared), so Snapshot's exclusive acquisition
@@ -157,9 +158,10 @@ func (s *Server) PublishSSE(p TimelinePost, users []int32) {
 	s.broker.publish(users, p)
 }
 
-// DisableHTTPIngest makes POST /v1/ingest and /v1/ingest/batch answer 503
-// ingest_disabled: the daemon runs a connector input that owns the stream,
-// and pushed posts would interleave with it. Read endpoints are unaffected.
+// DisableHTTPIngest makes POST /v1/ingest, /v1/ingest/batch and
+// /v1/ingest/stream answer 503 ingest_disabled: a connector input or a
+// router owns the stream, and pushed posts would interleave with it. Read
+// endpoints are unaffected.
 func (s *Server) DisableHTTPIngest() {
 	s.mu.Lock()
 	s.httpOnlyErr = ErrIngestDisabled

@@ -16,6 +16,7 @@ import (
 	"firehose/internal/authorsim"
 	"firehose/internal/core"
 	"firehose/internal/httpapi"
+	"firehose/internal/ingeststream"
 )
 
 // The router property: plugged into httpapi.NewFromEngine, a sharded
@@ -479,9 +480,9 @@ func TestCoordinateRollsBackPhantomState(t *testing.T) {
 	if err != nil || sc == nil {
 		t.Fatalf("phantom stream: status %d %s, %v", status, body, err)
 	}
-	defer sc.close()
-	phantom := []IngestRequest{{ID: 1000, Prev: exp, Author: phantomAuthor, TimeMillis: 10_000_000, Text: "phantom sub-batch"}}
-	if n, status, body, _, err := sc.roundTrip(phantom, nil); err != nil || n != 1 {
+	defer sc.Close()
+	phantom := []ingeststream.Request{{ID: 1000, Prev: exp, Author: phantomAuthor, TimeMillis: 10_000_000, Text: "phantom sub-batch"}}
+	if n, status, body, _, err := roundTrip(sc, phantom, nil); err != nil || n != 1 {
 		t.Fatalf("phantom ingest: status %d %s, %v", status, body, err)
 	}
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"firehose/internal/httpapi"
+	"firehose/internal/ingeststream"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -36,7 +37,7 @@ func TestShardErrorEnvelopesGolden(t *testing.T) {
 		// A case is one frame on a stream dialled with topo (empty omits the
 		// header; a refused Upgrade is the case's answer), or, with path set,
 		// one control request.
-		frame      IngestRequest
+		frame      ingeststream.Request
 		path, body string
 		topo       string
 		wantStatus int
@@ -53,19 +54,19 @@ func TestShardErrorEnvelopesGolden(t *testing.T) {
 		},
 		{
 			name:       "shard_ingest_missing_id",
-			frame:      IngestRequest{Author: 0, TimeMillis: 1000, Text: "x"},
+			frame:      ingeststream.Request{Author: 0, TimeMillis: 1000, Text: "x"},
 			topo:       goodTopo,
 			wantStatus: http.StatusBadRequest, wantCode: httpapi.CodeBadParam,
 		},
 		{
 			name:       "shard_ingest_foreign_author",
-			frame:      IngestRequest{ID: 1, Author: 9, TimeMillis: 1000, Text: "x"},
+			frame:      ingeststream.Request{ID: 1, Author: 9, TimeMillis: 1000, Text: "x"},
 			topo:       goodTopo,
 			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardMismatch,
 		},
 		{
 			name:       "shard_ingest_desync",
-			frame:      IngestRequest{ID: 7, Prev: 5, Author: 0, TimeMillis: 1000, Text: "x"},
+			frame:      ingeststream.Request{ID: 7, Prev: 5, Author: 0, TimeMillis: 1000, Text: "x"},
 			topo:       goodTopo,
 			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardDesync,
 		},
@@ -101,8 +102,8 @@ func TestShardErrorEnvelopesGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				if status, envelope = upgradeStatus, body; sc != nil {
-					defer sc.close()
-					if _, status, envelope, _, err = sc.roundTrip([]IngestRequest{tc.frame}, nil); err != nil {
+					defer sc.Close()
+					if _, status, envelope, _, err = roundTrip(sc, []ingeststream.Request{tc.frame}, nil); err != nil {
 						t.Fatal(err)
 					}
 				}

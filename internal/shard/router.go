@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"firehose/internal/checkpoint"
 	"firehose/internal/core"
 	"firehose/internal/httpapi"
+	"firehose/internal/ingeststream"
 	"firehose/internal/metrics"
 	"firehose/internal/stream"
 )
@@ -113,7 +115,7 @@ type Router struct {
 	ckptW uint64
 	// pending[s] holds the posts forwarded to shard s since the last
 	// coordination round, in id order — the crash-replay buffer.
-	pending [][]IngestRequest
+	pending [][]ingeststream.Request
 	// base[s] is shard s's own id watermark at the last coordination round;
 	// base[s] (or the last pending id) is the watermark a healthy worker must
 	// report.
@@ -127,12 +129,14 @@ type Router struct {
 
 // shardStream owns the router's end of one shard's stream.
 type shardStream struct {
-	// mu guards: sc
+	// mu guards: sc, replies
 	// It is held for a whole exchange: the turnstile already sends single
 	// forwards one at a time, and this keeps a resync replay and a batch's
 	// per-shard goroutine from interleaving frames with them.
 	mu sync.Mutex
-	sc *streamConn
+	sc *ingeststream.Conn
+	// replies is the exchanges' reply buffer, reused.
+	replies []ingeststream.Reply
 }
 
 // shardStats are one shard's forward counters.
@@ -173,7 +177,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		resyncTO:   resyncTimeout,
 		maxPending: maxPendingPosts,
 		streams:    make([]shardStream, len(opts.Peers)),
-		pending:    make([][]IngestRequest, len(opts.Peers)),
+		pending:    make([][]ingeststream.Request, len(opts.Peers)),
 		base:       make([]uint64, len(opts.Peers)),
 		stats:      make([]shardStats, len(opts.Peers)),
 	}
@@ -243,7 +247,7 @@ func (rt *Router) Offer(p *core.Post) ([]int32, error) {
 	// Prev pins the worker watermark this forward must land on; it stays valid
 	// across resyncs (recovery restores the worker to exactly this watermark)
 	// because pending[shard] only grows after this forward succeeds.
-	reqs := [1]IngestRequest{{ID: p.ID, Author: p.Author, TimeMillis: p.Time, Text: p.Text, Prev: rt.expected(shard)}}
+	reqs := [1]ingeststream.Request{{ID: p.ID, Author: p.Author, TimeMillis: p.Time, Text: p.Text, Prev: rt.expected(shard)}}
 	var users [1][]int32
 	if err := rt.forward(shard, reqs[:], users[:]); err != nil {
 		return nil, err
@@ -266,7 +270,7 @@ func (rt *Router) OfferBatch(posts []*core.Post) ([][]int32, error) {
 
 	// Partition into per-shard sub-batches, remembering each post's batch
 	// position so the per-shard results reassemble in order.
-	sub := make([][]IngestRequest, len(rt.peers))
+	sub := make([][]ingeststream.Request, len(rt.peers))
 	subIdx := make([][]int, len(rt.peers))
 	for i, p := range posts {
 		s := rt.assign.ShardOf(p.Author)
@@ -274,7 +278,7 @@ func (rt *Router) OfferBatch(posts []*core.Post) ([][]int32, error) {
 		if reqs := sub[s]; len(reqs) > 0 {
 			prev = reqs[len(reqs)-1].ID
 		}
-		sub[s] = append(sub[s], IngestRequest{ID: p.ID, Author: p.Author, TimeMillis: p.Time, Text: p.Text, Prev: prev})
+		sub[s] = append(sub[s], ingeststream.Request{ID: p.ID, Author: p.Author, TimeMillis: p.Time, Text: p.Text, Prev: prev})
 		subIdx[s] = append(subIdx[s], i)
 	}
 
@@ -313,7 +317,7 @@ func (rt *Router) OfferBatch(posts []*core.Post) ([][]int32, error) {
 // buffer and fires the buffers-full callback when the total pending count
 // reaches maxPending — the bound that keeps an infrequently-checkpointing
 // router from buffering the whole stream.
-func (rt *Router) recordForwarded(shard int, req IngestRequest) {
+func (rt *Router) recordForwarded(shard int, req ingeststream.Request) {
 	rt.mu.Lock()
 	rt.pending[shard] = append(rt.pending[shard], req)
 	total := 0
@@ -386,7 +390,7 @@ func retry(ctx context.Context, deadline time.Time, every time.Duration, attempt
 
 // forward sends one post, or one sub-batch as a pipeline, to its shard with
 // bounded recovery; out receives the deliveries, one entry per request.
-func (rt *Router) forward(shard int, reqs []IngestRequest, out [][]int32) error {
+func (rt *Router) forward(shard int, reqs []ingeststream.Request, out [][]int32) error {
 	start := time.Now()
 	defer func() {
 		rt.mu.Lock()
@@ -428,11 +432,13 @@ func (rt *Router) forward(shard int, reqs []IngestRequest, out [][]int32) error 
 
 // exchange runs reqs as one pipelined exchange on the shard's stream,
 // dialling it first if there is none, and classifies the outcome. The first
-// result is how many leading posts the worker ingested.
-func (rt *Router) exchange(shard int, reqs []IngestRequest, out [][]int32) (int, fwdClass, error) {
+// result is how many leading posts the worker ingested. Each ingested post's
+// reply must carry the id it was forwarded with; one that does not breaks
+// the stream.
+func (rt *Router) exchange(shard int, reqs []ingeststream.Request, out [][]int32) (int, fwdClass, error) {
 	for i := range reqs {
-		if len(reqs[i].Text) > maxText {
-			return 0, fwdTerminal, fmt.Errorf("shard: post %d: %d bytes of text exceed the shard stream's %d-byte frame bound", reqs[i].ID, len(reqs[i].Text), maxFrame)
+		if len(reqs[i].Text) > ingeststream.MaxText {
+			return 0, fwdTerminal, fmt.Errorf("shard: post %d: %d bytes of text exceed the shard stream's %d-byte text bound", reqs[i].ID, len(reqs[i].Text), ingeststream.MaxText)
 		}
 	}
 	st := &rt.streams[shard]
@@ -445,24 +451,38 @@ func (rt *Router) exchange(shard int, reqs []IngestRequest, out [][]int32) (int,
 		}
 		st.sc = sc
 	}
-	accepted, status, envelope, moved, err := st.sc.roundTrip(reqs, out)
+	st.replies = slices.Grow(st.replies[:0], len(reqs))[:len(reqs)]
+	n, moved, err := st.sc.RoundTrip(reqs, st.replies)
 	rt.mu.Lock()
 	rt.stats[shard].bytes += uint64(moved)
 	rt.mu.Unlock()
+	accepted := 0
+	for ; accepted < n && st.replies[accepted].Status == 0; accepted++ {
+		if got := st.replies[accepted].ID; got != reqs[accepted].ID {
+			err = fmt.Errorf("post %d was answered as post %d", reqs[accepted].ID, got)
+			break
+		}
+		if out != nil {
+			out[accepted] = st.replies[accepted].Users
+		}
+	}
 	if err != nil {
-		st.sc.close()
+		st.sc.Close()
 		st.sc = nil
 		return accepted, fwdResync, fmt.Errorf("shard %d stream: %w", shard, err)
 	}
-	if status == 0 {
+	if accepted == len(reqs) {
 		return accepted, fwdOK, nil
 	}
-	class, err := classifyRefusal(status, envelope)
+	// The Prev chain makes the worker refuse every frame after the first
+	// refused one, so the first refusal is the one that counts.
+	class, err := classifyRefusal(st.replies[accepted].Status, st.replies[accepted].Envelope)
 	return accepted, class, err
 }
 
-// dial opens the shard's stream and ties it to the router's lifetime.
-func (rt *Router) dial(shard int) (*streamConn, fwdClass, error) {
+// dial opens the shard's stream, tied to the router's lifetime: Close closes
+// it, whether it has an exchange in flight or not.
+func (rt *Router) dial(shard int) (*ingeststream.Conn, fwdClass, error) {
 	rt.mu.Lock()
 	rt.stats[shard].dials++
 	rt.mu.Unlock()
@@ -470,7 +490,8 @@ func (rt *Router) dial(shard int) (*streamConn, fwdClass, error) {
 	if tr == nil {
 		tr = http.DefaultTransport
 	}
-	sc, status, body, err := dialStream(tr, rt.peers[shard], formatTopology(rt.assign.Digest(), shard, len(rt.peers)), rt.client.Timeout)
+	topology := http.Header{TopologyHeader: {formatTopology(rt.assign.Digest(), shard, len(rt.peers))}}
+	sc, status, body, err := ingeststream.Dial(rt.ctx, tr, rt.peers[shard]+streamPath, ingeststream.ShardProtocol, topology, rt.client.Timeout)
 	switch {
 	case err != nil:
 		return nil, fwdResync, fmt.Errorf("dialling shard %d's stream: %w", shard, err)
@@ -478,13 +499,11 @@ func (rt *Router) dial(shard int) (*streamConn, fwdClass, error) {
 		// Not a transient condition, and nothing a rollback heals.
 		return nil, fwdTerminal, fmt.Errorf(
 			"shard %d (%s) does not speak %s: POST %s answered %d; the router and its workers must run the same firehosed build",
-			shard, rt.peers[shard], StreamProtocol, streamPath, status)
+			shard, rt.peers[shard], ingeststream.ShardProtocol, streamPath, status)
 	case sc == nil:
 		class, err := classifyRefusal(status, body)
 		return nil, class, err
 	}
-	// Close closes the stream, whether it has an exchange in flight or not.
-	sc.unbind = context.AfterFunc(rt.ctx, func() { _ = sc.rwc.Close() })
 	return sc, fwdOK, nil
 }
 
@@ -520,7 +539,7 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 	// 3. Roll back to the last coordination round...
 	rt.mu.Lock()
 	w := rt.ckptW
-	replay := append([]IngestRequest(nil), rt.pending[shard]...)
+	replay := append([]ingeststream.Request(nil), rt.pending[shard]...)
 	rt.stats[shard].resyncs++
 	rt.mu.Unlock()
 	var res RestoreResponse

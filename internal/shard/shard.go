@@ -7,10 +7,10 @@
 // so posts whose authors live in different connected components never
 // interact, for any user. Assigning every component to exactly one shard and
 // routing each post to its author's shard therefore yields bit-identical
-// per-post decisions to a single node, as long as every shard runs the full
-// engine configuration (whole graph, whole subscription map, same
-// thresholds): a user subscribed across shards simply has each component of
-// their subscription decided on the shard that owns it.
+// per-post decisions to a single node, as long as every shard runs the same
+// graph and thresholds over each user's subscriptions restricted to the
+// authors it owns: a user subscribed across shards simply has each
+// component of their subscription decided on the shard that owns it.
 //
 // The package provides three pieces:
 //
@@ -21,7 +21,8 @@
 //     digest), and fingerprinted by its digest. A router builds no author
 //     graph: it decides no post.
 //   - Worker (NewWorker): wraps an httpapi.Server with the shard-local
-//     ingest/checkpoint/restore endpoints a router drives.
+//     stream/checkpoint/restore endpoints a router drives. The stream is
+//     internal/ingeststream's, the framing clients also stream posts in.
 //   - Router (NewRouter): an httpapi.Engine that fans ingest out to the
 //     workers over one persistent framed stream per shard and merges
 //     deliveries back in global id order. Every control request goes

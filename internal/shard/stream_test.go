@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,74 +17,35 @@ import (
 
 	"firehose/internal/core"
 	"firehose/internal/httpapi"
+	"firehose/internal/ingeststream"
 )
 
-// FuzzStreamFrame: arbitrary bytes never panic the frame reader or either
-// payload decoder and never make them allocate past the frame bound, and
-// whatever encodes decodes back to itself — requests and both reply kinds.
-func FuzzStreamFrame(f *testing.F) {
-	f.Add([]byte{}, uint64(0), uint64(0), int32(0), int64(0), "", uint16(0))
-	f.Add(appendRequest(nil, &IngestRequest{ID: 7, Prev: 5, Author: 3, TimeMillis: 1000, Text: "a post"}), uint64(7), uint64(5), int32(3), int64(1000), "a post", uint16(409))
-	f.Add(appendOKReply(nil, []int32{0, 1, 4999, -1}), ^uint64(0), uint64(1)<<63, int32(-1<<31), int64(-1<<63), "\x00\xff", uint16(999))
-	f.Add(appendErrReply(nil, 503, []byte(`{"error":"x","code":"queue_full"}`)), uint64(1), uint64(0), int32(1<<31-1), int64(1<<63-1), strings.Repeat("é", 300), uint16(100))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0}, uint64(0), uint64(0), int32(0), int64(0), "", uint16(0))
-	f.Add([]byte{0, 0, 0, 3, replyOK, 0x80, 0x80}, uint64(0), uint64(0), int32(0), int64(0), "", uint16(0))
+// dialStream opens a shard stream to peer the way the router does; an empty
+// topology omits the Firehose-Topology header.
+func dialStream(tr http.RoundTripper, peer, topology string, bound time.Duration) (*ingeststream.Conn, int, []byte, error) {
+	var header http.Header
+	if topology != "" {
+		header = http.Header{TopologyHeader: {topology}}
+	}
+	return ingeststream.Dial(context.Background(), tr, peer+streamPath, ingeststream.ShardProtocol, header, bound)
+}
 
-	f.Fuzz(func(t *testing.T, data []byte, id, prev uint64, author int32, tm int64, text string, status uint16) {
-		// Arbitrary bytes, as a stream of frames.
-		br := bufio.NewReader(bytes.NewReader(data))
-		var buf []byte
-		for {
-			payload, err := readFrame(br, &buf)
-			if cap(buf) > maxFrame {
-				t.Fatalf("readFrame grew its buffer to %d bytes, past the %d-byte bound", cap(buf), maxFrame)
-			}
-			if err != nil {
-				break
-			}
-			if req, err := decodeRequest(payload); err == nil {
-				again, err := decodeRequest(appendRequest(nil, &req)[frameHeader:])
-				if err != nil || again != req {
-					t.Fatalf("request %+v re-decodes as %+v, %v", req, again, err)
-				}
-			}
-			if rep, err := decodeReply(payload); err == nil && cap(rep.users) > len(payload) {
-				t.Fatalf("decodeReply sized %d users for a %d-byte payload", cap(rep.users), len(payload))
-			}
+// roundTrip runs reqs as one pipeline on sc. accepted counts the leading
+// posts the worker ingested, whose deliveries land in out (nil discards
+// them); status and envelope are the first refusal (0 when there is none).
+func roundTrip(sc *ingeststream.Conn, reqs []ingeststream.Request, out [][]int32) (accepted, status int, envelope []byte, moved int, err error) {
+	replies := make([]ingeststream.Reply, len(reqs))
+	n, moved, err := sc.RoundTrip(reqs, replies)
+	for _, r := range replies[:n] {
+		if r.Status != 0 {
+			return accepted, r.Status, r.Envelope, moved, err
 		}
-
-		// Structured values, round trip through the frame reader.
-		req := IngestRequest{ID: id, Prev: prev, Author: author, TimeMillis: tm, Text: text}
-		users := make([]int32, len(data)/4)
-		for i := range users {
-			users[i] = int32(uint32(data[4*i]) | uint32(data[4*i+1])<<8 | uint32(data[4*i+2])<<16 | uint32(data[4*i+3])<<24)
+		if out != nil {
+			out[accepted] = r.Users
 		}
-		code := 100 + int(status)%900
-		wire := appendErrReply(appendOKReply(appendRequest(nil, &req), users), code, data)
-		br = bufio.NewReader(bytes.NewReader(wire))
-		payload, err := readFrame(br, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := decodeRequest(payload); err != nil || got != req {
-			t.Fatalf("request %+v decodes as %+v, %v", req, got, err)
-		}
-		if payload, err = readFrame(br, &buf); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := decodeReply(payload); err != nil || got.status != 0 || got.users == nil || !reflect.DeepEqual(append([]int32{}, users...), got.users) {
-			t.Fatalf("OK reply %v decodes as %+v, %v", users, got, err)
-		}
-		if payload, err = readFrame(br, &buf); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := decodeReply(payload); err != nil || got.status != code || !bytes.Equal(got.envelope, data) {
-			t.Fatalf("error reply %d %q decodes as %+v, %v", code, data, got, err)
-		}
-		if _, err := readFrame(br, &buf); err != io.EOF {
-			t.Fatalf("after the last frame: %v, want io.EOF", err)
-		}
-	})
+		accepted++
+	}
+	return accepted, 0, nil, moved, err
 }
 
 // faultProxy is a TCP relay in front of one worker that can cut a connection
@@ -434,18 +392,18 @@ func TestStreamPrevChainStopsPipeline(t *testing.T) {
 	if err != nil || sc == nil {
 		t.Fatalf("dial: %d %s, %v", status, body, err)
 	}
-	defer sc.close()
+	defer sc.Close()
 
-	reqs := make([]IngestRequest, 6)
+	reqs := make([]ingeststream.Request, 6)
 	for i := range reqs {
-		reqs[i] = IngestRequest{ID: uint64(10 * (i + 1)), Author: 0, TimeMillis: int64(1000 * (i + 1)), Text: fmt.Sprintf("post %d", i)}
+		reqs[i] = ingeststream.Request{ID: uint64(10 * (i + 1)), Author: 0, TimeMillis: int64(1000 * (i + 1)), Text: fmt.Sprintf("post %d", i)}
 		if i > 0 {
 			reqs[i].Prev = reqs[i-1].ID
 		}
 	}
 	reqs[2].Text = "" // refused: 400 empty_text
 	out := make([][]int32, len(reqs))
-	accepted, status, envelope, _, err := sc.roundTrip(reqs, out)
+	accepted, status, envelope, _, err := roundTrip(sc, reqs, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,11 +415,11 @@ func TestStreamPrevChainStopsPipeline(t *testing.T) {
 	}
 	// The stream is still in step: the rest of the pipeline, re-chained, lands.
 	reqs[3].Prev = reqs[1].ID
-	if accepted, status, envelope, _, err = sc.roundTrip(reqs[3:], out[3:]); err != nil || accepted != 3 {
+	if accepted, status, envelope, _, err = roundTrip(sc, reqs[3:], out[3:]); err != nil || accepted != 3 {
 		t.Fatalf("re-chained tail: accepted %d, refusal %d %s, %v", accepted, status, envelope, err)
 	}
 	// And each refused frame behind the first was a shard_desync.
-	_, status, envelope, _, err = sc.roundTrip([]IngestRequest{{ID: 99, Prev: 1, Author: 0, TimeMillis: 99000, Text: "x"}}, nil)
+	_, status, envelope, _, err = roundTrip(sc, []ingeststream.Request{{ID: 99, Prev: 1, Author: 0, TimeMillis: 99000, Text: "x"}}, nil)
 	if err != nil || status != http.StatusConflict || !strings.Contains(string(envelope), httpapi.CodeShardDesync) {
 		t.Fatalf("stale Prev: %d %s, %v; want 409 %s", status, envelope, err, httpapi.CodeShardDesync)
 	}
@@ -474,7 +432,7 @@ func streamGoroutines() []string {
 	buf = buf[:runtime.Stack(buf, true)]
 	var in []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "shard.(*Worker).serveStream") || strings.Contains(g, "shard.(*streamConn)") {
+		if strings.Contains(g, "ingeststream.(*Server).serve") || strings.Contains(g, "ingeststream.(*Conn)") {
 			in = append(in, g)
 		}
 	}
@@ -519,21 +477,21 @@ func TestStreamLifecycle(t *testing.T) {
 	tr := &http.Transport{}
 	defer tr.CloseIdleConnections()
 	next := uint64(0)
-	frame := func() []IngestRequest {
+	frame := func() []ingeststream.Request {
 		next++
-		return []IngestRequest{{ID: next, Prev: next - 1, Author: 0, TimeMillis: int64(1000 * next), Text: fmt.Sprintf("post %d", next)}}
+		return []ingeststream.Request{{ID: next, Prev: next - 1, Author: 0, TimeMillis: int64(1000 * next), Text: fmt.Sprintf("post %d", next)}}
 	}
 
 	first, _, _, err := dialStream(tr, ts.URL, topo, 0)
 	if err != nil || first == nil {
 		t.Fatalf("first stream: %v", err)
 	}
-	defer first.close()
-	if n, _, _, _, err := first.roundTrip(frame(), nil); err != nil || n != 1 {
+	defer first.Close()
+	if n, _, _, _, err := roundTrip(first, frame(), nil); err != nil || n != 1 {
 		t.Fatalf("first stream, first frame: %d, %v", n, err)
 	}
 	time.Sleep(120 * time.Millisecond) // well past the server's ReadTimeout
-	if n, _, _, _, err := first.roundTrip(frame(), nil); err != nil || n != 1 {
+	if n, _, _, _, err := roundTrip(first, frame(), nil); err != nil || n != 1 {
 		t.Fatalf("the stream died with the server's ReadTimeout: %d, %v", n, err)
 	}
 
@@ -541,12 +499,12 @@ func TestStreamLifecycle(t *testing.T) {
 	if err != nil || second == nil {
 		t.Fatalf("second stream: %v", err)
 	}
-	defer second.close()
-	if _, _, _, _, err := first.roundTrip(frame(), nil); err == nil {
+	defer second.Close()
+	if _, _, _, _, err := roundTrip(first, frame(), nil); err == nil {
 		t.Fatal("the superseded stream still answers")
 	}
 	next-- // that frame never reached the engine
-	if n, _, _, _, err := second.roundTrip(frame(), nil); err != nil || n != 1 {
+	if n, _, _, _, err := roundTrip(second, frame(), nil); err != nil || n != 1 {
 		t.Fatalf("second stream: %d, %v", n, err)
 	}
 	if got := srv.IDWatermark(); got != next {
@@ -556,7 +514,7 @@ func TestStreamLifecycle(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, err := second.roundTrip(frame(), nil); err == nil {
+	if _, _, _, _, err := roundTrip(second, frame(), nil); err == nil {
 		t.Fatal("the stream survived Worker.Close")
 	}
 	if sc, status, body, _ := dialStream(tr, ts.URL, topo, 0); sc != nil || status != http.StatusServiceUnavailable || !strings.Contains(string(body), httpapi.CodeEngineClosed) {
@@ -576,7 +534,7 @@ func TestStreamLifecycle(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_, _ = buf.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + StreamProtocol + "\r\n\r\n")
+		_, _ = buf.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + ingeststream.ShardProtocol + "\r\n\r\n")
 		_ = buf.Flush()
 		_, _ = io.Copy(io.Discard, conn)
 	}))
@@ -624,8 +582,8 @@ func TestRouterNamesProtocolToWorkerWithoutStream(t *testing.T) {
 	defer rt.Close()
 	start := time.Now()
 	_, err = rt.Offer(core.NewPost(1, 0, 1000, "x"))
-	if err == nil || !strings.Contains(err.Error(), StreamProtocol) || !strings.Contains(err.Error(), "same firehosed build") {
-		t.Fatalf("Offer = %v, want an error naming %s", err, StreamProtocol)
+	if err == nil || !strings.Contains(err.Error(), ingeststream.ShardProtocol) || !strings.Contains(err.Error(), "same firehosed build") {
+		t.Fatalf("Offer = %v, want an error naming %s", err, ingeststream.ShardProtocol)
 	}
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("the refusal took %v: the router retried a terminal answer", took)
@@ -677,5 +635,109 @@ func TestRouterMetrics(t *testing.T) {
 	}
 	if got := series("firehose_shard_resyncs_total"); got != 0 {
 		t.Errorf("resyncs_total sums to %g on a healthy fleet", got)
+	}
+}
+
+// TestIngestStreamThroughRouter: a router's POST /v1/ingest/stream frames
+// take the pushed post's path (turnstile, then the shard stream) and get
+// POST /v1/ingest's answers: the same ids, delivered lists and refusal
+// envelopes as the same posts POSTed one by one to a second fleet, which
+// then serves the same timelines, user stats and stats. A worker refuses a
+// client's stream before the Upgrade: its router owns the stream.
+func TestIngestStreamThroughRouter(t *testing.T) {
+	streamed, posted := newShardedStack(t, 2), newShardedStack(t, 2)
+	ts := httptest.NewServer(streamed.api)
+	defer ts.Close()
+	dial := func(url string) (*ingeststream.Conn, int, []byte, error) {
+		return ingeststream.Dial(context.Background(), http.DefaultTransport, url+"/v1/ingest/stream", ingeststream.ClientProtocol, nil, 10*time.Second)
+	}
+	sc, status, body, err := dial(ts.URL)
+	if err != nil || sc == nil {
+		t.Fatalf("dial: %d %s, %v", status, body, err)
+	}
+	defer sc.Close()
+
+	var reqs []ingeststream.Request
+	for i := 0; i < 150; i++ {
+		author, tm, text := equivPost(i)
+		reqs = append(reqs, ingeststream.Request{Author: author, TimeMillis: tm, Text: text})
+		switch i {
+		case 50:
+			reqs = append(reqs, ingeststream.Request{Author: author, TimeMillis: tm - 1, Text: "late"})
+		case 100:
+			reqs = append(reqs, ingeststream.Request{Author: author, TimeMillis: tm})
+		}
+	}
+	replies := make([]ingeststream.Reply, len(reqs))
+	for lo := 0; lo < len(reqs); lo += 16 {
+		hi := min(lo+16, len(reqs))
+		if n, _, err := sc.RoundTrip(reqs[lo:hi], replies[lo:hi]); err != nil || n != hi-lo {
+			t.Fatalf("frames %d–%d: %d replies, %v", lo, hi, n, err)
+		}
+	}
+	refused := 0
+	for i, r := range reqs {
+		var want httpapi.IngestResponse
+		code, body := do(t, posted.api, "POST", "/v1/ingest", ingestBody(r.Author, r.TimeMillis, r.Text), &want)
+		rep := replies[i]
+		switch {
+		case code != http.StatusOK:
+			refused++
+			if rep.Status != code || string(rep.Envelope) != body {
+				t.Fatalf("post %d: stream refused with %d %s, POST with %d %s", i, rep.Status, rep.Envelope, code, body)
+			}
+		case rep.Status != 0 || rep.ID != want.ID || fmt.Sprint(rep.Users) != fmt.Sprint(want.Delivered):
+			t.Fatalf("post %d: stream answered %+v, POST %s", i, rep, body)
+		}
+	}
+	if refused != 2 {
+		t.Fatalf("%d refusals, want the disorder and the empty text", refused)
+	}
+	paths := []string{"/v1/stats"}
+	for u := -1; u <= len(equivSubscriptions()); u++ {
+		paths = append(paths, fmt.Sprintf("/v1/timeline?user=%d&n=100000", u), fmt.Sprintf("/v1/users/%d/stats", u))
+	}
+	for _, p := range paths {
+		gotCode, got := do(t, streamed.api, "GET", p, "", nil)
+		wantCode, want := do(t, posted.api, "GET", p, "", nil)
+		if gotCode != http.StatusOK || gotCode != wantCode || got != want {
+			t.Fatalf("GET %s after streaming: %d %s; after POSTs: %d %s", p, gotCode, got, wantCode, want)
+		}
+	}
+
+	if sc, status, body, err := dial(streamed.servers[0].URL); err != nil || sc != nil || status != http.StatusServiceUnavailable || !strings.Contains(string(body), httpapi.CodeIngestDisabled) {
+		t.Fatalf("a worker answered a client stream with %d %s, %v; want 503 %s", status, body, err, httpapi.CodeIngestDisabled)
+	}
+}
+
+// TestRouterChecksReplyID: an OK reply must carry the id the router
+// forwarded. A peer that answers another id breaks the stream, and the
+// forward fails naming both ids instead of handing the client a decision for
+// the wrong post.
+func TestRouterChecksReplyID(t *testing.T) {
+	assign, err := Plan(testGraph(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := ingeststream.NewServer(ingeststream.ShardProtocol, true)
+	defer streams.Close()
+	peer := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != streamPath {
+			http.NotFound(rw, r)
+			return
+		}
+		httpapi.ServeStream(rw, r, streams, func(req *ingeststream.Request, _ http.ResponseWriter) (uint64, []int32, bool) {
+			return req.ID + 1, []int32{0}, true
+		})
+	}))
+	defer peer.Close()
+	rt, err := NewRouter(RouterOptions{Peers: []string{peer.URL}, Assignment: assign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rt.retryIvl, rt.resyncTO = 5*time.Millisecond, time.Second
+	if users, err := rt.Offer(core.NewPost(1, 0, 1000, "x")); err == nil || !strings.Contains(err.Error(), "post 1 was answered as post 2") {
+		t.Fatalf("Offer = %v, %v; want an error naming both ids", users, err)
 	}
 }

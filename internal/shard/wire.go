@@ -12,7 +12,7 @@ import (
 // listener, so the inter-shard transport needs no second port and reuses the
 // daemon's error envelope and golden-tested codes:
 //
-//	POST /v1/shard/stream      Upgrade: firehose-shard/1 — the data plane
+//	POST /v1/shard/stream      Upgrade: firehose-shard/2 — the data plane
 //	POST /v1/shard/checkpoint  write the coordinated tagged checkpoint
 //	POST /v1/shard/restore     roll back to a coordination round
 //	GET  /v1/shard/assignment  the worker's routing table (read-only)
@@ -33,33 +33,31 @@ import (
 //
 // # The stream
 //
-// The router holds one persistent connection per shard, opened lazily by an
-// HTTP/1.1 Upgrade request and answered 101 Switching Protocols; from then on
-// the connection carries length-prefixed binary frames (stream.go), one
-// request frame per forwarded post and one reply frame per request, in order:
+// Both ingest hops speak one framed stream (internal/ingeststream, which
+// documents the frame layout): a client streams posts into any node's
+// POST /v1/ingest/stream (Upgrade: firehose-ingest/1) with id 0 and prev 0,
+// and the router holds one persistent stream per shard, opened lazily on
+// the first forward, whose frames carry the id the router assigned and, in
+// prev, the id watermark the worker must hold for the frame to land. An OK
+// reply carries the ingested post's id, and the router checks it against
+// the id it forwarded. An error reply carries the bytes
+// httpapi.WriteError / WriteIngestError would have sent over HTTP, so the
+// router classifies refusals by the same machine codes as ever.
 //
-//	frame   = u32 big-endian payload length (≤ 16 MiB), payload
-//	request = uvarint id, uvarint prev, varint author, varint timeMillis, text
-//	reply   = 0x00, delivered users as varints
-//	        | 0x01, uvarint HTTP status, JSON error envelope
-//
-// An error reply carries the bytes httpapi.WriteError / WriteIngestError would
-// have sent over HTTP, so the router classifies refusals by the same machine
-// codes as ever. A sub-batch — and a resync replay — is the same frames
-// pipelined: written back to back, replies read in order. Each frame names in
-// prev the id watermark it must land on, so once frame i is refused frame
-// i+1's prev no longer matches and the worker refuses the rest of the
-// pipeline by itself (409 shard_desync): the ingested part of a pipeline is
-// always a prefix.
+// A sub-batch — and a resync replay — is the same frames pipelined: written
+// back to back, replies read in order. Each frame names in prev the id
+// watermark it must land on, so once frame i is refused frame i+1's prev no
+// longer matches and the worker refuses the rest of the pipeline by itself
+// (409 shard_desync): the ingested part of a pipeline is always a prefix.
 //
 // The Upgrade request carries the Firehose-Topology header; a worker refuses a
 // router planned over a different graph, shard count or shard index with
 // 409 shard_mismatch before the stream exists. A worker's assignment cannot
 // change under a live connection, so frames are not re-checked against it;
 // everything else (id, owner shard, prev, time order, text) is checked per
-// frame. Any I/O error, short frame or expired per-forward bound drops the
-// stream; the router resyncs the worker over the control endpoints and the
-// next forward redials.
+// frame. Any I/O error, short frame, mismatched reply id or expired reply
+// bound drops the stream; the router resyncs the worker over the control
+// endpoints and the next forward redials.
 //
 // # Control
 //
@@ -71,10 +69,6 @@ import (
 // on the stream's Upgrade request and on every control request:
 // "<16-hex assignment digest>/<shard>/<shards>".
 const TopologyHeader = "Firehose-Topology"
-
-// StreamProtocol is the Upgrade token of the shard stream. A router and its
-// workers must run the same firehosed build: the token names the frame layout.
-const StreamProtocol = "firehose-shard/1"
 
 // streamPath is the worker endpoint the router upgrades.
 const streamPath = "/v1/shard/stream"
@@ -134,30 +128,6 @@ func parseTopology(v string) (digest uint64, shard, shards int, err error) {
 		return 0, 0, 0, fmt.Errorf("shard: malformed %s header %q", TopologyHeader, v)
 	}
 	return digest, shard, shards, nil
-}
-
-// IngestRequest is one forwarded post — a request frame on the shard stream,
-// and an entry of the router's replay buffer.
-type IngestRequest struct {
-	// ID is the router-assigned global post id; a worker's ids are a strictly
-	// increasing (not dense) subsequence of the global space.
-	ID uint64
-	// Prev is the id watermark the worker must hold for this forward to land:
-	// the id of the last post the router successfully forwarded to this shard
-	// (its watermark at the last coordination round when nothing is pending).
-	// A worker whose watermark disagrees refuses with 409 shard_desync — the
-	// check that catches a worker that crashed and restarted cold between two
-	// forwards, which is otherwise indistinguishable from a healthy one
-	// (IngestAssigned accepts any id that advances its watermark, and per-shard
-	// ids are sparse by design so a gap proves nothing). Chained per frame, it
-	// also makes a pipeline stop at its first refused frame.
-	Prev uint64
-	// Author is the posting author's dense id; it must route to this shard.
-	Author int32
-	// TimeMillis is the post timestamp (Unix milliseconds).
-	TimeMillis int64
-	// Text is the post content.
-	Text string
 }
 
 // CheckpointRequest is the POST /v1/shard/checkpoint body: the router's

@@ -1,28 +1,29 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"firehose/internal/checkpoint"
 	"firehose/internal/httpapi"
+	"firehose/internal/ingeststream"
 )
 
 // WorkerOptions configures NewWorker. Server, Shard (with Assignment's shard
 // count), Assignment and CheckpointDir are required.
 type WorkerOptions struct {
-	// Server is the worker's HTTP server, already built over the full engine
-	// configuration (whole graph, whole subscription map, same thresholds as
-	// every other shard).
+	// Server is the worker's HTTP server, already built over the whole graph
+	// and the same thresholds as every other shard, with each user's
+	// subscriptions restricted to the authors this shard owns (authors
+	// outside the graph kept, so that the engine refuses them by name). A
+	// server built over the whole subscription map decides the same, but
+	// holds the other shards' state for nothing.
 	Server *httpapi.Server
 	// Shard is this worker's shard index in [0, Assignment.NumShards()).
 	Shard int
@@ -58,18 +59,14 @@ type Worker struct {
 	// snapshot and a crash-recovery rollback cannot interleave.
 	ckptMu sync.Mutex
 
-	// mu guards: coordinated, stream, closed
-	// It is also held across each frame's {Prev check, ingest}, which makes
-	// the pair atomic and keeps a superseded stream's leftover frames out of
-	// the engine.
+	// mu guards: coordinated
 	mu          sync.Mutex
 	coordinated uint64
-	// stream is the router's live stream; a newer one supersedes (closes) it.
-	stream net.Conn
-	closed bool
 
-	// streams counts serveStream goroutines; Close waits for them.
-	streams sync.WaitGroup
+	// streams serves the router's stream, one at a time: a newer one
+	// supersedes (closes) the live one. It decides each frame under its
+	// lock, which makes the frame's {Prev check, ingest} atomic.
+	streams *ingeststream.Server
 }
 
 // NewWorker wires the shard surface onto opts.Server. The server must not be
@@ -88,12 +85,13 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		return nil, fmt.Errorf("shard: WorkerOptions.CheckpointDir is required")
 	}
 	w := &Worker{
-		srv:    opts.Server,
-		shard:  opts.Shard,
-		assign: opts.Assignment,
-		inputs: opts.Inputs,
-		dir:    opts.CheckpointDir,
-		retain: opts.Retain,
+		srv:     opts.Server,
+		shard:   opts.Shard,
+		assign:  opts.Assignment,
+		inputs:  opts.Inputs,
+		dir:     opts.CheckpointDir,
+		retain:  opts.Retain,
+		streams: ingeststream.NewServer(ingeststream.ShardProtocol, true),
 	}
 
 	srv := opts.Server
@@ -111,14 +109,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 // connection is invisible to http.Server.Shutdown, so nothing else would. The
 // router sees the cut as a failed forward and resyncs once the worker is back.
 func (w *Worker) Close() error {
-	w.mu.Lock()
-	w.closed = true
-	if w.stream != nil {
-		_ = w.stream.Close()
-		w.stream = nil
-	}
-	w.mu.Unlock()
-	w.streams.Wait()
+	w.streams.Close()
 	return nil
 }
 
@@ -164,76 +155,35 @@ func (w *Worker) checkTopology(r *http.Request) error {
 	return nil
 }
 
-// checkFrame validates one forwarded post against this worker's identity and
-// state before the engine sees it, answering the refusal's HTTP status and
-// envelope code (0 when the post may be ingested). The Prev check catches a
-// worker that lost state (crashed and restarted cold between two forwards)
-// or holds state the router never recorded; the router rolls it back to the
-// last coordinated round and replays.
-func (w *Worker) checkFrame(req *IngestRequest) (int, string, error) {
+// decide checks one forwarded post against this worker's identity and state
+// before the engine sees it, then ingests it, writing a refusal's envelope
+// to refuse. The Prev check catches a worker that lost state (crashed and
+// restarted cold between two forwards) or holds state the router never
+// recorded; the router rolls it back to the last coordinated round and
+// replays.
+func (w *Worker) decide(req *ingeststream.Request, refuse http.ResponseWriter) (uint64, []int32, bool) {
 	if req.ID == 0 {
-		return http.StatusBadRequest, httpapi.CodeBadParam, fmt.Errorf("forwarded post is missing its assigned id")
+		httpapi.WriteError(refuse, http.StatusBadRequest, httpapi.CodeBadParam, "forwarded post is missing its assigned id")
+		return 0, nil, false
 	}
 	if owner := w.assign.ShardOf(req.Author); owner != w.shard {
-		return http.StatusConflict, httpapi.CodeShardMismatch, fmt.Errorf(
+		httpapi.WriteError(refuse, http.StatusConflict, httpapi.CodeShardMismatch,
 			"author %d belongs to shard %d, not this worker (shard %d); the router's routing table disagrees with this worker's",
 			req.Author, owner, w.shard)
+		return 0, nil, false
 	}
 	if got := w.srv.IDWatermark(); got != req.Prev {
-		return http.StatusConflict, httpapi.CodeShardDesync, fmt.Errorf(
+		httpapi.WriteError(refuse, http.StatusConflict, httpapi.CodeShardDesync,
 			"this forward expects shard %d's id watermark to be %d but it is %d; the worker's state and the router's replay buffer are out of step (did the worker restart?)",
 			w.shard, req.Prev, got)
-	}
-	return 0, "", nil
-}
-
-// envelopeRecorder captures what httpapi's error choke point writes, so an
-// error reply carries the status and envelope bytes the same refusal has over
-// HTTP.
-type envelopeRecorder struct {
-	header http.Header
-	status int
-	body   []byte
-}
-
-func (r *envelopeRecorder) Header() http.Header {
-	if r.header == nil {
-		r.header = make(http.Header)
-	}
-	return r.header
-}
-func (r *envelopeRecorder) WriteHeader(status int) { r.status = status }
-func (r *envelopeRecorder) Write(p []byte) (int, error) {
-	r.body = append(r.body, p...)
-	return len(p), nil
-}
-
-// appendRefusal renders a refusal through write and appends its reply frame.
-func appendRefusal(dst []byte, write func(http.ResponseWriter)) []byte {
-	var rec envelopeRecorder
-	write(&rec)
-	return appendErrReply(dst, rec.status, rec.body)
-}
-
-// decide checks and ingests one forwarded post and appends its reply frame to
-// dst. It reports false, having touched nothing, when conn is no longer the
-// worker's stream: a newer stream or Close took over while this frame was
-// already read.
-func (w *Worker) decide(conn net.Conn, req *IngestRequest, dst []byte) ([]byte, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.stream != conn {
-		return dst, false
-	}
-	status, code, err := w.checkFrame(req)
-	if err != nil {
-		return appendRefusal(dst, func(rw http.ResponseWriter) { httpapi.WriteError(rw, status, code, "%v", err) }), true
+		return 0, nil, false
 	}
 	users, err := w.srv.IngestAssigned(req.ID, req.Author, req.TimeMillis, req.Text)
 	if err != nil {
-		return appendRefusal(dst, func(rw http.ResponseWriter) { httpapi.WriteIngestError(rw, err) }), true
+		httpapi.WriteIngestError(refuse, req.TimeMillis, err)
+		return 0, nil, false
 	}
-	return appendOKReply(dst, users), true
+	return req.ID, users, true
 }
 
 // handleStream upgrades the router's connection to the shard stream. The
@@ -244,84 +194,7 @@ func (w *Worker) handleStream(rw http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardMismatch, "%v", err)
 		return
 	}
-	hj, ok := rw.(http.Hijacker)
-	if !ok || !strings.EqualFold(r.Header.Get("Upgrade"), StreamProtocol) {
-		httpapi.WriteError(rw, http.StatusUpgradeRequired, httpapi.CodeStreamingUnsupported,
-			"%s carries the %s protocol; send Connection: Upgrade and Upgrade: %s over HTTP/1.1", streamPath, StreamProtocol, StreamProtocol)
-		return
-	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		httpapi.WriteError(rw, http.StatusServiceUnavailable, httpapi.CodeEngineClosed, "shard %d is shutting down", w.shard)
-		return
-	}
-	conn, buf, err := hj.Hijack()
-	if err != nil {
-		w.mu.Unlock()
-		httpapi.WriteError(rw, http.StatusInternalServerError, httpapi.CodeStreamingUnsupported, "%v", err)
-		return
-	}
-	// One router, one stream: a half-open leftover of the router's previous
-	// connection must not interleave its frames with the new one's.
-	if w.stream != nil {
-		_ = w.stream.Close()
-	}
-	w.stream = conn
-	w.streams.Add(1)
-	w.mu.Unlock()
-	// The handler returns and the stream keeps its own goroutine: the server
-	// treats a hijacked connection as finished either way.
-	go w.serveStream(conn, buf)
-}
-
-// serveStream is the worker's end of the stream: read a frame, decide it on
-// this goroutine, write the reply. Any I/O or framing error ends it; the
-// router notices on its next forward and resyncs.
-func (w *Worker) serveStream(conn net.Conn, buf *bufio.ReadWriter) {
-	defer w.streams.Done()
-	defer func() {
-		w.mu.Lock()
-		if w.stream == conn {
-			w.stream = nil
-		}
-		w.mu.Unlock()
-		_ = conn.Close()
-	}()
-	// The server armed its ReadTimeout for the Upgrade request; a stream
-	// idles between posts for as long as the router has nothing to forward.
-	_ = conn.SetDeadline(time.Time{})
-	if _, err := buf.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + StreamProtocol + "\r\n\r\n"); err != nil {
-		return
-	}
-	if err := buf.Flush(); err != nil {
-		return
-	}
-	var in, out []byte
-	for {
-		payload, err := readFrame(buf.Reader, &in)
-		if err != nil {
-			return
-		}
-		req, err := decodeRequest(payload)
-		if err != nil {
-			return
-		}
-		var live bool
-		if out, live = w.decide(conn, &req, out[:0]); !live {
-			return
-		}
-		if _, err := buf.Write(out); err != nil {
-			return
-		}
-		// Replies to a pipeline go out together: flush only once no further
-		// request is waiting to be read.
-		if buf.Reader.Buffered() == 0 {
-			if err := buf.Flush(); err != nil {
-				return
-			}
-		}
-	}
+	httpapi.ServeStream(rw, r, w.streams, w.decide)
 }
 
 func (w *Worker) handleCheckpoint(rw http.ResponseWriter, r *http.Request) {

@@ -312,14 +312,9 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 	errs := make([]error, workers)
 	authorsim.ParallelChunks(runtime.GOMAXPROCS(0), workers, 1, func(procs int) func(c, lo, hi int) {
 		return func(w, _, _ int) {
-			shardSubs := make([][]int32, len(subscriptions))
-			for u, subs := range subscriptions {
-				for _, a := range subs {
-					if g.Contains(a) && e.authorWorker[a] == int32(w) {
-						shardSubs[u] = append(shardSubs[u], a)
-					}
-				}
-			}
+			shardSubs := core.RestrictSubscriptions(subscriptions, func(a int32) bool {
+				return g.Contains(a) && e.authorWorker[a] == int32(w)
+			})
 			var md core.MultiDiversifier
 			md, err := core.NewSharedMultiUserOn(procs, alg, g, shardSubs, th)
 			if err == nil && opts.Adaptive != nil {
