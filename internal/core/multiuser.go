@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
@@ -144,23 +145,28 @@ type SharedMultiUser struct {
 	authorToComps [][]int32  // ascending instance indices, dense by author id
 	scratch       []int32    // Offer's reusable delivery buffer (aliasing contract)
 	// perUser marks the M_* and Custom_M layouts: instance u feeds user u
-	// alone, so the routing lists are ascending user ids.
+	// alone, so the routing lists are ascending user ids and Offer delivers
+	// to the accepting instances' ids.
 	perUser bool
+
+	// S_* only: the delivery table (see subscriberTable) and the epoch stamps
+	// of the decision in progress, per instance: an instance stamped with the
+	// current epoch emits the post.
+	subs  subscriberTable
+	stamp []uint32
+	epoch uint32
 
 	// S_UniBin only (ring is set): the thresholds, the global graph (swapped
 	// by SetGraph), the rings, the author → ring table (-1 for authors no
-	// instance contains), the epoch stamps of the decision in progress (per
-	// instance and per author), Offer's reusable encoded emitter list, and
-	// the counters (stored-copy counts kept apart: live posts and summed
-	// ring peaks).
+	// instance contains), the per-author epoch stamps of the author test,
+	// Offer's reusable encoded emitter list, and the counters (stored-copy
+	// counts kept apart: live posts and summed ring peaks).
 	ring       bool
 	th         Thresholds
 	g          *authorsim.Graph
 	rings      []sharedRing
 	authorRing []int32
-	stamp      []uint32
 	similar    []uint32
-	epoch      uint32
 	emitList   []byte
 	c          metrics.Counters
 	live, peak int64
@@ -171,8 +177,28 @@ type SharedMultiUser struct {
 type instance struct {
 	authors []int32     // sorted
 	div     Diversifier // nil under S_UniBin, whose instances live in rings
-	users   []int32     // sorted
+	// users is the number of users the instance feeds, which the snapshot's
+	// structural guard records. Who they are is in the delivery table under
+	// S_*; under the per-user layouts it is the instance's index.
+	users int32
 }
+
+// subscriberTable is the S_* layouts' delivery table: for every author a,
+// the users of all of a's instances in ascending order, each tagged with its
+// instance's slot in authorToComps[a]. Entry j of a's slice is users[j] and
+// slots[j] for j in [off[a], off[a+1]); an entry costs 6 bytes. A user sees
+// an author through at most one of its instances, so no user is listed twice
+// and a decision's delivered list is a's slice filtered by which instances
+// emitted, in order, with no merge or sort.
+type subscriberTable struct {
+	off   []int
+	users []int32
+	slots []uint16
+}
+
+// maxAuthorInstances is the most instances an author may belong to under an
+// S_* layout: the delivery table tags each entry with a 16-bit slot.
+const maxAuthorInstances = 1 << 16
 
 // newSolver checks the parameters every layout shares — the algorithm, the
 // given thresholds and the subscribed author ids — before any instance is
@@ -241,6 +267,10 @@ func newSharedMultiUser(procs int, alg Algorithm, g *authorsim.Graph, subscripti
 	found := make([]foundComponents, (len(subscriptions)+usersChunk-1)/usersChunk)
 	byHash := make(map[uint64]int32) // hash → the newest instance with it
 	var older []int32                // instance → the previous one with its hash, or -1
+	// Each user's instances in user order, for the delivery table: user u's
+	// are userInsts[userEnd[u-1]:userEnd[u]].
+	var userInsts []int32
+	userEnd := make([]int, 0, len(subscriptions))
 	authorsim.ParallelChunks(procs, len(subscriptions), usersChunk, func(int) func(c, lo, hi int) {
 		return func(c, lo, hi int) {
 			f := foundComponents{comps: make([][][]int32, hi-lo)}
@@ -259,7 +289,7 @@ func newSharedMultiUser(procs int, alg Algorithm, g *authorsim.Graph, subscripti
 		}
 	}, func(c int) {
 		hashes := found[c].hashes
-		for i, comps := range found[c].comps {
+		for _, comps := range found[c].comps {
 			for _, comp := range comps {
 				h := hashes[0]
 				hashes = hashes[1:]
@@ -277,12 +307,18 @@ func newSharedMultiUser(procs int, alg Algorithm, g *authorsim.Graph, subscripti
 					byHash[h] = idx
 					s.comps = append(s.comps, instance{authors: comp})
 				}
-				s.comps[idx].users = append(s.comps[idx].users, int32(c*usersChunk+i))
+				s.comps[idx].users++
+				userInsts = append(userInsts, idx)
 			}
+			userEnd = append(userEnd, len(userInsts))
 		}
 		found[c] = foundComponents{}
 	})
 	s.routeAuthors()
+	if err := s.buildSubscribers(userInsts, userEnd); err != nil {
+		return nil, err
+	}
+	s.stamp = make([]uint32, len(s.comps))
 	if alg == AlgUniBin {
 		s.ring, s.th, s.g = true, th, g
 		s.buildRings()
@@ -385,7 +421,7 @@ func (s *SharedMultiUser) layPerUser(g *authorsim.Graph, subscriptions [][]int32
 		authors := slices.Clone(subs)
 		slices.Sort(authors)
 		authors = slices.Compact(authors)
-		s.comps[u] = instance{authors: authors, div: div, users: []int32{int32(u)}}
+		s.comps[u] = instance{authors: authors, div: div, users: 1}
 	}
 	s.routeAuthors()
 	return nil
@@ -421,6 +457,94 @@ func (s *SharedMultiUser) routeAuthors() {
 	}
 }
 
+// buildSubscribers fills the delivery table from each user's instances,
+// listed in user order (user u's are userInsts[userEnd[u-1]:userEnd[u]]). A
+// counting pass over the instances sizes every author's slice and finds
+// each instance's slot in the route of each of its authors — the number of
+// earlier instances containing the author, as routeAuthors numbers them.
+// Filling users in ascending order then leaves each slice sorted without a
+// sort.
+func (s *SharedMultiUser) buildSubscribers(userInsts []int32, userEnd []int) error {
+	for a, insts := range s.authorToComps {
+		if len(insts) > maxAuthorInstances {
+			return fmt.Errorf("core: author %d is in %d shared components; %s delivers to at most %d per author",
+				a, len(insts), s.name, maxAuthorInstances)
+		}
+	}
+	off := make([]int, len(s.authorToComps)+1)
+	// Instance ci's slot in the route of its j-th author is
+	// slotOf[first[ci]+j].
+	first := make([]int, len(s.comps)+1)
+	for ci, inst := range s.comps {
+		first[ci+1] = first[ci] + len(inst.authors)
+	}
+	slotOf := make([]uint16, first[len(s.comps)])
+	seen := make([]int, len(s.authorToComps))
+	for ci, inst := range s.comps {
+		for j, a := range inst.authors {
+			slotOf[first[ci]+j] = uint16(seen[a])
+			seen[a]++
+			off[a+1] += int(inst.users)
+		}
+	}
+	for a := 1; a < len(off); a++ {
+		off[a] += off[a-1]
+	}
+	t := subscriberTable{
+		off:   off,
+		users: make([]int32, off[len(off)-1]),
+		slots: make([]uint16, off[len(off)-1]),
+	}
+	next := seen
+	copy(next, off)
+	start := 0
+	for u, end := range userEnd {
+		for _, ci := range userInsts[start:end] {
+			for j, a := range s.comps[ci].authors {
+				t.users[next[a]], t.slots[next[a]] = int32(u), slotOf[first[ci]+j]
+				next[a]++
+			}
+		}
+		start = end
+	}
+	s.subs = t
+	return nil
+}
+
+// appendSubscribers appends to dst, in ascending order, the users of author
+// a's instances stamped with epoch e — those that emit the post — of which
+// there are emitted.
+func (s *SharedMultiUser) appendSubscribers(dst []int32, a int32, e uint32, emitted int) []int32 {
+	if emitted == 0 {
+		return dst
+	}
+	insts := s.authorToComps[a]
+	lo, hi := s.subs.off[a], s.subs.off[a+1]
+	users := s.subs.users[lo:hi]
+	if emitted == len(insts) {
+		return append(dst, users...)
+	}
+	slots := s.subs.slots[lo:hi]
+	for j, u := range users {
+		if s.stamp[insts[slots[j]]] == e {
+			dst = append(dst, u)
+		}
+	}
+	return dst
+}
+
+// nextEpoch opens a decision: every stamp left by an earlier decision
+// differs from the returned epoch e and from e+1 (S_UniBin's "covered").
+func (s *SharedMultiUser) nextEpoch() uint32 {
+	if s.epoch >= math.MaxUint32-2 {
+		clear(s.stamp)
+		clear(s.similar)
+		s.epoch = 0
+	}
+	s.epoch += 2
+	return s.epoch
+}
+
 // Name implements MultiDiversifier: M_<alg>, S_<alg> or Custom_M.
 func (s *SharedMultiUser) Name() string { return s.name }
 
@@ -436,11 +560,13 @@ func (s *SharedMultiUser) NumComponents() int {
 
 // Offer implements MultiDiversifier. Every instance containing the post's
 // author decides once; on acceptance the post is delivered to every user of
-// that instance. A user sees the author in at most one of its own instances,
-// so the user sets touched here are disjoint and the result needs only
-// sorting, not deduplication. Posts from authors outside the graph —
-// including negative ids, which arrive from unvalidated ingest boundaries —
-// are delivered to no one.
+// that instance. Under the S_* layouts the accepting instances are stamped
+// and the author's slice of the delivery table, already ascending, is
+// filtered by the stamps; under the per-user layouts instance u is user u,
+// so the accepting instances' ids, routed in ascending order, are the
+// delivered list. Posts from authors outside the graph — including negative
+// ids, which arrive from unvalidated ingest boundaries — are delivered to no
+// one.
 func (s *SharedMultiUser) Offer(p *Post) []int32 {
 	if p.Author < 0 || int(p.Author) >= len(s.authorToComps) {
 		return nil
@@ -449,19 +575,22 @@ func (s *SharedMultiUser) Offer(p *Post) []int32 {
 		return s.offerRing(p)
 	}
 	delivered := s.scratch[:0]
-	contributing := 0
-	for _, ci := range s.authorToComps[p.Author] {
-		inst := &s.comps[ci]
-		if inst.div.Offer(p) {
-			delivered = append(delivered, inst.users...)
-			contributing++
+	if s.perUser {
+		for _, ci := range s.authorToComps[p.Author] {
+			if s.comps[ci].div.Offer(p) {
+				delivered = append(delivered, ci)
+			}
 		}
-	}
-	// Every instance's user list is sorted, so a single contributing
-	// instance needs no sort; nor do the per-user layouts, whose instances
-	// are routed in ascending user order.
-	if contributing > 1 && !s.perUser {
-		slices.Sort(delivered)
+	} else {
+		e := s.nextEpoch()
+		emitted := 0
+		for _, ci := range s.authorToComps[p.Author] {
+			if s.comps[ci].div.Offer(p) {
+				s.stamp[ci] = e
+				emitted++
+			}
+		}
+		delivered = s.appendSubscribers(delivered, p.Author, e, emitted)
 	}
 	s.scratch = delivered
 	if len(delivered) == 0 {

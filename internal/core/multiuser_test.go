@@ -155,13 +155,20 @@ func newPerInstance(t *testing.T, alg Algorithm, g *authorsim.Graph, subs [][]in
 }
 
 func (r *perInstance) Offer(p *Post) []int32 {
+	out := r.concat(p)
+	slices.Sort(out)
+	return out
+}
+
+// concat offers p to every instance containing its author and concatenates
+// the accepting instances' users in instance order, unsorted.
+func (r *perInstance) concat(p *Post) []int32 {
 	var out []int32
 	for _, in := range r.insts {
 		if in.in[p.Author] && in.d.Offer(p) {
 			out = append(out, in.users...)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 

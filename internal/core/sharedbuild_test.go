@@ -52,7 +52,9 @@ func sequentialInstances(g *authorsim.Graph, subs [][]int32) (authors, users [][
 }
 
 // checkInstances fails unless s holds exactly the given instances, in that
-// order, and routes every author to the instances containing it.
+// order, routes every author to the instances containing it, and lists in
+// its delivery table, per author, the users of those instances in ascending
+// order, each beside its instance's slot in the author's route.
 func checkInstances(t *testing.T, s *SharedMultiUser, authors, users [][]int32) {
 	t.Helper()
 	if s.NumComponents() != len(authors) {
@@ -63,9 +65,8 @@ func checkInstances(t *testing.T, s *SharedMultiUser, authors, users [][]int32) 
 		if !slices.Equal(inst.authors, authors[i]) {
 			t.Fatalf("instance %d has authors %v, want %v", i, inst.authors, authors[i])
 		}
-		if !slices.Equal(inst.users, users[i]) {
-			t.Fatalf("instance %d (authors %v) feeds %d users, want %d; first difference at position %d",
-				i, inst.authors, len(inst.users), len(users[i]), firstDiff(inst.users, users[i]))
+		if int(inst.users) != len(users[i]) {
+			t.Fatalf("instance %d (authors %v) feeds %d users, want %d", i, inst.authors, inst.users, len(users[i]))
 		}
 		for _, a := range authors[i] {
 			byAuthor[a] = append(byAuthor[a], int32(i))
@@ -75,16 +76,27 @@ func checkInstances(t *testing.T, s *SharedMultiUser, authors, users [][]int32) 
 		if !slices.Equal(s.authorToComps[a], byAuthor[a]) {
 			t.Fatalf("author %d routes to instances %v, want %v", a, s.authorToComps[a], byAuthor[a])
 		}
+		// The instances' users concatenated in route order, then sorted.
+		type entry struct {
+			user int32
+			slot uint16
+		}
+		var want []entry
+		for slot, i := range byAuthor[a] {
+			for _, u := range users[i] {
+				want = append(want, entry{u, uint16(slot)})
+			}
+		}
+		slices.SortFunc(want, func(x, y entry) int { return int(x.user - y.user) })
+		lo, hi := s.subs.off[a], s.subs.off[a+1]
+		got := make([]entry, hi-lo)
+		for j := range got {
+			got[j] = entry{s.subs.users[lo+j], s.subs.slots[lo+j]}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("author %d's delivery table lists (user, slot) %v, want %v", a, got, want)
+		}
 	}
-}
-
-// firstDiff returns the first position at which a and b differ.
-func firstDiff(a, b []int32) int {
-	i := 0
-	for i < min(len(a), len(b)) && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 // decidedSnapshot offers posts to s and returns its checkpoint bytes, with

@@ -2,8 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"math"
-	"slices"
 	"time"
 
 	"firehose/internal/postbin"
@@ -169,21 +167,7 @@ func (s *SharedMultiUser) buildRings() {
 			s.authorRing[a] = ringOf[s.g.ComponentOf(int32(a))]
 		}
 	}
-	s.stamp = make([]uint32, len(s.comps))
 	s.similar = make([]uint32, len(s.authorToComps))
-}
-
-// nextEpoch opens a decision: instance k is a candidate for the post iff
-// stamp[k] == e, and covered iff stamp[k] == e+1; author b is similar to the
-// post's author iff similar[b] == e.
-func (s *SharedMultiUser) nextEpoch() uint32 {
-	if s.epoch >= math.MaxUint32-2 {
-		clear(s.stamp)
-		clear(s.similar)
-		s.epoch = 0
-	}
-	s.epoch += 2
-	return s.epoch
 }
 
 // cover marks the candidates among one matching entry's emitters (its
@@ -250,14 +234,13 @@ func (s *SharedMultiUser) offerRing(p *Post) []int32 {
 	})
 	s.c.Comparisons += comparisons
 
-	delivered := s.scratch[:0]
+	// Instance k is a candidate iff stamp[k] == e and covered iff
+	// stamp[k] == e+1, so the candidates still stamped e emit.
 	emitted := 0
 	for _, k := range insts {
-		if s.stamp[k] != e {
-			continue
+		if s.stamp[k] == e {
+			emitted++
 		}
-		delivered = append(delivered, s.comps[k].users...)
-		emitted++
 	}
 	s.c.Accepted += uint64(emitted)
 	s.c.Rejected += uint64(len(insts) - emitted)
@@ -277,11 +260,7 @@ func (s *SharedMultiUser) offerRing(p *Post) []int32 {
 		s.c.Insertions++
 		s.live++
 	}
-	// Instances of one author have disjoint subscriber sets, each sorted;
-	// only a multi-instance delivery needs the sort.
-	if emitted > 1 {
-		slices.Sort(delivered)
-	}
+	delivered := s.appendSubscribers(s.scratch[:0], p.Author, e, emitted)
 	s.scratch = delivered
 	if len(delivered) == 0 {
 		return nil

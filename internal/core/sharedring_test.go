@@ -96,7 +96,7 @@ func FuzzSharedRestore(f *testing.F) {
 	prefix = binary.AppendUvarint(prefix, uint64(len(s.comps)))
 	for _, comp := range s.comps {
 		prefix = binary.AppendUvarint(prefix, uint64(len(comp.authors)))
-		prefix = binary.AppendUvarint(prefix, uint64(len(comp.users)))
+		prefix = binary.AppendUvarint(prefix, uint64(comp.users))
 	}
 	prefix = binary.AppendUvarint(prefix, uint64(len(s.rings)))
 	if !bytes.HasPrefix(valid, prefix) {

@@ -350,7 +350,7 @@ func (s *SharedMultiUser) SnapshotState(enc *checkpoint.Encoder) error {
 	enc.Uvarint(uint64(len(s.comps)))
 	for _, comp := range s.comps {
 		enc.Uvarint(uint64(len(comp.authors)))
-		enc.Uvarint(uint64(len(comp.users)))
+		enc.Uvarint(uint64(comp.users))
 	}
 	if s.ring {
 		enc.Uvarint(uint64(len(s.rings)))
@@ -382,9 +382,9 @@ func (s *SharedMultiUser) RestoreState(dec *checkpoint.Decoder) error {
 		inst := &s.comps[ci]
 		na := dec.Len("instance authors", checkpoint.MaxElems)
 		nu := dec.Len("instance users", checkpoint.MaxElems)
-		if dec.Err() == nil && (na != len(inst.authors) || nu != len(inst.users)) {
+		if dec.Err() == nil && (na != len(inst.authors) || nu != int(inst.users)) {
 			dec.Failf("instance %d shape mismatch: snapshot %d authors/%d users, engine %d/%d",
-				ci, na, nu, len(inst.authors), len(inst.users))
+				ci, na, nu, len(inst.authors), inst.users)
 		}
 	}
 	if err := dec.Err(); err != nil {

@@ -399,7 +399,7 @@ func encodeSharedRings(enc *checkpoint.Encoder, s *SharedMultiUser, edit func(ri
 	enc.Uvarint(uint64(len(s.comps)))
 	for _, comp := range s.comps {
 		enc.Uvarint(uint64(len(comp.authors)))
-		enc.Uvarint(uint64(len(comp.users)))
+		enc.Uvarint(uint64(comp.users))
 	}
 	enc.Uvarint(uint64(len(s.rings)))
 	for ri := range s.rings {

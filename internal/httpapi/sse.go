@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -21,7 +22,8 @@ type subscriber struct {
 }
 
 // broker fans deliveries out to SSE subscribers, indexed by user id so
-// publishing costs O(delivered users), not O(subscribers × delivered users).
+// publishing costs the smaller of O(delivered users) and O(subscribed users
+// × log delivered users), not O(subscribers × delivered users).
 type broker struct {
 	// mu guards: byUser, closed, subscribers, published, dropped, droppedByUser
 	mu     sync.Mutex
@@ -90,22 +92,51 @@ func (b *broker) unsubscribe(s *subscriber) {
 }
 
 // publish pushes a delivered post to every subscriber of the delivered
-// users. A slow subscriber (full buffer) misses the event rather than
-// blocking ingestion — SSE consumers needing completeness re-read /timeline.
+// users, which are ascending, as every engine delivers them. It walks the
+// shorter side: the delivered users, looking each up in the index, or, when
+// fewer users have subscribers, the index, binary-searching each user in the
+// delivered list. A subscriber belongs to one user and a post is delivered
+// to a user once, so either walk sends each subscriber the post at most once.
+// A slow subscriber (full buffer) misses the event rather than blocking
+// ingestion — SSE consumers needing completeness re-read /timeline.
 func (b *broker) publish(users []int32, p TimelinePost) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, u := range users {
-		for s := range b.byUser[u] {
-			select {
-			case s.ch <- p:
-				b.published++
-			default:
-				b.dropped++
-				b.droppedByUser[u]++
+	if len(b.byUser) < len(users) {
+		for u, set := range b.byUser {
+			if _, found := slices.BinarySearch(users, u); found {
+				sent, full := send(set, p)
+				b.published += sent
+				if full > 0 {
+					b.dropped += full
+					b.droppedByUser[u] += full
+				}
 			}
 		}
+		return
 	}
+	for _, u := range users {
+		sent, full := send(b.byUser[u], p)
+		b.published += sent
+		if full > 0 {
+			b.dropped += full
+			b.droppedByUser[u] += full
+		}
+	}
+}
+
+// send pushes p to every subscriber in set without blocking and returns how
+// many took it and how many had a full buffer.
+func send(set map[*subscriber]struct{}, p TimelinePost) (sent, full uint64) {
+	for s := range set {
+		select {
+		case s.ch <- p:
+			sent++
+		default:
+			full++
+		}
+	}
+	return sent, full
 }
 
 // close closes every subscriber channel so streaming handlers unblock and

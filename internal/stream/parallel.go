@@ -65,10 +65,12 @@ const DefaultQueueDepth = 256
 // decision. For every user, the union of deliveries equals the sequential
 // SharedMultiUser's — property-tested against it.
 //
-// Each worker keeps the delivered history of the posts it decides, appended
-// in its decision loop before the ticket resolves; Timeline merges the
-// workers' histories by sequence number, so per-user timelines equal a
-// sequential run's.
+// Each worker keeps the delivered history of the posts it decides. A worker
+// answers first — it resolves the ticket as soon as the decision is made —
+// and then appends to the history, still holding the lock every timeline
+// read and checkpoint takes, so a read that starts after a ticket resolves
+// sees its posts. Timeline merges the workers' histories by sequence number,
+// so per-user timelines equal a sequential run's.
 //
 // Sequential is the one-shard case of the same design, not a second engine:
 // NewMultiEngine builds the inline mode, one worker over a caller-supplied
@@ -129,11 +131,13 @@ type parallelWorker struct {
 	// mu guards: md, queueWait, timelines, discard
 	//
 	// The worker goroutine holds it across Offer (which mutates the
-	// per-component counters deep inside the bins) and the timeline append,
-	// and Counters/WorkerSnapshots/Timeline hold it while merging, so readers
-	// never race decisions. ch is written by the ingest boundary and closed by
-	// Close (nil in inline mode); lastSeq, offs and arenaLen are owned by the
-	// worker goroutine alone, or in inline mode by whoever holds the engine's mu.
+	// per-component counters deep inside the bins), the ticket's resolution
+	// and the timeline append that follows it, and Counters/WorkerSnapshots/
+	// Timeline hold it while merging, so readers never race decisions and
+	// never miss a resolved ticket's posts. ch is written by the ingest
+	// boundary and closed by Close (nil in inline mode); lastSeq, delivered
+	// and offs are owned by the worker goroutine alone, or in inline mode by
+	// whoever holds the engine's mu.
 	mu sync.Mutex
 	// md is the shard solver: a SharedMultiUser over the shard's components,
 	// optionally wrapped by the adaptive controller. Interface-typed so the
@@ -148,13 +152,12 @@ type parallelWorker struct {
 	discard   bool
 	ch        chan parallelJob
 	lastSeq   uint64
-	// offs is the worker's reusable batch-offset scratch: offs[i] is the
-	// arena position where batch post i's deliveries start. Only subslices
-	// of the per-batch arena escape to tickets, never offs itself.
-	offs []int32
-	// arenaLen is the length of the last batch's delivery arena; the next
-	// arena starts at that plus an eighth, so a batch rarely regrows it.
-	arenaLen int
+	// delivered and offs are the worker's reusable record of a batch's
+	// decisions: batch post i was delivered to delivered[offs[i]:offs[i+1]].
+	// The timeline append reads them after the ticket resolves, so it never
+	// reads the copies handed to the caller, which the caller may write to.
+	delivered []int32
+	offs      []int32
 	// queueWait observes, per job, the time between enqueue at the ingest
 	// boundary and dequeue by the worker — the per-worker imbalance signal:
 	// a hot shard's queue wait grows while its siblings stay flat.
@@ -219,6 +222,10 @@ type Ticket struct {
 }
 
 // Users blocks until the decision is made and returns the delivered users.
+// The slice is the caller's to keep and to modify. The worker records the
+// post in its timelines just after resolving the ticket, under the lock
+// every read takes, so a timeline read or checkpoint that starts after
+// Users returns includes the post.
 func (t *Ticket) Users() []int32 {
 	<-t.done
 	return t.users
@@ -250,7 +257,11 @@ type BatchTicket struct {
 
 // Users blocks until every post of the batch is decided and returns the
 // per-post delivered users, indexed by batch position. The returned slices
-// are the caller's to keep. Safe to call from multiple goroutines.
+// are the caller's to keep and to modify: each worker records its shard in
+// its timelines after resolving it, from its own copy of the deliveries and
+// under the lock every read takes, so a timeline read or checkpoint that
+// starts after Users returns includes the whole batch. Safe to call from
+// multiple goroutines.
 func (bt *BatchTicket) Users() [][]int32 {
 	for _, ch := range bt.pending {
 		<-ch
@@ -341,10 +352,8 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 					close(job.barrier)
 				case job.batch != nil:
 					w.runBatch(job.batch, job.enqueuedAt)
-					close(job.batch.done)
 				default:
-					job.ticket.users = w.decide(job.post, job.ticket.seq, job.enqueuedAt)
-					close(job.ticket.done)
+					w.decide(job.post, job.ticket, job.enqueuedAt)
 				}
 			}
 		}(w)
@@ -352,14 +361,16 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 	return e, nil
 }
 
-// decide offers one post, at ingest sequence number seq, to the worker's
-// solver and records its deliveries in the worker's timelines. The returned
-// slice is detached from the solver's scratch buffer, because the ticket
-// outlives the next decision. enqueuedAt is the post's queue entry time; the
-// inline engine passes the zero time, which records no wait.
-func (w *parallelWorker) decide(p *core.Post, seq uint64, enqueuedAt time.Time) []int32 {
+// decide offers one post to the worker's solver, resolves its ticket t with
+// a copy of the deliveries (the ticket outlives the solver's scratch), and
+// then records them in the worker's timelines from the solver's scratch,
+// still under w.mu. enqueuedAt is the post's queue entry time; the inline
+// engine passes the zero time, which records no wait, and a ticket with no
+// done channel, which it resolves itself.
+func (w *parallelWorker) decide(p *core.Post, t *Ticket, enqueuedAt time.Time) {
 	// The ingest boundary serializes enqueues in sequence order, so a
 	// non-monotone sequence here is an engine bug, not a caller error.
+	seq := t.seq
 	if seq <= w.lastSeq {
 		panic(fmt.Sprintf("stream: worker received seq %d after %d", seq, w.lastSeq))
 	}
@@ -369,46 +380,54 @@ func (w *parallelWorker) decide(p *core.Post, seq uint64, enqueuedAt time.Time) 
 	if !enqueuedAt.IsZero() {
 		w.queueWait.ObserveSince(enqueuedAt)
 	}
-	users := slices.Clone(w.md.Offer(p))
+	users := w.md.Offer(p)
+	t.users = slices.Clone(users)
+	if t.done != nil {
+		close(t.done)
+	}
 	if !w.discard {
 		w.timelines.Deliver(p, seq, users)
 	}
-	return users
 }
 
-// runBatch decides one shard of a batch. Deliveries are packed into a single
-// per-shard arena slice — one allocation per shard instead of one per
-// delivered post — and the ticket's per-post slots receive subslices of it;
-// each post's region is also what the worker's timelines record. enqueuedAt
-// is as for decide; the caller resolves the shard.
+// runBatch decides one shard of a batch into the worker's own delivered
+// buffer, copies it into one exactly sized arena per shard — one allocation
+// per shard instead of one per delivered post — hands the ticket's per-post
+// slots subslices of that arena and resolves the shard. Only then does it
+// record the deliveries in the worker's timelines, from its own buffer and
+// still under w.mu. enqueuedAt is as for decide; the inline engine's shard
+// has no done channel.
 func (w *parallelWorker) runBatch(b *batchShardJob, enqueuedAt time.Time) {
 	if b.firstSeq <= w.lastSeq {
 		panic(fmt.Sprintf("stream: worker received batch seq %d after %d", b.firstSeq, w.lastSeq))
 	}
 	w.lastSeq = b.lastSeq
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if !enqueuedAt.IsZero() {
 		w.queueWait.ObserveSince(enqueuedAt)
 	}
-	offs := append(w.offs[:0], 0)
-	// A fresh arena per batch, because its subslices escape into the ticket.
-	arena := make([]int32, 0, w.arenaLen+w.arenaLen/8)
-	for i, p := range b.posts {
-		arena = append(arena, w.md.Offer(p)...)
-		offs = append(offs, int32(len(arena)))
-		if !w.discard {
-			w.timelines.Deliver(p, b.ticket.seqBase+uint64(b.pos[i]), arena[offs[i]:])
-		}
+	offs, delivered := append(w.offs[:0], 0), w.delivered[:0]
+	for _, p := range b.posts {
+		delivered = append(delivered, w.md.Offer(p)...)
+		offs = append(offs, int32(len(delivered)))
 	}
-	w.offs, w.arenaLen = offs, len(arena)
-	w.mu.Unlock()
-	// arena is append-grown, so earlier subslices must only be taken now,
-	// after its backing array has stopped moving.
+	w.offs, w.delivered = offs, delivered
+	arena := slices.Clone(delivered)
 	for i, pos := range b.pos {
 		// Full slice expressions cap each result at its own region so a
 		// caller appending to one delivery list cannot clobber the next.
 		if users := arena[offs[i]:offs[i+1]:offs[i+1]]; len(users) > 0 {
 			b.ticket.users[pos] = users
+		}
+	}
+	seqBase := b.ticket.seqBase
+	if b.done != nil {
+		close(b.done)
+	}
+	if !w.discard {
+		for i, p := range b.posts {
+			w.timelines.Deliver(p, seqBase+uint64(b.pos[i]), delivered[offs[i]:offs[i+1]])
 		}
 	}
 }
@@ -419,7 +438,9 @@ func (w *parallelWorker) runBatch(b *batchShardJob, enqueuedAt time.Time) {
 // within every worker queue. The semantic stream order is the sequence order,
 // so posts must carry non-decreasing timestamps in it. A post whose author is
 // unknown or negative is delivered to no one but still consumes its sequence
-// number, as in OfferBatch.
+// number, as in OfferBatch. The worker reads the post until it has recorded
+// it in its timelines, which may be just after the ticket resolves, so the
+// caller must not modify a post it has offered.
 //
 // When the target worker's queue is full, Offer blocks — backpressure — or,
 // in fail-fast mode, returns ErrQueueFull without enqueueing. After Close has
@@ -478,7 +499,10 @@ func (e *ParallelMultiEngine) offerInline(p *core.Post) (Ticket, error) {
 		return Ticket{}, ErrClosed
 	}
 	e.seq++
-	return Ticket{seq: e.seq, done: resolved, users: e.workers[0].decide(p, e.seq, time.Time{})}, nil
+	t := Ticket{seq: e.seq}
+	e.workers[0].decide(p, &t, time.Time{})
+	t.done = resolved
+	return t, nil
 }
 
 // route returns the index of the worker that decides p, or -1 when p's author
@@ -655,8 +679,10 @@ func (e *ParallelMultiEngine) Timeline(u int32) []*core.Post {
 // n, and the merge by ingest sequence number — the order a one-shard engine
 // fed the same stream appends in — keeps the newest n of those. Like Counters
 // it reads one worker at a time under its decision lock, so a post decided
-// mid-read may be missing while a later one is present; every post whose
-// ticket has resolved is included.
+// mid-read may be missing while a later one is present. Every post whose
+// ticket resolved before the call is included: a worker resolves a ticket
+// before it records the post, but holds the lock across both, so the read
+// waits for the record.
 //
 // The posts are copies built from the store and carry ID, Author, Time and
 // Text only: the store keeps no fingerprint, since no read serves one (the
