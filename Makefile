@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprintNormalizationStable -fuzztime=$(FUZZTIME) ./internal/simhash
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprintFused -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSharedRestore -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzTimelines -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeIngest -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run='^$$' -fuzz=FuzzStreamFrame -fuzztime=$(FUZZTIME) ./internal/ingeststream

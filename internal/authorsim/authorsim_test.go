@@ -146,10 +146,41 @@ func TestGraphBasics(t *testing.T) {
 	}
 }
 
+// TestNewGraphDedupsParallelEdges: a pair listed again, as is or reversed,
+// merges into the edge it repeats, so the graph equals the one built from the
+// list without repeats, edge count included. Every row is capped at its own
+// length, so appending to one leaves its neighbor row intact.
 func TestNewGraphDedupsParallelEdges(t *testing.T) {
 	g := NewGraph(3, []SimPair{{A: 0, B: 1}, {A: 0, B: 1}, {A: 1, B: 0}}, 0.5)
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
+	}
+
+	unique := []SimPair{{A: 0, B: 1}, {A: 0, B: 2}, {A: 1, B: 3}, {A: 2, B: 3}, {A: 3, B: 5}}
+	want := NewGraph(6, unique, 0.5)
+	for name, pairs := range map[string][]SimPair{
+		"repeated": append(slices.Clone(unique), unique[1], unique[3], unique[1]),
+		"reversed": append(slices.Clone(unique), SimPair{A: 3, B: 1}, SimPair{A: 5, B: 3}),
+	} {
+		g := NewGraph(6, pairs, 0.5)
+		if g.NumEdges() != want.NumEdges() {
+			t.Fatalf("%s: NumEdges = %d, want %d", name, g.NumEdges(), want.NumEdges())
+		}
+		for a := int32(0); a < 6; a++ {
+			if row := g.Neighbors(a); !slices.Equal(row, want.Neighbors(a)) || cap(row) != len(row) {
+				t.Fatalf("%s: Neighbors(%d) = %v (cap %d), want %v capped at its length",
+					name, a, row, cap(row), want.Neighbors(a))
+			}
+		}
+	}
+	for a := int32(0); a < 6; a++ {
+		if row := want.Neighbors(a); cap(row) != len(row) {
+			t.Fatalf("Neighbors(%d) has len %d and cap %d; want them equal", a, len(row), cap(row))
+		}
+	}
+	_ = append(want.Neighbors(0), 4)
+	if got := want.Neighbors(1); !slices.Equal(got, []int32{0, 3}) {
+		t.Fatalf("after an append to row 0, Neighbors(1) = %v, want [0 3]", got)
 	}
 }
 

@@ -61,10 +61,15 @@ func BuildGraphInPlace(followees [][]int32, lambdaA float64) *Graph {
 const rowsChunk = 64
 
 // NewGraph builds a Graph over n authors from an explicit edge list. Pairs
-// are interpreted as undirected edges; duplicates and self-loops are
-// rejected. The lambdaA value is recorded for reporting only.
+// are interpreted as undirected edges: a pair listed more than once, in
+// either order, is merged into one edge, and a self-loop or an author outside
+// [0, n) panics. The lambdaA value is recorded for reporting only.
+//
+// The rows share one backing array, sized by a counting pass over the pairs
+// (exactly, for a list without repeats), and each is capped at its own
+// length, so appending to one reallocates instead of overwriting the next.
 func NewGraph(n int, pairs []SimPair, lambdaA float64) *Graph {
-	g := &Graph{adj: make([][]int32, n), lambdaA: lambdaA}
+	off := make([]int, n+1) // row a fills flat[off[a]:off[a+1]]
 	for _, p := range pairs {
 		if p.A == p.B {
 			panic(fmt.Sprintf("authorsim: self-loop on author %d", p.A))
@@ -72,15 +77,32 @@ func NewGraph(n int, pairs []SimPair, lambdaA float64) *Graph {
 		if p.A < 0 || int(p.A) >= n || p.B < 0 || int(p.B) >= n {
 			panic(fmt.Sprintf("authorsim: edge (%d,%d) out of range [0,%d)", p.A, p.B, n))
 		}
-		g.adj[p.A] = append(g.adj[p.A], p.B)
-		g.adj[p.B] = append(g.adj[p.B], p.A)
+		off[p.A+1]++
+		off[p.B+1]++
 	}
-	for i := range g.adj {
-		slices.Sort(g.adj[i])
-		g.adj[i] = slices.Compact(g.adj[i])
-		g.edges += len(g.adj[i])
+	for a := 1; a <= n; a++ {
+		off[a] += off[a-1]
 	}
-	g.edges /= 2
+	flat := make([]int32, off[n])
+	fill := slices.Clone(off[:n])
+	for _, p := range pairs {
+		flat[fill[p.A]] = p.B
+		fill[p.A]++
+		flat[fill[p.B]] = p.A
+		fill[p.B]++
+	}
+	// Sort and deduplicate each row, moving it down over the slots its
+	// predecessors' repeats freed.
+	g := &Graph{adj: make([][]int32, n), lambdaA: lambdaA}
+	w := 0
+	for a := range g.adj {
+		row := flat[off[a]:off[a+1]]
+		slices.Sort(row)
+		k := copy(flat[w:], slices.Compact(row))
+		g.adj[a] = flat[w : w+k : w+k]
+		w += k
+	}
+	g.edges = w / 2
 	return g
 }
 

@@ -424,6 +424,12 @@ func (w *parallelWorker) runBatch(b *batchShardJob, enqueuedAt time.Time) {
 	seqBase := b.ticket.seqBase
 	if b.done != nil {
 		close(b.done)
+		// The close readies the waiting handler into this P's runnext slot,
+		// where it would sit until the timeline recording below ends (about
+		// 0.2 ms for a 256-post batch). Yielding lets it run now and moves
+		// the recording to the back of the run queue, so the ack does not
+		// wait for it.
+		runtime.Gosched()
 	}
 	if !w.discard {
 		for i, p := range b.posts {

@@ -187,9 +187,9 @@ func positionChain(tl *Timelines, u int32) []aref {
 // two chunks, and none that fitted was pushed into the next. The first
 // position is 0 (coded as 1, since a zero byte ends a chunk), gaps of up to
 // 300 posts make one- and two-byte uvarints, and both kinds end up opening a
-// chunk. A read spanning every chunk returns every position in order. Records,
-// headers and histories hold no pointers, so nothing the arena holds needs
-// the garbage collector.
+// chunk. A read spanning every chunk returns every position in order. Log
+// chunk descriptors, chunk headers and histories hold no pointers, so nothing
+// the store keeps needs scanning by the garbage collector.
 func TestTimelinesChunkGrowth(t *testing.T) {
 	var tl Timelines
 	p := &core.Post{}
@@ -265,7 +265,7 @@ func TestTimelinesChunkGrowth(t *testing.T) {
 		}
 	}
 
-	for _, v := range []any{record{}, history{}, aref{}} {
+	for _, v := range []any{logChunk{}, history{}, aref{}} {
 		integersOnly(t, reflect.TypeOf(v))
 	}
 }
@@ -408,28 +408,185 @@ func TestTimelinesPanicOnRepeatedUser(t *testing.T) {
 	tl.Deliver(&core.Post{ID: 7}, 2, []int32{1, 2, 2})
 }
 
-// BenchmarkTimelinesDeliver appends posts delivered to 25 users each, spread
-// over 5,000 users: the store's per-post cost on the ingest path. The store
-// restarts every resetEvery posts (≈1,300 deliveries per user, a chain of
-// about a dozen chunks) so a long run does not map gigabytes.
+// TestTimelinesLongTextOwnMapping: an entry longer than an arena page gets
+// a mapping of its own, exactly its size, and leaves the open page open, so
+// the entry after it lands next to the one before it. All three read back.
+func TestTimelinesLongTextOwnMapping(t *testing.T) {
+	var tl Timelines
+	long := strings.Repeat("火", arenaPage/3+1) // over 1 MiB of text
+	posts := []core.Post{
+		{ID: 1, Author: 2, Time: 10, Text: "before"},
+		{ID: 2, Author: 3, Time: 11, Text: long},
+		{ID: 3, Author: 4, Time: 12, Text: "after"},
+	}
+	for i := range posts {
+		tl.Deliver(&posts[i], uint64(i+1), []int32{5})
+	}
+	if len(tl.mem.pages) != 2 {
+		t.Fatalf("the store mapped %d pages, want the open page and one for the long entry", len(tl.mem.pages))
+	}
+	own := tl.mem.pages[1]
+	if len(own) <= len(long) || len(own) > len(long)+maxHeader {
+		t.Fatalf("the long entry's mapping is %d bytes for a %d-byte text; want the text and its header alone", len(own), len(long))
+	}
+	before, after := tl.at(0), tl.at(2)
+	if before.text.page != 0 || after.text.page != 0 || after.text.off <= before.text.off {
+		t.Fatalf("the entries around the long one lie at %+v and %+v; want both on the open page, in order", before.text, after.text)
+	}
+	got, _ := tl.appendTail(nil, 5, math.MaxInt)
+	for i, tp := range got {
+		if tp.post != served(posts[i]) || tp.seq != uint64(i+1) {
+			t.Fatalf("post %d reads back as seq %d %+.40v, want %+.40v", i, tp.seq, tp.post, posts[i])
+		}
+	}
+}
+
+// TestTimelinesPanicAtLocationLimit: a location keeps its entry's page as a
+// difference from its chunk's base page in the bits above the offset, so a
+// difference that does not fit panics naming the limit instead of wrapping
+// onto another page; the largest one that fits codes exactly.
+func TestTimelinesPanicAtLocationLimit(t *testing.T) {
+	const base = 7
+	last := aref{page: base + locPageLimit - 1, off: arenaPage - 1}
+	if loc := packLoc(base, last); base+loc>>arenaPageShift != last.page || loc&(arenaPage-1) != last.off {
+		t.Fatalf("packLoc(%d, %+v) = %#x does not decode back", base, last, loc)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "more than 4096 arena pages") {
+			t.Fatalf("packLoc past the limit: recovered %q, want a panic naming 4096 arena pages", msg)
+		}
+	}()
+	packLoc(base, aref{page: base + locPageLimit})
+}
+
+// TestTimelinesBytesPerPost pins what the log costs per post beside its
+// text: 100,000 posts with 100-byte texts, each delivered to one of 5,000
+// users in turn, must map at most 30 bytes per post more than their texts —
+// entry headers, locations, positions, alignment and every page counted
+// whole. A 40-byte fixed record alone would cost more.
+func TestTimelinesBytesPerPost(t *testing.T) {
+	const postCount, users, textLen = 100000, 5000, 100
+	var tl Timelines
+	defer tl.Reset()
+	text := strings.Repeat("x", textLen)
+	for i := 0; i < postCount; i++ {
+		p := core.Post{ID: uint64(i + 1), Author: int32(i % 997), Time: int64(i) * 13, Text: text}
+		tl.Deliver(&p, uint64(i+1), []int32{int32(i % users)})
+	}
+	posts, _, bytes := tl.Size()
+	perPost := float64(bytes-posts*textLen) / float64(posts)
+	if perPost > 30 {
+		t.Fatalf("the store maps %.1f B per post beside the texts, want <= 30", perPost)
+	}
+	t.Logf("%.1f mapped bytes per post beside the texts (%d bytes in all)", perPost, bytes)
+}
+
+// FuzzTimelines drives the store with posts built from the fuzz input and
+// compares every user's tail for several n, and the Size counts, with a
+// plain per-user slice model. Each post takes four bytes of prog, read
+// cyclically, so count posts cross 1,024-entry log chunks however short prog
+// is: the id moves by a signed step and now and then by 2^40, so it lies
+// above and below its chunk's first id; the time steps back as well as
+// forward; the author may be negative; the text is empty, ASCII or
+// multi-byte; and the post goes to one to three of 40 users.
+func FuzzTimelines(f *testing.F) {
+	f.Add(uint16(2100), []byte{0x10, 0x83, 0x05, 0x21, 0xf0, 0x7f, 0x00, 0x92})
+	f.Add(uint16(1025), []byte{0})
+	f.Add(uint16(3100), []byte("multi-byte 火🔥 posts, ids and times going backwards"))
+	f.Fuzz(func(t *testing.T, count uint16, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		const users = 40
+		var tl Timelines
+		defer tl.Reset()
+		model := make([][]timelinePost, users)
+		r := 0
+		next := func() byte {
+			b := prog[r%len(prog)]
+			r++
+			return b
+		}
+		id, tm, seq, entries := uint64(1)<<20, int64(1000), uint64(0), 0
+		n := int(count % 4096)
+		for i := 0; i < n; i++ {
+			a, b, c, d := next(), next(), next(), next()
+			id += uint64(int8(a))
+			if b&0xc0 == 0xc0 {
+				id ^= 1 << 40
+			}
+			tm += int64(int8(c)) * int64(1+b&0x0f)
+			seq += 1 + uint64(b>>4&3)
+			text := ""
+			if d%5 != 0 {
+				text = strings.Repeat([]string{"a", "é", "火", "🔥"}[a&3], int(d&0x1f))
+			}
+			p := core.Post{ID: id, Author: int32(int8(d)) * 1000, Time: tm, Text: text, FP: 1}
+			u := int32(c) % users
+			to := []int32{u, (u + 7) % users, (u + 14) % users}[:1+int(a)%3]
+			slices.Sort(to)
+			tl.Deliver(&p, seq, to)
+			for _, u := range to {
+				model[u] = append(model[u], timelinePost{seq, served(p)})
+			}
+			entries += len(to)
+		}
+		if posts, got, _ := tl.Size(); posts != uint64(n) || got != uint64(entries) {
+			t.Fatalf("Size counts %d posts and %d entries, want %d and %d", posts, got, n, entries)
+		}
+		for u := int32(-1); u <= users; u++ {
+			var want []timelinePost
+			if u >= 0 && u < users {
+				want = model[u]
+			}
+			for _, k := range []int{0, 1, len(want) / 2, len(want), len(want) + 1} {
+				got, total := tl.appendTail(nil, u, k)
+				if total != len(want) || !slices.Equal(got, want[len(want)-min(k, len(want)):]) {
+					t.Fatalf("user %d, n=%d: %d posts of %d, want the newest %d of %d",
+						u, k, len(got), total, min(k, len(want)), len(want))
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkTimelinesDeliver appends posts with texts of about 110 bytes,
+// delivered to 25 users each, spread over 5,000 users: the store's per-post
+// cost on the ingest path. The store restarts every resetEvery posts
+// (≈1,300 deliveries per user, a chain of about a dozen chunks) so a long
+// run does not map gigabytes. mapped-B/post is the mapped bytes of every
+// store the run filled over the posts it delivered.
 func BenchmarkTimelinesDeliver(b *testing.B) {
 	const users, perPost, resetEvery = 5000, 25, 1 << 18
 	rng := rand.New(rand.NewSource(1))
 	to := make([][]int32, 1024)
+	posts := make([]core.Post, len(to))
 	for i := range to {
 		// A solver lists each user once.
 		for _, u := range rng.Perm(users)[:perPost] {
 			to[i] = append(to[i], int32(u))
 		}
+		posts[i] = core.Post{Author: int32(rng.Intn(users)), Text: strings.Repeat("w", 100+rng.Intn(21))}
 	}
-	p := &core.Post{}
-	var tl Timelines
+	var (
+		tl     Timelines
+		mapped uint64
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%resetEvery == 0 {
+			_, _, bytes := tl.Size()
+			mapped += bytes
 			tl.Reset()
 		}
+		p := &posts[i%len(posts)]
+		p.ID, p.Time = uint64(i+1), int64(i)*10
 		tl.Deliver(p, uint64(i+1), to[i%len(to)])
 	}
+	b.StopTimer()
+	_, _, bytes := tl.Size()
+	b.ReportMetric(float64(mapped+bytes)/float64(b.N), "mapped-B/post")
+	tl.Reset()
 }
