@@ -272,7 +272,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("connector: config: a shard worker must not checkpoint periodically (engine.checkpoint.interval_millis must be 0): the router coordinates every round")
 		}
 		if c.Engine.Checkpoint.Dir == "" {
-			return fmt.Errorf("connector: config: a shard worker needs engine.checkpoint.dir: the router recovers a desynced worker by rolling it back to its coordinated tagged checkpoint, and without a directory even routine backpressure would wedge the shard")
+			return fmt.Errorf("connector: config: a shard worker needs engine.checkpoint.dir: the router recovers a crashed or desynced worker by rolling it back to its coordinated tagged checkpoint and replaying the posts since, and without a directory there is no checkpoint to roll back to")
 		}
 	}
 	if r := c.Router; r != nil {

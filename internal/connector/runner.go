@@ -13,12 +13,25 @@ import (
 // IngestFunc pushes one post into the engine and reports the assigned
 // sequence number (the post id) and the users whose timelines received it.
 // Failures split three ways for the runner: stream.ErrClosed ends the run,
-// stream.ErrQueueFull is transient backpressure (the runner retries the same
-// message, so no sequence number is consumed and replay determinism holds),
-// and anything else is a deterministic rejection (disorder, empty text) that
-// a replay reproduces — the message is skipped and acked with its
-// predecessor.
+// an error marked ErrRejected is a deterministic rejection (disorder, empty
+// text) that a replay reproduces — the message is skipped and acked with its
+// predecessor — and anything else (a router forward that gave up, an engine
+// failure) is retried with the same message, so no post is acked that no
+// engine decided.
 type IngestFunc func(author int32, timeMillis int64, text string) (seq uint64, users []int32, err error)
+
+// ErrRejected marks an ingest error that a replay of the same input
+// reproduces. Producers mark their rejections with Rejection.
+var ErrRejected = errors.New("connector: deterministic rejection")
+
+// Rejection marks err as a deterministic rejection: errors.Is(…, ErrRejected)
+// holds, and the text and the chain below are err's.
+func Rejection(err error) error { return rejection{err} }
+
+type rejection struct{ error }
+
+func (r rejection) Unwrap() error      { return r.error }
+func (rejection) Is(target error) bool { return target == ErrRejected }
 
 // Runner drives one Input through an IngestFunc and turns durable checkpoint
 // watermarks into input acks. It is the at-least-once pivot: messages the
@@ -64,8 +77,8 @@ type RunnerOptions struct {
 	Pacer *Pacer
 }
 
-// queueFullBackoff is the wait before retrying a backpressured ingest.
-const queueFullBackoff = 5 * time.Millisecond
+// retryBackoff is the wait before retrying a failed ingest.
+const retryBackoff = 5 * time.Millisecond
 
 // NewRunner builds a runner for one input. component names it in stats
 // ("input:file", …).
@@ -110,8 +123,9 @@ func (r *Runner) Run(ctx context.Context) error {
 	}
 }
 
-// ingestOne pushes one message through the engine, retrying transient
-// backpressure; it reports whether the run should stop (engine closed).
+// ingestOne pushes one message through the engine, retrying every failure
+// but a deterministic rejection; it reports whether the run should stop
+// (engine closed or Stop).
 func (r *Runner) ingestOne(msg *Message) (stop bool) {
 	for {
 		seq, _, err := r.ingest(msg.Author, msg.TimeMillis, msg.Text)
@@ -126,21 +140,19 @@ func (r *Runner) ingestOne(msg *Message) (stop bool) {
 			return false
 		case errors.Is(err, stream.ErrClosed):
 			return true
-		case errors.Is(err, stream.ErrQueueFull):
-			select {
-			case <-time.After(queueFullBackoff):
-				continue
-			case <-r.stopCh:
-				return true
-			}
-		default:
-			// Deterministic rejection: a replay rejects it again, so it is
-			// safe to ack alongside its predecessor.
+		case errors.Is(err, ErrRejected):
+			// A replay rejects it again, so it is safe to ack alongside its
+			// predecessor.
 			r.skipped.inc()
 			r.mu.Lock()
 			r.pending = append(r.pending, pendingMsg{seq: r.lastSeq, msg: msg})
 			r.mu.Unlock()
 			return false
+		}
+		select {
+		case <-time.After(retryBackoff):
+		case <-r.stopCh:
+			return true
 		}
 	}
 }

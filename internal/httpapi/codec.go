@@ -3,7 +3,9 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf16"
@@ -51,7 +53,9 @@ func putCodecBuf(cb *codecBuf) {
 	}
 }
 
-// readBody reads r to EOF into cb.b.
+// readBody reads r to EOF into cb.b. The handlers pass an
+// http.MaxBytesReader, so a body over the ingest bound fails with
+// *http.MaxBytesError.
 func (cb *codecBuf) readBody(r io.Reader) error {
 	b := cb.b[:0]
 	for {
@@ -109,8 +113,13 @@ func (cb *codecBuf) decodeBatchBody(body io.Reader) ([]core.Post, error) {
 
 // decodeFallback hands the bytes read so far (and the read error, if the body
 // failed mid-way) to encoding/json, exactly as a json.Decoder on the body
-// itself would have seen them.
+// itself would have seen them. A body over the ingest bound is refused whole
+// instead, with the read error.
 func (cb *codecBuf) decodeFallback(rerr error, v any) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(rerr, &tooLarge) {
+		return rerr
+	}
 	var src io.Reader = bytes.NewReader(cb.b)
 	if rerr != nil {
 		src = io.MultiReader(src, failingReader{rerr})

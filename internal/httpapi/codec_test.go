@@ -8,11 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 
 	"firehose/internal/core"
-	"firehose/internal/stream"
 )
 
 // ingestCorpus seeds the decoder tests and fuzz targets. canonical says
@@ -283,31 +283,27 @@ func TestResponseBytesMatchEncoder(t *testing.T) {
 	}
 }
 
-// failOnceEngine refuses the first offer of either kind and then behaves
-// like the engine it wraps.
+// errEngineFailed is failOnceEngine's refusal, a plain engine error.
+var errEngineFailed = errors.New("engine: decision failed")
+
+// failOnceEngine refuses the first offer of either kind with errEngineFailed
+// and then behaves like the engine it wraps; storing false in failed re-arms
+// it.
 type failOnceEngine struct {
 	Engine
-	failed bool
-}
-
-func (e *failOnceEngine) fail() bool {
-	if e.failed {
-		return false
-	}
-	e.failed = true
-	return true
+	failed atomic.Bool
 }
 
 func (e *failOnceEngine) Offer(p *core.Post) ([]int32, error) {
-	if e.fail() {
-		return nil, stream.ErrQueueFull
+	if !e.failed.Swap(true) {
+		return nil, errEngineFailed
 	}
 	return e.Engine.Offer(p)
 }
 
 func (e *failOnceEngine) OfferBatch(posts []*core.Post) ([][]int32, error) {
-	if e.fail() {
-		return nil, stream.ErrQueueFull
+	if !e.failed.Swap(true) {
+		return nil, errEngineFailed
 	}
 	return e.Engine.OfferBatch(posts)
 }

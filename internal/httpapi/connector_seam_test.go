@@ -135,10 +135,13 @@ func TestIngestPostSeam(t *testing.T) {
 		if !errors.As(err, &de) || de.Watermark != 1000 {
 			t.Fatalf("disorder error = %v, want DisorderError{Watermark: 1000}", err)
 		}
+		if !errors.Is(err, connector.ErrRejected) {
+			t.Fatalf("disorder error %v is not a deterministic rejection", err)
+		}
 	}
 
-	if _, _, err := s.IngestPost(0, 2000, ""); !errors.Is(err, ErrEmptyText) {
-		t.Fatalf("empty text error = %v, want ErrEmptyText", err)
+	if _, _, err := s.IngestPost(0, 2000, ""); !errors.Is(err, ErrEmptyText) || !errors.Is(err, connector.ErrRejected) {
+		t.Fatalf("empty text error = %v, want ErrEmptyText, a deterministic rejection", err)
 	}
 
 	// Neither rejection consumed an id.

@@ -27,8 +27,9 @@ const (
 	// CodeDisorder: the post (or batch) violates the stream's time order; the
 	// envelope's seq field holds the watermark it must not precede.
 	CodeDisorder = "disorder"
-	// CodeQueueFull: a fail-fast worker queue was at capacity; retry later.
-	CodeQueueFull = "queue_full"
+	// CodeBodyTooLarge: an ingest request body is longer than the ingest
+	// bound (ingeststream.MaxFrame, 16 MiB), which also bounds a stream frame.
+	CodeBodyTooLarge = "body_too_large"
 	// CodeEngineClosed: the engine is shutting down.
 	CodeEngineClosed = "engine_closed"
 	// CodeEngineError: the engine rejected the post for an unanticipated
@@ -153,13 +154,22 @@ func WriteIngestError(w http.ResponseWriter, timeMillis int64, err error) {
 	}
 }
 
+// writeBodyError answers an ingest body that could not be read or decoded:
+// 413 body_too_large past the ingest bound, 400 bad_json otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "request body exceeds the %d-byte ingest bound", tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, CodeBadJSON, "bad JSON: %v", err)
+}
+
 // writeOfferError maps an engine Offer/OfferBatch error to its envelope:
-// backpressure and shutdown are 503 (the client may retry), anything else is
-// an engine error.
+// shutdown is 503 engine_closed, anything else 503 engine_error; the client
+// may retry either.
 func writeOfferError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, stream.ErrQueueFull):
-		writeError(w, http.StatusServiceUnavailable, CodeQueueFull, "%v", err)
 	case errors.Is(err, stream.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, CodeEngineClosed, "%v", err)
 	default:

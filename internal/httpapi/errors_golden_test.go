@@ -17,7 +17,6 @@ import (
 	"firehose/internal/authorsim"
 	"firehose/internal/checkpoint"
 	"firehose/internal/core"
-	"firehose/internal/stream"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -208,25 +207,6 @@ func TestErrorEnvelopesGolden(t *testing.T) {
 				t.Fatalf("envelope missing code or error: %+v", e)
 			}
 		})
-	}
-}
-
-// TestErrorEnvelopeQueueFull pins the queue_full envelope through the helper
-// directly: filling a real worker queue deterministically would need a
-// blocked worker, and the message is stable either way.
-func TestErrorEnvelopeQueueFull(t *testing.T) {
-	rec := httptest.NewRecorder()
-	writeOfferError(rec, fmt.Errorf("worker 3: %w", stream.ErrQueueFull))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", rec.Code)
-	}
-	compareGolden(t, "ingest_queue_full", rec.Body.Bytes())
-	var e ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeQueueFull {
-		t.Fatalf("code = %q, want %q", e.Code, CodeQueueFull)
 	}
 }
 

@@ -231,9 +231,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	cb := getCodecBuf()
 	defer putCodecBuf(cb)
-	req, err := cb.decodeIngestBody(r.Body)
+	req, err := cb.decodeIngestBody(http.MaxBytesReader(w, r.Body, ingeststream.MaxFrame))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad JSON: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	id, users, err := s.IngestPost(req.Author, req.TimeMillis, req.Text)
@@ -295,9 +295,9 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	defer putCodecBuf(cb)
 	// slab holds the batch's posts in one allocation; the engine takes
 	// pointers into it.
-	slab, err := cb.decodeBatchBody(r.Body)
+	slab, err := cb.decodeBatchBody(http.MaxBytesReader(w, r.Body, ingeststream.MaxFrame))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadJSON, "bad JSON: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	if len(slab) == 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"firehose/internal/connector"
 	"firehose/internal/core"
 )
 
@@ -13,9 +14,9 @@ import (
 // leaves through deliver(), and both run under ingestMu so a snapshot can
 // quiesce the whole surface and capture an exact id watermark.
 
-// ErrEmptyText rejects a post with no content. The rejection is deterministic:
-// a replayed stream rejects it again.
-var ErrEmptyText = errors.New("httpapi: empty text")
+// ErrEmptyText rejects a post with no content. The rejection is deterministic
+// (a replayed stream rejects it again), so it is marked connector.ErrRejected.
+var ErrEmptyText = connector.Rejection(errors.New("httpapi: empty text"))
 
 // ErrIngestDisabled rejects push ingestion when the daemon runs a file input
 // or is a shard worker: the pipeline (or the router) owns the stream's time
@@ -23,8 +24,9 @@ var ErrEmptyText = errors.New("httpapi: empty text")
 var ErrIngestDisabled = errors.New("httpapi: push ingest is disabled: posts arrive through the configured pipeline input")
 
 // DisorderError rejects a post that precedes the stream's time watermark. The
-// rejection is deterministic for a replayed prefix: the watermark at that
-// point in the stream is a pure function of the posts before it.
+// rejection is deterministic for a replayed prefix — the watermark at that
+// point in the stream is a pure function of the posts before it — so it
+// matches connector.ErrRejected.
 type DisorderError struct {
 	// Watermark is the stream time (Unix milliseconds) the post must not
 	// precede.
@@ -34,6 +36,9 @@ type DisorderError struct {
 func (e *DisorderError) Error() string {
 	return fmt.Sprintf("httpapi: post precedes the stream time watermark %d; the stream must be time-ordered", e.Watermark)
 }
+
+// Is marks a disorder as a deterministic rejection for the connector runner.
+func (*DisorderError) Is(target error) bool { return target == connector.ErrRejected }
 
 // IngestPost validates, identifies and offers one post, returning its
 // assigned id and the users whose timelines received it. It is the
@@ -45,9 +50,9 @@ func (e *DisorderError) Error() string {
 // cannot observe an allocated id whose post has not entered the engine: the
 // captured nextID is an exact watermark. An offer the engine refuses rolls
 // the id allocation back when no concurrent ingest has allocated past it,
-// so single-writer pipelines (the connector runner) burn no ids on
-// transient backpressure and replays reproduce identical ids. The time
-// watermark rolls back with it, so the refused post can be retried.
+// so a single-writer pipeline (the connector runner) burns no ids on a
+// failed router forward or a shutdown and replays reproduce identical ids.
+// The time watermark rolls back with it, so the refused post can be retried.
 func (s *Server) IngestPost(author int32, timeMillis int64, text string) (uint64, []int32, error) {
 	return s.ingestOne(0, author, timeMillis, text)
 }

@@ -194,69 +194,30 @@ func TestIngestStreamMatchesPost(t *testing.T) {
 	}
 }
 
-// gatedSolver holds every decision until its gate opens, so a test can fill
-// a worker's queue.
-type gatedSolver struct {
-	core.MultiDiversifier
-	entered chan struct{}
-	gate    chan struct{}
-}
-
-func (g *gatedSolver) Offer(p *core.Post) []int32 {
-	select {
-	case g.entered <- struct{}{}:
-	default:
-	}
-	<-g.gate
-	return g.MultiDiversifier.Offer(p)
-}
-
-// TestIngestStreamQueueFull: on a fail-fast engine whose worker queue is
-// full, a frame is refused with POST /v1/ingest's queue_full envelope byte
-// for byte, its id and time watermark roll back, and the retried frame lands
+// TestIngestStreamRefusedFrame: a frame the engine refuses answers with POST
+// /v1/ingest's envelope for the same refusal byte for byte, the stream stays
+// open, and the id and time watermark roll back, so the retried frame lands
 // under the id the refused one would have had.
-func TestIngestStreamQueueFull(t *testing.T) {
-	g := authorsim.NewGraph(3, []authorsim.SimPair{{A: 0, B: 1}}, 0.7)
-	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
-	pe, err := stream.NewParallelMultiEngineOpts(core.AlgUniBin, g, [][]int32{{0, 1}, {2}}, th, 1, stream.ParallelOptions{QueueDepth: 1, FailFast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := &gatedSolver{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	if err := pe.Swap(func(md core.MultiDiversifier) core.MultiDiversifier { gs.MultiDiversifier = md; return gs }); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewParallel(pe)
+func TestIngestStreamRefusedFrame(t *testing.T) {
+	inner := newAPIServer(t)
+	fe := &failOnceEngine{Engine: inner.engine}
+	srv := NewFromEngine(fe)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
 	sc := dialIngestStream(t, ts)
 
-	// One post held by the worker, one in its queue. The queued one goes to
-	// the engine directly: a fail-fast Offer returns its ticket at once.
-	held := make(chan int, 1)
-	go func() { status, _ := post(t, ts, 0, 1000, "held by the worker"); held <- status }()
-	<-gs.entered
-	queued, err := pe.Offer(core.NewPost(100, 2, 2000, "waiting in the queue"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	status, body := post(t, ts, 2, 3000, "refused")
-	if status != http.StatusServiceUnavailable || !strings.Contains(string(body), CodeQueueFull) {
-		t.Fatalf("POST on a full queue: %d %s", status, body)
+	if status != http.StatusServiceUnavailable || !strings.Contains(string(body), CodeEngineError) {
+		t.Fatalf("POST on a failing engine: %d %s", status, body)
 	}
+	fe.failed.Store(false)
 	frame := []ingeststream.Request{{Author: 2, TimeMillis: 3000, Text: "refused"}}
 	replies := sendFrames(t, sc, frame)
-	sameAsPost(t, "the frame on a full queue", replies[0], status, body)
+	sameAsPost(t, "the frame on a failing engine", replies[0], status, body)
 
-	close(gs.gate)
-	if status := <-held; status != http.StatusOK {
-		t.Fatalf("the held post answered %d", status)
-	}
-	queued.Users()
-	if replies = sendFrames(t, sc, frame); replies[0].Status != 0 || replies[0].ID != 2 {
-		t.Fatalf("the retried frame: %+v, want id 2", replies[0])
+	if replies = sendFrames(t, sc, frame); replies[0].Status != 0 || replies[0].ID != 1 {
+		t.Fatalf("the retried frame: %+v, want id 1", replies[0])
 	}
 }
 
@@ -396,6 +357,65 @@ func TestIngestStreamSilentClients(t *testing.T) {
 	}
 	if grown := heapInUse() - heap; grown > 1<<20 {
 		t.Fatalf("the heap is %d bytes above its level before the streams", grown)
+	}
+}
+
+// repeatReader reads an endless run of one byte.
+type repeatReader byte
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}
+
+// TestIngestBodyBound: POST /v1/ingest and /v1/ingest/batch keep the stream
+// hop's bound. A body one byte over ingeststream.MaxFrame is refused with
+// 413 body_too_large, the same envelope on both paths, and the daemon keeps
+// none of it: the heap ends where it began, and the next post is accepted.
+func TestIngestBodyBound(t *testing.T) {
+	srv := newAPIServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+	if status, body := post(t, ts, 0, 1000, "warm"); status != http.StatusOK {
+		t.Fatalf("warm-up post: %d %s", status, body)
+	}
+	heap := heapInUse()
+
+	for _, c := range []struct{ path, head, tail string }{
+		{"/v1/ingest", `{"author":0,"timeMillis":2000,"text":"`, `"}`},
+		{"/v1/ingest/batch", `{"posts":[{"author":0,"timeMillis":2000,"text":"`, `"}]}`},
+	} {
+		size := int64(ingeststream.MaxFrame + 1)
+		text := size - int64(len(c.head)+len(c.tail))
+		body := io.MultiReader(strings.NewReader(c.head), io.LimitReader(repeatReader('x'), text), strings.NewReader(c.tail))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+c.path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = size
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: %d %s", c.path, size, resp.StatusCode, got)
+		}
+		compareGolden(t, "ingest_body_too_large", got)
+	}
+
+	if grown := heapInUse() - heap; grown > 2<<20 {
+		t.Fatalf("two refused bodies left the heap %d bytes above its level before them", grown)
+	}
+	if status, body := post(t, ts, 0, 3000, "after the refusals"); status != http.StatusOK || !strings.Contains(string(body), `"id":2`) {
+		t.Fatalf("the post after the refusals: %d %s, want id 2", status, body)
 	}
 }
 

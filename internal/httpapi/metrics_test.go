@@ -356,7 +356,9 @@ func TestTimelineGauges(t *testing.T) {
 	}
 
 	seq, _ := serverPair(t, false)
-	storeless := NewFromEngine(&failOnceEngine{Engine: seq.engine, failed: true})
+	fe := &failOnceEngine{Engine: seq.engine}
+	fe.failed.Store(true)
+	storeless := NewFromEngine(fe)
 	if body := scrapeServer(storeless); strings.Contains(body, "firehose_timeline_") {
 		t.Fatal("an engine without a timeline store exposes firehose_timeline_* gauges")
 	}

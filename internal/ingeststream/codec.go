@@ -46,16 +46,17 @@ const (
 )
 
 const (
-	// maxFrame bounds a frame's payload: a length prefix above it is a framing
+	// MaxFrame bounds a frame's payload: a length prefix above it is a framing
 	// error, so a corrupt or hostile prefix cannot make the reader allocate
-	// more than this.
-	maxFrame = 16 << 20
+	// more than this. It is the bound of every ingest hop: the HTTP layer
+	// refuses a POST /v1/ingest or /v1/ingest/batch body over it too.
+	MaxFrame = 16 << 20
 	// frameHeader is the size of the big-endian payload length prefix.
 	frameHeader = 4
 	// growStep is the first step a payload buffer grows by.
 	growStep = 64 << 10
 	// MaxText is the longest post text that still fits a request frame.
-	MaxText = maxFrame - 4*binary.MaxVarintLen64
+	MaxText = MaxFrame - 4*binary.MaxVarintLen64
 
 	replyOK  byte = 0
 	replyErr byte = 1
@@ -216,8 +217,8 @@ func readHeader(br *bufio.Reader) (int, error) {
 		return 0, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr))
-	if n > maxFrame {
-		return 0, fmt.Errorf("%w: %d-byte payload exceeds the %d-byte bound", errFrame, n, maxFrame)
+	if n > MaxFrame {
+		return 0, fmt.Errorf("%w: %d-byte payload exceeds the %d-byte bound", errFrame, n, MaxFrame)
 	}
 	_, _ = br.Discard(frameHeader) // cannot fail: Peek buffered them
 	return n, nil

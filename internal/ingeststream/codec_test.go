@@ -29,8 +29,8 @@ func FuzzStreamFrame(f *testing.F) {
 		var buf []byte
 		for {
 			payload, err := readFrame(br, &buf)
-			if cap(buf) > maxFrame {
-				t.Fatalf("readFrame grew its buffer to %d bytes, past the %d-byte bound", cap(buf), maxFrame)
+			if cap(buf) > MaxFrame {
+				t.Fatalf("readFrame grew its buffer to %d bytes, past the %d-byte bound", cap(buf), MaxFrame)
 			}
 			if err != nil {
 				break

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"firehose/internal/checkpoint"
+	"firehose/internal/connector"
 	"firehose/internal/core"
 	"firehose/internal/httpapi"
 	"firehose/internal/ingeststream"
@@ -354,7 +355,7 @@ type fwdClass int
 
 const (
 	fwdOK       fwdClass = iota
-	fwdRetry             // transient with intact worker state (queue_full, a failed control request): retry after a pause
+	fwdRetry             // transient with intact worker state (a failed control request): retry after a pause
 	fwdResync            // ambiguous or crashed: recover the worker, then retry at once
 	fwdTerminal          // deterministic refusal: give up
 )
@@ -406,13 +407,6 @@ func (rt *Router) forward(shard int, reqs []ingeststream.Request, out [][]int32)
 			}
 		}
 		_, class, err := rt.exchange(shard, reqs, out)
-		if class == fwdRetry && len(reqs) > 1 {
-			// A pipeline refused part-way: the Prev chain stopped the worker
-			// at the refused frame, so a prefix is ingested. Like an
-			// ambiguous failure, it recovers through the rollback path, and
-			// the clean retry starts from a consistent worker.
-			class = fwdResync
-		}
 		failed = nil
 		if class == fwdResync {
 			failed = err
@@ -431,14 +425,15 @@ func (rt *Router) forward(shard int, reqs []ingeststream.Request, out [][]int32)
 }
 
 // exchange runs reqs as one pipelined exchange on the shard's stream,
-// dialling it first if there is none, and classifies the outcome. The first
-// result is how many leading posts the worker ingested. Each ingested post's
-// reply must carry the id it was forwarded with; one that does not breaks
-// the stream.
+// dialling it first if there is none, and classifies the outcome as fwdOK,
+// fwdResync or fwdTerminal. The first result is how many leading posts the
+// worker ingested. Each ingested post's reply must carry the id it was
+// forwarded with; one that does not breaks the stream.
 func (rt *Router) exchange(shard int, reqs []ingeststream.Request, out [][]int32) (int, fwdClass, error) {
 	for i := range reqs {
 		if len(reqs[i].Text) > ingeststream.MaxText {
-			return 0, fwdTerminal, fmt.Errorf("shard: post %d: %d bytes of text exceed the shard stream's %d-byte text bound", reqs[i].ID, len(reqs[i].Text), ingeststream.MaxText)
+			// Deterministic: a replay of the same post is refused again.
+			return 0, fwdTerminal, connector.Rejection(fmt.Errorf("shard: post %d: %d bytes of text exceed the shard stream's %d-byte text bound", reqs[i].ID, len(reqs[i].Text), ingeststream.MaxText))
 		}
 	}
 	st := &rt.streams[shard]
@@ -530,8 +525,8 @@ func (rt *Router) resync(shard int, deadline time.Time) error {
 			httpapi.CodeShardMismatch, rt.peers[shard], topo.Inputs, in)
 	}
 
-	// 2. Intact state (e.g. a queue_full rollback, a blip that lost only the
-	// response of a post the worker never saw): nothing to replay.
+	// 2. Intact state (e.g. a blip that lost only the response of a post the
+	// worker never saw): nothing to replay.
 	if topo.Watermark == rt.expected(shard) {
 		return nil
 	}
@@ -1125,8 +1120,6 @@ func classifyRefusal(status int, raw []byte) (fwdClass, error) {
 	}
 	ee := &envelopeError{status: status, code: env.Code, msg: env.Error}
 	switch env.Code {
-	case httpapi.CodeQueueFull:
-		return fwdRetry, ee
 	case httpapi.CodeEngineClosed, httpapi.CodeShardDesync:
 		// shard_desync: the worker's watermark disagrees with the replay
 		// buffer — typically a crash-and-restart the router has not noticed.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"firehose/internal/connector"
 	"firehose/internal/core"
 	"firehose/internal/httpapi"
 	"firehose/internal/ingeststream"
@@ -739,5 +740,20 @@ func TestRouterChecksReplyID(t *testing.T) {
 	rt.retryIvl, rt.resyncTO = 5*time.Millisecond, time.Second
 	if users, err := rt.Offer(core.NewPost(1, 0, 1000, "x")); err == nil || !strings.Contains(err.Error(), "post 1 was answered as post 2") {
 		t.Fatalf("Offer = %v, %v; want an error naming both ids", users, err)
+	}
+}
+
+// TestRouterOversizeTextIsRejection: a post whose text does not fit a shard
+// stream frame is refused before it is sent, as a deterministic rejection
+// (connector.ErrRejected) that the connector runner may skip, and it burns
+// no id.
+func TestRouterOversizeTextIsRejection(t *testing.T) {
+	st := newShardedStack(t, 2)
+	author, tm, text := equivPost(0)
+	if _, _, err := st.api.IngestPost(author, tm, strings.Repeat("x", ingeststream.MaxText+1)); !errors.Is(err, connector.ErrRejected) {
+		t.Fatalf("oversize text: %v, want a deterministic rejection", err)
+	}
+	if id, _, err := st.api.IngestPost(author, tm, text); err != nil || id != 1 {
+		t.Fatalf("the next post: id %d, %v; want id 1", id, err)
 	}
 }

@@ -15,27 +15,12 @@ import (
 	"firehose/internal/metrics"
 )
 
-// Typed lifecycle and backpressure errors of the parallel engine.
-var (
-	// ErrClosed is returned by Offer once Close has begun; the engine
-	// accepts no further posts but still resolves every ticket it issued.
-	ErrClosed = errors.New("stream: engine is closed")
-	// ErrQueueFull is returned by Offer in fail-fast mode when the target
-	// worker's queue is at capacity. The post was not enqueued; the caller
-	// may retry, shed the post, or fall back to a slower path.
-	ErrQueueFull = errors.New("stream: worker queue is full")
-)
+// ErrClosed is returned by Offer once Close has begun; the engine accepts no
+// further posts but still resolves every ticket it issued.
+var ErrClosed = errors.New("stream: engine is closed")
 
-// ParallelOptions configures a ParallelMultiEngine's backpressure behavior.
+// ParallelOptions configures a ParallelMultiEngine.
 type ParallelOptions struct {
-	// QueueDepth bounds each worker's pending-job queue. 0 selects
-	// DefaultQueueDepth; negative is invalid.
-	QueueDepth int
-	// FailFast makes Offer return ErrQueueFull instead of blocking when the
-	// target worker's queue is full. The default (blocking) mode propagates
-	// backpressure to producers: a full shard slows ingestion down to the
-	// rate the slowest worker sustains.
-	FailFast bool
 	// Adaptive, when non-nil, wraps every shard's solver in the per-user
 	// delivery-rate controller (core.AdaptiveMultiUser). Budgets are
 	// accounted per shard: a user whose subscriptions span k shards can
@@ -47,8 +32,9 @@ type ParallelOptions struct {
 	Adaptive *core.AdaptivePolicy
 }
 
-// DefaultQueueDepth is the per-worker queue bound used when
-// ParallelOptions.QueueDepth is zero.
+// DefaultQueueDepth bounds each worker's pending-job queue. A full queue
+// blocks the producer — backpressure — so ingestion slows to the rate the
+// slowest worker sustains and no accepted post is ever shed.
 const DefaultQueueDepth = 256
 
 // ParallelMultiEngine runs M-SPSD across worker goroutines by exploiting the
@@ -101,9 +87,8 @@ type ParallelMultiEngine struct {
 	// inline marks the one-shard engine NewMultiEngine builds: its worker has
 	// no goroutine and no queue, and every post is decided on the offering
 	// goroutine while it holds mu.
-	inline   bool
-	wg       sync.WaitGroup
-	failFast bool
+	inline bool
+	wg     sync.WaitGroup
 
 	// mu guards: state, seq
 	//
@@ -278,8 +263,7 @@ func (bt *BatchTicket) SeqBase() uint64 { return bt.seqBase }
 func (bt *BatchTicket) Len() int { return len(bt.users) }
 
 // NewParallelMultiEngine shards the components of g across `workers`
-// goroutines with default options (queue depth DefaultQueueDepth, blocking
-// backpressure). See NewParallelMultiEngineOpts.
+// goroutines with default options. See NewParallelMultiEngineOpts.
 func NewParallelMultiEngine(alg core.Algorithm, g *authorsim.Graph, subscriptions [][]int32, th core.Thresholds, workers int) (*ParallelMultiEngine, error) {
 	return NewParallelMultiEngineOpts(alg, g, subscriptions, th, workers, ParallelOptions{})
 }
@@ -292,13 +276,6 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 	if workers <= 0 {
 		return nil, fmt.Errorf("stream: workers must be positive, got %d", workers)
 	}
-	if opts.QueueDepth < 0 {
-		return nil, fmt.Errorf("stream: queue depth must be non-negative, got %d", opts.QueueDepth)
-	}
-	depth := opts.QueueDepth
-	if depth == 0 {
-		depth = DefaultQueueDepth
-	}
 	// Global components partition the author universe; a user's own
 	// components are always subsets of global ones, so any two authors that
 	// can ever share a decision land in the same global component — and
@@ -306,7 +283,6 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 	e := &ParallelMultiEngine{
 		workers:      make([]*parallelWorker, workers),
 		authorWorker: make([]int32, g.NumAuthors()),
-		failFast:     opts.FailFast,
 	}
 	// Assign components round-robin; record author → worker.
 	for ci, comp := range g.Components() {
@@ -331,7 +307,7 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 			if err == nil && opts.Adaptive != nil {
 				md, err = core.NewAdaptiveMultiUser(md, g, th, *opts.Adaptive)
 			}
-			e.workers[w], errs[w] = &parallelWorker{md: md, ch: make(chan parallelJob, depth)}, err
+			e.workers[w], errs[w] = &parallelWorker{md: md, ch: make(chan parallelJob, DefaultQueueDepth)}, err
 		}
 	}, nil)
 	for _, err := range errs {
@@ -448,10 +424,9 @@ func (w *parallelWorker) runBatch(b *batchShardJob, enqueuedAt time.Time) {
 // it in its timelines, which may be just after the ticket resolves, so the
 // caller must not modify a post it has offered.
 //
-// When the target worker's queue is full, Offer blocks — backpressure — or,
-// in fail-fast mode, returns ErrQueueFull without enqueueing. After Close has
-// begun it returns ErrClosed. The inline engine decides before returning, so
-// its tickets are already resolved.
+// When the target worker's queue is full, Offer blocks — backpressure — as
+// OfferBatch does. After Close has begun it returns ErrClosed. The inline
+// engine decides before returning, so its tickets are already resolved.
 func (e *ParallelMultiEngine) Offer(p *core.Post) (*Ticket, error) {
 	if e.inline {
 		t, err := e.offerInline(p)
@@ -477,19 +452,10 @@ func (e *ParallelMultiEngine) Offer(p *core.Post) (*Ticket, error) {
 	w := e.workers[wi]
 	t := &Ticket{seq: e.seq + 1, done: make(chan struct{})}
 	job := parallelJob{post: p, ticket: t, enqueuedAt: time.Now()}
-	if e.failFast {
-		select {
-		case w.ch <- job:
-		default:
-			e.mu.Unlock()
-			return nil, ErrQueueFull
-		}
-	} else {
-		// Blocking send while holding the ingest lock: a full shard stalls
-		// all producers until its worker drains a slot. Workers never take
-		// this lock, so they always make progress and the send terminates.
-		w.ch <- job
-	}
+	// Blocking send while holding the ingest lock: a full shard stalls all
+	// producers until its worker drains a slot. Workers never take this
+	// lock, so they always make progress and the send terminates.
+	w.ch <- job
 	e.seq++
 	e.mu.Unlock()
 	return t, nil
@@ -533,11 +499,8 @@ func (e *ParallelMultiEngine) route(p *core.Post) int {
 // posts are independent by construction (distinct components never cover
 // each other), so only the interleaving of independent decisions differs.
 //
-// Unlike Offer, OfferBatch always applies blocking backpressure, even on a
-// fail-fast engine: a batch is never partially shed, because its shards are
-// enqueued one worker at a time and cannot be recalled. Callers that need
-// fail-fast semantics should size batches below the queue depth or use
-// single Offers. After Close has begun it returns ErrClosed. The inline
+// A full worker queue blocks the batch as it blocks Offer, so a batch is never
+// partially shed. After Close has begun it returns ErrClosed. The inline
 // engine decides the whole batch before returning.
 func (e *ParallelMultiEngine) OfferBatch(posts []*core.Post) (*BatchTicket, error) {
 	bt := &BatchTicket{users: make([][]int32, len(posts))}
@@ -838,6 +801,3 @@ func (e *ParallelMultiEngine) Suppressed() uint64 {
 
 // NumWorkers returns the shard count.
 func (e *ParallelMultiEngine) NumWorkers() int { return len(e.workers) }
-
-// QueueDepth returns the per-worker queue bound.
-func (e *ParallelMultiEngine) QueueDepth() int { return cap(e.workers[0].ch) }

@@ -2,9 +2,11 @@ package stream
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"firehose/internal/authorsim"
 	"firehose/internal/core"
@@ -195,97 +197,72 @@ func TestParallelSequenceIsMonotonePerWorker(t *testing.T) {
 	}
 }
 
-func TestParallelFailFastQueueFull(t *testing.T) {
-	g := authorsim.NewGraph(1, nil, 0.7)
-	th := core.Thresholds{LambdaC: 3, LambdaT: 1000, LambdaA: 0.7}
-	e, err := NewParallelMultiEngineOpts(core.AlgUniBin, g, [][]int32{{0}}, th, 1,
-		ParallelOptions{QueueDepth: 1, FailFast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.QueueDepth() != 1 {
-		t.Fatalf("QueueDepth = %d", e.QueueDepth())
-	}
-	w := e.workers[0]
-
-	// Stall the worker: it will dequeue the first job and block on w.mu
-	// before deciding, leaving the queue slot free for exactly one more job.
-	w.mu.Lock()
-	t1, err := e.Offer(&core.Post{ID: 1, Author: 0, Time: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the worker has pulled job 1 off the queue, freeing the slot.
-	var t2 *Ticket
-	for {
-		t2, err = e.Offer(&core.Post{ID: 2, Author: 0, Time: 1})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrQueueFull) {
-			t.Fatal(err)
-		}
-	}
-	// Queue full (job 2 buffered, job 1 held by the stalled worker): the
-	// next fail-fast Offer must return ErrQueueFull without blocking.
-	if _, err := e.Offer(&core.Post{ID: 3, Author: 0, Time: 1}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("full queue: got %v, want ErrQueueFull", err)
-	}
-	w.mu.Unlock()
-	e.Close()
-	if len(t1.Users()) != 1 {
-		t.Fatal("first post should be delivered")
-	}
-	if len(t2.Users()) != 0 {
-		t.Fatal("duplicate should be pruned")
-	}
-	// The rejected post burned no sequence number: accepted seqs stay dense.
-	if t1.Seq() != 1 || t2.Seq() != 2 {
-		t.Fatalf("sequences %d, %d; want 1, 2", t1.Seq(), t2.Seq())
-	}
+// gatedSolver holds every decision until gate is closed.
+type gatedSolver struct {
+	core.MultiDiversifier
+	gate chan struct{}
 }
 
+func (g gatedSolver) Offer(p *core.Post) []int32 {
+	<-g.gate
+	return g.MultiDiversifier.Offer(p)
+}
+
+// TestParallelBlockingBackpressure: with the worker held in a decision, the
+// queue takes exactly DefaultQueueDepth more posts, and the next Offer blocks
+// until the worker drains instead of failing or dropping the post.
 func TestParallelBlockingBackpressure(t *testing.T) {
 	g := authorsim.NewGraph(1, nil, 0.7)
 	th := core.Thresholds{LambdaC: 3, LambdaT: 1000, LambdaA: 0.7}
-	e, err := NewParallelMultiEngineOpts(core.AlgUniBin, g, [][]int32{{0}}, th, 1,
-		ParallelOptions{QueueDepth: 1})
+	e, err := NewParallelMultiEngineOpts(core.AlgUniBin, g, [][]int32{{0}}, th, 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := e.workers[0]
-	w.mu.Lock()
-	if _, err := e.Offer(&core.Post{ID: 1, Author: 0, Time: 1}); err != nil {
+	gate := make(chan struct{})
+	if err := e.Swap(func(md core.MultiDiversifier) core.MultiDiversifier { return gatedSolver{md, gate} }); err != nil {
 		t.Fatal(err)
 	}
-	// Saturate the queue, then verify a further Offer blocks until the
-	// worker drains, instead of failing or being dropped.
-	var tickets [8]*Ticket
+	w := e.workers[0]
+	first, err := e.Offer(&core.Post{ID: 1, Author: 0, Time: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The worker takes the first post off the queue and waits at the gate.
+	for len(w.ch) != 0 {
+		runtime.Gosched()
+	}
+	for i := range DefaultQueueDepth {
+		if _, err := e.Offer(&core.Post{ID: uint64(i + 2), Author: 0, Time: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(w.ch) != DefaultQueueDepth || cap(w.ch) != DefaultQueueDepth {
+		t.Fatalf("queue holds %d of %d, want %d of %d", len(w.ch), cap(w.ch), DefaultQueueDepth, DefaultQueueDepth)
+	}
+	var last *Ticket
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := range tickets {
-			tk, err := e.Offer(&core.Post{ID: uint64(i + 2), Author: 0, Time: 1})
-			if err != nil {
-				t.Errorf("blocking offer: %v", err)
-				return
-			}
-			tickets[i] = tk
+		tk, err := e.Offer(&core.Post{ID: DefaultQueueDepth + 2, Author: 0, Time: 1})
+		if err != nil {
+			t.Errorf("blocking offer: %v", err)
+			return
 		}
+		last = tk
 	}()
 	select {
 	case <-done:
-		t.Fatal("offers completed against a stalled worker with a 1-deep queue")
-	default:
+		t.Fatal("an offer completed against a full queue behind a held worker")
+	case <-time.After(50 * time.Millisecond):
 	}
-	w.mu.Unlock()
+	close(gate)
 	<-done
 	e.Close()
-	for i, tk := range tickets {
-		if tk == nil {
-			t.Fatalf("ticket %d missing", i)
-		}
-		<-tk.done
+	if last == nil {
+		t.Fatal("the blocked offer returned no ticket")
+	}
+	if len(first.Users()) != 1 || last.Seq() != DefaultQueueDepth+2 {
+		t.Fatalf("first post delivered to %v, last seq %d; want one user and seq %d", first.Users(), last.Seq(), DefaultQueueDepth+2)
 	}
 }
 
@@ -316,16 +293,15 @@ func TestParallelCloseDrainsInFlight(t *testing.T) {
 func TestParallelOptionsValidation(t *testing.T) {
 	g := authorsim.NewGraph(1, nil, 0.7)
 	th := core.Thresholds{LambdaC: 3, LambdaT: 1000, LambdaA: 0.7}
-	if _, err := NewParallelMultiEngineOpts(core.AlgUniBin, g, [][]int32{{0}}, th, 1,
-		ParallelOptions{QueueDepth: -1}); err == nil {
-		t.Fatal("negative queue depth accepted")
+	if _, err := NewParallelMultiEngineOpts(core.AlgUniBin, g, [][]int32{{0}}, th, 0, ParallelOptions{}); err == nil {
+		t.Fatal("zero workers accepted")
 	}
 	e, err := NewParallelMultiEngine(core.AlgUniBin, g, [][]int32{{0}}, th, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.QueueDepth() != DefaultQueueDepth {
-		t.Fatalf("default queue depth = %d, want %d", e.QueueDepth(), DefaultQueueDepth)
+	if got := e.WorkerSnapshots()[0].QueueCap; got != DefaultQueueDepth {
+		t.Fatalf("queue capacity = %d, want %d", got, DefaultQueueDepth)
 	}
 }

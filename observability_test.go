@@ -55,8 +55,8 @@ func TestParallelWorkerStats(t *testing.T) {
 		if w.QueueDepth != 0 {
 			t.Fatalf("worker %d queue not drained: %d", i, w.QueueDepth)
 		}
-		if w.QueueCapacity != par.QueueDepth() {
-			t.Fatalf("worker %d capacity %d != %d", i, w.QueueCapacity, par.QueueDepth())
+		if w.QueueCapacity != 256 {
+			t.Fatalf("worker %d capacity %d, want the fixed bound 256", i, w.QueueCapacity)
 		}
 		decided += w.Stats.Accepted + w.Stats.Rejected
 		waits += w.QueueWait.Count

@@ -8,15 +8,9 @@ import (
 	"firehose/internal/stream"
 )
 
-// Typed errors of the parallel service, re-exported for errors.Is checks.
-var (
-	// ErrClosed is returned by ParallelService.Offer after Close has begun.
-	ErrClosed = stream.ErrClosed
-	// ErrQueueFull is returned by ParallelService.Offer in fail-fast mode
-	// when the target worker's queue is at capacity; the post was not
-	// enqueued.
-	ErrQueueFull = stream.ErrQueueFull
-)
+// ErrClosed is returned by ParallelService.Offer after Close has begun,
+// re-exported for errors.Is checks.
+var ErrClosed = stream.ErrClosed
 
 // ParallelServiceOptions configures NewParallel.
 type ParallelServiceOptions struct {
@@ -29,14 +23,6 @@ type ParallelServiceOptions struct {
 	Config Config
 	// Workers is the shard count; 0 selects runtime.NumCPU().
 	Workers int
-	// QueueDepth bounds each worker's pending-post queue; 0 selects the
-	// engine default (256). A full queue blocks Offer — backpressure — or
-	// fails it fast, per FailFast.
-	QueueDepth int
-	// FailFast makes Offer return ErrQueueFull instead of blocking when the
-	// target worker's queue is full, for ingestion tiers that prefer
-	// shedding or retrying over stalling.
-	FailFast bool
 	// Adaptive, when non-nil, layers the per-user delivery-rate controller
 	// over every worker shard; see AdaptiveConfig. Budgets are accounted per
 	// shard: a user whose subscriptions span k shards can receive up to k×
@@ -106,7 +92,7 @@ func NewParallel(g *AuthorGraph, subscriptions [][]AuthorID, opts ParallelServic
 		pol = &p
 	}
 	inner, err := stream.NewParallelMultiEngineOpts(opts.Algorithm, g.g, int32Slices(subscriptions), opts.Config.thresholds(), workers,
-		stream.ParallelOptions{QueueDepth: opts.QueueDepth, FailFast: opts.FailFast, Adaptive: pol})
+		stream.ParallelOptions{Adaptive: pol})
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +108,9 @@ func NewParallel(g *AuthorGraph, subscriptions [][]AuthorID, opts ParallelServic
 }
 
 // Offer enqueues a post for its component's worker and returns immediately.
-// Safe for concurrent producers. In fail-fast mode a full worker queue
-// returns ErrQueueFull (the post is dropped, not enqueued); otherwise a full
-// queue blocks until the worker drains. After Close it returns ErrClosed.
+// Safe for concurrent producers. A full worker queue (256 posts, reported as
+// WorkerStats.QueueCapacity) blocks until the worker drains — backpressure;
+// no post is ever shed. After Close it returns ErrClosed.
 func (s *ParallelService) Offer(p Post) (Delivery, error) {
 	t, err := s.inner.Offer(core.NewPost(p.ID, p.Author, p.Time.UnixMilli(), p.Text))
 	return Delivery{t: t}, err
@@ -158,9 +144,8 @@ func (d BatchDelivery) Len() int { return d.t.Len() }
 // be non-decreasing in time and ordered after everything previously offered;
 // the batch occupies sequence numbers SeqBase()..SeqBase()+len(posts)-1 in
 // stream order. Per-user timelines are identical to offering the posts one by
-// one. Unlike Offer, OfferBatch always applies blocking backpressure — even
-// on a FailFast service — because shedding part of a batch would silently
-// break the caller's ordering guarantee. After Close it returns ErrClosed.
+// one. A full worker queue blocks the batch as it blocks Offer. After Close
+// it returns ErrClosed.
 func (s *ParallelService) OfferBatch(posts []Post) (BatchDelivery, error) {
 	cps := make([]*core.Post, len(posts))
 	for i, p := range posts {
@@ -177,9 +162,6 @@ func (s *ParallelService) Close() { s.inner.Close() }
 
 // Workers returns the shard count.
 func (s *ParallelService) Workers() int { return s.inner.NumWorkers() }
-
-// QueueDepth returns the per-worker queue bound.
-func (s *ParallelService) QueueDepth() int { return s.inner.QueueDepth() }
 
 // Stats merges the cost counters across workers. Safe at any time from any
 // goroutine; the snapshot is taken worker by worker under each worker's

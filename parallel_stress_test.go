@@ -90,12 +90,12 @@ func TestParallelServiceEquivalenceAcrossWorkerCounts(t *testing.T) {
 func TestParallelServiceConcurrentStress(t *testing.T) {
 	g := mustGraph(t, 0.7)
 	subs := [][]AuthorID{{0, 1, 2}, {1, 2}, {0}}
-	svc, err := NewParallel(g, subs, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig(), Workers: 2, QueueDepth: 64})
+	svc, err := NewParallel(g, subs, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Workers() != 2 || svc.QueueDepth() != 64 {
-		t.Fatalf("options not plumbed: workers=%d depth=%d", svc.Workers(), svc.QueueDepth())
+	if svc.Workers() != 2 {
+		t.Fatalf("options not plumbed: workers=%d", svc.Workers())
 	}
 
 	base := time.Unix(50000, 0)
@@ -163,8 +163,5 @@ func TestParallelServiceOptsDefaults(t *testing.T) {
 	defer svc.Close()
 	if svc.Workers() != runtime.NumCPU() {
 		t.Fatalf("default workers = %d, want NumCPU (%d)", svc.Workers(), runtime.NumCPU())
-	}
-	if _, err := NewParallel(g, [][]AuthorID{{0}}, ParallelServiceOptions{Algorithm: UniBin, Config: DefaultConfig(), Workers: 1, QueueDepth: -5}); err == nil {
-		t.Fatal("negative queue depth accepted")
 	}
 }
