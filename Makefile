@@ -82,10 +82,11 @@ bench-pipeline:
 # bench-boot times the boot-chain steps a daemon runs before it listens —
 # the followees-file read, the in-place row sort and author-similarity join
 # (BuildGraphInPlace, and the join alone), the S_UniBin shared-component
-# table and the 2-worker engine build — on the pipeline benchmark's
-# 5,000-author graph, at one and two CPUs.
+# table and the 2-worker engine build — and a shard worker's whole chain
+# (followees file → engine inputs → shard.Plan → restricted S_UniBin build),
+# on the pipeline benchmark's 5,000-author graph, at one and two CPUs.
 bench-boot:
-	$(GO) test -run '^$$' -bench 'PairsAbove|ReadFollowees|BuildGraphInPlace|NewSharedMultiUser|NewParallelMultiEngine' -benchmem -cpu 1,2 -count 5 ./internal/authorsim ./internal/corpusio ./internal/core ./internal/stream
+	$(GO) test -run '^$$' -bench 'PairsAbove|ReadFollowees|BuildGraphInPlace|NewSharedMultiUser|NewParallelMultiEngine|ShardWorkerBoot' -benchmem -cpu 1,2 -count 5 ./internal/authorsim ./internal/corpusio ./internal/core ./internal/stream ./cmd/firehosed
 
 # bench-go runs every in-package go test benchmark.
 bench-go:

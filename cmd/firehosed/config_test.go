@@ -292,20 +292,36 @@ func TestInputsFingerprint(t *testing.T) {
 	}
 }
 
-// TestSubscriptions: followees that are authors, deduplicated per author in
-// file order, exactly as the generator derives them; ids past the last
-// author are dropped and negative ids kept for the engine to refuse.
+// TestSubscriptions: each author's subscriptions are its followees that
+// are authors, deduplicated — the generator's sets — cut from the rows
+// BuildGraphInPlace sorted, so they come out ascending and share their
+// rows' arrays; ids past the last author are dropped and negative ids kept
+// for the engine to refuse.
 func TestSubscriptions(t *testing.T) {
 	fs := [][]int32{{2, 9, 1, 2, 0}, {}, {1, -3, 1, 7, 0}}
-	want := [][]int32{{2, 1, 0}, nil, {1, -3, 0}}
-	if got := subscriptions(fs); !reflect.DeepEqual(got, want) {
-		t.Fatalf("subscriptions(%v) = %v, want %v", fs, got, want)
+	authorsim.BuildGraphInPlace(fs, 0.5)
+	rows := slices.Clone(fs)
+	want := [][]int32{{0, 1, 2}, {}, {-3, 0, 1}}
+	got := subscriptions(fs)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("subscriptions = %v, want %v", got, want)
+	}
+	for a := range got {
+		if len(got[a]) > 0 && &got[a][0] != &rows[a][0] {
+			t.Fatalf("author %d's subscriptions are a copy of its row", a)
+		}
 	}
 	social, err := twittergen.GenerateGraph(rand.New(rand.NewSource(3)), twittergen.DefaultGraphConfig(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(subscriptions(social.Followees), social.Subscriptions()) {
-		t.Fatal("subscriptions differ from the generator's")
+	gen := social.Subscriptions()
+	authorsim.BuildGraphInPlace(social.Followees, 0.7)
+	for a, subs := range subscriptions(social.Followees) {
+		set := slices.Clone(gen[a])
+		slices.Sort(set)
+		if !slices.Equal(subs, set) {
+			t.Fatalf("author %d subscribes to %v, the generator derives %v", a, subs, set)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -76,7 +77,9 @@ func TestShardWorkerBuildsOnlyItsShard(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	restricted, full := reference(workerSubscriptions(g, subs, assign, 0)), reference(subs)
+	// workerSubscriptions restricts the lists in place: the full build first.
+	full := reference(subs)
+	restricted := reference(workerSubscriptions(g, subs, assign, 0))
 	defer restricted.Close()
 	defer full.Close()
 	if bytes.Equal(snapshot(restricted), snapshot(full)) {
@@ -182,5 +185,62 @@ func TestStreamOpenAtShutdown(t *testing.T) {
 	t.Logf("exited %v after SIGTERM", time.Since(start))
 	if _, _, err := sc.RoundTrip([]ingeststream.Request{{Author: 3, TimeMillis: 2000, Text: "after shutdown"}}, replies); err == nil {
 		t.Fatal("the stream outlived the daemon")
+	}
+}
+
+// TestWorkerSubscriptionsInPlace: a shard worker restricts its subscription
+// lists within their own arrays, allocating nothing, to the authors a
+// restricted build keeps, and its solver over them snapshots as a build
+// that filters the whole lists as it finds components: a shard worker's
+// boot makes no per-user copy of its subscriptions.
+func TestWorkerSubscriptionsInPlace(t *testing.T) {
+	ec := connector.DefaultConfig().Engine
+	ec.Authors, ec.Seed = 300, 7
+	th, g, subs, _, err := engineInputs(&ec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := shard.Plan(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := make([][]int32, len(subs))
+	for u, list := range subs {
+		whole[u] = slices.Clone(list)
+	}
+	keep := func(a int32) bool { return !g.Contains(a) || assign.ShardOf(a) == 0 }
+	arrays := slices.Clone(subs)
+	if allocs := testing.AllocsPerRun(3, func() { workerSubscriptions(g, subs, assign, 0) }); allocs != 0 {
+		t.Fatalf("workerSubscriptions made %v allocations, want none", allocs)
+	}
+	for u, list := range subs {
+		if want := slices.DeleteFunc(slices.Clone(whole[u]), func(a int32) bool { return !keep(a) }); !slices.Equal(list, want) {
+			t.Fatalf("user %d keeps %v, want %v", u, list, want)
+		}
+		if len(list) > 0 && &list[0] != &arrays[u][0] {
+			t.Fatalf("user %d's restricted list is a copy", u)
+		}
+	}
+	snapshot := func(md *core.SharedMultiUser, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		enc := checkpoint.NewEncoder(&b, "worker.test")
+		if err := md.SnapshotState(enc); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	got := snapshot(core.NewSharedMultiUser(core.AlgUniBin, g, subs, th))
+	if want := snapshot(core.NewSharedMultiUserOn(2, core.AlgUniBin, g, whole, keep, th)); !bytes.Equal(got, want) {
+		t.Fatal("the worker's solver snapshots unlike a build that filters the whole lists")
+	}
+	if full := snapshot(core.NewSharedMultiUser(core.AlgUniBin, g, whole, th)); bytes.Equal(got, full) {
+		t.Fatal("the restricted and the full build snapshot alike: the test graph does not tell them apart")
 	}
 }

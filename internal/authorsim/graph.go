@@ -27,21 +27,68 @@ type Graph struct {
 // 1 − Similarity(a,b) <= lambdaA. lambdaA must be in [0, 1).
 // lambdaA == 1 would make every pair adjacent (distance is always <= 1) and
 // is rejected; use a value strictly below 1.
+//
+// It runs PairsAbove's join but keeps of each chunk's pairs only their B
+// ids, 4 bytes a pair rather than a 16-byte SimPair, and fills the
+// adjacency straight from those lists.
 func BuildGraph(v *Vectors, lambdaA float64) *Graph {
 	if lambdaA < 0 || lambdaA >= 1 {
 		panic(fmt.Sprintf("authorsim: lambdaA must be in [0,1), got %v", lambdaA))
 	}
-	minSim := 1 - lambdaA
-	return NewGraph(v.NumAuthors(), v.PairsAbove(minSim), lambdaA)
+	n := v.NumAuthors()
+	up := make([]int32, n) // up[a] is the number of a's neighbours b > a
+	chunks := joinChunks(v, 1-lambdaA, func(acc []int32, a int32, pairs []SimPair) []int32 {
+		up[a] = int32(len(pairs))
+		for _, p := range pairs {
+			acc = append(acc, p.B)
+		}
+		return acc
+	})
+	// Row a is its neighbours b < a, then its own b > a. Taken in ascending
+	// order, each author writes its upper neighbours into its own row and
+	// itself into theirs, so every row receives its lower neighbours in
+	// order before its upper ones: the rows come out sorted, and the join
+	// lists no pair twice.
+	off := make([]int, n+1) // row a fills flat[off[a]:off[a+1]]
+	for a, d := range up {
+		off[a+1] += int(d)
+	}
+	for _, c := range chunks {
+		for _, b := range c {
+			off[b+1]++
+		}
+	}
+	for a := 1; a <= n; a++ {
+		off[a] += off[a-1]
+	}
+	flat := make([]int32, off[n])
+	fill := slices.Clone(off[:n])
+	a := int32(0)
+	for _, c := range chunks {
+		for end := min(int(a)+pairsChunk, n); int(a) < end; a++ {
+			for _, b := range c[:up[a]] {
+				flat[fill[a]] = b
+				fill[a]++
+				flat[fill[b]] = a
+				fill[b]++
+			}
+			c = c[up[a]:]
+		}
+	}
+	g := &Graph{adj: make([][]int32, n), lambdaA: lambdaA, edges: off[n] / 2}
+	for a := range g.adj {
+		g.adj[a] = flat[off[a]:off[a+1]:off[a+1]]
+	}
+	return g
 }
 
 // BuildGraphInPlace is BuildGraph(NewVectors(followees), lambdaA) without
-// the copy, for a caller that decoded the rows only to build the graph: it
-// takes ownership of followees, sorting and deduplicating every row in
-// place (followees[i] is replaced by its deduplicated prefix, and the
-// elements past it are zeroed), then runs the same join. The caller must
-// not read followees afterwards; the graph keeps no reference to it, so the
-// rows can be collected as soon as the caller drops them. The rows are
+// the copy, for a caller that decoded the rows to build the graph: it sorts
+// and deduplicates every row in place (followees[i] is replaced by its
+// deduplicated prefix, and the elements past it are zeroed), then runs the
+// same join. The rows stay the caller's, sorted sets from then on, and the
+// graph keeps no reference to them: a caller may read them afterwards (the
+// daemon cuts its subscription lists from them) or drop them. The rows are
 // sorted on GOMAXPROCS goroutines, rowsChunk rows at a time.
 func BuildGraphInPlace(followees [][]int32, lambdaA float64) *Graph {
 	ParallelChunks(runtime.GOMAXPROCS(0), len(followees), rowsChunk, func(int) func(c, lo, hi int) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -260,5 +261,93 @@ func TestPairsAboveAllocatesOneEntryArray(t *testing.T) {
 	if got > bound {
 		t.Fatalf("PairsAbove allocated %d bytes over E = %d entries and P = %d pairs, want at most 4E + 5·16P = %d",
 			got, entries, len(pairs), bound)
+	}
+}
+
+// TestBuildGraphMatchesPairsAbove: BuildGraph, which fills the adjacency
+// from the join's per-chunk neighbour lists, builds the graph NewGraph
+// builds from the model's pair list, at several GOMAXPROCS, on no authors,
+// author counts that end a join chunk part-way, rows of the rank-map and
+// heavy-key regimes, and the benchmark's boot graph (against PairsAbove,
+// which TestPairsAboveMatchesSequentialModel checks there). BuildGraphInPlace
+// leaves every row its sorted, deduplicated followee set.
+func TestBuildGraphMatchesPairsAbove(t *testing.T) {
+	pairs := pairsAboveModel
+	check := func(t *testing.T, name string, fs [][]int32, lambdaA float64) {
+		t.Helper()
+		v := authorsim.NewVectors(fs)
+		want := authorsim.NewGraph(len(fs), pairs(v, 1-lambdaA), lambdaA)
+		sameGraph(t, name, authorsim.BuildGraph(v, lambdaA), want)
+		rows := make([][]int32, len(fs))
+		for a, f := range fs {
+			rows[a] = append([]int32(nil), f...)
+		}
+		sameGraph(t, name+" in place", authorsim.BuildGraphInPlace(rows, lambdaA), want)
+		for a := range rows {
+			if f := v.Followees(int32(a)); !slices.Equal(rows[a], f) {
+				t.Fatalf("%s: row %d reads %v after BuildGraphInPlace, want its followee set %v", name, a, rows[a], f)
+			}
+		}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			rng := rand.New(rand.NewSource(int64(procs)))
+			for trial := 0; trial < 30; trial++ {
+				n := []int{0, 1, 31, 32, 33, 65, rng.Intn(300)}[trial%7]
+				wide := trial%3 == 0 // some ids anywhere in int32: rank-map keys
+				fs := make([][]int32, n)
+				for a := range fs {
+					for k := rng.Intn(25); k > 0; k-- {
+						id := int32(rng.Intn(120))
+						if wide && rng.Intn(3) == 0 {
+							id = int32(rng.Uint32())
+						}
+						fs[a] = append(fs[a], id)
+						if rng.Intn(5) == 0 { // duplicate followee
+							fs[a] = append(fs[a], id)
+						}
+					}
+				}
+				check(t, fmt.Sprintf("trial %d (n=%d wide=%v)", trial, n, wide), fs, rng.Float64()*0.95)
+			}
+			for trial := 0; trial < 5; trial++ {
+				check(t, fmt.Sprintf("heavy-only trial %d", trial), heavyOnlyFollowees(rng), 0.5+rng.Float64()*0.2)
+				check(t, fmt.Sprintf("few-keys trial %d", trial), fewKeysFollowees(rng), rng.Float64()*0.95)
+			}
+		})
+	}
+	t.Run("boot", func(t *testing.T) {
+		pairs = (*authorsim.Vectors).PairsAbove
+		check(t, "seed 1", bootFollowees(), 0.7)
+	})
+}
+
+// TestBuildGraphInPlaceAllocates bounds what a daemon's join allocates on
+// the benchmark's seed-1 graph (E = 624,602 followee entries, P = 78,077
+// edges at λa = 0.7; 4.5 MB measured): the follower index's followers (4E
+// bytes), the chunks' neighbour lists as append grows them and the
+// adjacency (at most 3·8P bytes together), and arrays sized by the authors
+// or the keys, which fit in 512 KiB — 4.9 MB in all. Materialising the
+// pairs as 16-byte SimPairs, even once, adds 1.25 MB and exceeds it; the
+// join that did it twice allocated 8.4 MB.
+func TestBuildGraphInPlaceAllocates(t *testing.T) {
+	src := bootFollowees()
+	v := authorsim.NewVectors(src)
+	rows := make([][]int32, len(src))
+	entries := 0
+	for a, f := range src {
+		rows[a] = slices.Clone(f)
+		entries += len(v.Followees(int32(a)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := authorsim.BuildGraphInPlace(rows, 0.7)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(4*entries + 3*8*g.NumEdges() + 512<<10)
+	if got > bound {
+		t.Fatalf("BuildGraphInPlace allocated %d bytes over E = %d entries and P = %d edges, want at most 4E + 3·8P + 512 KiB = %d",
+			got, entries, g.NumEdges(), bound)
 	}
 }

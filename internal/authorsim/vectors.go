@@ -76,10 +76,8 @@ type SimPair struct {
 // computation the paper calls prohibitive at full scale is avoided; pairs
 // with zero overlap have similarity zero). minSim must be > 0.
 //
-// The join runs on GOMAXPROCS goroutines (ParallelChunks). Each claims
-// chunks of pairsChunk consecutive authors and emits every pair (a, b > a)
-// of its authors, so chunks are independent and their outputs concatenate,
-// in chunk order, into the globally ordered result.
+// The join runs on GOMAXPROCS goroutines (joinChunks), and the chunks'
+// pairs concatenate, in chunk order, into the globally ordered result.
 //
 // The few most-followed accounts (heavyKeys of them) would touch most pairs
 // while qualifying almost none, so they are not scanned: each author carries
@@ -91,19 +89,9 @@ func (v *Vectors) PairsAbove(minSim float64) []SimPair {
 	if minSim <= 0 {
 		panic(fmt.Sprintf("authorsim: PairsAbove requires minSim > 0, got %v", minSim))
 	}
-	ix := v.followerIndex()
-	n := len(v.followees)
-	chunks := make([][]SimPair, (n+pairsChunk-1)/pairsChunk)
-	ParallelChunks(runtime.GOMAXPROCS(0), n, pairsChunk, func(int) func(c, lo, hi int) {
-		j := pairsJoin{ix: ix, minSim: minSim, counts: make([]int32, n)}
-		return func(c, lo, hi int) {
-			j.out = nil
-			for a := lo; a < hi; a++ {
-				j.author(int32(a))
-			}
-			chunks[c] = j.out
-		}
-	}, nil)
+	chunks := joinChunks(v, minSim, func(acc []SimPair, _ int32, pairs []SimPair) []SimPair {
+		return append(acc, pairs...)
+	})
 	// One exact allocation (slices.Concat allocates twice under -race), and
 	// nil when no pair qualifies.
 	total := 0
@@ -120,8 +108,34 @@ func (v *Vectors) PairsAbove(minSim float64) []SimPair {
 	return out
 }
 
-// pairsChunk is the number of consecutive authors a PairsAbove worker
-// claims at a time. Low author ids have the most work (every follower
+// joinChunks runs the similarity join on GOMAXPROCS goroutines
+// (ParallelChunks). Each claims chunks of pairsChunk consecutive authors,
+// and the pairs (a, b > a) of different authors are independent, so each
+// chunk's result is its own: collect folds the chunk's authors into it one
+// at a time, in ascending order, each with its pairs with similarity >=
+// minSim ordered by b. pairs is the goroutine's scratch, valid only during
+// the call, so a caller keeps of it only what it needs.
+func joinChunks[T any](v *Vectors, minSim float64, collect func(acc T, a int32, pairs []SimPair) T) []T {
+	ix := v.followerIndex()
+	n := len(v.followees)
+	chunks := make([]T, (n+pairsChunk-1)/pairsChunk)
+	ParallelChunks(runtime.GOMAXPROCS(0), n, pairsChunk, func(int) func(c, lo, hi int) {
+		j := pairsJoin{ix: ix, minSim: minSim, counts: make([]int32, n)}
+		return func(c, lo, hi int) {
+			var acc T
+			for a := lo; a < hi; a++ {
+				j.out = j.out[:0]
+				j.author(int32(a))
+				acc = collect(acc, int32(a), j.out)
+			}
+			chunks[c] = acc
+		}
+	}, nil)
+	return chunks
+}
+
+// pairsChunk is the number of consecutive authors a join goroutine claims
+// at a time. Low author ids have the most work (every follower
 // b > a), so chunks are small enough for the tail to balance.
 const pairsChunk = 32
 
@@ -129,7 +143,7 @@ const pairsChunk = 32
 // PairsAbove counts by bitmask instead of scanning: one bit each of a uint64.
 const heavyKeys = 64
 
-// followerIndex is the inverted index PairsAbove joins over, in CSR form.
+// followerIndex is the inverted index the join runs over, in CSR form.
 // Followee ids are replaced by dense keys, so its size is linear in the
 // number of followee entries whatever the id range. On a contiguous id
 // range it reads the Vectors' own rows as keys, so followers is its only
@@ -247,7 +261,7 @@ func (ix *followerIndex) heaviest() []int32 {
 	return top
 }
 
-// pairsJoin is one PairsAbove worker's state. counts is a dense per-author
+// pairsJoin is one join goroutine's state. counts is a dense per-author
 // accumulator with an explicit touched list: at 20k+ authors the inner loop
 // runs hundreds of millions of increments, so map overhead would dominate.
 type pairsJoin struct {

@@ -91,12 +91,13 @@ type MultiDiversifier interface {
 
 // validateSubscriptions rejects author ids outside g before any routing
 // table or diversifier is built, so a bad subscription surfaces as a
-// descriptive error instead of an index panic mid-construction.
-func validateSubscriptions(g *authorsim.Graph, subscriptions [][]int32) error {
+// descriptive error instead of an index panic mid-construction. Only the
+// subscriptions keep accepts are checked; a nil keep accepts every one.
+func validateSubscriptions(g *authorsim.Graph, subscriptions [][]int32, keep func(author int32) bool) error {
 	n := g.NumAuthors()
 	for u, subs := range subscriptions {
 		for _, a := range subs {
-			if a < 0 || int(a) >= n {
+			if (a < 0 || int(a) >= n) && (keep == nil || keep(a)) {
 				return fmt.Errorf("core: user %d subscribes to author %d outside graph range [0,%d)", u, a, n)
 			}
 		}
@@ -203,9 +204,10 @@ const maxAuthorInstances = 1 << 16
 // newSolver checks the parameters every layout shares — the algorithm, the
 // given thresholds and the subscribed author ids — before any instance is
 // built, so a bad parameter fails even where no instance would be (a user
-// without subscriptions, no users at all). It returns a solver without
-// instances.
-func newSolver(name string, alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, ths ...Thresholds) (*SharedMultiUser, error) {
+// without subscriptions, no users at all). Only the subscriptions keep
+// accepts are checked (see validateSubscriptions). It returns a solver
+// without instances.
+func newSolver(name string, alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, keep func(author int32) bool, ths ...Thresholds) (*SharedMultiUser, error) {
 	if alg < AlgUniBin || alg > AlgCliqueBin {
 		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
 	}
@@ -214,27 +216,10 @@ func newSolver(name string, alg Algorithm, g *authorsim.Graph, subscriptions [][
 			return nil, err
 		}
 	}
-	if err := validateSubscriptions(g, subscriptions); err != nil {
+	if err := validateSubscriptions(g, subscriptions, keep); err != nil {
 		return nil, err
 	}
 	return &SharedMultiUser{name: name, alg: alg, authorToComps: make([][]int32, g.NumAuthors())}, nil
-}
-
-// RestrictSubscriptions returns each user's subscriptions that keep accepts,
-// in order: the subscription map of a solver that decides only some
-// authors' posts (one of the parallel engine's workers, one shard worker of
-// a fleet). For those authors it decides as a solver over the whole map
-// does, as long as keep accepts each component of G(λa) whole or not at all.
-func RestrictSubscriptions(subscriptions [][]int32, keep func(author int32) bool) [][]int32 {
-	out := make([][]int32, len(subscriptions))
-	for u, subs := range subscriptions {
-		for _, a := range subs {
-			if keep(a) {
-				out[u] = append(out[u], a)
-			}
-		}
-	}
-	return out
 }
 
 // NewSharedMultiUser builds the S_* solver from per-user subscriptions.
@@ -247,20 +232,27 @@ func RestrictSubscriptions(subscriptions [][]int32, keep func(author int32) bool
 // 0, 1, … The table is keyed by a 64-bit hash of a component's sorted ids,
 // slices.Equal resolving collisions.
 func NewSharedMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, th Thresholds) (*SharedMultiUser, error) {
-	return NewSharedMultiUserOn(runtime.GOMAXPROCS(0), alg, g, subscriptions, th)
+	return NewSharedMultiUserOn(runtime.GOMAXPROCS(0), alg, g, subscriptions, nil, th)
 }
 
-// NewSharedMultiUserOn is NewSharedMultiUser finding components on at most
-// procs goroutines, for a caller that runs several builds at once and splits
-// GOMAXPROCS between them. The solver does not depend on procs.
-func NewSharedMultiUserOn(procs int, alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, th Thresholds) (*SharedMultiUser, error) {
-	return newSharedMultiUser(procs, alg, g, subscriptions, th, hashComponent)
+// NewSharedMultiUserOn is NewSharedMultiUser over each user's subscriptions
+// that keep accepts (all of them if keep is nil), finding components on at
+// most procs goroutines. It builds a solver that decides only some authors'
+// posts, such as one of the parallel engine's workers; for those authors it
+// decides as a solver over the whole map does, as long as keep accepts each
+// component of G(λa) whole or not at all. Each user's list is filtered into
+// its goroutine's scratch as that user's components are found, so no
+// restricted copy of the map is made. procs lets a caller that runs several
+// builds at once split GOMAXPROCS between them; the solver does not depend
+// on it.
+func NewSharedMultiUserOn(procs int, alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, keep func(author int32) bool, th Thresholds) (*SharedMultiUser, error) {
+	return newSharedMultiUser(procs, alg, g, subscriptions, keep, th, hashComponent)
 }
 
 // newSharedMultiUser is NewSharedMultiUserOn with the component hash as a
 // parameter, so a test can make every key collide.
-func newSharedMultiUser(procs int, alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, th Thresholds, hash func([]int32) uint64) (*SharedMultiUser, error) {
-	s, err := newSolver("S_"+alg.String(), alg, g, subscriptions, th)
+func newSharedMultiUser(procs int, alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, keep func(author int32) bool, th Thresholds, hash func([]int32) uint64) (*SharedMultiUser, error) {
+	s, err := newSolver("S_"+alg.String(), alg, g, subscriptions, keep, th)
 	if err != nil {
 		return nil, err
 	}
@@ -272,16 +264,27 @@ func newSharedMultiUser(procs int, alg Algorithm, g *authorsim.Graph, subscripti
 	var userInsts []int32
 	userEnd := make([]int, 0, len(subscriptions))
 	authorsim.ParallelChunks(procs, len(subscriptions), usersChunk, func(int) func(c, lo, hi int) {
+		var kept []int32 // a user's subscriptions keep accepts
 		return func(c, lo, hi int) {
 			f := foundComponents{comps: make([][][]int32, hi-lo)}
-			n := 0 // a component has at least one author
-			for _, subs := range subscriptions[lo:hi] {
-				n += len(subs)
+			n := 0
+			for u := lo; u < hi; u++ {
+				subs := subscriptions[u]
+				if keep != nil {
+					kept = kept[:0]
+					for _, a := range subs {
+						if keep(a) {
+							kept = append(kept, a)
+						}
+					}
+					subs = kept
+				}
+				f.comps[u-lo] = g.InducedComponents(subs)
+				n += len(f.comps[u-lo])
 			}
 			f.hashes = make([]uint64, 0, n)
-			for u := lo; u < hi; u++ {
-				f.comps[u-lo] = g.InducedComponents(subscriptions[u])
-				for _, comp := range f.comps[u-lo] {
+			for _, comps := range f.comps {
+				for _, comp := range comps {
 					f.hashes = append(f.hashes, hash(comp))
 				}
 			}
@@ -359,7 +362,7 @@ func hashComponent(comp []int32) uint64 {
 // lists the authors user u follows; authors must be node ids of g — unknown
 // or negative ids are rejected with an error.
 func NewMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int32, th Thresholds) (*SharedMultiUser, error) {
-	s, err := newSolver("M_"+alg.String(), alg, g, subscriptions, th)
+	s, err := newSolver("M_"+alg.String(), alg, g, subscriptions, nil, th)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +400,7 @@ func NewCustomMultiUser(alg Algorithm, g *authorsim.Graph, subscriptions [][]int
 			return nil, fmt.Errorf("user %d: %w", u, err)
 		}
 	}
-	s, err := newSolver("Custom_M", alg, g, subscriptions)
+	s, err := newSolver("Custom_M", alg, g, subscriptions, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -132,7 +132,7 @@ func TestSharedBuildDeterministic(t *testing.T) {
 			var want []byte
 			build := func(hash func([]int32) uint64) {
 				t.Helper()
-				s, err := newSharedMultiUser(runtime.GOMAXPROCS(0), alg, g, subs, th, hash)
+				s, err := newSharedMultiUser(runtime.GOMAXPROCS(0), alg, g, subs, nil, th, hash)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,5 +171,63 @@ func TestComponentKey(t *testing.T) {
 		if hashComponent(pair[0]) == hashComponent(pair[1]) {
 			t.Fatalf("%v and %v hash equal", pair[0], pair[1])
 		}
+	}
+}
+
+// TestRestrictedBuildMatchesRestrictedLists: a build over the authors keep
+// accepts, filtering each user's list as it goes, lays out, routes and
+// snapshots exactly as a build over lists restricted beforehand, for every
+// S_* layout, each half of a component split (as a 2-worker parallel
+// engine splits) and GOMAXPROCS 1, 2 and 4. An author outside the graph is
+// refused only if keep accepts it, with the error of the restricted lists.
+func TestRestrictedBuildMatchesRestrictedLists(t *testing.T) {
+	g, posts, subs := sharingScenario(5, 700)
+	th := Thresholds{LambdaC: 6, LambdaT: 400, LambdaA: 0.7}
+	restrict := func(keep func(int32) bool) [][]int32 {
+		out := make([][]int32, len(subs))
+		for u, list := range subs {
+			for _, a := range list {
+				if keep(a) {
+					out[u] = append(out[u], a)
+				}
+			}
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, alg := range []Algorithm{AlgUniBin, AlgNeighborBin, AlgCliqueBin} {
+		for w := 0; w < 2; w++ {
+			keep := func(a int32) bool { return g.ComponentOf(a)%2 == w }
+			pre := restrict(keep)
+			authors, users := sequentialInstances(g, pre)
+			ref, err := newSharedMultiUser(1, alg, g, pre, nil, th, hashComponent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := decidedSnapshot(t, ref, posts)
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				s, err := NewSharedMultiUserOn(procs, alg, g, subs, keep, th)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkInstances(t, s, authors, users)
+				if got := decidedSnapshot(t, s, posts); !bytes.Equal(got, want) {
+					t.Fatalf("%v, half %d, GOMAXPROCS %d: snapshot differs from the build over restricted lists", alg, w, procs)
+				}
+			}
+		}
+	}
+
+	outside := slices.Clone(subs)
+	outside[3] = append(slices.Clone(subs[3]), -1, int32(g.NumAuthors()))
+	inGraph := func(a int32) bool { return g.Contains(a) }
+	if _, err := NewSharedMultiUserOn(2, AlgUniBin, g, outside, inGraph, th); err != nil {
+		t.Fatalf("authors keep refuses were validated: %v", err)
+	}
+	_, want := NewSharedMultiUser(AlgUniBin, g, outside, th)
+	_, got := NewSharedMultiUserOn(2, AlgUniBin, g, outside, func(a int32) bool { return a < 0 || inGraph(a) }, th)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("keeping an author outside the graph: error %v, want %v", got, want)
 	}
 }

@@ -186,7 +186,9 @@ func WriteFollowees(w io.Writer, followees [][]int32) error {
 
 // ReadFollowees loads followee vectors. Records must appear in author-id
 // order 0..n-1 with no gaps, and there must be as many as a positive header
-// count declares.
+// count declares. Each row is allocated at its exact length, so a caller
+// that keeps the rows (the daemon sorts them in place and cuts its
+// subscription lists from them) holds no slack.
 //
 // A line in the exact shape WriteFollowees writes is decoded by
 // decodeFolloweeLine; every other line — other key order, whitespace,
@@ -210,6 +212,9 @@ func ReadFollowees(r io.Reader) ([][]int32, error) {
 		if !ok {
 			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 				return nil, fmt.Errorf("corpusio: line %d: %w", line, err)
+			}
+			if f := rec.Followees; cap(f) > len(f) { // json grows it by half again
+				rec.Followees = append(make([]int32, 0, len(f)), f...)
 			}
 		}
 		if int(rec.Author) != len(out) {
@@ -247,7 +252,11 @@ func decodeFolloweeLine(b []byte) (followeeRecord, bool) {
 	if !bytes.HasPrefix(b, []byte("[")) {
 		return followeeRecord{}, false
 	}
-	rec := followeeRecord{Author: author, Followees: make([]int32, 0, bytes.Count(b, []byte(","))+1)}
+	n := 0 // the list's length, so the row is allocated exactly
+	if !bytes.HasPrefix(b, []byte("[]")) {
+		n = bytes.Count(b, []byte(",")) + 1
+	}
+	rec := followeeRecord{Author: author, Followees: make([]int32, 0, n)}
 	i = 1
 	for i < len(b) && b[i] != ']' {
 		if len(rec.Followees) > 0 {

@@ -101,6 +101,29 @@ func TestFolloweesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFolloweesExactRows: every decoded row's capacity is its length,
+// on the canonical fast path and on lines only encoding/json decodes, so a
+// daemon that keeps its rows as subscription lists holds no slack.
+func TestReadFolloweesExactRows(t *testing.T) {
+	in := "{\"kind\":\"firehose/followees\",\"version\":1}\n" +
+		`{"author":0,"followees":[5,1,5,2,3]}` + "\n" +
+		`{"followees":[4,1,2,3,4,5,6,7,8,9,10], "author":1}` + "\n" +
+		`{"author":2,"followees":[]}` + "\n" +
+		`{ "author":3, "followees":[ 7 ] }` + "\n"
+	rows, err := ReadFollowees(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a, row := range rows {
+		if cap(row) != len(row) {
+			t.Errorf("row %d %v has capacity %d", a, row, cap(row))
+		}
+	}
+	if want := [][]int32{{5, 1, 5, 2, 3}, {4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, {}, {7}}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("read %v, want %v", rows, want)
+	}
+}
+
 func TestReadFolloweesOrderEnforced(t *testing.T) {
 	in := "{\"kind\":\"firehose/followees\",\"version\":1}\n" +
 		`{"author":1,"followees":[2]}`

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -64,5 +65,59 @@ func TestParallelBuildErrors(t *testing.T) {
 				runtime.Gosched()
 			}
 		}
+	}
+}
+
+// TestParallelBuildCopiesNoSubscriptions: on the benchmark's boot graph,
+// the 2-worker engine's build allocates what its workers' two solvers
+// allocate when each is built alone over lists restricted to its
+// components beforehand, plus the engine's own tables and queues (under
+// 100 KB): no worker copies the subscription map. Such a copy costs each
+// worker 24 bytes of slice header per user plus its kept ids (1.6 MB for
+// the two). A build's bytes vary by up to ±75 KB with the instance table's
+// map seed, so each figure is the least of three builds, and the bound
+// leaves 256 KiB over the solvers.
+func TestParallelBuildCopiesNoSubscriptions(t *testing.T) {
+	g, subs := bootInputs()
+	th := core.Thresholds{LambdaC: 18, LambdaT: 30 * 60 * 1000, LambdaA: 0.7}
+	allocated := func(build func()) uint64 {
+		t.Helper()
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			build()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	solvers := uint64(0)
+	for w := int32(0); w < 2; w++ {
+		// NewParallelMultiEngine deals the components out round-robin.
+		pre := make([][]int32, len(subs))
+		for u, list := range subs {
+			for _, a := range list {
+				if int32(g.ComponentOf(a))%2 == w {
+					pre[u] = append(pre[u], a)
+				}
+			}
+		}
+		solvers += allocated(func() {
+			if _, err := core.NewSharedMultiUser(core.AlgUniBin, g, pre, th); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	engine := allocated(func() {
+		e, err := NewParallelMultiEngine(core.AlgUniBin, g, subs, th, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+	})
+	if engine > solvers+256<<10 {
+		t.Fatalf("the 2-worker build allocated %d bytes, its two solvers built alone %d; want at most 256 KiB more",
+			engine, solvers)
 	}
 }
