@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"firehose/internal/authorsim"
 	"firehose/internal/connector"
@@ -322,6 +323,38 @@ func TestSubscriptions(t *testing.T) {
 		slices.Sort(set)
 		if !slices.Equal(subs, set) {
 			t.Fatalf("author %d subscribes to %v, the generator derives %v", a, subs, set)
+		}
+	}
+}
+
+// TestOutsideAuthorRefusedAtEveryWorkerCount: a followees file whose author
+// 0 follows an id outside the graph is refused at boot by name, whatever the
+// worker count, with the one-solver build's message.
+func TestOutsideAuthorRefusedAtEveryWorkerCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "followees.jsonl")
+	var buf bytes.Buffer
+	if err := corpusio.WriteFollowees(&buf, [][]int32{{1, -3}, {0, 2}, {1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "core: user 0 subscribes to author -3 outside graph range [0,3)"
+	for _, workers := range []int{1, 2} {
+		cfg := connector.DefaultConfig()
+		cfg.HTTP.Addr = "127.0.0.1:0"
+		cfg.Engine.FolloweesPath = path
+		cfg.Engine.Workers = workers
+		// A daemon that accepts the file serves until it is signalled.
+		booted := make(chan error, 1)
+		go func() { booted <- runDaemon(cfg) }()
+		select {
+		case err := <-booted:
+			if err == nil || err.Error() != want {
+				t.Fatalf("workers %d: boot = %v, want %q", workers, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers %d: the daemon accepted the file and serves", workers)
 		}
 	}
 }

@@ -484,7 +484,7 @@ func runDaemon(cfg *connector.Config) error {
 			// periodic checkpoint runs, so router memory stays bounded even
 			// between interval ticks (or with no interval configured at all).
 			rtr.SetPendingFullHook(func() {
-				if _, err := m.Checkpoint(); err != nil {
+				if _, err := m.Checkpoint(nil); err != nil {
 					log.Printf("firehosed: buffers-full coordination: %v", err)
 				}
 			})
@@ -545,7 +545,7 @@ func runDaemon(cfg *connector.Config) error {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					if f, err := ckptMgr.Checkpoint(); err != nil {
+					if f, err := ckptMgr.Checkpoint(nil); err != nil {
 						log.Printf("firehosed: periodic checkpoint: %v", err)
 					} else {
 						log.Printf("firehosed: wrote checkpoint %d (%d bytes)", f.Seq, f.Size)
@@ -576,7 +576,7 @@ func runDaemon(cfg *connector.Config) error {
 		pipe.Runner.Stop()
 	}
 	if ckptMgr != nil {
-		if f, err := ckptMgr.Checkpoint(); err != nil {
+		if f, err := ckptMgr.Checkpoint(nil); err != nil {
 			log.Printf("firehosed: shutdown checkpoint: %v", err)
 		} else {
 			log.Printf("firehosed: wrote shutdown checkpoint %d", f.Seq)

@@ -109,8 +109,14 @@ func TestResumeRule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := firstLife(t, dir, tc.acked...)
-			if _, err := checkpoint.Prune(dir, tc.retain); err != nil {
+			files, err := checkpoint.List(dir)
+			if err != nil {
 				t.Fatal(err)
+			}
+			for i := 0; tc.retain > 0 && i < len(files)-tc.retain; i++ {
+				if err := os.Remove(files[i].Path); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var in connector.Input
 			var fileIn *connector.FileInput

@@ -188,10 +188,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Prune deletes the oldest checkpoints beyond keep and returns the ones
-// removed. keep <= 0 keeps everything.
-func Prune(dir string, keep int) ([]File, error) { return prune(dir, fileRe, keep) }
-
 // prune deletes the oldest files of list(dir, re) beyond keep and returns
 // the ones removed. keep <= 0 keeps everything.
 func prune(dir string, re *regexp.Regexp, keep int) ([]File, error) {
@@ -215,6 +211,13 @@ func prune(dir string, re *regexp.Regexp, keep int) ([]File, error) {
 // target into one directory, applying a retention bound after every write.
 // It is safe for concurrent use (the admin endpoint and the interval ticker
 // share one Manager).
+//
+// The manager owns its directory's checkpoint-<n>.fhc set: NewManager lists
+// the directory once, and from then on the manager numbers each checkpoint
+// from the newest sequence number it keeps in memory and retires files from
+// the list it keeps, so a checkpoint touches the directory only to write.
+// A file some other process drops there afterwards is neither numbered
+// after nor pruned; the daemon must be the directory's only writer.
 type Manager struct {
 	dir    string
 	retain int
@@ -222,8 +225,12 @@ type Manager struct {
 
 	// mu serializes Checkpoint calls so two triggers cannot race the same
 	// sequence number or interleave prunes.
-	// mu guards: onCheckpoint
-	mu           sync.Mutex
+	// mu guards: kept, onCheckpoint
+	mu sync.Mutex
+	// kept holds the sequence numbers of the checkpoints on disk, oldest
+	// first: those NewManager listed, then each one written since, less the
+	// ones retention removed. Its last entry is the newest sequence number.
+	kept         []uint64
 	onCheckpoint func(File)
 }
 
@@ -242,7 +249,8 @@ func (m *Manager) SetOnCheckpoint(fn func(File)) {
 // NewManager builds a manager writing checkpoints of target into dir,
 // keeping the newest retain files (retain <= 0 keeps all). The directory is
 // created eagerly so misconfiguration fails at startup, not at the first
-// checkpoint.
+// checkpoint, and listed once: the next checkpoint is numbered after the
+// newest file found there.
 func NewManager(dir string, retain int, target func(w io.Writer) error) (*Manager, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty directory")
@@ -253,32 +261,61 @@ func NewManager(dir string, retain int, target func(w io.Writer) error) (*Manage
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
 	}
-	return &Manager{dir: dir, retain: retain, target: target}, nil
+	files, err := List(dir)
+	if err != nil {
+		return nil, err
+	}
+	kept := make([]uint64, len(files))
+	for i, f := range files {
+		kept[i] = f.Seq
+	}
+	return &Manager{dir: dir, retain: retain, target: target, kept: kept}, nil
 }
 
 // Dir returns the checkpoint directory.
 func (m *Manager) Dir() string { return m.dir }
 
-// Checkpoint writes one checkpoint now and applies retention. Concurrent
-// calls serialize; each produces its own file.
-func (m *Manager) Checkpoint() (File, error) {
+// Checkpoint writes one checkpoint now, numbered after the newest one the
+// manager holds, then runs the SetOnCheckpoint hook, then answer (when not
+// nil), and applies retention last. Concurrent calls serialize; each
+// produces its own file. answer runs under the manager's serialization with
+// the durable File, while the file retention retires is still on disk, so
+// a caller that answers a client in it does not make the client wait for
+// the prune. answer must not call Checkpoint. A failed write runs neither
+// the hook nor answer; a failed prune returns the durable File with the
+// error, after both have run.
+func (m *Manager) Checkpoint(answer func(File)) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f, err := Write(m.dir, m.target)
+	seq := uint64(1)
+	if n := len(m.kept); n > 0 {
+		seq = m.kept[n-1] + 1
+	}
+	f, err := publish(m.dir, fileName(seq), seq, m.target)
 	if err != nil {
 		return File{}, err
 	}
+	m.kept = append(m.kept, seq)
 	if m.onCheckpoint != nil {
 		// The write is durable at this point; acks derived from it are safe
 		// even if the prune below fails.
 		m.onCheckpoint(f)
 	}
-	if _, err := Prune(m.dir, m.retain); err != nil {
-		// The new checkpoint is durable; a failed prune only leaks old files.
-		return f, err
+	if answer != nil {
+		answer(f)
+	}
+	// Retention: the new checkpoint is durable, so a failed prune only
+	// leaks old files; one that fails to go stays kept, and the next
+	// checkpoint retries it.
+	for m.retain > 0 && len(m.kept) > m.retain {
+		path := filepath.Join(m.dir, fileName(m.kept[0]))
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return f, fmt.Errorf("checkpoint: pruning %s: %w", path, err)
+		}
+		m.kept = m.kept[1:]
 	}
 	return f, nil
 }
 
-// List returns the retained checkpoints, oldest first.
+// List returns the checkpoints in the directory, oldest first.
 func (m *Manager) List() ([]File, error) { return List(m.dir) }

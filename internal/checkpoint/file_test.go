@@ -93,7 +93,7 @@ func TestManagerRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := mgr.Checkpoint(); err != nil {
+		if _, err := mgr.Checkpoint(nil); err != nil {
 			t.Fatalf("Checkpoint #%d: %v", i+1, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestManagerRetention(t *testing.T) {
 		t.Fatalf("retention kept %+v", files)
 	}
 	// Sequence numbering continues past pruned files.
-	f, err := mgr.Checkpoint()
+	f, err := mgr.Checkpoint(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestManagerOnCheckpointHook(t *testing.T) {
 	})
 
 	for i := 0; i < 2; i++ {
-		if _, err := mgr.Checkpoint(); err != nil {
+		if _, err := mgr.Checkpoint(nil); err != nil {
 			t.Fatalf("Checkpoint #%d: %v", i+1, err)
 		}
 	}
@@ -166,11 +166,91 @@ func TestManagerOnCheckpointHook(t *testing.T) {
 		t.Fatalf("hook calls = %+v, want seqs 1 and 2", hooked)
 	}
 	// A failed snapshot writes nothing durable, so the hook must not fire.
-	if _, err := mgr.Checkpoint(); err == nil {
+	if _, err := mgr.Checkpoint(nil); err == nil {
 		t.Fatal("Checkpoint with failing snapshot succeeded")
 	}
 	if len(hooked) != 2 {
 		t.Fatalf("hook fired for a failed checkpoint: %+v", hooked)
+	}
+}
+
+// TestManagerAnswersBeforeRetention: Checkpoint's answer step runs with
+// the new file durable and the hook already run, while the file retention
+// retires is still on disk; once Checkpoint returns, only retain files are
+// left.
+func TestManagerAnswersBeforeRetention(t *testing.T) {
+	dir := t.TempDir()
+	mgr, err := NewManager(dir, 1, snapshotBytes("state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := uint64(0)
+	mgr.SetOnCheckpoint(func(f File) { hooked = f.Seq })
+	for seq := uint64(1); seq <= 3; seq++ {
+		answered := false
+		f, err := mgr.Checkpoint(func(f File) {
+			answered = true
+			if hooked != f.Seq {
+				t.Errorf("answer for seq %d ran before its hook (hook saw seq %d)", f.Seq, hooked)
+			}
+			fh, err := os.Open(f.Path)
+			if err != nil {
+				t.Errorf("answer for seq %d: file not readable: %v", f.Seq, err)
+				return
+			}
+			if payload, err := readPayload(fh); err != nil || payload != "state" {
+				t.Errorf("answer for seq %d read %q, %v", f.Seq, payload, err)
+			}
+			fh.Close()
+			if f.Seq > 1 {
+				if _, err := os.Stat(filepath.Join(dir, fileName(f.Seq-1))); err != nil {
+					t.Errorf("answer for seq %d ran after retention: %v", f.Seq, err)
+				}
+			}
+		})
+		if err != nil || !answered || f.Seq != seq {
+			t.Fatalf("Checkpoint #%d = seq %d, %v (answered %v)", seq, f.Seq, err, answered)
+		}
+		files, err := List(dir)
+		if err != nil || len(files) != 1 || files[0].Seq != seq {
+			t.Fatalf("after Checkpoint #%d the directory holds %+v (%v), want only seq %d", seq, files, err, seq)
+		}
+	}
+	// A failed write answers no one.
+	bad, err := NewManager(t.TempDir(), 1, func(io.Writer) error { return errors.New("snapshot exploded") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.Checkpoint(func(File) { t.Error("answered a failed checkpoint") }); err == nil {
+		t.Fatal("Checkpoint with failing snapshot succeeded")
+	}
+}
+
+// TestManagerListsOnce: NewManager numbers after the newest file it finds,
+// and from then on the manager numbers from memory — a checkpoint file that
+// appears in the directory later does not move the sequence.
+func TestManagerListsOnce(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		if _, err := Write(dir, snapshotBytes("earlier")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr, err := NewManager(dir, 0, snapshotBytes("state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fileName(999)), []byte("dropped in"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(3); want <= 4; want++ {
+		f, err := mgr.Checkpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Seq != want || filepath.Base(f.Path) != fileName(want) {
+			t.Fatalf("Checkpoint wrote seq %d (%s), want %d", f.Seq, f.Path, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"path/filepath"
 	"time"
@@ -194,12 +195,20 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 			"checkpointing is disabled; start the server with a checkpoint directory")
 		return
 	}
-	f, err := s.ckpt.Checkpoint()
-	if err != nil {
+	// The answer goes out once the file is durable and the hook has run;
+	// retention runs after it, before the handler returns. A failed prune
+	// only leaks old files, and the answer is sent by then, so it is logged.
+	answered := false
+	_, err := s.ckpt.Checkpoint(func(f checkpoint.File) {
+		answered = true
+		FlushJSON(w, checkpointInfo(f))
+	})
+	switch {
+	case err != nil && answered:
+		log.Printf("httpapi: admin checkpoint retention: %v", err)
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, CodeCheckpointFailed, "%v", err)
-		return
 	}
-	writeJSON(w, checkpointInfo(f))
 }
 
 func (s *Server) handleCheckpoints(w http.ResponseWriter, _ *http.Request) {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"firehose/internal/authorsim"
 	"firehose/internal/checkpoint"
@@ -109,6 +111,49 @@ func TestServerSnapshotRestoreRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdminCheckpointAnswersBeforeReturn: POST /v1/admin/checkpoint sends
+// its whole answer, with an exact Content-Length, before the handler
+// returns, so the client does not wait for retention. The handler here is
+// held open after the answer until the client has read it; an answer sent
+// only on return, or framed chunked, never completes in time.
+func TestAdminCheckpointAnswersBeforeReturn(t *testing.T) {
+	api, _ := serverPair(t, false)
+	mgr, err := checkpoint.NewManager(t.TempDir(), 1, api.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api.EnableCheckpoints(mgr)
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.ServeHTTP(w, r)
+		<-release
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	for seq := uint64(1); seq <= 2; seq++ {
+		resp, err := client.Post(ts.URL+"/v1/admin/checkpoint", "application/json", nil)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", seq, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("checkpoint %d: reading the answer while the handler runs: %v", seq, err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("checkpoint %d: status %d, Content-Length %d, Transfer-Encoding %v for a %d-byte answer %s",
+				seq, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(body), body)
+		}
+		var info CheckpointInfo
+		if err := json.Unmarshal(body, &info); err != nil || info.Seq != seq {
+			t.Fatalf("checkpoint %d: answer %s (%v)", seq, body, err)
+		}
+		release <- struct{}{} // let this handler return; the next request opens its own
 	}
 }
 

@@ -458,3 +458,17 @@ func writeJSON(w http.ResponseWriter, v any) {
 		return
 	}
 }
+
+// FlushJSON writes a 200 JSON answer, the bytes writeJSON sends, with an
+// exact Content-Length and flushes it, so the client holds the whole answer
+// while the handler goes on working (a checkpoint's retention). Without the
+// length net/http frames a flushed answer chunked, and the client would
+// wait for the handler to return anyway.
+func FlushJSON(w http.ResponseWriter, v any) {
+	body, _ := json.Marshal(v) // the answers sent through it always encode
+	body = append(body, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
+	_ = http.NewResponseController(w).Flush() // a writer that cannot flush sends it on return
+}

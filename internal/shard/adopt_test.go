@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"firehose/internal/authorsim"
+	"firehose/internal/checkpoint"
 	"firehose/internal/httpapi"
 	"firehose/internal/twittergen"
 )
@@ -216,6 +217,19 @@ func TestAdoptAssignment(t *testing.T) {
 	if code, body := do(t, sharded, "POST", "/v1/ingest", ingestBody(author, tm, text), nil); code == http.StatusOK ||
 		!strings.Contains(body, httpapi.CodeShardMismatch) || !strings.Contains(body, "engine inputs") {
 		t.Fatalf("forward to a worker restarted over other inputs = %d %s, want a %s refusal", code, body, httpapi.CodeShardMismatch)
+	}
+	// A coordination round refuses it as well, and writes no tagged
+	// checkpoint on it.
+	before, err := checkpoint.ListTagged(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rt.coordinate(); err == nil ||
+		!strings.Contains(err.Error(), httpapi.CodeShardMismatch) || !strings.Contains(err.Error(), "engine inputs") {
+		t.Fatalf("coordination round over a worker restarted over other inputs = %v, want a %s refusal", err, httpapi.CodeShardMismatch)
+	}
+	if after, err := checkpoint.ListTagged(dirs[0]); err != nil || len(after) != len(before) {
+		t.Fatalf("the refused round left checkpoints %+v, had %+v (%v)", after, before, err)
 	}
 }
 

@@ -73,19 +73,30 @@ type shardedStack struct {
 }
 
 // timelineReads is the router's transport in a shardedStack: it records the
-// query of every GET /v1/timeline the router sends a shard.
+// query of every GET /v1/timeline the router sends a shard, and the method
+// and path of every control request (checkpoint, restore, topology), per
+// worker host.
 type timelineReads struct {
-	// mu guards: queries
-	mu      sync.Mutex
-	queries []url.Values
+	// mu guards: queries, controls
+	mu       sync.Mutex
+	queries  []url.Values
+	controls map[string][]string
 }
 
 func (l *timelineReads) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.Method == http.MethodGet && r.URL.Path == "/v1/timeline" {
-		l.mu.Lock()
-		l.queries = append(l.queries, r.URL.Query())
-		l.mu.Unlock()
+	l.mu.Lock()
+	switch r.URL.Path {
+	case "/v1/timeline":
+		if r.Method == http.MethodGet {
+			l.queries = append(l.queries, r.URL.Query())
+		}
+	case "/v1/shard/checkpoint", "/v1/shard/restore", "/v1/admin/topology":
+		if l.controls == nil {
+			l.controls = make(map[string][]string)
+		}
+		l.controls[r.URL.Host] = append(l.controls[r.URL.Host], r.Method+" "+r.URL.Path)
 	}
+	l.mu.Unlock()
 	return http.DefaultTransport.RoundTrip(r)
 }
 
@@ -96,6 +107,16 @@ func (l *timelineReads) take() []url.Values {
 	q := l.queries
 	l.queries = nil
 	return q
+}
+
+// takeControls returns the control requests recorded since the last call,
+// by the worker host they went to.
+func (l *timelineReads) takeControls() map[string][]string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	c := l.controls
+	l.controls = nil
+	return c
 }
 
 func newShardedStack(t *testing.T, shards int) *shardedStack {
@@ -528,6 +549,62 @@ func TestCoordinateRollsBackPhantomState(t *testing.T) {
 			if id > rollbackWatermark && !inSharded[id] {
 				t.Fatalf("user %d: post %d delivered after the rollback is missing from the sharded timeline %v", u, id, g)
 			}
+		}
+	}
+}
+
+// TestCoordinateOneRequestPerShard pins the round's cost: on a healthy
+// fleet a coordination round sends each shard exactly one control request,
+// its checkpoint request, with no probe before it. A worker holding state the
+// replay buffer does not account for refuses that request (shard_desync), and
+// only then does the router probe, roll it back, replay and ask again.
+func TestCoordinateOneRequestPerShard(t *testing.T) {
+	st := newShardedStack(t, 2)
+	host := func(s int) string { return strings.TrimPrefix(st.servers[s].URL, "http://") }
+	for i := 0; i < 30; i++ {
+		author, tm, text := equivPost(i)
+		if code, body := do(t, st.api, "POST", "/v1/ingest", ingestBody(author, tm, text), nil); code != http.StatusOK {
+			t.Fatalf("post %d: %d %s", i, code, body)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		st.reads.takeControls()
+		if _, _, err := st.router.coordinate(); err != nil {
+			t.Fatal(err)
+		}
+		got := st.reads.takeControls()
+		for s := range st.servers {
+			if want := []string{"POST /v1/shard/checkpoint"}; fmt.Sprint(got[host(s)]) != fmt.Sprint(want) {
+				t.Fatalf("round %d: shard %d got control requests %v, want %v", round, s, got[host(s)], want)
+			}
+		}
+	}
+
+	// A phantom post on one worker: its checkpoint request is refused, and
+	// the refusal, not a probe, starts the resync.
+	const phantomAuthor = 0
+	shard := st.assign.ShardOf(phantomAuthor)
+	sc, status, body, err := dialStream(http.DefaultTransport, st.servers[shard].URL, formatTopology(st.assign.Digest(), shard, 2), 0)
+	if err != nil || sc == nil {
+		t.Fatalf("phantom stream: status %d %s, %v", status, body, err)
+	}
+	defer sc.Close()
+	phantom := []ingeststream.Request{{ID: 1000, Prev: st.router.expected(shard), Author: phantomAuthor, TimeMillis: 10_000_000, Text: "phantom"}}
+	if n, status, body, _, err := roundTrip(sc, phantom, nil); err != nil || n != 1 {
+		t.Fatalf("phantom ingest: status %d %s, %v", status, body, err)
+	}
+	st.reads.takeControls()
+	if _, _, err := st.router.coordinate(); err != nil {
+		t.Fatalf("coordinate over phantom worker state: %v", err)
+	}
+	got := st.reads.takeControls()
+	want := map[int][]string{
+		shard:     {"POST /v1/shard/checkpoint", "GET /v1/admin/topology", "POST /v1/shard/restore", "POST /v1/shard/checkpoint"},
+		1 - shard: {"POST /v1/shard/checkpoint"},
+	}
+	for s, w := range want {
+		if fmt.Sprint(got[host(s)]) != fmt.Sprint(w) {
+			t.Fatalf("phantom round: shard %d got control requests %v, want %v", s, got[host(s)], w)
 		}
 	}
 }

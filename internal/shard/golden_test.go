@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"firehose/internal/checkpoint"
 	"firehose/internal/httpapi"
 	"firehose/internal/ingeststream"
 )
@@ -71,6 +72,18 @@ func TestShardErrorEnvelopesGolden(t *testing.T) {
 			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardDesync,
 		},
 		{
+			name: "shard_checkpoint_desync",
+			path: "/v1/shard/checkpoint", body: `{"watermark":9,"shardSeq":4}`,
+			topo:       goodTopo,
+			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardDesync,
+		},
+		{
+			name: "shard_checkpoint_other_inputs",
+			path: "/v1/shard/checkpoint", body: `{"watermark":0,"shardSeq":0,"inputs":"9c1d"}`,
+			topo:       goodTopo,
+			wantStatus: http.StatusConflict, wantCode: httpapi.CodeShardMismatch,
+		},
+		{
 			name: "shard_restore_no_checkpoint",
 			path: "/v1/shard/restore", body: `{"watermark":42}`,
 			topo:       goodTopo,
@@ -80,7 +93,8 @@ func TestShardErrorEnvelopesGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := newEquivServer(t)
-			w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign, CheckpointDir: t.TempDir()})
+			dir := t.TempDir()
+			w, err := NewWorker(WorkerOptions{Server: srv, Shard: 0, Assignment: assign, Inputs: "4f2a", CheckpointDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,6 +135,9 @@ func TestShardErrorEnvelopesGolden(t *testing.T) {
 			}
 			if got := srv.IDWatermark(); got != 0 {
 				t.Fatalf("a refused request moved the worker's watermark to %d", got)
+			}
+			if files, err := checkpoint.ListTagged(dir); err != nil || len(files) != 0 {
+				t.Fatalf("a refused request left checkpoints %+v (%v)", files, err)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -506,7 +507,9 @@ func (rt *Router) dial(shard int) (*ingeststream.Conn, fwdClass, error) {
 // healthy, verify its topology digest (and, on an adopted assignment, its
 // engine inputs fingerprint), roll it back to the last coordinated
 // round, and replay the pending suffix. Safe to call on a healthy worker (it
-// detects the intact state and skips the rollback).
+// detects the intact state and skips the rollback). A forward runs it after
+// a failed exchange; a coordination round only after the shard's checkpoint
+// request is refused or gets no answer.
 func (rt *Router) resync(shard int, deadline time.Time) error {
 	// 1. Poll the worker back to reachability and verify its identity.
 	var topo httpapi.TopologyResponse
@@ -717,15 +720,16 @@ func (rt *Router) SnapshotState(enc *checkpoint.Encoder) error {
 // the round (ckptW advances, the replay buffers clear, the per-shard bases
 // move to the workers' reported watermarks).
 //
-// Before a worker's checkpoint is requested, its watermark is verified
-// against the router's replay buffer (and healed through resync on any
-// disagreement). A worker can hold state the router never recorded — a
+// A worker's checkpoint is written only over state the replay buffer
+// accounts for. A worker can hold state the router never recorded — a
 // partially failed OfferBatch ingests one shard's sub-batch, the HTTP layer
 // rolls the ids back, and nothing lands in pending. Checkpointing that
 // phantom state would bake it into the tagged checkpoint and the adopted
-// base, terminally rejecting the re-allocated ids; resyncing first rolls the
-// phantom sub-batch back and replays the recorded suffix, so only state the
-// router accounted for is ever made durable.
+// base, terminally rejecting the re-allocated ids. So each checkpoint
+// request names the watermark the buffer predicts, the worker refuses
+// another one (shard_desync), and the router resyncs it — rolling the
+// phantom sub-batch back and replaying the recorded suffix — before it asks
+// again.
 func (rt *Router) coordinate() (uint64, []uint64, error) {
 	rt.mu.Lock()
 	w := rt.lastDone
@@ -758,20 +762,30 @@ func (rt *Router) coordinate() (uint64, []uint64, error) {
 	return w, seqs, nil
 }
 
-// coordinateShard is one shard's part of a coordination round: verify (and
-// heal) it against the replay buffer, have it write its tagged checkpoint at
-// round watermark w, and return the shard watermark inside that checkpoint.
+// coordinateShard is one shard's part of a coordination round, and on a
+// healthy worker it is one request: write the tagged checkpoint at round
+// watermark w, provided the worker's id watermark is the one the replay
+// buffer predicts and its engine inputs are the adopted ones. Only when the
+// worker refuses (shard_desync, shard_mismatch) or the request gets no
+// answer does the router run the full resync — probe, rollback, replay —
+// and ask once more. It returns the shard watermark inside the checkpoint.
 func (rt *Router) coordinateShard(s int, w uint64, deadline time.Time) (uint64, error) {
-	if err := rt.resync(s, deadline); err != nil {
-		return 0, fmt.Errorf("shard: coordinated checkpoint at watermark %d: resyncing shard %d: %w", w, s, err)
-	}
+	req := CheckpointRequest{Watermark: w, ShardSeq: rt.expected(s), Inputs: rt.assign.inputs}
 	var resp CheckpointResponse
-	if class, err := rt.control(s, "/v1/shard/checkpoint", CheckpointRequest{Watermark: w}, &resp); class != fwdOK {
+	class, err := rt.control(s, "/v1/shard/checkpoint", req, &resp)
+	var ee *envelopeError
+	if class == fwdRetry || errors.As(err, &ee) && ee.code == httpapi.CodeShardMismatch {
+		if err := rt.resync(s, deadline); err != nil {
+			return 0, fmt.Errorf("shard: coordinated checkpoint at watermark %d: resyncing shard %d: %w", w, s, err)
+		}
+		class, err = rt.control(s, "/v1/shard/checkpoint", req, &resp)
+	}
+	if class != fwdOK {
 		return 0, fmt.Errorf("shard: coordinated checkpoint at watermark %d: shard %d: %w", w, s, err)
 	}
-	// The caller holds the exclusive ingest lock and the shard was just
-	// resynced, so the checkpointed watermark must be exactly the one the
-	// replay buffer predicts; adopting anything else would desynchronize
+	// The caller holds the exclusive ingest lock and the worker vouched for
+	// its watermark, so the checkpointed watermark must be exactly the one
+	// the replay buffer predicts; adopting anything else would desynchronize
 	// the rollback contract durably.
 	if exp := rt.expected(s); resp.ShardSeq != exp {
 		return 0, fmt.Errorf(

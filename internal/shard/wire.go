@@ -131,9 +131,25 @@ func parseTopology(v string) (digest uint64, shard, shards int, err error) {
 }
 
 // CheckpointRequest is the POST /v1/shard/checkpoint body: the router's
-// global id watermark naming the coordination round.
+// global id watermark naming the coordination round, and what the router
+// expects of the worker's state. The worker checks both expectations before
+// it writes, under the lock that serializes its rounds, and writes nothing
+// when one fails: an id watermark other than ShardSeq is refused 409
+// shard_desync, inputs other than Inputs 409 shard_mismatch. So on a healthy
+// fleet one request per shard is the whole round, and the router resyncs a
+// worker only after such a refusal.
 type CheckpointRequest struct {
+	// Watermark is the round's tag, the router's global id watermark.
 	Watermark uint64 `json:"watermark"`
+	// ShardSeq is the shard's own id watermark as the router's replay
+	// buffer predicts it: the worker's state must hold exactly the posts
+	// forwarded to it, no fewer (a restart) and no more (a phantom
+	// sub-batch).
+	ShardSeq uint64 `json:"shardSeq"`
+	// Inputs is the engine inputs fingerprint the router adopted its
+	// assignment with; empty on a router that planned its own, which
+	// skips the check.
+	Inputs string `json:"inputs,omitempty"`
 }
 
 // CheckpointResponse confirms a durably written tagged checkpoint.

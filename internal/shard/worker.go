@@ -209,20 +209,34 @@ func (w *Worker) handleCheckpoint(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
+	if req.Inputs != "" && req.Inputs != w.inputs {
+		httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardMismatch,
+			"coordination round %d expects engine inputs %.16s…, shard %d was started over %.16s…; router and workers must share the engine configuration",
+			req.Watermark, req.Inputs, w.shard, w.inputs)
+		return
+	}
+	if got := w.srv.IDWatermark(); got != req.ShardSeq {
+		httpapi.WriteError(rw, http.StatusConflict, httpapi.CodeShardDesync,
+			"coordination round %d expects shard %d's id watermark to be %d but it is %d; the worker's state and the router's replay buffer are out of step (did the worker restart?)",
+			req.Watermark, w.shard, req.ShardSeq, got)
+		return
+	}
 	f, err := checkpoint.WriteTagged(w.dir, req.Watermark, w.srv.Snapshot)
 	if err != nil {
 		httpapi.WriteError(rw, http.StatusInternalServerError, httpapi.CodeCheckpointFailed, "%v", err)
 		return
 	}
-	_, _ = checkpoint.PruneTagged(w.dir, w.retain) // best-effort; stale files are harmless
 	w.mu.Lock()
 	w.coordinated = req.Watermark
 	w.mu.Unlock()
-	httpapi.WriteJSON(rw, CheckpointResponse{
+	// The router holds its ingest pause until every shard answers, so the
+	// answer goes out as soon as the file is durable, and retention after.
+	httpapi.FlushJSON(rw, CheckpointResponse{
 		Watermark: f.Seq,
 		ShardSeq:  w.srv.SnapshotWatermark(),
 		File:      filepath.Base(f.Path),
 	})
+	_, _ = checkpoint.PruneTagged(w.dir, w.retain) // best-effort; stale files are harmless
 }
 
 func (w *Worker) handleRestore(rw http.ResponseWriter, r *http.Request) {

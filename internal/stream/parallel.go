@@ -291,18 +291,19 @@ func NewParallelMultiEngineOpts(alg core.Algorithm, g *authorsim.Graph, subscrip
 		}
 	}
 	// Build each worker's solver over its shard of every user's
-	// subscriptions (authors outside the graph belong to no shard), each
-	// list filtered as its user's components are found, so no per-worker
-	// copy of the map is made. The builds run concurrently, each finding
-	// components on its goroutine's share of GOMAXPROCS, so boot runs on
-	// GOMAXPROCS goroutines in all. The first error in worker order wins, as
-	// a loop over the workers would return it.
+	// subscriptions, each list filtered as its user's components are found,
+	// so no per-worker copy of the map is made. An author outside the graph
+	// belongs to no shard, but every worker keeps it, so that the build
+	// refuses it by name as a one-solver build does. The builds run
+	// concurrently, each finding components on its goroutine's share of
+	// GOMAXPROCS, so boot runs on GOMAXPROCS goroutines in all. The first
+	// error in worker order wins, as a loop over the workers would return it.
 	errs := make([]error, workers)
 	authorsim.ParallelChunks(runtime.GOMAXPROCS(0), workers, 1, func(procs int) func(c, lo, hi int) {
 		return func(w, _, _ int) {
 			var md core.MultiDiversifier
 			md, err := core.NewSharedMultiUserOn(procs, alg, g, subscriptions, func(a int32) bool {
-				return g.Contains(a) && e.authorWorker[a] == int32(w)
+				return !g.Contains(a) || e.authorWorker[a] == int32(w)
 			}, th)
 			if err == nil && opts.Adaptive != nil {
 				md, err = core.NewAdaptiveMultiUser(md, g, th, *opts.Adaptive)

@@ -3,6 +3,7 @@ package stream
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,7 +28,13 @@ func TestParallelBuildErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, polErr := core.NewAdaptiveMultiUser(md, g, good, pol)
-	for _, want := range []error{thErr, algErr, polErr} {
+	// A user subscribed to an author below or past the graph's range.
+	below, past := slices.Clone(subs), slices.Clone(subs)
+	below[3] = append(slices.Clone(subs[3]), -3)
+	past[7] = append(slices.Clone(subs[7]), int32(g.NumAuthors()+5))
+	_, belowErr := core.NewSharedMultiUser(core.AlgUniBin, g, below, good)
+	_, pastErr := core.NewSharedMultiUser(core.AlgUniBin, g, past, good)
+	for _, want := range []error{thErr, algErr, polErr, belowErr, pastErr} {
 		if want == nil {
 			t.Fatal("a constructor accepted an input the cases below rely on it refusing")
 		}
@@ -38,17 +45,24 @@ func TestParallelBuildErrors(t *testing.T) {
 		alg  core.Algorithm
 		th   core.Thresholds
 		opts ParallelOptions
+		subs [][]int32 // nil builds over subs
 		want error
 	}{
-		{"thresholds", core.AlgUniBin, bad, ParallelOptions{}, thErr},
-		{"thresholds/neighborbin", core.AlgNeighborBin, bad, ParallelOptions{}, thErr},
-		{"algorithm", core.Algorithm(9), good, ParallelOptions{}, algErr},
-		{"adaptive policy", core.AlgUniBin, good, ParallelOptions{Adaptive: &pol}, polErr},
+		{"thresholds", core.AlgUniBin, bad, ParallelOptions{}, nil, thErr},
+		{"thresholds/neighborbin", core.AlgNeighborBin, bad, ParallelOptions{}, nil, thErr},
+		{"algorithm", core.Algorithm(9), good, ParallelOptions{}, nil, algErr},
+		{"adaptive policy", core.AlgUniBin, good, ParallelOptions{Adaptive: &pol}, nil, polErr},
+		{"author below the graph", core.AlgUniBin, good, ParallelOptions{}, below, belowErr},
+		{"author past the graph", core.AlgUniBin, good, ParallelOptions{}, past, pastErr},
+		{"author past the graph/neighborbin", core.AlgNeighborBin, good, ParallelOptions{}, past, pastErr},
 	}
 	for _, tc := range cases {
+		if tc.subs == nil {
+			tc.subs = subs
+		}
 		for _, workers := range []int{1, 2, 4} {
 			before := runtime.NumGoroutine()
-			e, err := NewParallelMultiEngineOpts(tc.alg, g, subs, tc.th, workers, tc.opts)
+			e, err := NewParallelMultiEngineOpts(tc.alg, g, tc.subs, tc.th, workers, tc.opts)
 			if err == nil {
 				e.Close()
 				t.Fatalf("%s, %d workers: engine built", tc.name, workers)
